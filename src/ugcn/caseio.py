@@ -2,15 +2,30 @@
 
 Two case inputs are supported: the native ``.case.json`` schema and a small
 MATPOWER-style subset (``mpc.baseMVA``, ``mpc.bus``, ``mpc.branch`` matrices).
-Datasets, checkpoints and reports travel in a common versioned container,
-either as JSON or inside a binary frame (magic ``UGCN``, u32 version,
-u64 payload length, CRC32, then the payload bytes).  Complex tensors are
-stored as separate re/im number arrays so round trips are bit exact.
+Datasets and checkpoints travel in one versioned binary container:
+
+* a 20-byte little-endian header: magic ``UGCN``, u32 schema version,
+  u64 body length, CRC32 of the body;
+* the body: u64 length of a JSON head, the head, then one float64 blob.
+
+The head is the payload encoded canonically (sorted keys, no spaces), except
+that every non-empty list whose items are all Python floats is replaced by a
+reference ``{"$f64": [offset, count]}`` into the blob, so tensors are stored
+as raw little-endian float64 and reload bit exact (-0.0, NaN and inf
+included).  Ints, bools, strings, None and mixed lists stay in the head;
+tuples come back as lists.  The ``.ugcn.json`` / ``.ckpt.json`` suffixes are
+historical: the suffix does not pick the format.  Files of schema version 1
+(JSON text, or the earlier frame around JSON text) are refused.  Writes go
+to ``<path>.tmp`` and are renamed over ``path``, so a failed write leaves
+the previous file intact.  Complex tensors are stored as separate re/im
+float lists.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 import struct
 import zlib
@@ -24,12 +39,16 @@ from .errors import (
     DanglingBranch,
     ParseError,
     SchemaVersionMismatch,
+    UgcnError,
 )
 from .grid import DISTRIBUTION, Branch, GridGraph
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MAGIC = b"UGCN"
-_HEADER = struct.Struct("<4sIQI")
+_HEADER = struct.Struct("<4sIQI")   # magic, version, body length, CRC32 of the body
+_U64 = struct.Struct("<Q")
+_F64_REF = "$f64"                   # head key of a reference into the float64 blob
+_FLOAT_ONLY = {float}
 
 BUILTIN_CASES = ("ieee33", "ieee69", "ieee30", "ieee39")
 
@@ -296,52 +315,85 @@ def _canonical_payload(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _split_floats(obj, floats: list):
+    """`obj` with every non-empty all-float list moved to the end of `floats`
+    and replaced by a ``$f64`` reference to its place there.
+
+    A module-level function on purpose: a recursive closure is a reference
+    cycle, which would keep `floats`, and so every float of the payload,
+    alive until the cyclic garbage collector happens to run.
+    """
+    if isinstance(obj, dict):
+        if _F64_REF in obj:
+            raise UgcnError(f"payload key {_F64_REF!r} is reserved for tensor references")
+        return {key: _split_floats(value, floats) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) == _FLOAT_ONLY:
+            ref = {_F64_REF: [len(floats), len(obj)]}
+            floats.extend(obj)
+            return ref
+        return [_split_floats(value, floats) for value in obj]
+    return obj
+
+
 def save_container(path: str, payload: dict) -> None:
-    """Write a payload beneath the versioned frame chosen by file suffix."""
-    body = _canonical_payload(payload)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    if str(path).endswith(".bin"):
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, SCHEMA_VERSION, len(body), crc))
-            fh.write(body)
-    else:
-        doc = {"magic": "UGCN", "version": SCHEMA_VERSION, "crc32": crc,
-               "payload": json.loads(body.decode("utf-8"))}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+    """Write `payload` as one versioned frame; the file at `path` is replaced atomically."""
+    floats: list[float] = []
+    head = _canonical_payload(_split_floats(payload, floats))
+    blob = np.array(floats, dtype="<f8")
+    prefix = _U64.pack(len(head))
+    crc = zlib.crc32(blob, zlib.crc32(head, zlib.crc32(prefix)))
+    length = len(prefix) + len(head) + blob.nbytes
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, SCHEMA_VERSION, length, crc))
+            fh.write(prefix + head)
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_container(path: str) -> dict:
-    if str(path).endswith(".bin"):
-        with open(path, "rb") as fh:
-            head = fh.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise CorruptFile(f"{path}: truncated header")
-            magic, version, length, crc = _HEADER.unpack(head)
-            if magic != MAGIC:
-                raise CorruptFile(f"{path}: bad magic {magic!r}")
-            if version != SCHEMA_VERSION:
-                raise SchemaVersionMismatch(version, SCHEMA_VERSION)
-            body = fh.read(length + 1)
-            if len(body) != length:
-                raise CorruptFile(f"{path}: payload length mismatch")
-        if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
-            raise CorruptFile(f"{path}: checksum mismatch")
-        return json.loads(body.decode("utf-8"))
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorruptFile(f"{path}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or doc.get("magic") != "UGCN":
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:len(MAGIC)] != MAGIC:
         raise CorruptFile(f"{path}: not a UGCN container")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(doc.get("version"), SCHEMA_VERSION)
-    payload = doc.get("payload")
-    body = _canonical_payload(payload)
-    if (zlib.crc32(body) & 0xFFFFFFFF) != doc.get("crc32"):
+    if len(data) < _HEADER.size:
+        raise CorruptFile(f"{path}: truncated header")
+    _, version, length, crc = _HEADER.unpack_from(data)
+    if version != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(version, SCHEMA_VERSION)
+    body = memoryview(data)[_HEADER.size:]
+    if len(body) != length:
+        raise CorruptFile(f"{path}: payload length mismatch")
+    if zlib.crc32(body) != crc:
         raise CorruptFile(f"{path}: checksum mismatch")
+    if length < _U64.size:
+        raise CorruptFile(f"{path}: body lacks its head length")
+    (head_len,) = _U64.unpack_from(body)
+    blob = body[_U64.size + head_len:]
+    if _U64.size + head_len > length or len(blob) % 8:
+        raise CorruptFile(f"{path}: head length does not fit the body")
+    values = np.frombuffer(blob, dtype="<f8")
+
+    def resolve(doc: dict):
+        if _F64_REF not in doc:
+            return doc
+        offset, count = doc[_F64_REF]
+        if not 0 <= offset <= offset + count <= len(values):
+            raise CorruptFile(f"{path}: tensor reference outside the blob")
+        return values[offset:offset + count].tolist()
+
+    try:
+        payload = json.loads(bytes(body[_U64.size:_U64.size + head_len]), object_hook=resolve)
+    except (ValueError, TypeError) as exc:
+        raise CorruptFile(f"{path}: bad head: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CorruptFile(f"{path}: head is not a payload object")
     return payload
 
 

@@ -29,6 +29,7 @@ from .errors import (
     DivergedLoss,
     ExhaustedRetries,
     NoConvergence,
+    OutsideSanityBand,
     SchemaVersionMismatch,
     UgcnError,
 )
@@ -70,7 +71,6 @@ GEN_DEFAULTS = {
     "attacks_per_system": 25,
     "demand_scale": 0.0,        # 0 = kind default (1.0 distribution, 0.55 transmission)
     "pmu_fraction": 0.0,        # 0 = kind default (0.2 distribution, 0.3 transmission)
-    "format": "json",
     "out": "dataset",
 }
 
@@ -233,6 +233,12 @@ def payload_to_dense(doc: dict) -> DenseModel:
     )
 
 
+def _read_checkpoint(path: str) -> dict:
+    if not os.path.isfile(path):
+        raise ConfigError(f"checkpoint {path!r} does not exist")
+    return caseio.load_checkpoint(path)
+
+
 # --------------------------------------------------------------------------
 # gen
 
@@ -280,12 +286,12 @@ def _gen_one_system(case_name: str, kind: str, cfg: dict, index: int) -> dict:
 def cmd_gen(args) -> int:
     cfg = build_config(GEN_DEFAULTS, args, {
         "task": "task", "case": "case", "q": "q", "seed": "seed", "out": "out",
-        "t_total": "t_total", "scenario": "scenario", "format": "format",
+        "t_total": "t_total", "scenario": "scenario",
     })
     if cfg["task"] not in ("forecast", "fdi"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
-    if cfg["format"] not in ("json", "bin"):
-        raise ConfigError(f"unknown format {cfg['format']!r}")
+    if cfg["q"] < 1:
+        raise ConfigError(f"q must be at least 1, got {cfg['q']}")
     case = caseio.load_case(cfg["case"])
     kind = cfg["kind"] or case.kind or DISTRIBUTION
     if cfg["task"] == "fdi" and kind != TRANSMISSION:
@@ -303,15 +309,14 @@ def cmd_gen(args) -> int:
                     pool.map(_gen_one_system, [cfg["case"]] * len(indices),
                              [kind] * len(indices), [cfg] * len(indices), indices)
                 )
-    except (NoConvergence, ExhaustedRetries) as exc:
+    except (NoConvergence, ExhaustedRetries, OutsideSanityBand) as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 3
 
-    suffix = ".ugcn.bin" if cfg["format"] == "bin" else ".ugcn.json"
     echo = {k: v for k, v in cfg.items() if k != "out"}   # path-free: reruns stay byte-identical
     node_counts = []
     for i, payload in enumerate(payloads):
-        path = os.path.join(cfg["out"], f"system_{i:03d}{suffix}")
+        path = os.path.join(cfg["out"], f"system_{i:03d}.ugcn.json")
         caseio.save_dataset(path, {"task": cfg["task"], "config": echo, "system": payload})
         node_counts.append(len(payload["graph"]["bus_ids"]))
     manifest = {
@@ -337,10 +342,7 @@ def cmd_gen(args) -> int:
 
 
 def load_dataset_dir(path: str) -> tuple[list[ScenarioSet], dict]:
-    files = sorted(
-        glob.glob(os.path.join(path, "system_*.ugcn.json"))
-        + glob.glob(os.path.join(path, "system_*.ugcn.bin"))
-    )
+    files = sorted(glob.glob(os.path.join(path, "system_*.ugcn.json")))
     if not files:
         raise ConfigError(f"no dataset files found under {path!r}")
     systems = []
@@ -420,7 +422,11 @@ def cmd_train(args) -> int:
             optimizer = None
             best = None
             if cfg["resume"]:
-                ck = caseio.load_checkpoint(cfg["resume"])
+                ck = _read_checkpoint(cfg["resume"])
+                if "resume_state" not in ck:
+                    raise ConfigError(
+                        f"checkpoint {cfg['resume']!r} has no resume state to continue from"
+                    )
                 resume = ck["resume_state"]
                 mcfg = LayerConfig.from_dict(ck["layer_config"])
                 params = payload_to_params(resume["last_params"])
@@ -486,7 +492,7 @@ def cmd_eval(args) -> int:
         "checkpoint": "checkpoint", "data": "data", "out": "out", "csv": "csv",
         "model": "model",
     })
-    ck = caseio.load_checkpoint(cfg["checkpoint"])
+    ck = _read_checkpoint(cfg["checkpoint"])
     if cfg["model"] and cfg["model"] != ck["model"]:
         raise ConfigError(
             f"checkpoint holds a {ck['model']!r} model, --model says {cfg['model']!r}"
@@ -630,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--t-total", dest="t_total", type=int)
     p.add_argument("--scenario", choices=["ami", "pmu"])
-    p.add_argument("--format", choices=["json", "bin"])
     p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel workers for generation (default 1)")

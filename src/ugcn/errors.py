@@ -8,6 +8,19 @@ callers (and the CLI) can distinguish our failures from genuine bugs.
 class UgcnError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # Subclass __init__ signatures differ from `args` (the formatted message),
+        # so rebuild without calling __init__; errors raised in `gen --jobs`
+        # workers must survive the trip back to the parent process.
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
 
 class InvalidGraph(UgcnError):
     """Grid graph violates a structural invariant (self-loop, duplicate edge, ...)."""
@@ -100,6 +113,19 @@ class NoConvergence(UgcnError):
         super().__init__(f"no convergence after {iterations} iterations (mismatch {mismatch:.3e})")
         self.iterations = iterations
         self.mismatch = mismatch
+
+
+class OutsideSanityBand(UgcnError):
+    """Solved voltage magnitudes leave the band a plausible operating point stays in."""
+
+    def __init__(self, band, low, high):
+        super().__init__(
+            f"|v| spans [{low:.3f}, {high:.3f}] p.u., outside the sanity band "
+            f"({band[0]}, {band[1]})"
+        )
+        self.band = band
+        self.low = low
+        self.high = high
 
 
 class WindowOutOfRange(UgcnError):

@@ -19,6 +19,7 @@ from .errors import (
     MissingCell,
     NoConvergence,
     NonNumeric,
+    OutsideSanityBand,
     WindowOutOfRange,
 )
 from .estimation import (
@@ -286,7 +287,7 @@ def build_scenario(
         raise NoConvergence(4, float("nan"))
     mags = np.abs(states)
     if mags.min() <= SANITY_BAND[0] or mags.max() >= SANITY_BAND[1]:
-        raise NoConvergence(0, float(mags.min()))
+        raise OutsideSanityBand(SANITY_BAND, float(mags.min()), float(mags.max()))
 
     noise_rng = np.random.default_rng([cfg.seed, index, 23])
     ami_buses: tuple[int, ...] = ()

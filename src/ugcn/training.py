@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .caseio import decode_array, encode_array
 from .errors import DimensionMismatch, DivergedLoss
 from .grid import build_admittance, build_gso
 from .model import (
@@ -113,25 +114,17 @@ class Adam:
         return {
             "t": self.t, "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
             "eps": self.eps,
-            "m": {k: _arr_to_doc(a) for k, a in self.m.items()},
-            "v": {k: _arr_to_doc(a) for k, a in self.v.items()},
+            "m": {k: encode_array(a) for k, a in self.m.items()},
+            "v": {k: encode_array(a) for k, a in self.v.items()},
         }
 
     @classmethod
     def from_state(cls, doc: dict) -> "Adam":
         opt = cls(lr=doc["lr"], beta1=doc["beta1"], beta2=doc["beta2"], eps=doc["eps"])
         opt.t = doc["t"]
-        opt.m = {k: _doc_to_arr(a) for k, a in doc["m"].items()}
-        opt.v = {k: _doc_to_arr(a) for k, a in doc["v"].items()}
+        opt.m = {k: decode_array(a) for k, a in doc["m"].items()}
+        opt.v = {k: decode_array(a) for k, a in doc["v"].items()}
         return opt
-
-
-def _arr_to_doc(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": a.ravel().tolist()}
-
-
-def _doc_to_arr(doc: dict) -> np.ndarray:
-    return np.array(doc["data"], dtype=np.float64).reshape(tuple(doc["shape"]))
 
 
 # --------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_criterion_13_determinism(tmp_path):
     ck1, ck2 = str(tmp_path / "m1.json"), str(tmp_path / "m2.json")
     assert cli_main(targs + ["--out", ck1]) == 0
     assert cli_main(targs + ["--out", ck2]) == 0
-    train_same = open(ck1).read() == open(ck2).read()
+    train_same = open(ck1, "rb").read() == open(ck2, "rb").read()
 
     r1, r2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     eargs = ["eval", "--checkpoint", ck1, "--data", a,

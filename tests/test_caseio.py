@@ -1,8 +1,17 @@
 """Case parsing and container round trips."""
 
+import math
+import os
+import struct
+import tempfile
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ugcn import caseio
 from ugcn.caseio import (
     BUILTIN_CASES,
     decode_array,
@@ -22,6 +31,7 @@ from ugcn.errors import (
     NotRadial,
     ParseError,
     SchemaVersionMismatch,
+    UgcnError,
 )
 from ugcn.scenarios import scenario_from_payload, scenario_to_payload
 
@@ -140,6 +150,40 @@ def load_case_text(name):
     return resources.files("ugcn.cases").joinpath(f"{name}.case.json").read_text()
 
 
+def _bits(obj, loaded=False):
+    """`obj` with every float replaced by its IEEE bytes and every scalar tagged
+    by type, so equality means a bit-exact, type-exact round trip."""
+    if isinstance(obj, float):
+        return struct.pack("<d", obj)
+    if isinstance(obj, (list, tuple)):
+        assert not (loaded and isinstance(obj, tuple)), "a tuple must come back as a list"
+        return [_bits(v, loaded) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _bits(v, loaded) for k, v in obj.items()}
+    return (type(obj).__name__, obj)
+
+
+# Floats outside all-float lists travel as JSON text, whose repr keeps every
+# finite value, -0.0 and inf exactly but only one NaN; all-float lists travel
+# as raw float64 and keep every bit pattern.
+_TEXT_FLOATS = st.floats(allow_nan=False)
+_BLOB_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308])
+_FLOAT_LISTS = st.lists(_BLOB_FLOATS, min_size=1, max_size=20)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8) | _TEXT_FLOATS
+    | _FLOAT_LISTS | _FLOAT_LISTS.map(tuple) | st.just([])
+    | st.lists(st.integers() | _TEXT_FLOATS, min_size=1, max_size=8)
+)
+_KEYS = st.text(max_size=6).filter(lambda k: k != "$f64")
+_PAYLOADS = st.dictionaries(_KEYS, st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20,
+), max_size=5)
+
+
 class TestContainers:
     def test_json_round_trip(self, tmp_path):
         path = str(tmp_path / "x.ugcn.json")
@@ -170,10 +214,20 @@ class TestContainers:
         with pytest.raises(CorruptFile):
             load_container(path)
 
-    def test_version_mismatch(self, tmp_path):
-        import struct
-        import zlib
+    @pytest.mark.parametrize("head, blob", [
+        (b'{"a":{"$f64":[0,5]}}', b"\0" * 16),     # reference past the blob
+        (b'{"a":{"$f64":"x"}}', b""),              # malformed reference
+        (b'[1.5]', b""),                           # head is not an object
+        (b'{"a":1}', b"\0" * 3),                   # blob not whole float64s
+    ])
+    def test_malformed_body_raises(self, tmp_path, head, blob):
+        body = struct.pack("<Q", len(head)) + head + blob
+        path = tmp_path / "x.ugcn.json"
+        path.write_bytes(struct.pack("<4sIQI", b"UGCN", 2, len(body), zlib.crc32(body)) + body)
+        with pytest.raises(CorruptFile):
+            load_container(str(path))
 
+    def test_version_mismatch(self, tmp_path):
         path = str(tmp_path / "x.ugcn.bin")
         body = b'{"kind": "dataset"}'
         with open(path, "wb") as fh:
@@ -183,13 +237,65 @@ class TestContainers:
             load_container(path)
         assert err.value.found == 0
 
-    def test_json_version_mismatch(self, tmp_path):
+    def test_v1_frame_version_mismatch(self, tmp_path):
         path = str(tmp_path / "x.ugcn.json")
-        save_container(path, {"kind": "dataset"})
-        text = open(path).read().replace('"version": 1', '"version": 0')
-        open(path, "w").write(text)
-        with pytest.raises(SchemaVersionMismatch):
+        save_container(path, {"kind": "dataset", "a": [0.5]})
+        blob = bytearray(open(path, "rb").read())
+        struct.pack_into("<I", blob, 4, 1)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(SchemaVersionMismatch) as err:
             load_container(path)
+        assert err.value.found == 1
+
+    def test_json_text_file_refused(self, tmp_path):
+        path = tmp_path / "x.ugcn.json"
+        path.write_text('{"magic": "UGCN", "version": 1, "crc32": 0, "payload": {}}\n')
+        with pytest.raises(CorruptFile, match="not a UGCN container"):
+            load_container(str(path))
+
+    def test_reserved_key_refused(self, tmp_path):
+        path = str(tmp_path / "x.ugcn.json")
+        with pytest.raises(UgcnError, match="reserved"):
+            save_container(path, {"kind": "dataset", "nested": [{"$f64": [0, 1]}]})
+        assert not os.listdir(tmp_path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "x.ugcn.json")
+        save_container(path, {"kind": "dataset", "a": [1.0, 2.0]})
+        before = open(path, "rb").read()
+        real_open = open
+
+        class FailsAfterFirstWrite:
+            def __init__(self, file, mode):
+                self.fh = real_open(file, mode)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(caseio, "open", FailsAfterFirstWrite, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_container(path, {"kind": "dataset", "a": [3.0] * 100})
+        monkeypatch.undo()
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["x.ugcn.json"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=_PAYLOADS)
+    def test_round_trip_property(self, payload):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "p.ugcn.json")
+            save_container(path, payload)
+            assert _bits(load_container(path), loaded=True) == _bits(payload)
 
     def test_array_codec_bit_exact(self):
         rng = np.random.default_rng(0)

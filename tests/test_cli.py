@@ -3,12 +3,16 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
+from ugcn import scenarios
+from ugcn.caseio import load_checkpoint, save_checkpoint
 from ugcn.cli import main
+from ugcn.errors import NoConvergence, OutsideSanityBand
 
 
 def run_cli(args, env=None):
@@ -67,6 +71,24 @@ class TestGen:
                         "--set", "node_min=500", "--set", "node_max=600",
                         "--out", str(tmp_path / "x")])
         assert code == 3
+
+    def test_zero_systems_exits_2(self, tmp_path, capsys):
+        assert run_cli(GEN_ARGS + ["--out", str(tmp_path / "x"), "--q", "0"]) == 2
+        assert "q must be at least 1" in capsys.readouterr().err
+
+    def test_sanity_band_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(scenarios, "SANITY_BAND", (0.999, 1.001))
+        assert run_cli(GEN_ARGS + ["--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "outside the sanity band (0.999, 1.001)" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_generation_errors_survive_worker_pickling(self):
+        # `gen --jobs N` sends a worker's exception back to the parent by pickle
+        for exc in (NoConvergence(3, 0.5), OutsideSanityBand((0.5, 1.5), 0.4, 1.0)):
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc)
+            assert str(back) == str(exc) and back.__dict__ == exc.__dict__
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit):
@@ -136,9 +158,23 @@ class TestTrainEval:
         assert run_cli(["train", "--task", "forecast", "--data", dataset,
                         "--out", resumed, "--seed", "3", "--epochs", "4",
                         "--resume", part] + TRAIN_SETS[2:]) == 0
-        a = json.loads(open(full).read())["payload"]["params"]
-        b = json.loads(open(resumed).read())["payload"]["params"]
+        a = load_checkpoint(full)["params"]
+        b = load_checkpoint(resumed)["params"]
         assert a == b
+
+    def test_missing_checkpoint_exits_2(self, dataset, tmp_path, capsys):
+        assert run_cli(["eval", "--checkpoint", str(tmp_path / "missing.json"),
+                        "--data", dataset, "--out", str(tmp_path / "r.json")]) == 2
+        assert "does not exist" in capsys.readouterr().err
+
+    def test_resume_without_resume_state_exits_2(self, dataset, tmp_path, capsys):
+        diverged = str(tmp_path / "diverged.ckpt.json")
+        save_checkpoint(diverged, {"model": "ugcn", "task": "forecast", "diverged_at": 1})
+        assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                        "--out", str(tmp_path / "m.ckpt.json"),
+                        "--resume", diverged] + TRAIN_SETS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "no resume state" in err
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run_cli(["train", "--data", str(tmp_path / "nope"),
