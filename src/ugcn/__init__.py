@@ -16,7 +16,6 @@ from .model import (
     conv_forward,
     fdi_config,
     forecast_config,
-    head_forward,
     init_params,
     model_backward,
     model_forward,
@@ -54,7 +53,7 @@ __all__ = [
     "ScenarioSet", "TrainConfig", "UgcnError", "UgcnParams", "UgcnPredictor",
     "apply_op", "augment", "build_admittance", "build_features", "build_gso",
     "build_scenario", "build_stealth_attack", "conv_forward", "eval_fdi",
-    "eval_forecast", "fdi_config", "forecast_config", "head_forward",
+    "eval_forecast", "fdi_config", "forecast_config",
     "ingest_profiles_csv", "init_params", "inject", "load_case", "loss_fdi",
     "loss_forecast", "model_backward", "model_forward", "nodal_mismatch",
     "parse_case", "pool_custom", "pool_learnable", "regularized_solve",

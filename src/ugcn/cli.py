@@ -48,6 +48,7 @@ from .training import (
     MetricsReport,
     TrainConfig,
     UgcnPredictor,
+    check_series_lengths,
     eval_fdi,
     eval_forecast,
     init_dense,
@@ -392,6 +393,9 @@ def cmd_train(args) -> int:
         raise ConfigError(f"unknown task {cfg['task']!r}")
     if cfg["model"] not in ("ugcn", "dense"):
         raise ConfigError(f"unknown model {cfg['model']!r}")
+    if cfg["model"] == "dense" and cfg["resume"]:
+        raise ConfigError("--resume continues ugcn training only; "
+                          "the dense baseline trains from scratch")
     try:
         systems, meta = load_dataset_dir(cfg["data"])
     except (CorruptFile, SchemaVersionMismatch) as exc:
@@ -402,6 +406,7 @@ def cmd_train(args) -> int:
             f"dataset was generated for task {meta['task']!r}, requested {cfg['task']!r}"
         )
     tcfg = _train_config(cfg)
+    check_series_lengths(systems, tcfg)
     echo = {k: v for k, v in cfg.items() if k not in ("out", "data", "resume")}
 
     history_rows: list = []
@@ -433,9 +438,11 @@ def cmd_train(args) -> int:
                 optimizer = Adam.from_state(resume["optimizer"])
                 start_epoch = resume["epoch_next"]
                 history_rows = [tuple(r) for r in ck["history"]]
+                # the best parameters are the top-level ones; older checkpoints
+                # also carry a copy in resume_state.best.params, which is ignored
                 best = {
                     "val": resume["best"]["val"],
-                    "params": payload_to_params(resume["best"]["params"]),
+                    "params": payload_to_params(ck["params"]),
                     "bad": resume["best"]["bad"],
                 }
             else:
@@ -454,11 +461,7 @@ def cmd_train(args) -> int:
                     "last_params": params_to_payload(state["last_params"]),
                     "optimizer": state["optimizer"].state(),
                     "epoch_next": state["epoch_next"],
-                    "best": {
-                        "val": state["best"]["val"],
-                        "params": params_to_payload(state["best"]["params"]),
-                        "bad": state["best"]["bad"],
-                    },
+                    "best": {"val": state["best"]["val"], "bad": state["best"]["bad"]},
                 },
             }
     except DivergedLoss as exc:

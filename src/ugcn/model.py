@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NoForwardRecorded, TooFewNodes
-from .grid import Gso, shift_powers
+from .grid import Gso
 
 CUSTOM = "custom"
 LEARNABLE = "learnable"
@@ -170,11 +171,14 @@ def init_params(cfg: LayerConfig, seed: int = 0) -> UgcnParams:
 
 
 def split_relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0)
+    # rectifying the interleaved float view rectifies real and imaginary parts
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return np.maximum(z.view(np.float64), 0.0).view(np.complex128)
 
 
 def _relu_back(grad: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    return grad.real * (pre.real > 0) + 1j * (grad.imag * (pre.imag > 0))
+    grad = np.ascontiguousarray(grad, dtype=np.complex128)
+    return (grad.view(np.float64) * (pre.view(np.float64) > 0)).view(np.complex128)
 
 
 def shift_channels(x: np.ndarray, lag: int) -> np.ndarray:
@@ -187,14 +191,93 @@ def shift_channels(x: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
-def _conv_pre(powers: list[np.ndarray], window: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _products(s_mat: np.ndarray, stack: np.ndarray, k_max: int) -> np.ndarray:
+    """[N, K+1, J, F] with [:, k] = S^k stack, each built as S (S^{k-1} stack)."""
+    n, j, f = stack.shape
+    prods = np.empty((n, k_max + 1, j * f), dtype=np.complex128)
+    prods[:, 0] = stack.reshape(n, j * f)
+    for k in range(1, k_max + 1):
+        np.matmul(s_mat, prods[:, k - 1], out=prods[:, k])
+    return prods.reshape(n, k_max + 1, j, f)
+
+
+def _conv_layer(s_mat: np.ndarray, stack: np.ndarray, taps: np.ndarray):
+    """Pre-activations of one layer at every output lag the stack supports.
+
+    stack is [N, J, F_in] with lag j at stack[:, j]; output lag r sums
+    S^k stack[:, r + tau] H[k, tau], so there are J - Kt output lags.  Returns
+    ([N, J - Kt, F_out] pre-activations, [N (J - Kt), (K+1)(Kt+1)F_in] stacked
+    products), the products flattened in the order of the flattened taps so
+    one GEMM contracts (k, tau, F_in) for all output lags.
+    """
     k1, t1, f_in, f_out = taps.shape
-    n = powers[0].shape[0]
-    pre = np.zeros((n, f_out), dtype=np.complex128)
-    for k in range(k1):
+    n, j, _ = stack.shape
+    r = j - t1 + 1
+    prods = _products(s_mat, stack, k1 - 1)
+    # a view of the products, no copy, when a single output lag is left
+    lagged = sliding_window_view(prods, t1, axis=2)            # [N, K+1, R, F_in, Kt+1]
+    z = lagged.transpose(0, 2, 1, 4, 3).reshape(n * r, k1 * t1 * f_in)
+    pre = (z @ taps.reshape(k1 * t1 * f_in, f_out)).reshape(n, r, f_out)
+    return pre, z
+
+
+def _conv_layer_back(s_mat: np.ndarray, z: np.ndarray, g_pre: np.ndarray, taps: np.ndarray):
+    """Tap gradient of one layer and the gradient of its input stack.
+
+    The input gradient scatters the product gradients back to their lags and
+    applies sum_k (S^H)^k in Horner form.
+    """
+    k1, t1, f_in, f_out = taps.shape
+    n, r, _ = g_pre.shape
+    g_flat = g_pre.reshape(n * r, f_out)
+    g_taps = (z.conj().T @ g_flat).reshape(taps.shape)
+    g_z = (g_flat @ taps.reshape(k1 * t1 * f_in, f_out).conj().T).reshape(n, r, k1, t1, f_in)
+    j = r + t1 - 1
+    if r == 1:
+        # one output lag: each product feeds exactly one column of z
+        g_prods = g_z.reshape(n, k1, j * f_in)
+    else:
+        g_prods = np.zeros((n, k1, j, f_in), dtype=np.complex128)
         for tau in range(t1):
-            pre += powers[k] @ window[tau] @ taps[k, tau]
-    return pre
+            g_prods[:, :, tau:tau + r] += g_z[:, :, :, tau].transpose(0, 2, 1, 3)
+        g_prods = g_prods.reshape(n, k1, j * f_in)
+    s_h = s_mat.conj().T
+    g_stack = g_prods[:, k1 - 1]
+    for k in range(k1 - 2, -1, -1):
+        g_stack = s_h @ g_stack + g_prods[:, k]
+    return g_taps, g_stack.reshape(n, j, f_in)
+
+
+def _input_layer(s_mat: np.ndarray, x: np.ndarray, taps: np.ndarray, lags: int):
+    """Pre-activations of the first layer at output lags 0 .. lags-1.
+
+    Its lagged inputs are channel shifts of x, and S^k commutes with them, so
+    sum_tau S^k shift(x, r + tau) H[k, tau] = shift(S^k x, r) F[k] with the
+    folded taps F[k][c] = sum_tau H[k, tau][c + tau].  Only S^k x is formed,
+    and the GEMM contracts (k, F_in) instead of (k, tau, F_in).  Returns
+    ([N, lags, F_out] pre-activations, [N lags, (K+1) F_in] shifted products).
+    """
+    k1, t1, f_in, f_out = taps.shape
+    n = x.shape[0]
+    folded = np.zeros((k1, f_in, f_out), dtype=np.complex128)
+    for tau in range(min(t1, f_in)):
+        folded[:, : f_in - tau] += taps[:, tau, tau:]
+    prods = _products(s_mat, x[:, None, :], k1 - 1).reshape(n * k1, f_in)
+    z = np.stack([shift_channels(prods, r).reshape(n, k1, f_in) for r in range(lags)],
+                 axis=1).reshape(n * lags, k1 * f_in)
+    pre = (z @ folded.reshape(k1 * f_in, f_out)).reshape(n, lags, f_out)
+    return pre, z
+
+
+def _input_layer_back(z: np.ndarray, g_pre: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Tap gradient of the first layer: the folded-tap gradient, unfolded."""
+    k1, t1, f_in, f_out = taps.shape
+    n, lags, _ = g_pre.shape
+    g_folded = (z.conj().T @ g_pre.reshape(n * lags, f_out)).reshape(k1, f_in, f_out)
+    g_taps = np.zeros_like(taps)
+    for tau in range(min(t1, f_in)):
+        g_taps[:, tau, tau:] = g_folded[:, : f_in - tau]
+    return g_taps
 
 
 def conv_forward(s, window: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -217,74 +300,62 @@ def conv_forward(s, window: np.ndarray, taps: np.ndarray) -> np.ndarray:
         )
     if s_mat.shape[0] != window.shape[1]:
         raise DimensionMismatch(f"S is {s_mat.shape} but window has {window.shape[1]} nodes")
-    powers = shift_powers(s_mat, taps.shape[0] - 1)
-    return split_relu(_conv_pre(powers, window, taps))
+    pre, _ = _conv_layer(s_mat, window.transpose(1, 0, 2), taps)
+    return split_relu(pre[:, 0])
+
+
+def _cluster_sizes(n: int, n_p: int) -> np.ndarray:
+    if n < n_p:
+        raise TooFewNodes(f"cannot pool {n} nodes into {n_p} clusters")
+    base, rem = divmod(n, n_p)
+    return np.array([base + 1] * rem + [base] * (n_p - rem))
 
 
 def cluster_slices(n: int, n_p: int) -> list[np.ndarray]:
     """Contiguous cluster index blocks, sizes as even as possible, larger first."""
-    if n < n_p:
-        raise TooFewNodes(f"cannot pool {n} nodes into {n_p} clusters")
-    base, rem = divmod(n, n_p)
-    sizes = [base + 1] * rem + [base] * (n_p - rem)
-    bounds = np.cumsum([0] + sizes)
+    bounds = np.cumsum(np.concatenate([[0], _cluster_sizes(n, n_p)]))
     return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_p)]
 
 
 def pool_custom(x: np.ndarray, n_p: int, order: np.ndarray | None = None):
     """Average and split elementwise-max per BFS-ordered cluster, concatenated.
 
-    Returns ([N_p, 2F] pooled, cache) where the cache carries what backward needs.
+    The clusters are padded to the size of the largest and reduced together.
+    Padding is -inf for the max, so a tie between real entries (split-ReLU
+    outputs tie at 0) still goes to the cluster's first row, as np.argmax
+    picks.  Returns ([N_p, 2F] pooled, cache) where the cache carries what
+    backward needs.
     """
     x = np.asarray(x, dtype=np.complex128)
     n, f = x.shape
     order = np.arange(n) if order is None else np.asarray(order)
-    if n == n_p:
-        # unit clusters: average and max both reduce to the ordered features
-        ordered = x[order]
-        pooled = np.concatenate([ordered, ordered], axis=1)
-        idx = np.repeat(order[:, None], f, axis=1)
-        cache = {"clusters": [order[i: i + 1] for i in range(n)],
-                 "argmax_re": idx, "argmax_im": idx, "shape": (n, f)}
-        return pooled, cache
-    clusters = [order[sl] for sl in cluster_slices(n, n_p)]
-    pooled = np.empty((n_p, 2 * f), dtype=np.complex128)
-    argmax_re = np.empty((n_p, f), dtype=int)
-    argmax_im = np.empty((n_p, f), dtype=int)
-    for i, rows in enumerate(clusters):
-        block = x[rows]
-        pooled[i, :f] = block.mean(axis=0)
-        ire = np.argmax(block.real, axis=0)
-        iim = np.argmax(block.imag, axis=0)
-        argmax_re[i] = rows[ire]
-        argmax_im[i] = rows[iim]
-        cols = np.arange(f)
-        pooled[i, f:] = block.real[ire, cols] + 1j * block.imag[iim, cols]
-    cache = {"clusters": clusters, "argmax_re": argmax_re, "argmax_im": argmax_im,
-             "shape": (n, f)}
+    sizes = _cluster_sizes(n, n_p)
+    slot = np.arange(sizes[0])
+    pad = slot[None, :] >= sizes[:, None]                              # [N_p, M]
+    rows = order[np.minimum((np.cumsum(sizes) - sizes)[:, None] + slot, n - 1)]
+    block = x[rows]                                                    # [N_p, M, F]
+    block[pad] = 0.0
+    avg = block.sum(axis=1) / sizes[:, None]
+    block[pad] = complex(-np.inf, -np.inf)
+    ire = np.argmax(block.real, axis=1)
+    iim = np.argmax(block.imag, axis=1)
+    pooled = np.concatenate([avg, block.real.max(axis=1) + 1j * block.imag.max(axis=1)], axis=1)
+    cache = {"order": order, "sizes": sizes, "shape": (n, f),
+             "argmax_re": np.take_along_axis(rows, ire, axis=1),
+             "argmax_im": np.take_along_axis(rows, iim, axis=1)}
     return pooled, cache
 
 
 def _pool_custom_back(grad: np.ndarray, cache: dict) -> np.ndarray:
     n, f = cache["shape"]
-    clusters = cache["clusters"]
-    if len(clusters) == n:
-        # unit clusters: avg and max gradients land on the same single row
-        g_x = np.zeros((n, f), dtype=np.complex128)
-        rows = np.array([c[0] for c in clusters])
-        g_x[rows] = grad[:, :f] + grad[:, f:]
-        return g_x
-    g_re = np.zeros((n, f))
-    g_im = np.zeros((n, f))
+    sizes = cache["sizes"]
+    g_x = np.empty((n, f), dtype=np.complex128)
+    g_x[cache["order"]] = np.repeat(grad[:, :f] / sizes[:, None], sizes, axis=0)
+    # clusters are disjoint, so no (row, column) pair repeats within one max
     cols = np.arange(f)
-    for i, rows in enumerate(clusters):
-        g_avg = grad[i, :f] / len(rows)
-        g_re[rows] += g_avg.real
-        g_im[rows] += g_avg.imag
-        g_max = grad[i, f:]
-        np.add.at(g_re, (cache["argmax_re"][i], cols), g_max.real)
-        np.add.at(g_im, (cache["argmax_im"][i], cols), g_max.imag)
-    return g_re + 1j * g_im
+    g_x.real[cache["argmax_re"], cols] += grad[:, f:].real
+    g_x.imag[cache["argmax_im"], cols] += grad[:, f:].imag
+    return g_x
 
 
 def pool_learnable(x: np.ndarray, w_assign: np.ndarray):
@@ -328,9 +399,18 @@ def _pool_learnable_back(grad: np.ndarray, cache: dict):
 # Full model
 
 
-def _lags_per_layer(cfg: LayerConfig) -> list[list[int]]:
-    """Output lags evaluated at each layer so the last layer sees a full window."""
-    return [list(range((cfg.layers - l) * cfg.k_temporal + 1)) for l in range(1, cfg.layers + 1)]
+def _positions(n_out: int, n: int, node_order: np.ndarray | None) -> np.ndarray:
+    """Decoder position codes in [0, 1].
+
+    With a node ordering available (and a matching output length) each bus is
+    coded by its normalized electrical rank, which makes the decoded profile a
+    function of feeder depth rather than label order.
+    """
+    if node_order is not None and n_out == n:
+        rank = np.empty(n_out, dtype=float)
+        rank[np.asarray(node_order)] = np.arange(n_out, dtype=float)
+        return rank / max(n_out - 1, 1)
+    return np.arange(n_out, dtype=float) / max(n_out - 1, 1)
 
 
 def model_forward(
@@ -355,26 +435,16 @@ def model_forward(
     if s_mat.shape[0] != x.shape[0]:
         raise DimensionMismatch(f"S {s_mat.shape} vs {x.shape[0]} nodes")
     n_out = x.shape[0] if n_out is None else int(n_out)
-    powers = shift_powers(s_mat, cfg.k_spatial)
 
-    lag_plan = _lags_per_layer(cfg)
-    max_input_lag = cfg.layers * cfg.k_temporal
-    feats: list[dict[int, np.ndarray]] = [
-        {r: shift_channels(x, r) for r in range(max_input_lag + 1)}
-    ]
-    pres: list[dict[int, np.ndarray]] = [{}]
-    for l in range(1, cfg.layers + 1):
-        taps = params.conv[l - 1]
-        layer_feats: dict[int, np.ndarray] = {}
-        layer_pres: dict[int, np.ndarray] = {}
-        for r in lag_plan[l - 1]:
-            window = np.stack([feats[l - 1][r + tau] for tau in range(cfg.k_temporal + 1)])
-            pre = _conv_pre(powers, window, taps)
-            layer_pres[r] = pre
-            layer_feats[r] = split_relu(pre)
-        feats.append(layer_feats)
-        pres.append(layer_pres)
-    top = feats[cfg.layers][0]
+    # Each later layer drops k_temporal lags, so the first one evaluates
+    # (layers - 1) * k_temporal + 1 of them and the top layer is left with lag 0.
+    pre, z = _input_layer(s_mat, x, params.conv[0], (cfg.layers - 1) * cfg.k_temporal + 1)
+    pres, stacks = [pre], [z]
+    for taps in params.conv[1:]:
+        pre, z = _conv_layer(s_mat, split_relu(pre), taps)
+        pres.append(pre)
+        stacks.append(z)
+    top = split_relu(pre)[:, 0]
 
     if cfg.pooling == CUSTOM:
         pooled, pool_cache = pool_custom(top, cfg.pooled_nodes, node_order)
@@ -382,15 +452,7 @@ def model_forward(
         _, pooled, pool_cache = pool_learnable(top, params.assign)
 
     x_vec = np.concatenate([pooled.real.ravel(), pooled.imag.ravel()])
-    # Decoder positions: with a node ordering available (and a matching output
-    # length) each bus is coded by its normalized electrical rank, which makes
-    # the decoded profile a function of feeder depth rather than label order.
-    positions = np.arange(n_out, dtype=float) / max(n_out - 1, 1)
-    if node_order is not None and n_out == x.shape[0]:
-        rank = np.empty(n_out, dtype=float)
-        rank[np.asarray(node_order)] = np.arange(n_out, dtype=float)
-        positions = rank / max(n_out - 1, 1)
-    out, head_cache = _head(x_vec, positions, params)
+    out, head_cache = _head(x_vec, _positions(n_out, x.shape[0], node_order), params)
 
     if cfg.outputs == 2:
         y = out[:, 0] + 1j * out[:, 1]
@@ -399,9 +461,8 @@ def model_forward(
     if not record:
         return y
     tape = {
-        "cfg": cfg, "params": params, "powers": powers, "feats": feats, "pres": pres,
-        "pool_cache": pool_cache, "pooled_shape": pooled.shape, "lag_plan": lag_plan,
-        **head_cache,
+        "cfg": cfg, "params": params, "s": s_mat, "pres": pres, "stacks": stacks,
+        "pool_cache": pool_cache, "pooled_shape": pooled.shape, **head_cache,
     }
     return y, tape
 
@@ -420,33 +481,66 @@ def _head(x_vec: np.ndarray, positions: np.ndarray, params: UgcnParams):
     return out, cache
 
 
-def head_forward(x_pool: np.ndarray, n_out: int, params: UgcnParams) -> np.ndarray:
-    """Decode a pooled block to n_out values with slot-order position codes.
+def _head_back(cache: dict, params: UgcnParams, g_out: np.ndarray):
+    """Decoder gradients and the gradient of the flattened pooled block."""
+    grads: dict[str, np.ndarray] = {}
+    t_act, pre_t, c = cache["t_act"], cache["pre_t"], cache["c"]
+    grads["w_out"] = t_act.T @ g_out
+    grads["b_out"] = g_out.sum(axis=0)
+    g_t = g_out @ params.w_out.T
+    g_pre_t = g_t * (pre_t > 0)
+    grads["w_t"] = c.T @ g_pre_t
+    grads["b_t"] = g_pre_t.sum(axis=0)
+    g_c = g_pre_t @ params.w_t.T
+    g_h = g_c.sum(axis=0)
+    g_pre_e = g_c * (1.0 - cache["e_pos"] ** 2)
+    grads["w_pos"] = (g_pre_e * cache["positions"][:, None]).sum(axis=0)
+    grads["b_pos"] = g_pre_e.sum(axis=0)
+    g_pre_h = g_h * (cache["pre_h"] > 0)
+    grads["b_enc"] = g_pre_h
+    # w_enc's gradient is the outer product of g_pre_h and x_vec; callers form it
+    return grads, params.w_enc.T @ g_pre_h
 
-    The standalone entry point for the broadcast decoder; the full model routes
-    through the same math with electrically ordered positions.
+
+class GradientSum:
+    """Sum of model_backward gradients over several windows.
+
+    A window's encoder-weight gradient is the outer product of its b_enc
+    gradient and its flattened pooled block, a tensor as large as w_enc.  The
+    sum keeps the two factors of each window and contracts them all with one
+    GEMM in `total`.
     """
-    x_pool = np.asarray(x_pool)
-    if np.iscomplexobj(x_pool):
-        x_vec = np.concatenate([x_pool.real.ravel(), x_pool.imag.ravel()])
-    else:
-        x_vec = x_pool.ravel()
-    if x_vec.shape[0] != params.w_enc.shape[1]:
-        raise DimensionMismatch(
-            f"pooled block of {x_vec.shape[0]} values, encoder expects {params.w_enc.shape[1]}"
-        )
-    positions = np.arange(int(n_out), dtype=float) / max(int(n_out) - 1, 1)
-    out, _ = _head(x_vec, positions, params)
-    if params.w_out.shape[1] == 2:
-        return out[:, 0] + 1j * out[:, 1]
-    return out[:, 0]
+
+    def __init__(self):
+        self._sums: dict[str, np.ndarray] = {}
+        self._enc: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, grads: dict[str, np.ndarray], x_vec: np.ndarray) -> None:
+        """Add one window's gradients (without w_enc) and its pooled block.
+
+        The first window's arrays become the running sums, updated in place.
+        """
+        self._enc.append((grads["b_enc"].copy(), x_vec))
+        for name, g in grads.items():
+            if name in self._sums:
+                self._sums[name] += g
+            else:
+                self._sums[name] = g
+
+    def total(self) -> dict[str, np.ndarray]:
+        out = dict(self._sums)
+        out["w_enc"] = np.stack([g for g, _ in self._enc], axis=1) @ np.stack(
+            [x for _, x in self._enc])
+        return out
 
 
-def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+def model_backward(tape: dict, grad_out: np.ndarray, into: GradientSum | None = None):
     """Parameter gradients for a recorded forward pass.
 
     grad_out is the cogradient of the loss with respect to the model output:
-    complex for the two-head phasor output, real for logits.
+    complex for the two-head phasor output, real for logits.  Returns the
+    gradients by tensor name or, with `into`, adds them to that sum and
+    returns it.
     """
     if not isinstance(tape, dict) or "cfg" not in tape:
         raise NoForwardRecorded("model_backward needs the tape from model_forward(record=True)")
@@ -457,24 +551,7 @@ def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         g_out = np.stack([grad_out.real, grad_out.imag], axis=1)
     else:
         g_out = grad_out.real[:, None]
-
-    grads: dict[str, np.ndarray] = {}
-    t_act, pre_t, c = tape["t_act"], tape["pre_t"], tape["c"]
-    grads["w_out"] = t_act.T @ g_out
-    grads["b_out"] = g_out.sum(axis=0)
-    g_t = g_out @ params.w_out.T
-    g_pre_t = g_t * (pre_t > 0)
-    grads["w_t"] = c.T @ g_pre_t
-    grads["b_t"] = g_pre_t.sum(axis=0)
-    g_c = g_pre_t @ params.w_t.T
-    g_h = g_c.sum(axis=0)
-    g_pre_e = g_c * (1.0 - tape["e_pos"] ** 2)
-    grads["w_pos"] = (g_pre_e * tape["positions"][:, None]).sum(axis=0)
-    grads["b_pos"] = g_pre_e.sum(axis=0)
-    g_pre_h = g_h * (tape["pre_h"] > 0)
-    grads["w_enc"] = g_pre_h[:, None] * tape["x_vec"][None, :]
-    grads["b_enc"] = g_pre_h
-    g_x_vec = params.w_enc.T @ g_pre_h
+    grads, g_x_vec = _head_back(tape, params, g_out)
 
     shape = tape["pooled_shape"]
     half = shape[0] * shape[1]
@@ -485,34 +562,14 @@ def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         g_assign, g_top = _pool_learnable_back(g_pooled, tape["pool_cache"])
         grads["assign"] = g_assign
 
-    powers = tape["powers"]
-    feats, pres = tape["feats"], tape["pres"]
-    g_feats: list[dict[int, np.ndarray]] = [dict() for _ in range(cfg.layers + 1)]
-    g_feats[cfg.layers][0] = g_top
-    for i in range(cfg.layers):
-        grads[f"conv.{i}"] = np.zeros_like(params.conv[i])
-    for l in range(cfg.layers, 0, -1):
-        taps = params.conv[l - 1]
-        g_taps = grads[f"conv.{l - 1}"]
-        for r in sorted(g_feats[l]):
-            g_act = g_feats[l][r]
-            g_pre = _relu_back(g_act, pres[l][r])
-            for k in range(taps.shape[0]):
-                pk_h = powers[k].conj().T
-                propagated = pk_h @ g_pre
-                for tau in range(taps.shape[1]):
-                    src = feats[l - 1][r + tau]
-                    g_taps[k, tau] += (powers[k] @ src).conj().T @ g_pre
-                    if l > 1:
-                        contrib = propagated @ taps[k, tau].conj().T
-                        lag = r + tau
-                        if lag in g_feats[l - 1]:
-                            g_feats[l - 1][lag] += contrib
-                        else:
-                            g_feats[l - 1][lag] = contrib
+    g_pre = _relu_back(g_top[:, None, :], tape["pres"][-1])
+    for l in range(cfg.layers - 1, 0, -1):
+        grads[f"conv.{l}"], g_act = _conv_layer_back(
+            tape["s"], tape["stacks"][l], g_pre, params.conv[l])
+        g_pre = _relu_back(g_act, tape["pres"][l - 1])
+    grads["conv.0"] = _input_layer_back(tape["stacks"][0], g_pre, params.conv[0])
+    if into is not None:
+        into.add(grads, tape["x_vec"])
+        return into
+    grads["w_enc"] = np.outer(grads["b_enc"], tape["x_vec"])
     return grads
-
-
-def output_length_positions(n_out: int) -> np.ndarray:
-    """Normalized per-position code driving the decoder, [0, 1] inclusive."""
-    return np.arange(n_out, dtype=float) / max(n_out - 1, 1)

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caseio import decode_array, encode_array
-from .errors import DimensionMismatch, DivergedLoss
+from .errors import ConfigError, DimensionMismatch, DivergedLoss
 from .grid import build_admittance, build_gso
 from .model import (
+    GradientSum,
     LayerConfig,
     UgcnParams,
     model_backward,
@@ -188,16 +189,33 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.task not in (FORECAST, FDI):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise ConfigError(f"unknown task {self.task!r}")
+
+    @property
+    def lead(self) -> int:
+        """Steps between a window's newest estimate and its target."""
+        return self.horizon if self.task == FORECAST else 0
 
 
 def _usable_times(system: ScenarioSet, cfg: TrainConfig) -> np.ndarray:
-    lead = cfg.horizon if cfg.task == FORECAST else 0
-    return np.arange(cfg.window - 1, system.t_total - lead)
+    return np.arange(cfg.window - 1, system.t_total - cfg.lead)
+
+
+def check_series_lengths(systems: list[ScenarioSet], cfg: TrainConfig) -> None:
+    """Reject a system whose series cannot supply one training window and one
+    validation window, i.e. two usable time steps."""
+    minimum = cfg.window + cfg.lead + 1
+    for system in systems:
+        if system.t_total < minimum:
+            raise ConfigError(
+                f"system {system.index} has t_total {system.t_total}, but a window of "
+                f"{cfg.window} with lead {cfg.lead} needs at least {minimum} steps "
+                "for one training and one validation window"
+            )
 
 
 def _split_times(system: ScenarioSet, cfg: TrainConfig):
@@ -213,7 +231,7 @@ def _sample_loss_and_grads(
     ctx: SystemContext,
     t: int,
     attack_idx: int | None,
-    accumulate: dict[str, np.ndarray] | None,
+    accumulate: GradientSum | None,
 ):
     system = ctx.system
     if cfg.task == FORECAST:
@@ -245,12 +263,7 @@ def _sample_loss_and_grads(
         val, g = _loss_forecast_grad(y, target)
     else:
         val, g = _loss_fdi_grad(y, target, cfg.pos_weight)
-    grads = model_backward(tape, g)
-    for name, g_arr in grads.items():
-        if name in accumulate:
-            accumulate[name] += g_arr
-        else:
-            accumulate[name] = g_arr
+    model_backward(tape, g, into=accumulate)
     return val
 
 
@@ -301,7 +314,7 @@ def train(
         for q in batch:
             ctx = contexts[q]
             train_times = splits[q][0]
-            sys_grads: dict[str, np.ndarray] = {}
+            sys_grads = GradientSum()
             sys_loss = 0.0
             for _ in range(cfg.windows_per_system):
                 t = int(train_times[rng.integers(0, len(train_times))])
@@ -313,7 +326,7 @@ def train(
                 )
             scale = 1.0 / cfg.windows_per_system
             sys_loss *= scale
-            for name, g in sys_grads.items():
+            for name, g in sys_grads.total().items():
                 g = g * (scale / batch_size)
                 grads[name] = grads[name] + g if name in grads else g
             batch_loss += sys_loss / batch_size
@@ -621,14 +634,19 @@ def eval_forecast(
     for ctx in contexts:
         system = ctx.system
         sys_entry = {"index": system.index, "n": system.n, "mse": {}}
+        # The prediction depends on t alone, so each horizon reads the same
+        # forward pass; the shortest horizon needs the most time steps.
+        preds = {}
+        for t in range(window - 1, system.t_total - min(horizons, default=0), stride):
+            x = feature_window(system.estimates, t, window)
+            if hasattr(predictor, "forecast"):
+                preds[t] = predictor.forecast(ctx, x)
+            else:
+                preds[t] = dense_predict(predictor, system, x)
         for h in horizons:
             errs = []
             for t in range(window - 1, system.t_total - h, stride):
-                x = feature_window(system.estimates, t, window)
-                if hasattr(predictor, "forecast"):
-                    pred = predictor.forecast(ctx, x)
-                else:
-                    pred = dense_predict(predictor, system, x)
+                pred = preds[t]
                 target = system.true_states[t + h]
                 d = pred - target
                 errs.append(float(np.mean(d.real ** 2 + d.imag ** 2)))

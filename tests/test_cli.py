@@ -7,11 +7,12 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ugcn import scenarios
 from ugcn.caseio import load_checkpoint, save_checkpoint
-from ugcn.cli import main
+from ugcn.cli import main, payload_to_params
 from ugcn.errors import NoConvergence, OutsideSanityBand
 
 
@@ -161,6 +162,73 @@ class TestTrainEval:
         a = load_checkpoint(full)["params"]
         b = load_checkpoint(resumed)["params"]
         assert a == b
+
+    def test_resume_reads_checkpoint_with_best_params_copy(self, dataset, tmp_path):
+        """Checkpoints that still store resume_state.best.params resume as before."""
+        args = ["train", "--task", "forecast", "--data", dataset, "--seed", "3"] + TRAIN_SETS[2:]
+        full = str(tmp_path / "full.ckpt.json")
+        assert run_cli(args + ["--out", full, "--epochs", "4"]) == 0
+        part = str(tmp_path / "part.ckpt.json")
+        assert run_cli(args + ["--out", part, "--epochs", "2"]) == 0
+        ck = load_checkpoint(part)
+        ck["resume_state"]["best"]["params"] = ck["params"]
+        save_checkpoint(part, ck)
+        resumed = str(tmp_path / "resumed.ckpt.json")
+        assert run_cli(args + ["--out", resumed, "--epochs", "4", "--resume", part]) == 0
+        assert load_checkpoint(full)["params"] == load_checkpoint(resumed)["params"]
+
+    def test_checkpoint_holds_four_parameter_copies(self, dataset, tmp_path):
+        """Best (top-level), last, and the two Adam moments; no second best copy."""
+        ckpt = str(tmp_path / "m.ckpt.json")
+        assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                        "--out", ckpt, "--seed", "1"] + TRAIN_SETS) == 0
+        ck = load_checkpoint(ckpt)
+        per_copy = sum(t.size * (2 if np.iscomplexobj(t) else 1)
+                       for t in payload_to_params(ck["params"]).tensors().values())
+
+        def stored(node):
+            if isinstance(node, dict):
+                if "shape" in node and "re" in node:
+                    return len(node["re"]) + len(node.get("im", []))
+                return sum(stored(v) for v in node.values())
+            if isinstance(node, list):
+                return sum(stored(v) for v in node)
+            return 0
+
+        assert "params" not in ck["resume_state"]["best"]
+        assert stored(ck) == 4 * per_copy
+
+    def test_dense_resume_exits_2(self, dataset, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.ckpt.json")
+        assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                        "--out", ckpt, "--seed", "1"] + TRAIN_SETS) == 0
+        capsys.readouterr()
+        assert run_cli(["train", "--task", "forecast", "--model", "dense",
+                        "--data", dataset, "--out", str(tmp_path / "d.ckpt.json"),
+                        "--resume", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "ugcn training only" in err
+        assert err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "d.ckpt.json")
+
+    def test_series_too_short_exits_2(self, tmp_path, capsys):
+        data = str(tmp_path / "short")
+        gen = list(GEN_ARGS)
+        gen[gen.index("--t-total") + 1] = "5"
+        assert run_cli(gen + ["--out", data]) == 0
+        capsys.readouterr()
+        assert run_cli(["train", "--task", "forecast", "--data", data,
+                        "--out", str(tmp_path / "m.ckpt.json")] + TRAIN_SETS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: system 0 has t_total 5")
+        assert "at least 12" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("override", [["--epochs", "0"], ["--set", "lr=0"]])
+    def test_invalid_train_config_exits_2(self, dataset, tmp_path, capsys, override):
+        assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                        "--out", str(tmp_path / "m.ckpt.json")] + TRAIN_SETS + override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_missing_checkpoint_exits_2(self, dataset, tmp_path, capsys):
         assert run_cli(["eval", "--checkpoint", str(tmp_path / "missing.json"),

@@ -7,7 +7,15 @@ from conftest import random_tree
 from ugcn.errors import DimensionMismatch, TooFewNodes
 from ugcn.grid import build_admittance, build_gso, shift_powers
 from ugcn.model import (
+    CUSTOM,
+    LEARNABLE,
+    GradientSum,
     LayerConfig,
+    _head,
+    _head_back,
+    _pool_custom_back,
+    _pool_learnable_back,
+    _positions,
     cluster_slices,
     conv_forward,
     fdi_config,
@@ -39,6 +47,99 @@ def naive_conv(s, window, taps):
                 for fi in range(f_in):
                     out[:, fo] += sk @ window[tau][:, fi] * taps[k, tau, fi, fo]
     return np.maximum(out.real, 0) + 1j * np.maximum(out.imag, 0)
+
+
+def naive_pool_custom(x, n_p, order):
+    """Custom pooling cluster by cluster; returns (pooled, backward)."""
+    n, f = x.shape
+    clusters = [order[sl] for sl in cluster_slices(n, n_p)]
+    cols = np.arange(f)
+    pooled = np.empty((n_p, 2 * f), dtype=complex)
+    arg_re = np.empty((n_p, f), dtype=int)
+    arg_im = np.empty((n_p, f), dtype=int)
+    for i, rows in enumerate(clusters):
+        block = x[rows]
+        ire, iim = np.argmax(block.real, axis=0), np.argmax(block.imag, axis=0)
+        pooled[i, :f] = block.mean(axis=0)
+        pooled[i, f:] = block.real[ire, cols] + 1j * block.imag[iim, cols]
+        arg_re[i], arg_im[i] = rows[ire], rows[iim]
+
+    def backward(grad):
+        g_re, g_im = np.zeros((n, f)), np.zeros((n, f))
+        for i, rows in enumerate(clusters):
+            g_avg = grad[i, :f] / len(rows)
+            g_re[rows] += g_avg.real
+            g_im[rows] += g_avg.imag
+            np.add.at(g_re, (arg_re[i], cols), grad[i, f:].real)
+            np.add.at(g_im, (arg_im[i], cols), grad[i, f:].imag)
+        return g_re + 1j * g_im
+
+    return pooled, backward
+
+
+def naive_model(s, x, params, cfg, order):
+    """The network with every graph convolution evaluated lag by lag, tap by
+    tap, with explicit powers S^k; returns (y, backward) where backward maps
+    the output cogradient to every parameter gradient.  The decoder head and
+    learnable pooling are the model's own."""
+    n = x.shape[0]
+    powers = shift_powers(s, cfg.k_spatial)
+    k1, t1 = cfg.k_spatial + 1, cfg.k_temporal + 1
+    feats = [{r: shift_channels(x, r) for r in range(cfg.layers * cfg.k_temporal + 1)}]
+    pres = [{}]
+    for l in range(1, cfg.layers + 1):
+        taps = params.conv[l - 1]
+        feats.append({})
+        pres.append({})
+        for r in range((cfg.layers - l) * cfg.k_temporal + 1):
+            pre = np.zeros((n, taps.shape[3]), dtype=complex)
+            for k in range(k1):
+                for tau in range(t1):
+                    pre += powers[k] @ feats[l - 1][r + tau] @ taps[k, tau]
+            pres[l][r] = pre
+            feats[l][r] = split_relu(pre)
+    top = feats[cfg.layers][0]
+    if cfg.pooling == CUSTOM:
+        pooled, pool_back = naive_pool_custom(top, cfg.pooled_nodes, order)
+    else:
+        _, pooled, pool_cache = pool_learnable(top, params.assign)
+    x_vec = np.concatenate([pooled.real.ravel(), pooled.imag.ravel()])
+    out, head_cache = _head(x_vec, _positions(n, n, order), params)
+    y = out[:, 0] + 1j * out[:, 1] if cfg.outputs == 2 else out[:, 0]
+
+    def backward(grad_out):
+        g_out = (np.stack([grad_out.real, grad_out.imag], axis=1) if cfg.outputs == 2
+                 else grad_out.real[:, None])
+        grads, g_x_vec = _head_back(head_cache, params, g_out)
+        grads["w_enc"] = np.outer(grads["b_enc"], x_vec)
+        half = pooled.size
+        g_pooled = (g_x_vec[:half] + 1j * g_x_vec[half:]).reshape(pooled.shape)
+        if cfg.pooling == CUSTOM:
+            g_top = pool_back(g_pooled)
+        else:
+            grads["assign"], g_top = _pool_learnable_back(g_pooled, pool_cache)
+        g_feats = [{} for _ in range(cfg.layers + 1)]
+        g_feats[cfg.layers][0] = g_top
+        for l in range(cfg.layers, 0, -1):
+            taps = params.conv[l - 1]
+            g_taps = np.zeros_like(taps)
+            for r, g_act in g_feats[l].items():
+                pre = pres[l][r]
+                g_pre = g_act.real * (pre.real > 0) + 1j * (g_act.imag * (pre.imag > 0))
+                for k in range(k1):
+                    for tau in range(t1):
+                        g_taps[k, tau] += (powers[k] @ feats[l - 1][r + tau]).conj().T @ g_pre
+                        if l > 1:
+                            back = powers[k].conj().T @ g_pre @ taps[k, tau].conj().T
+                            g_feats[l - 1][r + tau] = g_feats[l - 1].get(r + tau, 0) + back
+            grads[f"conv.{l - 1}"] = g_taps
+        return grads
+
+    return y, backward
+
+
+def rel_err(fast, slow):
+    return float(np.max(np.abs(fast - slow)) / max(np.max(np.abs(slow)), 1e-300))
 
 
 class TestConvForward:
@@ -166,9 +267,11 @@ class TestHeadAndModel:
         s = random_gso(6, 5)
         x = np.zeros((6, 4), dtype=complex)
         _, tape = model_forward(s, x, params, cfg, record=True)
-        for layer in tape["pres"][1:]:
-            for pre in layer.values():
-                assert np.all(pre == 0)
+        assert len(tape["pres"]) == cfg.layers
+        for l, pre in enumerate(tape["pres"], 1):
+            # every output lag the layer evaluates: [N, lags, F_out]
+            assert pre.shape == (6, (cfg.layers - l) * cfg.k_temporal + 1, cfg.widths[l])
+            assert np.all(pre == 0)
 
     def test_forward_is_pure(self):
         cfg = fdi_config(widths=(5, 7), pooled_nodes=3, hidden=12)
@@ -224,3 +327,64 @@ class TestShiftInvariance:
             hs = filter_matrix(s, coeffs)
             comm = hs @ s - s @ hs
             assert np.linalg.norm(comm, "fro") < 1e-9
+
+
+class TestModelAgainstNaive:
+    """The live conv and pooling path against the lag-by-lag reference."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("pooling", [CUSTOM, LEARNABLE])
+    def test_outputs_and_every_gradient(self, layers, pooling):
+        rng = np.random.default_rng([layers, len(pooling)])
+        for k in range(4):
+            for kt in range(4):
+                cfg = LayerConfig(layers=layers, k_spatial=k, k_temporal=kt,
+                                  widths=(3,) + (4,) * layers, pooled_nodes=4, hidden=6,
+                                  pooling=pooling, outputs=2 if pooling == LEARNABLE else 1)
+                params = init_params(cfg, seed=10 * k + kt)
+                # uneven clusters, one node per cluster, and an all-zero window
+                # whose split-ReLU outputs all tie at 0 under max pooling
+                for n, scale in ((7, 1.0), (4, 1.0), (7, 0.0)):
+                    s = random_gso(n, 50 + n)
+                    order = rng.permutation(n)
+                    x = scale * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+                    g = rng.standard_normal(n) + (1j * rng.standard_normal(n)
+                                                  if cfg.outputs == 2 else 0)
+                    case = f"K={k} Kt={kt} n={n} scale={scale}"
+                    y, tape = model_forward(s, x, params, cfg, node_order=order, record=True)
+                    y_ref, backward = naive_model(s, x, params, cfg, order)
+                    assert rel_err(y, y_ref) <= 1e-12, case
+                    grads, ref = model_backward(tape, g), backward(g)
+                    assert grads.keys() == ref.keys() == params.tensors().keys(), case
+                    for name in ref:
+                        assert rel_err(grads[name], ref[name]) <= 1e-12, f"{case} {name}"
+
+    def test_gradient_sum_matches_summed_gradients(self):
+        cfg = forecast_config(widths=(3, 4, 4), pooled_nodes=3, hidden=6)
+        params = init_params(cfg, seed=7)
+        rng = np.random.default_rng(7)
+        acc, ref = GradientSum(), {}
+        for n in (6, 8, 5):
+            s = random_gso(n, 70 + n)
+            x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            _, tape = model_forward(s, x, params, cfg, record=True)
+            assert model_backward(tape, g, into=acc) is acc
+            for name, arr in model_backward(tape, g).items():
+                ref[name] = ref[name] + arr if name in ref else arr
+        total = acc.total()
+        assert total.keys() == ref.keys()
+        for name in ref:
+            assert rel_err(total[name], ref[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("n", [4, 7, 13])
+    def test_custom_pooling_matches_cluster_loop(self, n):
+        rng = np.random.default_rng(n)
+        # a coarse grid of values makes exact ties, at 0 among others, common
+        x = (rng.integers(-2, 3, (n, 5)) + 1j * rng.integers(-2, 3, (n, 5))).astype(complex)
+        order = rng.permutation(n)
+        pooled, cache = pool_custom(x, 4, order)
+        pooled_ref, backward = naive_pool_custom(x, 4, order)
+        assert np.array_equal(pooled, pooled_ref)
+        grad = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
+        assert np.array_equal(_pool_custom_back(grad, cache), backward(grad))

@@ -161,6 +161,37 @@ class TestTrainLoop:
         eval_forecast(UgcnPredictor(params, self.CFG), tiny_family, horizons=(0, 1), stride=8)
         assert params_digest(params) == digest
 
+    @pytest.mark.parametrize("kind", ["ugcn", "dense"])
+    def test_eval_forecast_one_forward_per_time_step(self, tiny_family, monkeypatch, kind):
+        import ugcn.training as training
+        from ugcn.scenarios import feature_window
+
+        if kind == "ugcn":
+            predictor = UgcnPredictor(init_params(self.CFG, 0), self.CFG)
+            predict = predictor.forecast
+            monkeypatch.setattr(predictor, "forecast",
+                                lambda ctx, x: calls.append(1) or predict(ctx, x))
+        else:
+            predictor = init_dense(tiny_family[0].graph.bus_ids, task="forecast", seed=0,
+                                   hidden=8, depth=1)
+            monkeypatch.setattr(training, "dense_predict",
+                                lambda m, sys, x: calls.append(1) or dense_predict(m, sys, x))
+            predict = None
+        calls = []
+        horizons, stride = (2, 0, 5), 4
+        rep = eval_forecast(predictor, tiny_family, horizons=horizons, stride=stride)
+        assert len(calls) == sum(len(range(9, s.t_total, stride)) for s in tiny_family)
+        for system, entry in zip(tiny_family, rep.per_system):
+            ctx = training.SystemContext(system)
+            for h in horizons:
+                errs = []
+                for t in range(9, system.t_total - h, stride):
+                    x = feature_window(system.estimates, t, 10)
+                    pred = predict(ctx, x) if predict else dense_predict(predictor, system, x)
+                    d = pred - system.true_states[t + h]
+                    errs.append(float(np.mean(d.real ** 2 + d.imag ** 2)))
+                assert entry["mse"][str(h)] == float(np.mean(errs))
+
     def test_batch_loss_is_mean_of_system_losses(self, tiny_family):
         # one window per system, full batch: the epoch loss must equal the
         # mean of independently computed per-system losses
