@@ -37,6 +37,7 @@ from .grid import DISTRIBUTION, TRANSMISSION
 from .model import LayerConfig, UgcnParams, fdi_config, forecast_config, init_params
 from .reconfig import AugmentConfig, _generate_one, op_to_dict
 from .scenarios import (
+    WINDOW,
     ScenarioConfig,
     ScenarioSet,
     scenario_from_payload,
@@ -379,7 +380,7 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         task=cfg["task"], horizon=cfg["horizon"], epochs=cfg["epochs"],
         batch_systems=cfg["batch_systems"], windows_per_system=cfg["windows_per_system"],
-        lr=cfg["lr"], lr_decay=cfg["lr_decay"], seed=cfg["seed"], center=cfg["center"],
+        lr=cfg["lr"], lr_decay=cfg["lr_decay"], seed=cfg["seed"],
         attack_prob=cfg["attack_prob"], early_stop_patience=cfg["early_stop_patience"],
     )
 
@@ -406,7 +407,10 @@ def cmd_train(args) -> int:
             f"dataset was generated for task {meta['task']!r}, requested {cfg['task']!r}"
         )
     tcfg = _train_config(cfg)
-    check_series_lengths(systems, tcfg)
+    check_series_lengths(
+        systems, tcfg.window + tcfg.lead + 1,
+        f"one training and one validation window of {tcfg.window} steps with lead {tcfg.lead}",
+    )
     echo = {k: v for k, v in cfg.items() if k not in ("out", "data", "resume")}
 
     history_rows: list = []
@@ -434,7 +438,7 @@ def cmd_train(args) -> int:
                     )
                 resume = ck["resume_state"]
                 mcfg = LayerConfig.from_dict(ck["layer_config"])
-                params = payload_to_params(resume["last_params"])
+                model = UgcnPredictor(payload_to_params(resume["last_params"]), mcfg, cfg["center"])
                 optimizer = Adam.from_state(resume["optimizer"])
                 start_epoch = resume["epoch_next"]
                 history_rows = [tuple(r) for r in ck["history"]]
@@ -442,23 +446,23 @@ def cmd_train(args) -> int:
                 # also carry a copy in resume_state.best.params, which is ignored
                 best = {
                     "val": resume["best"]["val"],
-                    "params": payload_to_params(ck["params"]),
+                    "model": UgcnPredictor(payload_to_params(ck["params"]), mcfg, cfg["center"]),
                     "bad": resume["best"]["bad"],
                 }
             else:
-                params = init_params(mcfg, seed=cfg["seed"])
+                model = UgcnPredictor(init_params(mcfg, seed=cfg["seed"]), mcfg, cfg["center"])
             state: dict = {}
-            params, history_rows = train(
-                params, systems, tcfg, mcfg,
+            model, history_rows = train(
+                model, systems, tcfg,
                 optimizer=optimizer, start_epoch=start_epoch,
                 history=history_rows, best=best, state_out=state,
             )
             payload = {
                 "model": "ugcn", "task": cfg["task"], "train_config": echo,
-                "layer_config": mcfg.to_dict(), "params": params_to_payload(params),
+                "layer_config": mcfg.to_dict(), "params": params_to_payload(model.params),
                 "history": history_rows,
                 "resume_state": {
-                    "last_params": params_to_payload(state["last_params"]),
+                    "last_params": params_to_payload(state["last"].params),
                     "optimizer": state["optimizer"].state(),
                     "epoch_next": state["epoch_next"],
                     "best": {"val": state["best"]["val"], "bad": state["best"]["bad"]},
@@ -466,11 +470,11 @@ def cmd_train(args) -> int:
             }
     except DivergedLoss as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
-        if exc.last_params is not None and cfg["model"] == "ugcn":
+        if exc.model is not None and cfg["model"] == "ugcn":
             caseio.save_checkpoint(cfg["out"], {
                 "model": "ugcn", "task": cfg["task"], "train_config": echo,
-                "layer_config": _layer_config(cfg).to_dict(),
-                "params": params_to_payload(exc.last_params),
+                "layer_config": exc.model.cfg.to_dict(),
+                "params": params_to_payload(exc.model.params),
                 "history": history_rows, "diverged_at": exc.epoch,
             })
         return 4
@@ -502,6 +506,12 @@ def cmd_eval(args) -> int:
         )
     systems, meta = load_dataset_dir(cfg["data"])
     task = ck["task"]
+    if task == "forecast":
+        horizon = max(cfg["horizons"], default=0)
+        check_series_lengths(systems, WINDOW + horizon,
+                             f"a window of {WINDOW} steps and horizon {horizon}")
+    else:
+        check_series_lengths(systems, WINDOW, f"a window of {WINDOW} steps")
     if ck["model"] == "ugcn":
         params = payload_to_params(ck["params"])
         mcfg = LayerConfig.from_dict(ck["layer_config"])
@@ -511,13 +521,13 @@ def cmd_eval(args) -> int:
     try:
         if task == "forecast":
             report = eval_forecast(
-                predictor, systems, horizons=tuple(cfg["horizons"]),
+                predictor, systems, horizons=tuple(cfg["horizons"]), window=WINDOW,
                 stride=cfg["stride"], model_name=ck["model"],
             )
         else:
             report = eval_fdi(
                 predictor, systems, omegas=tuple(cfg["omegas"]),
-                threshold=cfg["threshold"], stride=cfg["fdi_stride"],
+                threshold=cfg["threshold"], window=WINDOW, stride=cfg["fdi_stride"],
                 max_attacks=cfg["max_attacks"] or None, model_name=ck["model"],
             )
     except DimensionMismatch as exc:

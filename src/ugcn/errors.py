@@ -145,12 +145,12 @@ class NoForwardRecorded(UgcnError):
 
 
 class DivergedLoss(UgcnError):
-    """Training loss became non-finite; carries the last finite parameter state."""
+    """Training loss became non-finite; carries the best finite model reached."""
 
-    def __init__(self, epoch, last_params=None):
+    def __init__(self, epoch, model=None):
         super().__init__(f"loss diverged at epoch {epoch}")
         self.epoch = epoch
-        self.last_params = last_params
+        self.model = model
 
 
 class ConfigError(UgcnError):

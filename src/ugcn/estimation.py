@@ -21,7 +21,6 @@ from .grid import (
     Gso,
     build_admittance,
     build_gso,
-    regularized_solve,
 )
 
 GN_MAX_ITER = 50
@@ -290,17 +289,3 @@ class PmuOperator:
         x_ls = np.linalg.lstsq(self.h, z, rcond=1e-10)[0]
         return float(np.linalg.norm(z - self.h @ x_ls))
 
-
-def estimate_pmu(
-    graph: GridGraph,
-    z: np.ndarray,
-    pmu_buses: tuple[int, ...],
-    mu1: float = DEFAULT_MU1,
-    gso: Gso | None = None,
-) -> np.ndarray:
-    """One-shot PMU estimate; delegates to the shift-regularized solver."""
-    op = PmuOperator.build(graph, pmu_buses, mu1=mu1, gso=gso)
-    x_perm = regularized_solve(op.h, z, op.s_perm, mu1)
-    out = np.empty(graph.n, dtype=np.complex128)
-    out[op.perm] = x_perm
-    return out

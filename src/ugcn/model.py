@@ -125,10 +125,6 @@ class UgcnParams:
             w_out=self.w_out.copy(), b_out=self.b_out.copy(),
         )
 
-    def finite(self) -> bool:
-        return all(np.all(np.isfinite(np.asarray(t).view(np.float64)))
-                   for t in self.tensors().values())
-
 
 def init_params(cfg: LayerConfig, seed: int = 0) -> UgcnParams:
     """Complex Glorot-style init, scaled by fan-in times the tap count."""
@@ -503,24 +499,29 @@ def _head_back(cache: dict, params: UgcnParams, g_out: np.ndarray):
 
 
 class GradientSum:
-    """Sum of model_backward gradients over several windows.
+    """Sum of per-window parameter gradients over several windows.
 
-    A window's encoder-weight gradient is the outer product of its b_enc
-    gradient and its flattened pooled block, a tensor as large as w_enc.  The
-    sum keeps the two factors of each window and contracts them all with one
-    GEMM in `total`.
+    Some weight gradients are outer products of two vectors, as large as the
+    weight: the ugcn encoder weight's is its b_enc gradient times the
+    flattened pooled block, and a dense layer's is its input times its
+    pre-activation gradient.  The sum keeps the two factors of each window
+    and contracts them all with one GEMM per weight in `total`.
     """
 
     def __init__(self):
         self._sums: dict[str, np.ndarray] = {}
-        self._enc: list[tuple[np.ndarray, np.ndarray]] = []
+        self._outer: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    def add(self, grads: dict[str, np.ndarray], x_vec: np.ndarray) -> None:
-        """Add one window's gradients (without w_enc) and its pooled block.
+    def add(self, grads: dict[str, np.ndarray],
+            outer: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+        """Add one window: its gradients by name, and by name the (left, right)
+        factors of those that are outer products.
 
-        The first window's arrays become the running sums, updated in place.
+        The first window's arrays become the running sums, updated in place,
+        so the factors are copied.
         """
-        self._enc.append((grads["b_enc"].copy(), x_vec))
+        for name, (left, right) in outer.items():
+            self._outer.setdefault(name, []).append((left.copy(), right.copy()))
         for name, g in grads.items():
             if name in self._sums:
                 self._sums[name] += g
@@ -529,8 +530,8 @@ class GradientSum:
 
     def total(self) -> dict[str, np.ndarray]:
         out = dict(self._sums)
-        out["w_enc"] = np.stack([g for g, _ in self._enc], axis=1) @ np.stack(
-            [x for _, x in self._enc])
+        for name, pairs in self._outer.items():
+            out[name] = np.stack([a for a, _ in pairs], axis=1) @ np.stack([b for _, b in pairs])
         return out
 
 
@@ -569,7 +570,7 @@ def model_backward(tape: dict, grad_out: np.ndarray, into: GradientSum | None = 
         g_pre = _relu_back(g_act, tape["pres"][l - 1])
     grads["conv.0"] = _input_layer_back(tape["stacks"][0], g_pre, params.conv[0])
     if into is not None:
-        into.add(grads, tape["x_vec"])
+        into.add(grads, {"w_enc": (grads["b_enc"], tape["x_vec"])})
         return into
     grads["w_enc"] = np.outer(grads["b_enc"], tape["x_vec"])
     return grads

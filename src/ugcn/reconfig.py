@@ -17,6 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CycleCreated,
     Disconnected,
     ExhaustedRetries,
@@ -86,11 +87,11 @@ class AugmentConfig:
 
     def __post_init__(self):
         if self.q_count < 1:
-            raise ValueError("q_count must be >= 1")
+            raise ConfigError(f"q_count must be at least 1, got {self.q_count}")
         if self.ops_range[0] > self.ops_range[1] or self.ops_range[0] < 0:
-            raise ValueError(f"bad ops_range {self.ops_range}")
+            raise ConfigError(f"bad ops_range {self.ops_range}: need 0 <= ops_min <= ops_max")
         if self.node_bounds[0] > self.node_bounds[1]:
-            raise ValueError(f"bad node_bounds {self.node_bounds}")
+            raise ConfigError(f"bad node_bounds {self.node_bounds}: need node_min <= node_max")
 
 
 @dataclass(frozen=True)

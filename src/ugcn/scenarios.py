@@ -16,6 +16,7 @@ import numpy as np
 
 from .caseio import decode_array, decode_graph, encode_array, encode_graph
 from .errors import (
+    ConfigError,
     MissingCell,
     NoConvergence,
     NonNumeric,
@@ -223,9 +224,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.t_total < 1:
-            raise ValueError("t_total must be >= 1")
+            raise ConfigError(f"t_total must be at least 1, got {self.t_total}")
         if self.scenario not in (AMI, PMU):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
 
 
 def _series_profiles(graph: GridGraph, cfg: ScenarioConfig, index: int,

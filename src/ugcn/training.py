@@ -5,7 +5,9 @@ epoch samples a batch of systems, averages their per-window losses, and takes
 an Adam step on the shared tensors.  Evaluation is zero-shot: trained
 parameters run unchanged on systems never seen in training.  The dense
 baseline is the conventional fixed-input network trained on the base topology
-only; other topologies are mapped onto its input slots by bus id.
+only; other topologies are mapped onto its input slots by bus id.  Both
+models implement the protocol of `Model`, so one loop trains them and the
+same evaluators score them.
 """
 
 from __future__ import annotations
@@ -63,14 +65,9 @@ def loss_fdi(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.maximum(logits, 0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))))
 
 
-def _loss_fdi_grad(logits: np.ndarray, labels: np.ndarray, pos_weight: float = 1.0):
+def _loss_fdi_grad(logits: np.ndarray, labels: np.ndarray):
     sig = 1.0 / (1.0 + np.exp(-logits))
-    if pos_weight == 1.0:
-        return loss_fdi(logits, labels), (sig - labels) / logits.shape[0]
-    w = np.where(labels > 0.5, pos_weight, 1.0)
-    per = np.maximum(logits, 0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
-    val = float(np.mean(w * per))
-    return val, w * (sig - labels) / logits.shape[0]
+    return loss_fdi(logits, labels), (sig - labels) / logits.shape[0]
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +160,7 @@ def contexts_for(systems: list[ScenarioSet]) -> list[SystemContext]:
 
 
 # --------------------------------------------------------------------------
-# Train configuration and loop
+# Train configuration
 
 
 @dataclass(frozen=True)
@@ -180,9 +177,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     window: int = 10
-    center: bool = True
-    input_gain: float = 1.0            # scales centered inputs to a workable range
-    pos_weight: float = 1.0            # FDI class weighting (1 = no reweighting)
     attack_prob: float = 0.7
     val_fraction: float = 0.1
     early_stop_patience: int = 10
@@ -205,16 +199,14 @@ def _usable_times(system: ScenarioSet, cfg: TrainConfig) -> np.ndarray:
     return np.arange(cfg.window - 1, system.t_total - cfg.lead)
 
 
-def check_series_lengths(systems: list[ScenarioSet], cfg: TrainConfig) -> None:
-    """Reject a system whose series cannot supply one training window and one
-    validation window, i.e. two usable time steps."""
-    minimum = cfg.window + cfg.lead + 1
+def check_series_lengths(systems: list[ScenarioSet], minimum: int, purpose: str) -> None:
+    """Reject the first system whose series is shorter than `minimum` steps;
+    `purpose` names what the steps are needed for."""
     for system in systems:
         if system.t_total < minimum:
             raise ConfigError(
-                f"system {system.index} has t_total {system.t_total}, but a window of "
-                f"{cfg.window} with lead {cfg.lead} needs at least {minimum} steps "
-                "for one training and one validation window"
+                f"system {system.index} has t_total {system.t_total}, but at least "
+                f"{minimum} steps are needed for {purpose}"
             )
 
 
@@ -224,180 +216,74 @@ def _split_times(system: ScenarioSet, cfg: TrainConfig):
     return times[:-n_val], times[-n_val:]
 
 
-def _sample_loss_and_grads(
-    params: UgcnParams,
-    cfg: TrainConfig,
-    model_cfg: LayerConfig,
-    ctx: SystemContext,
-    t: int,
-    attack_idx: int | None,
-    accumulate: GradientSum | None,
-):
-    system = ctx.system
-    if cfg.task == FORECAST:
-        x, target = build_features(system, t, window=cfg.window, horizon=cfg.horizon)
-        if cfg.center:
-            x = x - CENTER
-            target = target - CENTER
-    else:
-        attack = system.attacks[attack_idx] if attack_idx is not None else None
-        if attack is not None:
-            x, target = build_features(
-                system, t, window=cfg.window, attack=attack,
-                estimate_shift=ctx.attack_shift(attack_idx),
-            )
-        else:
-            x = feature_window(system.estimates, t, cfg.window)
-            target = np.zeros(system.n)
-        if cfg.center:
-            x = x - CENTER
-    if cfg.input_gain != 1.0:
-        x = x * cfg.input_gain
-    if accumulate is None:
-        y = model_forward(ctx.s, x, params, model_cfg, node_order=ctx.order)
-        if cfg.task == FORECAST:
-            return loss_forecast(y, target)
-        return loss_fdi(y, target)
-    y, tape = model_forward(ctx.s, x, params, model_cfg, node_order=ctx.order, record=True)
-    if cfg.task == FORECAST:
-        val, g = _loss_forecast_grad(y, target)
-    else:
-        val, g = _loss_fdi_grad(y, target, cfg.pos_weight)
-    model_backward(tape, g, into=accumulate)
-    return val
-
-
-def _pick_attack(system: ScenarioSet, rng: np.random.Generator, prob: float):
-    live = [i for i, a in enumerate(system.attacks) if not a.is_null]
-    if not live or rng.random() > prob:
-        return None
-    return live[int(rng.integers(0, len(live)))]
-
-
-def train(
-    params: UgcnParams,
-    systems: list[ScenarioSet],
-    cfg: TrainConfig,
-    model_cfg: LayerConfig,
-    optimizer: Adam | None = None,
-    start_epoch: int = 0,
-    history: list | None = None,
-    best: dict | None = None,
-    state_out: dict | None = None,
-):
-    """Optimize shared parameters over the system family; returns (params, history).
-
-    Deterministic in cfg.seed: epoch e always draws from the stream
-    (seed, 101, e), so a resumed run continues exactly where it left off;
-    pass state_out to capture the live parameters, optimizer, and
-    early-stopping state for checkpointing.  Raises DivergedLoss (carrying
-    the last finite parameters) on NaN/Inf.
-    """
-    if not systems:
-        raise DimensionMismatch("need at least one training system")
-    params = params.copy()
-    contexts = contexts_for(systems)
-    splits = [_split_times(s, cfg) for s in systems]
-    opt = optimizer if optimizer is not None else Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    history = [] if history is None else list(history)
-    best = dict(best) if best else {"val": float("inf"), "params": params.copy(), "bad": 0}
-
-    q_total = len(systems)
-    batch_size = min(cfg.batch_systems, q_total)
-    epoch_next = start_epoch
-    for epoch in range(start_epoch, cfg.epochs):
-        epoch_next = epoch + 1
-        rng = np.random.default_rng([cfg.seed, 101, epoch])
-        batch = rng.choice(q_total, size=batch_size, replace=False)
-        grads: dict[str, np.ndarray] = {}
-        batch_loss = 0.0
-        for q in batch:
-            ctx = contexts[q]
-            train_times = splits[q][0]
-            sys_grads = GradientSum()
-            sys_loss = 0.0
-            for _ in range(cfg.windows_per_system):
-                t = int(train_times[rng.integers(0, len(train_times))])
-                attack_idx = (
-                    _pick_attack(ctx.system, rng, cfg.attack_prob) if cfg.task == FDI else None
-                )
-                sys_loss += _sample_loss_and_grads(
-                    params, cfg, model_cfg, ctx, t, attack_idx, sys_grads
-                )
-            scale = 1.0 / cfg.windows_per_system
-            sys_loss *= scale
-            for name, g in sys_grads.total().items():
-                g = g * (scale / batch_size)
-                grads[name] = grads[name] + g if name in grads else g
-            batch_loss += sys_loss / batch_size
-        if not np.isfinite(batch_loss):
-            raise DivergedLoss(epoch, best["params"])
-        opt.lr = cfg.lr * cfg.lr_decay ** epoch   # function of epoch: resume-safe
-        opt.step(params.tensors(), grads)
-        if not params.finite():
-            raise DivergedLoss(epoch, best["params"])
-
-        val_loss = _validation_loss(params, cfg, model_cfg, contexts, splits)
-        history.append((epoch, batch_loss, val_loss))
-        if val_loss < best["val"] - 1e-12:
-            best.update(val=val_loss, params=params.copy(), bad=0)
-        else:
-            best["bad"] += 1
-            if best["bad"] >= cfg.early_stop_patience:
-                break
-    if state_out is not None:
-        state_out.update(
-            last_params=params, best=best, epoch_next=epoch_next, optimizer=opt
-        )
-    return best["params"] if best["val"] < float("inf") else params, history
-
-
-def _validation_loss(params, cfg, model_cfg, contexts, splits) -> float:
-    total = 0.0
-    count = 0
-    for q, ctx in enumerate(contexts):
-        val_times = splits[q][1]
-        picks = val_times if len(val_times) <= 4 else val_times[:: max(1, len(val_times) // 4)][:4]
-        for t in picks:
-            attack_idx = None
-            if cfg.task == FDI and ctx.system.attacks:
-                live = [i for i, a in enumerate(ctx.system.attacks) if not a.is_null]
-                attack_idx = live[int(t) % len(live)] if live else None
-            total += _sample_loss_and_grads(
-                params, cfg, model_cfg, ctx, int(t), attack_idx, None
-            )
-            count += 1
-    return total / max(count, 1)
-
-
 # --------------------------------------------------------------------------
-# Predictors
+# Models
 
 
-class UgcnPredictor:
-    def __init__(self, params: UgcnParams, model_cfg: LayerConfig,
-                 center: bool = True, input_gain: float = 1.0):
+class Model:
+    """What `train`, `eval_forecast` and `eval_fdi` need of a model.
+
+    forward(ctx, x, record=False)
+        A raw [N, window] estimate window of the system in `ctx` in, the
+        centered per-bus output out: complex phasors for forecasting, real
+        logits for FDI.  With `record`, (output, tape).
+    backward(tape, g, into)
+        Adds the window's parameter gradients for the output cogradient `g`
+        to the GradientSum `into`.
+    tensors()
+        The learnable tensors by name; the optimizer updates them in place.
+    copy(), finite()
+        An independent copy; whether every tensor is finite.
+
+    Centering is decided here: with `center` set, inputs and forecast
+    targets are taken relative to the flat profile, and forecasts are
+    shifted back before they are scored.
+    """
+
+    center: bool
+
+    def centered(self, a: np.ndarray) -> np.ndarray:
+        return a - CENTER if self.center else a
+
+    def uncentered(self, y: np.ndarray) -> np.ndarray:
+        return y + CENTER if self.center else y
+
+    def finite(self) -> bool:
+        return all(np.all(np.isfinite(np.asarray(t).view(np.float64)))
+                   for t in self.tensors().values())
+
+
+class UgcnPredictor(Model):
+    """The graph network: one parameter set and its architecture, for any system."""
+
+    def __init__(self, params: UgcnParams, model_cfg: LayerConfig, center: bool = True):
         self.params = params
         self.cfg = model_cfg
         self.center = center
-        self.input_gain = input_gain
 
-    def _prep(self, x: np.ndarray) -> np.ndarray:
-        if self.center:
-            x = x - CENTER
-        return x * self.input_gain if self.input_gain != 1.0 else x
+    def forward(self, ctx: SystemContext, x: np.ndarray, record: bool = False):
+        return model_forward(ctx.s, self.centered(x), self.params, self.cfg,
+                             node_order=ctx.order, record=record)
 
-    def forecast(self, ctx: SystemContext, x: np.ndarray) -> np.ndarray:
-        y = model_forward(ctx.s, self._prep(x), self.params, self.cfg, node_order=ctx.order)
-        return y + CENTER if self.center else y
+    def backward(self, tape: dict, g: np.ndarray, into: GradientSum) -> None:
+        model_backward(tape, g, into=into)
 
-    def logits(self, ctx: SystemContext, x: np.ndarray) -> np.ndarray:
-        return model_forward(ctx.s, self._prep(x), self.params, self.cfg, node_order=ctx.order)
+    def tensors(self) -> dict[str, np.ndarray]:
+        return self.params.tensors()
+
+    def copy(self) -> "UgcnPredictor":
+        return UgcnPredictor(self.params.copy(), self.cfg, self.center)
 
 
 @dataclass
-class DenseModel:
-    """Fixed-input fully connected baseline bound to one base bus layout."""
+class DenseModel(Model):
+    """Fixed-input fully connected baseline bound to one base bus layout.
+
+    Buses map to the input and output slots of the base layout by id.  A slot
+    whose bus the system lacks reads the flat profile; a bus without a slot
+    is predicted at the flat profile (forecast) or as confidently clean
+    (FDI), and passes no gradient.
+    """
 
     bus_slots: tuple[int, ...]
     weights: list[np.ndarray]
@@ -421,6 +307,47 @@ class DenseModel:
             task=self.task, window=self.window, center=self.center,
         )
 
+    def _shared(self, ctx: SystemContext) -> np.ndarray:
+        """[2, k]: positions of the buses the system shares with the base, and their slots."""
+        slot_of = {b: i for i, b in enumerate(self.bus_slots)}
+        pairs = [(j, slot_of[b]) for j, b in enumerate(ctx.system.graph.bus_ids) if b in slot_of]
+        return np.array(pairs, dtype=int).reshape(-1, 2).T
+
+    def forward(self, ctx: SystemContext, x: np.ndarray, record: bool = False):
+        buses, slots = self._shared(ctx)
+        n = len(self.bus_slots)
+        grid = np.zeros((n, self.window), dtype=np.complex128)
+        grid[slots] = self.centered(x)[buses]
+        h = np.concatenate([grid.real.ravel(), grid.imag.ravel()])
+        acts = []                                  # the input of each layer
+        for w, b in zip(self.weights, self.biases):
+            if acts:
+                h = np.maximum(h, 0.0)
+            acts.append(h)
+            h = h @ w + b
+        if self.task == FORECAST:
+            y = np.zeros(ctx.system.n, dtype=np.complex128)
+            y[buses] = h[slots] + 1j * h[n + slots]
+        else:
+            y = np.full(ctx.system.n, -10.0)
+            y[buses] = h[slots]
+        return (y, (acts, buses, slots)) if record else y
+
+    def backward(self, tape, g: np.ndarray, into: GradientSum) -> None:
+        acts, buses, slots = tape
+        n = len(self.bus_slots)
+        g_out = np.zeros(2 * n if self.task == FORECAST else n)
+        g_out[slots] = g[buses].real
+        if self.task == FORECAST:
+            g_out[n + slots] = g[buses].imag
+        grads, outer = {}, {}
+        for i in range(len(self.weights) - 1, -1, -1):
+            grads[f"b{i}"] = g_out
+            outer[f"w{i}"] = (acts[i], g_out)      # w_i's gradient is their outer product
+            if i:
+                g_out = (g_out @ self.weights[i].T) * (acts[i] > 0)
+        into.add(grads, outer)
+
 
 def init_dense(
     bus_slots: tuple[int, ...],
@@ -443,67 +370,122 @@ def init_dense(
                       task=task, window=window, center=center)
 
 
-def _dense_input(model: DenseModel, system: ScenarioSet, x: np.ndarray) -> np.ndarray:
-    """Map a [N, window] window onto the base slots: shared bus ids map by id,
-    slots absent from the system are zero (the centered flat profile)."""
-    if model.center:
-        x = x - CENTER
-    n = len(model.bus_slots)
-    slot = np.zeros((n, model.window), dtype=np.complex128)
-    pos = {b: i for i, b in enumerate(system.graph.bus_ids)}
-    for i, b in enumerate(model.bus_slots):
-        if b in pos:
-            slot[i] = x[pos[b]]
-    return np.concatenate([slot.real.ravel(), slot.imag.ravel()])
+# --------------------------------------------------------------------------
+# Training loop
 
 
-def _dense_forward(model: DenseModel, vec: np.ndarray, record: bool = False):
-    acts = [vec]
-    pres = []
-    h = vec
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        pres.append(z)
-        h = z if i == last else np.maximum(z, 0.0)
-        acts.append(h)
-    if record:
-        return h, (acts, pres)
-    return h
+def _sample_loss_and_grads(
+    model: Model,
+    cfg: TrainConfig,
+    ctx: SystemContext,
+    t: int,
+    attack_idx: int | None,
+    accumulate: GradientSum | None,
+):
+    """Loss of one window; with `accumulate`, also adds its gradients there."""
+    system = ctx.system
+    if cfg.task == FORECAST:
+        x, target = build_features(system, t, window=cfg.window, horizon=cfg.horizon)
+        target = model.centered(target)
+        loss, loss_grad = loss_forecast, _loss_forecast_grad
+    else:
+        if attack_idx is not None:
+            x, target = build_features(
+                system, t, window=cfg.window, attack=system.attacks[attack_idx],
+                estimate_shift=ctx.attack_shift(attack_idx),
+            )
+        else:
+            x = feature_window(system.estimates, t, cfg.window)
+            target = np.zeros(system.n)
+        loss, loss_grad = loss_fdi, _loss_fdi_grad
+    if accumulate is None:
+        return loss(model.forward(ctx, x), target)
+    y, tape = model.forward(ctx, x, record=True)
+    val, g = loss_grad(y, target)
+    model.backward(tape, g, accumulate)
+    return val
 
 
-def _dense_backward(model: DenseModel, tape, g_out: np.ndarray) -> dict[str, np.ndarray]:
-    acts, pres = tape
-    grads: dict[str, np.ndarray] = {}
-    g = g_out
-    for i in range(len(model.weights) - 1, -1, -1):
-        if i != len(model.weights) - 1:
-            g = g * (pres[i] > 0)
-        grads[f"w{i}"] = np.outer(acts[i], g)
-        grads[f"b{i}"] = g
-        g = g @ model.weights[i].T
-    return grads
+def _pick_attack(system: ScenarioSet, rng: np.random.Generator, prob: float):
+    live = [i for i, a in enumerate(system.attacks) if not a.is_null]
+    if not live or rng.random() > prob:
+        return None
+    return live[int(rng.integers(0, len(live)))]
 
 
-def dense_predict(model: DenseModel, system: ScenarioSet, x: np.ndarray):
-    """Forecast phasors (complex [N]) or logits (real [N]) for any system,
-    routing unknown buses to the flat profile / a confident 'clean' logit."""
-    vec = _dense_input(model, system, x)
-    out = _dense_forward(model, vec)
-    n_slots = len(model.bus_slots)
-    slot_index = {b: i for i, b in enumerate(model.bus_slots)}
-    if model.task == FORECAST:
-        per_slot = out[:n_slots] + 1j * out[n_slots:]
-        result = np.full(system.n, 0.0 + 0.0j, dtype=np.complex128)
-        for j, b in enumerate(system.graph.bus_ids):
-            if b in slot_index:
-                result[j] = per_slot[slot_index[b]]
-        return result + CENTER if model.center else result
-    logits = np.full(system.n, -10.0)
-    for j, b in enumerate(system.graph.bus_ids):
-        if b in slot_index:
-            logits[j] = out[slot_index[b]]
-    return logits
+def train(
+    model: Model,
+    systems: list[ScenarioSet],
+    cfg: TrainConfig,
+    optimizer: Adam | None = None,
+    start_epoch: int = 0,
+    history: list | None = None,
+    best: dict | None = None,
+    state_out: dict | None = None,
+):
+    """Optimize a model's shared tensors over the system family; returns
+    (model, history), the model a copy holding the tensors of the epoch with
+    the lowest validation loss.
+
+    Deterministic in cfg.seed: epoch e always draws from the stream
+    (seed, 101, e), so a resumed run continues exactly where it left off;
+    pass state_out to capture the live model, optimizer, and early-stopping
+    state for checkpointing.  Raises DivergedLoss (carrying the best finite
+    model) on NaN/Inf.
+    """
+    if not systems:
+        raise DimensionMismatch("need at least one training system")
+    model = model.copy()
+    contexts = contexts_for(systems)
+    splits = [_split_times(s, cfg) for s in systems]
+    opt = optimizer if optimizer is not None else Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    history = [] if history is None else list(history)
+    best = dict(best) if best else {"val": float("inf"), "model": model.copy(), "bad": 0}
+
+    q_total = len(systems)
+    batch_size = min(cfg.batch_systems, q_total)
+    epoch_next = start_epoch
+    for epoch in range(start_epoch, cfg.epochs):
+        epoch_next = epoch + 1
+        rng = np.random.default_rng([cfg.seed, 101, epoch])
+        batch = rng.choice(q_total, size=batch_size, replace=False)
+        grads: dict[str, np.ndarray] = {}
+        batch_loss = 0.0
+        for q in batch:
+            ctx = contexts[q]
+            train_times = splits[q][0]
+            sys_grads = GradientSum()
+            sys_loss = 0.0
+            for _ in range(cfg.windows_per_system):
+                t = int(train_times[rng.integers(0, len(train_times))])
+                attack_idx = (
+                    _pick_attack(ctx.system, rng, cfg.attack_prob) if cfg.task == FDI else None
+                )
+                sys_loss += _sample_loss_and_grads(model, cfg, ctx, t, attack_idx, sys_grads)
+            scale = 1.0 / cfg.windows_per_system
+            sys_loss *= scale
+            for name, g in sys_grads.total().items():
+                g = g * (scale / batch_size)
+                grads[name] = grads[name] + g if name in grads else g
+            batch_loss += sys_loss / batch_size
+        if not np.isfinite(batch_loss):
+            raise DivergedLoss(epoch, best["model"])
+        opt.lr = cfg.lr * cfg.lr_decay ** epoch   # function of epoch: resume-safe
+        opt.step(model.tensors(), grads)
+        if not model.finite():
+            raise DivergedLoss(epoch, best["model"])
+
+        val_loss = _validation_loss(model, cfg, contexts, splits)
+        history.append((epoch, batch_loss, val_loss))
+        if val_loss < best["val"] - 1e-12:
+            best.update(val=val_loss, model=model.copy(), bad=0)
+        else:
+            best["bad"] += 1
+            if best["bad"] >= cfg.early_stop_patience:
+                break
+    if state_out is not None:
+        state_out.update(last=model, best=best, epoch_next=epoch_next, optimizer=opt)
+    return best["model"] if best["val"] < float("inf") else model, history
 
 
 def train_dense(
@@ -511,69 +493,29 @@ def train_dense(
     systems: list[ScenarioSet],
     cfg: TrainConfig,
 ) -> tuple[DenseModel, list]:
-    """Train the baseline on its own (base-topology) systems."""
-    model = model.copy()
-    contexts = contexts_for(systems)
-    splits = [_split_times(s, cfg) for s in systems]
-    opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    history = []
-    slot_index = {b: i for i, b in enumerate(model.bus_slots)}
+    """Train the baseline on its own (base-topology) systems.
 
-    def target_vec(system, t, attack_idx, ctx):
-        if cfg.task == FORECAST:
-            tgt = system.true_states[t + cfg.horizon]
-            if model.center:
-                tgt = tgt - CENTER
-            n = len(model.bus_slots)
-            out = np.zeros(2 * n)
-            for j, b in enumerate(system.graph.bus_ids):
-                if b in slot_index:
-                    out[slot_index[b]] = tgt[j].real
-                    out[slot_index[b] + n] = tgt[j].imag
-            return out
-        labels = np.zeros(len(model.bus_slots))
-        if attack_idx is not None:
-            att = system.attacks[attack_idx]
-            for j, b in enumerate(system.graph.bus_ids):
-                if b in slot_index:
-                    labels[slot_index[b]] = att.labels[j]
-        return labels
+    `ugcn train --model dense` enters here rather than at `train`, so a trace
+    that wraps entry points by name (benchmarks/tracer.py) can time the two
+    models apart.
+    """
+    return train(model, systems, cfg)
 
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, 103, epoch])
-        grads: dict[str, np.ndarray] = {}
-        loss_sum = 0.0
-        draws = 0
-        for q, ctx in enumerate(contexts):
-            sys = ctx.system
-            times = splits[q][0]
-            for _ in range(cfg.windows_per_system):
-                t = int(times[rng.integers(0, len(times))])
-                attack_idx = _pick_attack(sys, rng, cfg.attack_prob) if cfg.task == FDI else None
-                x = feature_window(sys.estimates, t, cfg.window)
-                if attack_idx is not None:
-                    x = x + sys.attacks[attack_idx].omega * ctx.attack_shift(attack_idx)[:, None]
-                vec = _dense_input(model, sys, x)
-                out, tape = _dense_forward(model, vec, record=True)
-                tgt = target_vec(sys, t, attack_idx, ctx)
-                if cfg.task == FORECAST:
-                    d = out - tgt
-                    loss = float(np.mean(d * d))
-                    g = 2.0 * d / len(d)
-                else:
-                    loss, g = _loss_fdi_grad(out, tgt)
-                loss_sum += loss
-                draws += 1
-                for name, arr in _dense_backward(model, tape, g).items():
-                    grads[name] = grads[name] + arr if name in grads else arr
-        for name in grads:
-            grads[name] /= draws
-        mean_loss = loss_sum / draws
-        if not np.isfinite(mean_loss):
-            raise DivergedLoss(epoch, model)
-        opt.step(model.tensors(), grads)
-        history.append((epoch, mean_loss, mean_loss))
-    return model, history
+
+def _validation_loss(model: Model, cfg: TrainConfig, contexts, splits) -> float:
+    total = 0.0
+    count = 0
+    for q, ctx in enumerate(contexts):
+        val_times = splits[q][1]
+        picks = val_times if len(val_times) <= 4 else val_times[:: max(1, len(val_times) // 4)][:4]
+        for t in picks:
+            attack_idx = None
+            if cfg.task == FDI and ctx.system.attacks:
+                live = [i for i, a in enumerate(ctx.system.attacks) if not a.is_null]
+                attack_idx = live[int(t) % len(live)] if live else None
+            total += _sample_loss_and_grads(model, cfg, ctx, int(t), attack_idx, None)
+            count += 1
+    return total / max(count, 1)
 
 
 # --------------------------------------------------------------------------
@@ -619,7 +561,7 @@ class MetricsReport:
 
 
 def eval_forecast(
-    predictor,
+    predictor: Model,
     systems: list[ScenarioSet],
     horizons=(0, 1, 2, 3, 4, 5),
     window: int = 10,
@@ -639,10 +581,7 @@ def eval_forecast(
         preds = {}
         for t in range(window - 1, system.t_total - min(horizons, default=0), stride):
             x = feature_window(system.estimates, t, window)
-            if hasattr(predictor, "forecast"):
-                preds[t] = predictor.forecast(ctx, x)
-            else:
-                preds[t] = dense_predict(predictor, system, x)
+            preds[t] = predictor.uncentered(predictor.forward(ctx, x))
         for h in horizons:
             errs = []
             for t in range(window - 1, system.t_total - h, stride):
@@ -676,7 +615,7 @@ def _rates(tp, tn, fp, fn) -> dict:
 
 
 def eval_fdi(
-    predictor,
+    predictor: Model,
     systems: list[ScenarioSet],
     omegas=(0.1, 0.3, 0.5, 0.7, 0.9),
     threshold: float = 0.5,
@@ -712,10 +651,7 @@ def eval_fdi(
             for w in omegas:
                 for t in times:
                     x = feature_window(system.estimates, t, window) + float(w) * shift[:, None]
-                    if hasattr(predictor, "logits"):
-                        logits = predictor.logits(ctx, x)
-                    else:
-                        logits = dense_predict(predictor, system, x)
+                    logits = predictor.forward(ctx, x)
                     pred = logits > logit_cut
                     tp = int(np.sum(pred & labels))
                     tn = int(np.sum(~pred & ~labels))

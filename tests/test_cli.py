@@ -77,6 +77,16 @@ class TestGen:
         assert run_cli(GEN_ARGS + ["--out", str(tmp_path / "x"), "--q", "0"]) == 2
         assert "q must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        (["--t-total", "0"], "t_total must be at least 1"),
+        (["--set", "ops_min=5", "--set", "ops_max=2"], "bad ops_range (5, 2)"),
+    ])
+    def test_invalid_generation_config_exits_2(self, tmp_path, capsys, override, message):
+        assert run_cli(GEN_ARGS + ["--out", str(tmp_path / "x")] + override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1
+
     def test_sanity_band_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scenarios, "SANITY_BAND", (0.999, 1.001))
         assert run_cli(GEN_ARGS + ["--out", str(tmp_path / "x")]) == 3
@@ -223,6 +233,38 @@ class TestTrainEval:
         assert err.startswith("config error: system 0 has t_total 5")
         assert "at least 12" in err and err.count("\n") == 1
 
+    def test_eval_series_too_short_exits_2(self, dataset, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.ckpt.json")
+        assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                        "--out", ckpt, "--seed", "1"] + TRAIN_SETS) == 0
+        data = str(tmp_path / "short")
+        gen = list(GEN_ARGS)
+        gen[gen.index("--t-total") + 1] = "12"
+        assert run_cli(gen + ["--out", data]) == 0
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        assert run_cli(["eval", "--checkpoint", ckpt, "--data", data,
+                        "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: system 0 has t_total 12")
+        assert "at least 15" in err and err.count("\n") == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize("model", ["ugcn", "dense"])
+    def test_diverged_training_exits_4(self, dataset, tmp_path, capsys, model):
+        ckpt = tmp_path / "m.ckpt.json"
+        with np.errstate(all="ignore"):
+            code = run_cli(["train", "--task", "forecast", "--model", model,
+                            "--data", dataset, "--out", str(ckpt), "--seed", "1"]
+                           + TRAIN_SETS + ["--set", "lr=1e300", "--set", "dense_hidden=16",
+                                           "--set", "dense_depth=1"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("training diverged: loss diverged at epoch")
+        # ugcn keeps the best finite parameters; the dense baseline writes nothing
+        assert ckpt.exists() == (model == "ugcn")
+        if model == "ugcn":
+            assert "diverged_at" in load_checkpoint(str(ckpt))
+
     @pytest.mark.parametrize("override", [["--epochs", "0"], ["--set", "lr=0"]])
     def test_invalid_train_config_exits_2(self, dataset, tmp_path, capsys, override):
         assert run_cli(["train", "--task", "forecast", "--data", dataset,
@@ -280,7 +322,11 @@ class TestReportCmd:
         assert run_cli(["report", str(bad)]) == 2
 
     def test_entry_point_runs(self):
+        # the child imports the package this process imported, installed or not
+        root = os.path.dirname(os.path.dirname(scenarios.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-m", "ugcn.cli", "--help"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
         assert out.returncode == 0
         assert "gen" in out.stdout

@@ -16,7 +16,6 @@ from ugcn.estimation import (
     ami_cost,
     ami_placement,
     estimate_ami,
-    estimate_pmu,
     fdi_sensor_count,
     measure_ami,
     pmu_placement,
@@ -183,7 +182,7 @@ class TestPmuEstimation:
         buses = pmu_placement(ieee30, 0.3, seed=1)
         op = PmuOperator.build(ieee30, buses, mu1=1e-3)
         z = op.measure(v)
-        est = estimate_pmu(ieee30, z, buses, mu1=1e-3)
+        est = op.estimate(z)
         # oracle: explicit SVD pseudoinverse in the permuted coordinates
         a = op.h.conj().T @ op.h + 1e-3 * op.s_perm
         u, sv, vh = np.linalg.svd(a)

@@ -12,11 +12,12 @@ from ugcn.model import fdi_config, forecast_config, init_params
 from ugcn.reconfig import AugmentConfig, augment, transmission_augment
 from ugcn.scenarios import ScenarioConfig, build_scenario
 from ugcn.training import (
+    CENTER,
     Adam,
     MetricsReport,
+    SystemContext,
     TrainConfig,
     UgcnPredictor,
-    dense_predict,
     eval_fdi,
     eval_forecast,
     init_dense,
@@ -130,17 +131,20 @@ def params_digest(params):
 class TestTrainLoop:
     CFG = forecast_config(widths=(10, 8, 8), pooled_nodes=4, hidden=16)
 
+    def model(self, seed):
+        return UgcnPredictor(init_params(self.CFG, seed), self.CFG)
+
     def test_single_system_reduces_to_plain_training(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=3, batch_systems=4,
                            windows_per_system=2, seed=0)
-        params, history = train(init_params(self.CFG, 0), tiny_family[:1], tcfg, self.CFG)
+        _, history = train(self.model(0), tiny_family[:1], tcfg)
         assert len(history) == 3
         assert all(np.isfinite(row[1]) for row in history)
 
     def test_loss_decreases_on_smoke_run(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=12, batch_systems=3,
                            windows_per_system=4, seed=0, lr=2e-3)
-        _, history = train(init_params(self.CFG, 0), tiny_family, tcfg, self.CFG)
+        _, history = train(self.model(0), tiny_family, tcfg)
         losses = [row[1] for row in history]
         smooth = np.convolve(losses, np.ones(3) / 3, mode="valid")
         assert smooth[-1] < smooth[0]
@@ -148,46 +152,42 @@ class TestTrainLoop:
     def test_training_deterministic_in_seed(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=4, batch_systems=2,
                            windows_per_system=3, seed=9)
-        p1, h1 = train(init_params(self.CFG, 1), tiny_family, tcfg, self.CFG)
-        p2, h2 = train(init_params(self.CFG, 1), tiny_family, tcfg, self.CFG)
+        p1, h1 = train(self.model(1), tiny_family, tcfg)
+        p2, h2 = train(self.model(1), tiny_family, tcfg)
         assert params_digest(p1) == params_digest(p2)
         assert h1 == h2
 
     def test_eval_never_mutates_params(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=2, batch_systems=2,
                            windows_per_system=2, seed=0)
-        params, _ = train(init_params(self.CFG, 0), tiny_family, tcfg, self.CFG)
-        digest = params_digest(params)
-        eval_forecast(UgcnPredictor(params, self.CFG), tiny_family, horizons=(0, 1), stride=8)
-        assert params_digest(params) == digest
+        model, _ = train(self.model(0), tiny_family, tcfg)
+        digest = params_digest(model)
+        eval_forecast(model, tiny_family, horizons=(0, 1), stride=8)
+        assert params_digest(model) == digest
 
     @pytest.mark.parametrize("kind", ["ugcn", "dense"])
     def test_eval_forecast_one_forward_per_time_step(self, tiny_family, monkeypatch, kind):
-        import ugcn.training as training
         from ugcn.scenarios import feature_window
 
         if kind == "ugcn":
-            predictor = UgcnPredictor(init_params(self.CFG, 0), self.CFG)
-            predict = predictor.forecast
-            monkeypatch.setattr(predictor, "forecast",
-                                lambda ctx, x: calls.append(1) or predict(ctx, x))
+            predictor = self.model(0)
         else:
             predictor = init_dense(tiny_family[0].graph.bus_ids, task="forecast", seed=0,
                                    hidden=8, depth=1)
-            monkeypatch.setattr(training, "dense_predict",
-                                lambda m, sys, x: calls.append(1) or dense_predict(m, sys, x))
-            predict = None
+        forward = predictor.forward
+        monkeypatch.setattr(predictor, "forward",
+                            lambda ctx, x, record=False: calls.append(1) or forward(ctx, x, record))
         calls = []
         horizons, stride = (2, 0, 5), 4
         rep = eval_forecast(predictor, tiny_family, horizons=horizons, stride=stride)
         assert len(calls) == sum(len(range(9, s.t_total, stride)) for s in tiny_family)
         for system, entry in zip(tiny_family, rep.per_system):
-            ctx = training.SystemContext(system)
+            ctx = SystemContext(system)
             for h in horizons:
                 errs = []
                 for t in range(9, system.t_total - h, stride):
                     x = feature_window(system.estimates, t, 10)
-                    pred = predict(ctx, x) if predict else dense_predict(predictor, system, x)
+                    pred = forward(ctx, x) + CENTER
                     d = pred - system.true_states[t + h]
                     errs.append(float(np.mean(d.real ** 2 + d.imag ** 2)))
                 assert entry["mse"][str(h)] == float(np.mean(errs))
@@ -195,12 +195,12 @@ class TestTrainLoop:
     def test_batch_loss_is_mean_of_system_losses(self, tiny_family):
         # one window per system, full batch: the epoch loss must equal the
         # mean of independently computed per-system losses
-        from ugcn.training import SystemContext, _sample_loss_and_grads, _split_times
+        from ugcn.training import _sample_loss_and_grads, _split_times
 
         tcfg = TrainConfig(task="forecast", epochs=1, batch_systems=3,
                            windows_per_system=1, seed=5)
-        params = init_params(self.CFG, 2)
-        _, history = train(params, tiny_family, tcfg, self.CFG)
+        model = self.model(2)
+        _, history = train(model, tiny_family, tcfg)
         rng = np.random.default_rng([tcfg.seed, 101, 0])
         batch = rng.choice(3, size=3, replace=False)
         total = 0.0
@@ -208,7 +208,7 @@ class TestTrainLoop:
             ctx = SystemContext(tiny_family[q])
             times = _split_times(tiny_family[q], tcfg)[0]
             t = int(times[rng.integers(0, len(times))])
-            total += _sample_loss_and_grads(params, tcfg, self.CFG, ctx, t, None, None)
+            total += _sample_loss_and_grads(model, tcfg, ctx, t, None, None)
         assert history[0][1] == pytest.approx(total / 3, rel=1e-10)
 
 
@@ -217,11 +217,11 @@ class TestFdiTraining:
 
     def test_fdi_smoke(self, tiny_fdi_family):
         tcfg = TrainConfig(task="fdi", epochs=4, batch_systems=2, windows_per_system=3,
-                           seed=0, input_gain=20.0)
-        params, history = train(init_params(self.CFG, 0), tiny_fdi_family, tcfg, self.CFG)
+                           seed=0)
+        model, history = train(UgcnPredictor(init_params(self.CFG, 0), self.CFG),
+                               tiny_fdi_family, tcfg)
         assert len(history) == 4
-        rep = eval_fdi(UgcnPredictor(params, self.CFG, input_gain=20.0),
-                       tiny_fdi_family, omegas=(0.5,), stride=12, max_attacks=2)
+        rep = eval_fdi(model, tiny_fdi_family, omegas=(0.5,), stride=12, max_attacks=2)
         assert 0.0 <= rep.omegas[0.5]["accuracy"] <= 1.0
         assert rep.zeros_accuracy is not None
 
@@ -239,8 +239,69 @@ class TestDenseBaseline:
 
         for system in tiny_family:
             x = feature_window(system.estimates, 12, 10)
-            pred = dense_predict(model, system, x)
+            pred = model.uncentered(model.forward(SystemContext(system), x))
             assert pred.shape == (system.n,)
+
+    @pytest.mark.parametrize("task", ["forecast", "fdi"])
+    def test_gradients_match_finite_differences(self, tiny_family, task):
+        from ugcn.model import GradientSum
+        from ugcn.scenarios import feature_window
+        from ugcn.training import _loss_fdi_grad, _loss_forecast_grad
+
+        system = tiny_family[0]
+        ctx = SystemContext(system)
+        # the base layout lacks two of the system's buses and has one the system lacks
+        model = init_dense(tuple(system.graph.bus_ids[2:]) + (9999,), task=task, seed=1,
+                           hidden=6, depth=2)
+        x = feature_window(system.estimates, 12, 10)
+        rng = np.random.default_rng(0)
+        if task == "forecast":
+            loss, loss_grad = loss_forecast, _loss_forecast_grad
+            target = system.true_states[13] - CENTER
+        else:
+            loss, loss_grad = loss_fdi, _loss_fdi_grad
+            target = (rng.random(system.n) > 0.5) * 1.0
+        y, tape = model.forward(ctx, x, record=True)
+        acc = GradientSum()
+        model.backward(tape, loss_grad(y, target)[1], acc)
+        grads = acc.total()
+        assert grads.keys() == model.tensors().keys()
+        for name, tensor in model.tensors().items():
+            flat = tensor.reshape(-1)
+            for i in rng.choice(flat.size, 3, replace=False):
+                keep = flat[i]
+                flat[i] = keep + 1e-6
+                up = loss(model.forward(ctx, x), target)
+                flat[i] = keep - 1e-6
+                down = loss(model.forward(ctx, x), target)
+                flat[i] = keep
+                assert grads[name].reshape(-1)[i] == pytest.approx((up - down) / 2e-6,
+                                                                   rel=1e-5, abs=1e-9), name
+
+    def test_history_val_loss_is_held_out_loss(self, tiny_family):
+        from ugcn.training import _split_times, _validation_loss, contexts_for
+
+        base = tiny_family[0]
+        model = init_dense(base.graph.bus_ids, task="forecast", seed=0, hidden=32, depth=2)
+        tcfg = TrainConfig(task="forecast", epochs=12, batch_systems=1,
+                           windows_per_system=4, seed=0, lr=1e-2)
+        model, history = train_dense(model, [base], tcfg)
+        assert len(history) == 12
+        assert all(row[1] != row[2] for row in history)
+        val = [row[2] for row in history]
+        assert val.index(min(val)) < len(val) - 1      # the best epoch is not the last
+        held_out = _validation_loss(model, tcfg, contexts_for([base]), [_split_times(base, tcfg)])
+        assert held_out == min(val)
+
+    def test_lr_decays_per_epoch(self, tiny_family):
+        base = tiny_family[0]
+        model = init_dense(base.graph.bus_ids, task="forecast", seed=0, hidden=8, depth=1)
+        tcfg = TrainConfig(task="forecast", epochs=3, batch_systems=1, windows_per_system=2,
+                           seed=0, lr=1e-3, lr_decay=0.5)
+        state = {}
+        train(model, [base], tcfg, state_out=state)
+        assert state["epoch_next"] == 3
+        assert state["optimizer"].lr == 1e-3 * 0.5 ** 2
 
     def test_unmapped_buses_get_flat_prediction(self, tiny_family):
         base = tiny_family[0]
@@ -248,8 +309,18 @@ class TestDenseBaseline:
         from ugcn.scenarios import feature_window
 
         x = feature_window(base.estimates, 12, 10)
-        pred = dense_predict(model, base, x)
+        pred = model.uncentered(model.forward(SystemContext(base), x))
         assert np.allclose(pred, 1.0 + 0.0j)
+
+    def test_unmapped_buses_get_clean_logit(self, tiny_fdi_family):
+        from ugcn.scenarios import feature_window
+
+        system = tiny_fdi_family[0]
+        model = init_dense((9991, system.graph.bus_ids[0]), task="fdi", seed=0,
+                           hidden=8, depth=1)
+        logits = model.forward(SystemContext(system), feature_window(system.estimates, 12, 10))
+        assert logits.shape == (system.n,)
+        assert np.all(logits[1:] == -10.0) and logits[0] != -10.0
 
     def test_base_mse_below_target_variance(self, tiny_family):
         base = tiny_family[0]
@@ -291,7 +362,7 @@ class TestMetricsReport:
 
         ctx = contexts_for(tiny_fdi_family)[0]
         x = feature_window(ctx.system.estimates, 12, 10)
-        logits = predictor.logits(ctx, x)
+        logits = predictor.forward(ctx, x)
         pred = logits > 0
         tn = int(np.sum(~pred))
         assert tn / ctx.system.n == pytest.approx(1.0 - pred.mean())
