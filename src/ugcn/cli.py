@@ -363,7 +363,11 @@ def _layer_config(cfg: dict) -> LayerConfig:
     widths = tuple(cfg["widths"]) if cfg["widths"] else None
     if widths is None:
         top = 48 if task == "forecast" else 32
-        widths = (10,) + (top,) * layers
+        widths = (WINDOW,) + (top,) * layers
+    elif widths[0] != WINDOW:
+        raise ConfigError(
+            f"widths[0] must equal the feature window of {WINDOW} steps, got {widths[0]}"
+        )
     return LayerConfig(
         layers=layers,
         k_spatial=cfg["k_spatial"],
@@ -449,6 +453,8 @@ def cmd_train(args) -> int:
                     "model": UgcnPredictor(payload_to_params(ck["params"]), mcfg, cfg["center"]),
                     "bad": resume["best"]["bad"],
                 }
+                # free the checkpoint now: it holds every parameter copy as Python lists
+                del ck, resume
             else:
                 model = UgcnPredictor(init_params(mcfg, seed=cfg["seed"]), mcfg, cfg["center"])
             state: dict = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence
+from .errors import ConfigError, DimensionMismatch, NoConvergence
 from .grid import (
     DISTRIBUTION,
     GridGraph,
@@ -95,32 +95,45 @@ def measure_ami(
     z = np.concatenate([s[idx].real, s[idx].imag, np.abs(v[idx])])
     if sigma > 0:
         if rng is None:
-            raise ValueError("rng required when sigma > 0")
+            raise ConfigError("rng required when sigma > 0")
         z = z + sigma * rng.standard_normal(z.shape)
     return z
 
 
-def _ami_h_and_jac(y: np.ndarray, v: np.ndarray, idx: np.ndarray):
-    n = len(v)
-    i_cur = y @ v
-    s = v * np.conj(i_cur)
-    vmag = np.abs(v)
-    h = np.concatenate([s[idx].real, s[idx].imag, vmag[idx]])
+def _ami_h(y: np.ndarray, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Stacked [P_a, Q_a, |v|_a] the state v implies at the metered positions."""
+    v_a = v[idx]
+    s = v_a * np.conj(y[idx] @ v)
+    return np.concatenate([s.real, s.imag, np.abs(v_a)])
 
-    diag_i = np.diag(np.conj(i_cur))
-    vy = v[:, None] * np.conj(y)
-    ds_de = (diag_i + vy)[idx, :]
-    ds_df = (1j * diag_i - 1j * vy)[idx, :]
+
+def _ami_h_and_jac(y: np.ndarray, v: np.ndarray, idx: np.ndarray):
+    """h and its Jacobian in (e, f) = (Re v, Im v), built at the metered rows only."""
+    n = len(v)
     m = len(idx)
+    y_a = y[idx]
+    v_a = v[idx]
+    i_conj = np.conj(y_a @ v)
+    s = v_a * i_conj
+    vmag = np.abs(v_a)
+    h = np.concatenate([s.real, s.imag, vmag])
+
+    # dS_a/de = diag(conj i_a) + v_a conj(Y_a), dS_a/df = j diag(conj i_a) - j v_a conj(Y_a);
+    # the diagonal terms sit at (row r, column idx[r]).
+    rows = np.arange(m)
+    vy = v_a[:, None] * np.conj(y_a)
+    ds_de = vy.copy()
+    ds_de[rows, idx] += i_conj
+    ds_df = -1j * vy
+    ds_df[rows, idx] += 1j * i_conj
     jac = np.zeros((3 * m, 2 * n))
     jac[:m, :n] = ds_de.real
     jac[:m, n:] = ds_df.real
     jac[m:2 * m, :n] = ds_de.imag
     jac[m:2 * m, n:] = ds_df.imag
-    safe = np.where(vmag[idx] > 1e-12, vmag[idx], 1.0)
-    rows = np.arange(2 * m, 3 * m)
-    jac[rows, idx] = v[idx].real / safe
-    jac[rows, n + idx] = v[idx].imag / safe
+    safe = np.where(vmag > 1e-12, vmag, 1.0)
+    jac[rows + 2 * m, idx] = v_a.real / safe
+    jac[rows + 2 * m, n + idx] = v_a.imag / safe
     return h, jac
 
 
@@ -153,24 +166,39 @@ def estimate_ami(
     gauge = n + graph.pos(graph.slack_bus())
     free = np.array([i for i in range(2 * n) if i != gauge])
 
+    # lam * L restricted to the free columns; when every entry is positive the
+    # normal matrix is positive definite and each step is one dense solve.
+    reg = lam * lw[free] ** 2
+    definite = bool(np.all(reg > 0))
+
     def cost(vec):
-        h, _ = _ami_h_and_jac(y, vec, idx)
         split = np.concatenate([vec.real, vec.imag])
-        return float(np.sum((w * (z - h)) ** 2) + lam * np.sum((lw * split) ** 2))
+        return float(np.sum((w * (z - _ami_h(y, vec, idx))) ** 2)
+                     + lam * np.sum((lw * split) ** 2))
 
     current = cost(v)
     iterations = 0
     for iterations in range(1, GN_MAX_ITER + 1):
         h, jac = _ami_h_and_jac(y, v, idx)
         split = np.concatenate([v.real, v.imag])
-        a = np.vstack([w[:, None] * jac, np.sqrt(lam) * np.diag(lw)])[:, free]
-        b = np.concatenate([w * (z - h), -np.sqrt(lam) * lw * split])
-        reduced = np.linalg.lstsq(a, b, rcond=None)[0]
+        # Normal equations of the stacked system [W J; sqrt(lam) L^(1/2)] on the
+        # free columns: (WJ)^T WJ + lam L, with the gauge column dropped.
+        wj = w[:, None] * jac[:, free]
+        r = w * (z - h)
+        if definite:
+            normal = wj.T @ wj
+            normal[np.diag_indices_from(normal)] += reg
+            reduced = np.linalg.solve(normal, wj.T @ r - reg * split[free])
+        else:
+            # Without a full regularizer an unmetered bus may be unobservable;
+            # take the minimum-norm step of the stacked system instead.
+            root = np.sqrt(reg)
+            reduced = np.linalg.lstsq(np.vstack([wj, np.diag(root)]),
+                                      np.concatenate([r, -root * split[free]]), rcond=None)[0]
         if not np.all(np.isfinite(reduced)):
             raise NoConvergence(iterations, float("inf"))
-        delta = np.zeros(2 * n)
-        delta[free] = reduced
-        step = delta.copy()
+        step = np.zeros(2 * n)
+        step[free] = reduced
         trial = v + step[:n] + 1j * step[n:]
         trial_cost = cost(trial)
         halvings = 0
@@ -187,8 +215,7 @@ def estimate_ami(
         if float(np.linalg.norm(step)) < GN_STEP_TOL:
             break
     if info:
-        h, _ = _ami_h_and_jac(y, v, idx)
-        residual = float(np.linalg.norm(w * (z - h)))
+        residual = float(np.linalg.norm(w * (z - _ami_h(y, v, idx))))
         return v, {"iterations": iterations, "residual": residual, "cost": current}
     return v
 
@@ -204,9 +231,8 @@ def ami_cost(
     """Objective value at an arbitrary state (optimality cross-checks)."""
     y = build_admittance(graph) if y is None else y
     idx = np.array([graph.pos(b) for b in ami_buses])
-    h, _ = _ami_h_and_jac(y, v, idx)
     split = np.concatenate([v.real, v.imag])
-    return float(np.sum((z - h) ** 2) + lam * np.sum(split ** 2))
+    return float(np.sum((z - _ami_h(y, v, idx)) ** 2) + lam * np.sum(split ** 2))
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +285,7 @@ class PmuOperator:
         z = self.h @ v[self.perm]
         if sigma > 0:
             if rng is None:
-                raise ValueError("rng required when sigma > 0")
+                raise ConfigError("rng required when sigma > 0")
             noise = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
             z = z + sigma * noise
         return z

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DanglingBranch,
     DegenerateMatrix,
     DimensionMismatch,
@@ -278,7 +279,7 @@ def regularized_solve(h: np.ndarray, z: np.ndarray, s: np.ndarray, mu1: float) -
     if s.shape != (h.shape[1], h.shape[1]):
         raise DimensionMismatch(f"S must be {h.shape[1]}x{h.shape[1]}, got {s.shape}")
     if mu1 < 0:
-        raise ValueError("mu1 must be nonnegative")
+        raise ConfigError(f"mu1 must be nonnegative, got {mu1}")
     a = h.conj().T @ h + mu1 * s
     x = np.linalg.pinv(a, rcond=PINV_RCOND) @ (h.conj().T @ z)
     if not np.all(np.isfinite(x.view(np.float64))):

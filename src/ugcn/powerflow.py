@@ -41,31 +41,30 @@ def solve_powerflow(
 
 
 def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Backward/forward sweep written with the tree's path matrix (Teng, IEEE TPWRD 2003).
+
+    sub[p, q] = 1 when q lies in the subtree of p, so the backward sweep's branch
+    currents are sub @ i_bus and the forward sweep's drops are drop @ i_branch with
+    drop = sub^T diag(z_to_parent).
+    """
     tree = graph.bfs()
     slack = graph.pos(graph.slack_bus())
     n = graph.n
     z_to_parent = np.zeros(n, dtype=np.complex128)
-    for p in range(n):
-        if tree.parent_branch[p] >= 0:
+    # Row p of `anc` marks p and its ancestors; parents precede children in BFS order.
+    anc = np.zeros((n, n), dtype=np.complex128)
+    for p in tree.order:
+        par = tree.parent[p]
+        if par >= 0:
             z_to_parent[p] = graph.branches[tree.parent_branch[p]].impedance
+            anc[p] = anc[par]
+        anc[p, p] = 1.0
+    sub = anc.T
+    drop = anc * z_to_parent
 
     v = np.ones(n, dtype=np.complex128)
-    order = tree.order
-    reverse = order[::-1]
     for it in range(SWEEP_MAX_ITER):
-        i_bus = np.conj(s_inj / v)
-        # Backward: accumulate downstream current into each branch to the parent.
-        i_down = i_bus.copy()
-        for p in reverse:
-            if tree.parent[p] >= 0:
-                i_down[tree.parent[p]] += i_down[p]
-        # Forward: drop voltages from the slack outward.
-        v_new = v.copy()
-        v_new[slack] = 1.0 + 0.0j
-        for p in order:
-            par = tree.parent[p]
-            if par >= 0:
-                v_new[p] = v_new[par] + z_to_parent[p] * i_down[p]
+        v_new = 1.0 + drop @ (sub @ np.conj(s_inj / v))
         step = float(np.max(np.abs(v_new - v)))
         v = v_new
         if not np.all(np.isfinite(v.view(np.float64))) or np.max(np.abs(v)) > VOLTAGE_DIVERGED \

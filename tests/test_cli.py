@@ -272,6 +272,15 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_first_width_other_than_window_exits_2(self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt.json"
+        assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                        "--out", str(ckpt)] + TRAIN_SETS + ["--set", "widths=[12,6,6]"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: widths[0] must equal the feature window of 10")
+        assert err.count("\n") == 1
+        assert not ckpt.exists()
+
     def test_missing_checkpoint_exits_2(self, dataset, tmp_path, capsys):
         assert run_cli(["eval", "--checkpoint", str(tmp_path / "missing.json"),
                         "--data", dataset, "--out", str(tmp_path / "r.json")]) == 2

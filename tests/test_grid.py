@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_tree
 from ugcn.errors import (
+    ConfigError,
     DegenerateMatrix,
     DimensionMismatch,
     Disconnected,
@@ -139,6 +140,10 @@ class TestRegularizedSolve:
             regularized_solve(np.eye(3), np.zeros(2), np.zeros((3, 3)), 0.0)
         with pytest.raises(DimensionMismatch):
             regularized_solve(np.eye(3), np.zeros(3), np.zeros((2, 2)), 0.0)
+
+    def test_negative_mu1_is_config_error(self):
+        with pytest.raises(ConfigError, match="mu1 must be nonnegative"):
+            regularized_solve(np.eye(3), np.zeros(3), np.zeros((3, 3)), -1e-3)
 
 
 class TestGraphInvariants:

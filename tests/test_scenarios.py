@@ -2,17 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tree
-from ugcn.caseio import load_case
+from ugcn.caseio import load_case, to_grid_graph
 from ugcn.errors import (
+    ConfigError,
     MissingCell,
     NoConvergence,
     NonNumeric,
     WindowOutOfRange,
 )
 from ugcn.estimation import (
+    GN_MAX_ITER,
+    GN_STEP_TOL,
     PmuOperator,
+    _ami_h,
+    _ami_h_and_jac,
     ami_cost,
     ami_placement,
     estimate_ami,
@@ -21,7 +28,15 @@ from ugcn.estimation import (
     pmu_placement,
 )
 from ugcn.grid import Branch, GridGraph, build_admittance
-from ugcn.powerflow import nodal_mismatch, solve_powerflow
+from ugcn.powerflow import (
+    MISMATCH_TOL,
+    SWEEP_MAX_ITER,
+    VOLTAGE_DIVERGED,
+    _sweep,
+    nodal_mismatch,
+    solve_powerflow,
+)
+from ugcn.reconfig import AugmentConfig, augment
 from ugcn.scenarios import (
     ScenarioConfig,
     build_features,
@@ -37,6 +52,81 @@ def case_injections(name, graph):
     s = -np.array([loads[b] for b in graph.bus_ids])
     s[graph.pos(graph.slack_bus())] = 0
     return s
+
+
+def feeder_injections(name, graph, scale=1.0):
+    """Case loads at the case's buses, a small fixed load at buses a reconfiguration added."""
+    loads = load_case(name).loads_pu()
+    s = -scale * np.array([loads.get(b, 0.01 + 0.005j) for b in graph.bus_ids])
+    s[graph.pos(graph.slack_bus())] = 0
+    return s
+
+
+def reconfigured(name, seed, ops):
+    base = to_grid_graph(load_case(name))
+    cfg = AugmentConfig(q_count=1, seed=seed, ops_range=(ops, ops))
+    return augment(base, cfg)[0].graph
+
+
+def naive_sweep(graph, s_inj):
+    """Backward/forward sweep with one Python loop over the buses per direction."""
+    tree = graph.bfs()
+    slack = graph.pos(graph.slack_bus())
+    n = graph.n
+    z_to_parent = np.zeros(n, dtype=np.complex128)
+    for p in range(n):
+        if tree.parent_branch[p] >= 0:
+            z_to_parent[p] = graph.branches[tree.parent_branch[p]].impedance
+    v = np.ones(n, dtype=np.complex128)
+    for it in range(SWEEP_MAX_ITER):
+        i_down = np.conj(s_inj / v)
+        for p in tree.order[::-1]:
+            if tree.parent[p] >= 0:
+                i_down[tree.parent[p]] += i_down[p]
+        v_new = v.copy()
+        v_new[slack] = 1.0 + 0.0j
+        for p in tree.order:
+            par = tree.parent[p]
+            if par >= 0:
+                v_new[p] = v_new[par] + z_to_parent[p] * i_down[p]
+        step = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if not np.all(np.isfinite(v.view(np.float64))) or np.max(np.abs(v)) > VOLTAGE_DIVERGED \
+                or np.min(np.abs(v)) < 1e-6:
+            raise NoConvergence(it + 1, float("inf"))
+        if step < 1e-13:
+            break
+    return v
+
+
+def lstsq_estimate(graph, z, ami_buses, lam):
+    """Damped Gauss-Newton whose steps solve the stacked system [J; sqrt(lam) I] by SVD."""
+    y = build_admittance(graph)
+    n = graph.n
+    idx = np.array([graph.pos(b) for b in ami_buses])
+    free = np.array([i for i in range(2 * n) if i != n + graph.pos(graph.slack_bus())])
+    v = np.ones(n, dtype=np.complex128)
+    current = ami_cost(graph, v, z, ami_buses, lam=lam, y=y)
+    for _ in range(GN_MAX_ITER):
+        h, jac = _ami_h_and_jac(y, v, idx)
+        split = np.concatenate([v.real, v.imag])
+        a = np.vstack([jac, np.sqrt(lam) * np.eye(2 * n)])[:, free]
+        b = np.concatenate([z - h, -np.sqrt(lam) * split])
+        step = np.zeros(2 * n)
+        step[free] = np.linalg.lstsq(a, b, rcond=None)[0]
+        trial = v + step[:n] + 1j * step[n:]
+        trial_cost = ami_cost(graph, trial, z, ami_buses, lam=lam, y=y)
+        halvings = 0
+        while trial_cost > current and halvings < 12:
+            step *= 0.5
+            halvings += 1
+            trial = v + step[:n] + 1j * step[n:]
+            trial_cost = ami_cost(graph, trial, z, ami_buses, lam=lam, y=y)
+        if trial_cost <= current:
+            v, current = trial, trial_cost
+        if np.linalg.norm(step) < GN_STEP_TOL:
+            break
+    return v
 
 
 class TestPowerFlow:
@@ -70,6 +160,28 @@ class TestPowerFlow:
         mism = nodal_mismatch(y, v, s)
         mism[0] = 0
         assert np.max(np.abs(mism)) < 1e-8
+
+    @pytest.mark.parametrize("name,fixture", [("ieee33", "ieee33"), ("ieee69", "ieee69")])
+    def test_sweep_matches_naive_sweep(self, name, fixture, request):
+        g = request.getfixturevalue(fixture)
+        s = case_injections(name, g)
+        v = _sweep(g, s, build_admittance(g), MISMATCH_TOL)
+        assert np.max(np.abs(v - naive_sweep(g, s))) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["ieee33", "ieee69"]), seed=st.integers(0, 10_000),
+           ops=st.integers(1, 5), scale=st.floats(0.1, 1.5))
+    def test_sweep_matches_naive_sweep_on_reconfigured_feeders(self, name, seed, ops, scale):
+        g = reconfigured(name, seed, ops)
+        s = feeder_injections(name, g, scale)
+        try:
+            expected = naive_sweep(g, s)
+        except NoConvergence:
+            with pytest.raises(NoConvergence):
+                _sweep(g, s, build_admittance(g), MISMATCH_TOL)
+            return
+        v = _sweep(g, s, build_admittance(g), MISMATCH_TOL)
+        assert np.max(np.abs(v - expected)) <= 1e-12
 
     def test_absurd_load_diverges(self, chain4):
         s = np.array([0, 0, 0, -100.0 + 0j])
@@ -160,6 +272,47 @@ class TestAmiEstimation:
             ami_cost(ieee33, v, z, buses, lam=1e-3) + 1e-12
         assert info["iterations"] <= 50
 
+    def test_jacobian_matches_central_differences(self):
+        g = reconfigured("ieee69", seed=3, ops=4)
+        y = build_admittance(g)
+        idx = np.array([g.pos(b) for b in ami_placement(g, 0.4)])
+        rng = np.random.default_rng(5)
+        v = (1 + 0.05 * rng.standard_normal(g.n)) * np.exp(0.05j * rng.standard_normal(g.n))
+        h, jac = _ami_h_and_jac(y, v, idx)
+        assert np.array_equal(h, _ami_h(y, v, idx))
+        eps = 1e-6
+        fd = np.empty_like(jac)
+        for k in range(2 * g.n):
+            dv = np.zeros(g.n, dtype=np.complex128)
+            dv[k % g.n] = eps if k < g.n else 1j * eps
+            fd[:, k] = (_ami_h(y, v + dv, idx) - _ami_h(y, v - dv, idx)) / (2 * eps)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+
+    def test_objective_matches_lstsq_step_oracle(self):
+        g = reconfigured("ieee69", seed=7, ops=4)
+        v = solve_powerflow(g, feeder_injections("ieee69", g))
+        buses = ami_placement(g, 0.4)
+        z = measure_ami(g, v, buses, sigma=0.002, rng=np.random.default_rng(13))
+        est, info = estimate_ami(g, z, buses, lam=1e-3, info=True)
+        oracle = ami_cost(g, lstsq_estimate(g, z, buses, 1e-3), z, buses, lam=1e-3)
+        assert info["cost"] == ami_cost(g, est, z, buses, lam=1e-3)
+        assert info["cost"] <= oracle * (1 + 1e-12)
+
+    def test_unregularized_sparse_metering_takes_minimum_norm_steps(self, ieee33):
+        s = case_injections("ieee33", ieee33)
+        v = solve_powerflow(ieee33, s)
+        buses = ami_placement(ieee33, 0.4)
+        z = measure_ami(ieee33, v, buses)
+        est = estimate_ami(ieee33, z, buses, lam=0.0)
+        oracle = ami_cost(ieee33, lstsq_estimate(ieee33, z, buses, 0.0), z, buses, lam=0.0)
+        assert np.all(np.isfinite(est))
+        assert ami_cost(ieee33, est, z, buses, lam=0.0) <= oracle + 1e-12
+
+    def test_noise_without_rng_is_config_error(self, chain4):
+        v = np.ones(4, dtype=np.complex128)
+        with pytest.raises(ConfigError, match="rng required"):
+            measure_ami(chain4, v, (2, 3, 4), sigma=0.01)
+
     def test_huge_regularization_shrinks_to_zero(self, chain4):
         s = np.array([0, -0.02j, -0.02j, -0.02j])
         v = solve_powerflow(chain4, s)
@@ -191,6 +344,11 @@ class TestPmuEstimation:
         expected = np.empty_like(v)
         expected[op.perm] = inv @ op.h.conj().T @ z
         assert np.max(np.abs(est - expected)) < 1e-8
+
+    def test_noise_without_rng_is_config_error(self, chain4):
+        op = PmuOperator.build(chain4, (1, 3), mu1=1e-3)
+        with pytest.raises(ConfigError, match="rng required"):
+            op.measure(np.ones(4, dtype=np.complex128), sigma=0.01)
 
     def test_mu1_sweep_is_finite(self, ieee30):
         s = case_injections("ieee30", ieee30) * 0.55
