@@ -9,7 +9,7 @@ parameter set whose shapes are independent of system size.
 from .caseio import CaseFile, load_case, parse_case, to_grid_graph
 from .errors import UgcnError
 from .fdi import AttackScenario, build_stealth_attack, inject, sample_attack_config
-from .grid import Branch, GridGraph, Gso, build_admittance, build_gso, regularized_solve
+from .grid import Branch, GridGraph, Gso, build_admittance, build_gso
 from .model import (
     LayerConfig,
     UgcnParams,
@@ -30,7 +30,6 @@ from .scenarios import (
     ScenarioSet,
     build_features,
     build_scenario,
-    ingest_profiles_csv,
     synth_profiles,
 )
 from .training import (
@@ -54,9 +53,9 @@ __all__ = [
     "apply_op", "augment", "build_admittance", "build_features", "build_gso",
     "build_scenario", "build_stealth_attack", "conv_forward", "eval_fdi",
     "eval_forecast", "fdi_config", "forecast_config",
-    "ingest_profiles_csv", "init_params", "inject", "load_case", "loss_fdi",
+    "init_params", "inject", "load_case", "loss_fdi",
     "loss_forecast", "model_backward", "model_forward", "nodal_mismatch",
-    "parse_case", "pool_custom", "pool_learnable", "regularized_solve",
+    "parse_case", "pool_custom", "pool_learnable",
     "sample_attack_config", "solve_powerflow", "synth_profiles",
     "to_grid_graph", "train", "transmission_augment",
 ]

@@ -276,27 +276,6 @@ def to_grid_graph(case: CaseFile, kind: str | None = None, root: int | None = No
     )
 
 
-def serialize_case(case: CaseFile) -> str:
-    """Write a CaseFile back to the native JSON schema (parse round trips)."""
-    doc = {
-        "format": "ugcn-case",
-        "version": 1,
-        "name": case.name,
-        "base_mva": case.base_mva,
-        "kind": case.kind,
-        "root": case.root,
-        "buses": [
-            {"id": b.id, "p_mw": b.p_mw, "q_mvar": b.q_mvar, "type": b.type}
-            for b in case.buses
-        ],
-        "branches": [
-            {"from": br.from_bus, "to": br.to_bus, "r": br.r, "x": br.x, "status": br.status}
-            for br in case.branches
-        ],
-    }
-    return json.dumps(doc, indent=1) + "\n"
-
-
 def load_case(name_or_path: str) -> CaseFile:
     """Load a bundled case by name (ieee33/ieee69/ieee30/ieee39) or any path."""
     if name_or_path in BUILTIN_CASES:

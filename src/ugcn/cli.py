@@ -412,8 +412,8 @@ def cmd_train(args) -> int:
         )
     tcfg = _train_config(cfg)
     check_series_lengths(
-        systems, tcfg.window + tcfg.lead + 1,
-        f"one training and one validation window of {tcfg.window} steps with lead {tcfg.lead}",
+        systems, WINDOW + tcfg.lead + 1,
+        f"one training and one validation window of {WINDOW} steps with lead {tcfg.lead}",
     )
     echo = {k: v for k, v in cfg.items() if k not in ("out", "data", "resume")}
 
@@ -505,6 +505,11 @@ def cmd_eval(args) -> int:
         "checkpoint": "checkpoint", "data": "data", "out": "out", "csv": "csv",
         "model": "model",
     })
+    for key in ("stride", "fdi_stride"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    if not all(type(h) is int and h >= 0 for h in cfg["horizons"]):
+        raise ConfigError(f"horizons must be nonnegative integers, got {cfg['horizons']}")
     ck = _read_checkpoint(cfg["checkpoint"])
     if cfg["model"] and cfg["model"] != ck["model"]:
         raise ConfigError(
@@ -527,13 +532,13 @@ def cmd_eval(args) -> int:
     try:
         if task == "forecast":
             report = eval_forecast(
-                predictor, systems, horizons=tuple(cfg["horizons"]), window=WINDOW,
+                predictor, systems, horizons=tuple(cfg["horizons"]),
                 stride=cfg["stride"], model_name=ck["model"],
             )
         else:
             report = eval_fdi(
                 predictor, systems, omegas=tuple(cfg["omegas"]),
-                threshold=cfg["threshold"], window=WINDOW, stride=cfg["fdi_stride"],
+                threshold=cfg["threshold"], stride=cfg["fdi_stride"],
                 max_attacks=cfg["max_attacks"] or None, model_name=ck["model"],
             )
     except DimensionMismatch as exc:

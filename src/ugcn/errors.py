@@ -94,7 +94,7 @@ class ExhaustedRetries(UgcnError):
 
 
 class MissingCell(UgcnError):
-    """Profile CSV lacks a (time, bus) entry."""
+    """Profile series does not cover every (time, bus) cell."""
 
     def __init__(self, t, bus):
         super().__init__(f"missing profile cell for t={t}, bus={bus}")
@@ -103,14 +103,15 @@ class MissingCell(UgcnError):
 
 
 class NonNumeric(UgcnError):
-    """Profile CSV field is not a number."""
+    """Profile series holds a non-finite value."""
 
 
 class NoConvergence(UgcnError):
-    """Iterative solver failed to converge."""
+    """Iterative solver failed to converge; `context` names what was being solved."""
 
-    def __init__(self, iterations, mismatch):
-        super().__init__(f"no convergence after {iterations} iterations (mismatch {mismatch:.3e})")
+    def __init__(self, iterations, mismatch, context=""):
+        message = f"no convergence after {iterations} iterations (mismatch {mismatch:.3e})"
+        super().__init__(f"{context}: {message}" if context else message)
         self.iterations = iterations
         self.mismatch = mismatch
 

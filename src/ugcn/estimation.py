@@ -141,13 +141,11 @@ def estimate_ami(
     graph: GridGraph,
     z: np.ndarray,
     ami_buses: tuple[int, ...],
-    r_weights: np.ndarray | None = None,
     lam: float = DEFAULT_LAMBDA,
-    lam_weights: np.ndarray | None = None,
     y: np.ndarray | None = None,
     info: bool = False,
 ):
-    """Minimize ||R^(1/2)(z - h(v))||^2 + lam * ||L^(1/2) [e; f]||^2 from a flat start.
+    """Minimize ||z - h(v)||^2 + lam * ||[e; f]||^2 from a flat start, lam >= 0.
 
     Steps halve on cost increase; iteration stops when the step norm drops
     below GN_STEP_TOL or the budget runs out, returning the last iterate.
@@ -157,8 +155,6 @@ def estimate_ami(
     idx = np.array([graph.pos(b) for b in ami_buses])
     if z.shape != (3 * len(idx),):
         raise DimensionMismatch(f"expected {3 * len(idx)} measurements, got {z.shape}")
-    w = np.ones_like(z) if r_weights is None else np.sqrt(np.asarray(r_weights, dtype=float))
-    lw = np.ones(2 * n) if lam_weights is None else np.sqrt(np.asarray(lam_weights, dtype=float))
 
     v = np.ones(n, dtype=np.complex128)
     # Injections and magnitudes cannot see a global rotation; pin the angle
@@ -166,35 +162,27 @@ def estimate_ami(
     gauge = n + graph.pos(graph.slack_bus())
     free = np.array([i for i in range(2 * n) if i != gauge])
 
-    # lam * L restricted to the free columns; when every entry is positive the
-    # normal matrix is positive definite and each step is one dense solve.
-    reg = lam * lw[free] ** 2
-    definite = bool(np.all(reg > 0))
-
     def cost(vec):
         split = np.concatenate([vec.real, vec.imag])
-        return float(np.sum((w * (z - _ami_h(y, vec, idx))) ** 2)
-                     + lam * np.sum((lw * split) ** 2))
+        return float(np.sum((z - _ami_h(y, vec, idx)) ** 2) + lam * np.sum(split ** 2))
 
     current = cost(v)
     iterations = 0
     for iterations in range(1, GN_MAX_ITER + 1):
         h, jac = _ami_h_and_jac(y, v, idx)
         split = np.concatenate([v.real, v.imag])
-        # Normal equations of the stacked system [W J; sqrt(lam) L^(1/2)] on the
-        # free columns: (WJ)^T WJ + lam L, with the gauge column dropped.
-        wj = w[:, None] * jac[:, free]
-        r = w * (z - h)
-        if definite:
-            normal = wj.T @ wj
-            normal[np.diag_indices_from(normal)] += reg
-            reduced = np.linalg.solve(normal, wj.T @ r - reg * split[free])
+        # Normal equations of the stacked system [J; sqrt(lam) I] on the free
+        # columns: J^T J + lam I, with the gauge column dropped.
+        j_free = jac[:, free]
+        r = z - h
+        if lam > 0:
+            normal = j_free.T @ j_free
+            normal[np.diag_indices_from(normal)] += lam
+            reduced = np.linalg.solve(normal, j_free.T @ r - lam * split[free])
         else:
-            # Without a full regularizer an unmetered bus may be unobservable;
-            # take the minimum-norm step of the stacked system instead.
-            root = np.sqrt(reg)
-            reduced = np.linalg.lstsq(np.vstack([wj, np.diag(root)]),
-                                      np.concatenate([r, -root * split[free]]), rcond=None)[0]
+            # Without the regularizer an unmetered bus may be unobservable;
+            # take the minimum-norm least-squares step instead.
+            reduced = np.linalg.lstsq(j_free, r, rcond=None)[0]
         if not np.all(np.isfinite(reduced)):
             raise NoConvergence(iterations, float("inf"))
         step = np.zeros(2 * n)
@@ -215,24 +203,9 @@ def estimate_ami(
         if float(np.linalg.norm(step)) < GN_STEP_TOL:
             break
     if info:
-        residual = float(np.linalg.norm(w * (z - _ami_h(y, v, idx))))
+        residual = float(np.linalg.norm(z - _ami_h(y, v, idx)))
         return v, {"iterations": iterations, "residual": residual, "cost": current}
     return v
-
-
-def ami_cost(
-    graph: GridGraph,
-    v: np.ndarray,
-    z: np.ndarray,
-    ami_buses: tuple[int, ...],
-    lam: float = DEFAULT_LAMBDA,
-    y: np.ndarray | None = None,
-) -> float:
-    """Objective value at an arbitrary state (optimality cross-checks)."""
-    y = build_admittance(graph) if y is None else y
-    idx = np.array([graph.pos(b) for b in ami_buses])
-    split = np.concatenate([v.real, v.imag])
-    return float(np.sum((z - _ami_h(y, v, idx)) ** 2) + lam * np.sum(split ** 2))
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,11 @@ bounded when it is used inside polynomial graph filters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DanglingBranch,
     DegenerateMatrix,
     DimensionMismatch,
@@ -27,7 +26,6 @@ from .errors import (
 )
 
 IMPEDANCE_FLOOR = 1e-12
-PINV_RCOND = 1e-10
 
 DISTRIBUTION = "distribution"
 TRANSMISSION = "transmission"
@@ -185,11 +183,10 @@ class GridGraph:
 
 @dataclass(frozen=True)
 class Gso:
-    """Graph shift operator: complex symmetric, spectral norm 1 when normalized."""
+    """Graph shift operator: complex symmetric, spectral norm 1."""
 
     matrix: np.ndarray
     scale: float
-    normalized: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -200,10 +197,9 @@ class Gso:
             raise DegenerateMatrix("GSO has non-finite entries")
         if np.max(np.abs(m - m.T)) > 1e-12:
             raise InvalidGraph("GSO must be complex symmetric")
-        if self.normalized:
-            top = np.linalg.norm(m, 2)
-            if abs(top - 1.0) > 1e-9:
-                raise DegenerateMatrix(f"normalized GSO has spectral norm {top}")
+        top = np.linalg.norm(m, 2)
+        if abs(top - 1.0) > 1e-9:
+            raise DegenerateMatrix(f"GSO has spectral norm {top}, not 1")
 
     @property
     def n(self) -> int:
@@ -228,60 +224,14 @@ def build_admittance(graph: GridGraph) -> np.ndarray:
     return y
 
 
-def build_gso(admittance: np.ndarray, normalize: bool = True) -> Gso:
+def build_gso(admittance: np.ndarray) -> Gso:
     """Shift operator from an admittance matrix, scaled to unit spectral norm."""
     y = np.asarray(admittance, dtype=np.complex128)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {y.shape}")
     if np.max(np.abs(y - y.T)) > 1e-9:
         raise InvalidGraph("admittance matrix must be symmetric")
-    if not normalize:
-        return Gso(matrix=y, scale=1.0, normalized=False)
     top = float(np.linalg.norm(y, 2))
     if top < 1e-12:
         raise DegenerateMatrix("admittance matrix is numerically zero")
-    return Gso(matrix=y / top, scale=top, normalized=True)
-
-
-def filter_matrix(s: np.ndarray, coeffs: Iterable[complex]) -> np.ndarray:
-    """Polynomial of the shift operator, sum_k c_k S^k."""
-    s = np.asarray(s, dtype=np.complex128)
-    out = np.zeros_like(s)
-    power = np.eye(s.shape[0], dtype=np.complex128)
-    for c in coeffs:
-        out = out + c * power
-        power = power @ s
-    return out
-
-
-def shift_powers(s: np.ndarray, k_max: int) -> list[np.ndarray]:
-    """[I, S, S^2, ..., S^k_max]."""
-    s = np.asarray(s, dtype=np.complex128)
-    powers = [np.eye(s.shape[0], dtype=np.complex128)]
-    for _ in range(k_max):
-        powers.append(powers[-1] @ s)
-    return powers
-
-
-def regularized_solve(h: np.ndarray, z: np.ndarray, s: np.ndarray, mu1: float) -> np.ndarray:
-    """Solve the shift-regularized normal equations (H^H H + mu1 S)^+ H^H z.
-
-    The pseudoinverse truncates singular values below PINV_RCOND times the
-    largest one, which absorbs the rank deficiency of sparse sensor layouts.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    if h.ndim != 2:
-        raise DimensionMismatch(f"H must be a matrix, got ndim {h.ndim}")
-    if z.shape[0] != h.shape[0]:
-        raise DimensionMismatch(f"H has {h.shape[0]} rows but z has {z.shape[0]}")
-    if s.shape != (h.shape[1], h.shape[1]):
-        raise DimensionMismatch(f"S must be {h.shape[1]}x{h.shape[1]}, got {s.shape}")
-    if mu1 < 0:
-        raise ConfigError(f"mu1 must be nonnegative, got {mu1}")
-    a = h.conj().T @ h + mu1 * s
-    x = np.linalg.pinv(a, rcond=PINV_RCOND) @ (h.conj().T @ z)
-    if not np.all(np.isfinite(x.view(np.float64))):
-        raise DegenerateMatrix("regularized solve produced non-finite values")
-    return x
+    return Gso(matrix=y / top, scale=top)

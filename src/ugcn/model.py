@@ -307,12 +307,6 @@ def _cluster_sizes(n: int, n_p: int) -> np.ndarray:
     return np.array([base + 1] * rem + [base] * (n_p - rem))
 
 
-def cluster_slices(n: int, n_p: int) -> list[np.ndarray]:
-    """Contiguous cluster index blocks, sizes as even as possible, larger first."""
-    bounds = np.cumsum(np.concatenate([[0], _cluster_sizes(n, n_p)]))
-    return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_p)]
-
-
 def pool_custom(x: np.ndarray, n_p: int, order: np.ndarray | None = None):
     """Average and split elementwise-max per BFS-ordered cluster, concatenated.
 

@@ -9,7 +9,6 @@ generation is reproducible and parallelizable per system.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,41 +141,6 @@ def synth_profiles(
     return ProfileSet(bus_ids=bus_ids, p=p, q=q, pv=pv)
 
 
-def ingest_profiles_csv(text: str) -> ProfileSet:
-    """Parse a dense `t,bus,p,q,pv` CSV into a ProfileSet."""
-    reader = io.StringIO(text)
-    header = reader.readline().strip().lower().split(",")
-    if header != ["t", "bus", "p", "q", "pv"]:
-        raise NonNumeric(f"expected header t,bus,p,q,pv, got {header}")
-    cells: dict[tuple[int, int], tuple[float, float, float]] = {}
-    for lineno, line in enumerate(reader, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise NonNumeric(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            t, bus = int(parts[0]), int(parts[1])
-            p, q, pv = float(parts[2]), float(parts[3]), float(parts[4])
-        except ValueError as exc:
-            raise NonNumeric(f"line {lineno}: {exc}") from exc
-        cells[(t, bus)] = (p, q, pv)
-    if not cells:
-        raise MissingCell(0, 0)
-    times = sorted({t for t, _ in cells})
-    buses = sorted({b for _, b in cells})
-    p = np.zeros((len(times), len(buses)))
-    q = np.zeros_like(p)
-    pv = np.zeros_like(p)
-    for i, t in enumerate(times):
-        for j, b in enumerate(buses):
-            if (t, b) not in cells:
-                raise MissingCell(t, b)
-            p[i, j], q[i, j], pv[i, j] = cells[(t, b)]
-    return ProfileSet(bus_ids=tuple(buses), p=p, q=q, pv=pv)
-
-
 # --------------------------------------------------------------------------
 # Scenario sets
 
@@ -227,6 +191,10 @@ class ScenarioConfig:
             raise ConfigError(f"t_total must be at least 1, got {self.t_total}")
         if self.scenario not in (AMI, PMU):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        if self.lam < 0:
+            raise ConfigError(f"lam must be nonnegative, got {self.lam}")
+        if self.mu1 < 0:
+            raise ConfigError(f"mu1 must be nonnegative, got {self.mu1}")
 
 
 def _series_profiles(graph: GridGraph, cfg: ScenarioConfig, index: int,
@@ -276,16 +244,21 @@ def build_scenario(
     """Profiles -> power flow -> measurements -> estimates for one system."""
     y = build_admittance(graph)
     scale = cfg.demand_scale
+    tried = []
     states = None
     for _ in range(4):
+        tried.append(scale)
         profiles = _series_profiles(graph, cfg, index, base_loads, scale)
         try:
             states = _solve_series(graph, y, profiles.injections())
             break
-        except NoConvergence:
+        except NoConvergence as exc:
+            last = exc
             scale *= 0.85   # stressed reconfiguration: back the demand off and retry
     if states is None:
-        raise NoConvergence(4, float("nan"))
+        scales = ", ".join(f"{s:.4g}" for s in tried)
+        raise NoConvergence(last.iterations, last.mismatch,
+                            f"system {index} failed at demand scales {scales}; last power flow")
     mags = np.abs(states)
     if mags.min() <= SANITY_BAND[0] or mags.max() >= SANITY_BAND[1]:
         raise OutsideSanityBand(SANITY_BAND, float(mags.min()), float(mags.max()))

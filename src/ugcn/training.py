@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,12 +29,13 @@ from .model import (
     model_backward,
     model_forward,
 )
-from .scenarios import ScenarioSet, build_features, feature_window
+from .scenarios import WINDOW, ScenarioSet, build_features, feature_window
 from .estimation import PmuOperator
 
 FORECAST = "forecast"
 FDI = "fdi"
 CENTER = 1.0 + 0.0j   # estimates and states hover around the flat profile
+VAL_FRACTION = 0.1    # trailing share of each series held out for validation
 
 
 # --------------------------------------------------------------------------
@@ -172,14 +174,10 @@ class TrainConfig:
     windows_per_system: int = 6
     lr: float = 1e-3
     lr_decay: float = 0.98             # per-epoch multiplicative decay
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    window: int = 10
     attack_prob: float = 0.7
-    val_fraction: float = 0.1
     early_stop_patience: int = 10
+    window: ClassVar[int] = WINDOW     # the feature window is fixed, not a setting
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -188,6 +186,13 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.task not in (FORECAST, FDI):
             raise ConfigError(f"unknown task {self.task!r}")
+        if self.batch_systems < 1:
+            raise ConfigError(f"batch_systems must be at least 1, got {self.batch_systems}")
+        if self.windows_per_system < 1:
+            raise ConfigError(
+                f"windows_per_system must be at least 1, got {self.windows_per_system}")
+        if self.horizon < 0:
+            raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
 
     @property
     def lead(self) -> int:
@@ -196,7 +201,7 @@ class TrainConfig:
 
 
 def _usable_times(system: ScenarioSet, cfg: TrainConfig) -> np.ndarray:
-    return np.arange(cfg.window - 1, system.t_total - cfg.lead)
+    return np.arange(WINDOW - 1, system.t_total - cfg.lead)
 
 
 def check_series_lengths(systems: list[ScenarioSet], minimum: int, purpose: str) -> None:
@@ -212,7 +217,7 @@ def check_series_lengths(systems: list[ScenarioSet], minimum: int, purpose: str)
 
 def _split_times(system: ScenarioSet, cfg: TrainConfig):
     times = _usable_times(system, cfg)
-    n_val = max(1, int(np.ceil(cfg.val_fraction * len(times))))
+    n_val = max(1, int(np.ceil(VAL_FRACTION * len(times))))
     return times[:-n_val], times[-n_val:]
 
 
@@ -352,14 +357,13 @@ class DenseModel(Model):
 def init_dense(
     bus_slots: tuple[int, ...],
     task: str,
-    window: int = 10,
     hidden: int = 512,
     depth: int = 4,
     seed: int = 0,
     center: bool = True,
 ) -> DenseModel:
     n = len(bus_slots)
-    n_in = 2 * n * window
+    n_in = 2 * n * WINDOW
     n_out = 2 * n if task == FORECAST else n
     rng = np.random.default_rng([seed, 53])
     dims = [n_in] + [hidden] * depth + [n_out]
@@ -367,7 +371,7 @@ def init_dense(
                for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
     return DenseModel(bus_slots=tuple(bus_slots), weights=weights, biases=biases,
-                      task=task, window=window, center=center)
+                      task=task, window=WINDOW, center=center)
 
 
 # --------------------------------------------------------------------------
@@ -385,17 +389,17 @@ def _sample_loss_and_grads(
     """Loss of one window; with `accumulate`, also adds its gradients there."""
     system = ctx.system
     if cfg.task == FORECAST:
-        x, target = build_features(system, t, window=cfg.window, horizon=cfg.horizon)
+        x, target = build_features(system, t, horizon=cfg.horizon)
         target = model.centered(target)
         loss, loss_grad = loss_forecast, _loss_forecast_grad
     else:
         if attack_idx is not None:
             x, target = build_features(
-                system, t, window=cfg.window, attack=system.attacks[attack_idx],
+                system, t, attack=system.attacks[attack_idx],
                 estimate_shift=ctx.attack_shift(attack_idx),
             )
         else:
-            x = feature_window(system.estimates, t, cfg.window)
+            x = feature_window(system.estimates, t)
             target = np.zeros(system.n)
         loss, loss_grad = loss_fdi, _loss_fdi_grad
     if accumulate is None:
@@ -438,7 +442,7 @@ def train(
     model = model.copy()
     contexts = contexts_for(systems)
     splits = [_split_times(s, cfg) for s in systems]
-    opt = optimizer if optimizer is not None else Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = optimizer if optimizer is not None else Adam(cfg.lr)
     history = [] if history is None else list(history)
     best = dict(best) if best else {"val": float("inf"), "model": model.copy(), "bad": 0}
 
@@ -564,7 +568,6 @@ def eval_forecast(
     predictor: Model,
     systems: list[ScenarioSet],
     horizons=(0, 1, 2, 3, 4, 5),
-    window: int = 10,
     stride: int = 4,
     model_name: str = "ugcn",
 ) -> MetricsReport:
@@ -579,12 +582,12 @@ def eval_forecast(
         # The prediction depends on t alone, so each horizon reads the same
         # forward pass; the shortest horizon needs the most time steps.
         preds = {}
-        for t in range(window - 1, system.t_total - min(horizons, default=0), stride):
-            x = feature_window(system.estimates, t, window)
+        for t in range(WINDOW - 1, system.t_total - min(horizons, default=0), stride):
+            x = feature_window(system.estimates, t)
             preds[t] = predictor.uncentered(predictor.forward(ctx, x))
         for h in horizons:
             errs = []
-            for t in range(window - 1, system.t_total - h, stride):
+            for t in range(WINDOW - 1, system.t_total - h, stride):
                 pred = preds[t]
                 target = system.true_states[t + h]
                 d = pred - target
@@ -599,7 +602,7 @@ def eval_forecast(
         horizons={h: float(np.mean(v)) for h, v in mse.items()},
         per_system=per_system,
         wall_clock_s=time.time() - start,
-        config={"stride": stride, "window": window, "n_systems": len(systems)},
+        config={"stride": stride, "window": WINDOW, "n_systems": len(systems)},
     )
     return report
 
@@ -619,7 +622,6 @@ def eval_fdi(
     systems: list[ScenarioSet],
     omegas=(0.1, 0.3, 0.5, 0.7, 0.9),
     threshold: float = 0.5,
-    window: int = 10,
     stride: int = 24,
     max_attacks: int | None = None,
     model_name: str = "ugcn",
@@ -643,14 +645,14 @@ def eval_fdi(
         if max_attacks is not None:
             live = live[:max_attacks]
         sys_counts = {float(w): [0, 0, 0, 0] for w in omegas}
-        times = list(range(window - 1, system.t_total, stride))
+        times = list(range(WINDOW - 1, system.t_total, stride))
         for ai in live:
             attack = system.attacks[ai]
             shift = ctx.attack_shift(ai)
             labels = attack.labels.astype(bool)
             for w in omegas:
                 for t in times:
-                    x = feature_window(system.estimates, t, window) + float(w) * shift[:, None]
+                    x = feature_window(system.estimates, t) + float(w) * shift[:, None]
                     logits = predictor.forward(ctx, x)
                     pred = logits > logit_cut
                     tp = int(np.sum(pred & labels))

@@ -15,9 +15,8 @@ from ugcn.caseio import load_case, to_grid_graph
 from ugcn.errors import InfeasibleAttack
 from ugcn.estimation import fdi_sensor_placement
 from ugcn.fdi import build_stealth_attack, inject, sample_attack_config
-from ugcn.grid import build_admittance, build_gso, filter_matrix
+from ugcn.grid import build_admittance
 from ugcn.model import (
-    cluster_slices,
     conv_forward,
     fdi_config,
     forecast_config,
@@ -100,7 +99,7 @@ def test_criterion_02_conv_oracle():
 
 
 def test_criterion_03_shift_invariance():
-    from test_model import random_gso
+    from test_model import filter_matrix, random_gso
 
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -161,6 +160,8 @@ def test_criterion_05_universality_shape_audit():
 
 
 def test_criterion_06_pooling_contracts():
+    from test_model import cluster_slices
+
     sizes_13 = [len(c) for c in cluster_slices(13, 4)]
     sizes_10 = [len(c) for c in cluster_slices(10, 4)]
     ok = sorted(sizes_13) == [3, 3, 3, 4] and sorted(sizes_10) == [2, 2, 3, 3]

@@ -94,9 +94,20 @@ class TestGen:
         assert "outside the sanity band (0.999, 1.001)" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_non_convergence_names_system_and_demand_scales(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(["gen", "--case", "ieee33", "--q", "2", "--t-total", "12",
+                        "--set", "demand_scale=20", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("generation failed: system 0 failed at demand scales "
+                              "20, 17, 14.45, 12.28; last power flow: no convergence after")
+        assert err.count("\n") == 1
+        assert not any(f.endswith(".ugcn.json") for f in os.listdir(out))
+
     def test_generation_errors_survive_worker_pickling(self):
         # `gen --jobs N` sends a worker's exception back to the parent by pickle
-        for exc in (NoConvergence(3, 0.5), OutsideSanityBand((0.5, 1.5), 0.4, 1.0)):
+        for exc in (NoConvergence(3, 0.5), NoConvergence(3, 0.5, "system 4"),
+                    OutsideSanityBand((0.5, 1.5), 0.4, 1.0)):
             back = pickle.loads(pickle.dumps(exc))
             assert type(back) is type(exc)
             assert str(back) == str(exc) and back.__dict__ == exc.__dict__
@@ -322,6 +333,35 @@ class TestTrainEval:
                         "--out", report, "--set", "horizons=[1]",
                         "--set", "stride=8"]) == 0
         assert json.loads(open(report).read())["model"] == "dense"
+
+
+@pytest.fixture(scope="module")
+def checkpoint(dataset, tmp_path_factory):
+    ckpt = str(tmp_path_factory.mktemp("ckpt") / "m.ckpt.json")
+    assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                    "--out", ckpt, "--seed", "1"] + TRAIN_SETS) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("command, override, message", [
+    ("train", ["--set", "batch_systems=0"], "batch_systems must be at least 1, got 0"),
+    ("train", ["--set", "windows_per_system=0"], "windows_per_system must be at least 1, got 0"),
+    ("train", ["--horizon", "-1"], "horizon must be nonnegative, got -1"),
+    ("eval", ["--set", "stride=0"], "stride must be at least 1, got 0"),
+    ("eval", ["--set", "horizons=[-3]"], "horizons must be nonnegative integers, got [-3]"),
+])
+def test_out_of_range_numbers_exit_2(dataset, checkpoint, tmp_path, capsys,
+                                     command, override, message):
+    out = tmp_path / "out.json"
+    if command == "train":
+        args = ["train", "--task", "forecast", "--data", dataset, "--out", str(out)] + TRAIN_SETS
+    else:
+        args = ["eval", "--checkpoint", checkpoint, "--data", dataset, "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(args + override) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert os.listdir(tmp_path) == []
 
 
 class TestReportCmd:

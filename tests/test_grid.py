@@ -1,25 +1,17 @@
-"""Admittance, shift operator, and regularized solver contracts."""
+"""Admittance, shift operator, and graph invariant contracts."""
 
 import numpy as np
 import pytest
 
 from conftest import random_tree
 from ugcn.errors import (
-    ConfigError,
     DegenerateMatrix,
-    DimensionMismatch,
     Disconnected,
     InvalidGraph,
     NotRadial,
     ZeroImpedance,
 )
-from ugcn.grid import (
-    Branch,
-    GridGraph,
-    build_admittance,
-    build_gso,
-    regularized_solve,
-)
+from ugcn.grid import Branch, GridGraph, build_admittance, build_gso
 
 
 def two_bus():
@@ -86,12 +78,6 @@ class TestGso:
         gso = build_gso(build_admittance(g))
         assert abs(np.linalg.norm(gso.matrix, 2) - 1.0) < 1e-9
 
-    def test_unnormalized_passthrough(self):
-        y = build_admittance(two_bus())
-        gso = build_gso(y, normalize=False)
-        assert gso.scale == 1.0
-        assert np.allclose(gso.matrix, y)
-
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMatrix):
             build_gso(np.zeros((3, 3)))
@@ -99,51 +85,6 @@ class TestGso:
     def test_symmetry_required(self):
         with pytest.raises(InvalidGraph):
             build_gso(np.array([[0, 1], [2, 0]], dtype=complex))
-
-
-class TestRegularizedSolve:
-    def test_identity_system(self):
-        z = np.array([1 + 2j, -3j, 0.5])
-        x = regularized_solve(np.eye(3), z, np.zeros((3, 3)), 0.0)
-        assert np.allclose(x, z, atol=1e-12)
-
-    def test_repeated_measurement_averages(self):
-        h = np.array([[1.0], [1.0]])
-        x = regularized_solve(h, np.array([1.0, 3.0]), np.zeros((1, 1)), 0.0)
-        assert x[0] == pytest.approx(2.0)
-
-    def test_matches_svd_oracle(self):
-        rng = np.random.default_rng(0)
-        h = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        s = rng.standard_normal((4, 4))
-        s = (s + s.T) / 2 + 0j
-        mu1 = 1e-3
-        x = regularized_solve(h, z, s, mu1)
-        # oracle: explicit SVD-based pseudoinverse of the normal matrix
-        a = h.conj().T @ h + mu1 * s
-        u, sv, vh = np.linalg.svd(a)
-        inv = vh.conj().T @ np.diag(1.0 / sv) @ u.conj().T
-        expected = inv @ h.conj().T @ z
-        assert np.linalg.norm(x - expected) / np.linalg.norm(expected) < 1e-8
-
-    def test_unregularized_matches_least_squares(self):
-        rng = np.random.default_rng(1)
-        h = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        x = regularized_solve(h, z, np.zeros((5, 5)), 0.0)
-        expected = np.linalg.lstsq(h, z, rcond=None)[0]
-        assert np.linalg.norm(x - expected) < 1e-8
-
-    def test_shape_checks(self):
-        with pytest.raises(DimensionMismatch):
-            regularized_solve(np.eye(3), np.zeros(2), np.zeros((3, 3)), 0.0)
-        with pytest.raises(DimensionMismatch):
-            regularized_solve(np.eye(3), np.zeros(3), np.zeros((2, 2)), 0.0)
-
-    def test_negative_mu1_is_config_error(self):
-        with pytest.raises(ConfigError, match="mu1 must be nonnegative"):
-            regularized_solve(np.eye(3), np.zeros(3), np.zeros((3, 3)), -1e-3)
 
 
 class TestGraphInvariants:

@@ -5,18 +5,18 @@ import pytest
 
 from conftest import random_tree
 from ugcn.errors import DimensionMismatch, TooFewNodes
-from ugcn.grid import build_admittance, build_gso, shift_powers
+from ugcn.grid import build_admittance, build_gso
 from ugcn.model import (
     CUSTOM,
     LEARNABLE,
     GradientSum,
     LayerConfig,
+    _cluster_sizes,
     _head,
     _head_back,
     _pool_custom_back,
     _pool_learnable_back,
     _positions,
-    cluster_slices,
     conv_forward,
     fdi_config,
     forecast_config,
@@ -33,6 +33,32 @@ from ugcn.model import (
 def random_gso(n, seed):
     g = random_tree(n, seed)
     return build_gso(build_admittance(g)).matrix
+
+
+def shift_powers(s: np.ndarray, k_max: int) -> list[np.ndarray]:
+    """[I, S, S^2, ..., S^k_max]."""
+    s = np.asarray(s, dtype=np.complex128)
+    powers = [np.eye(s.shape[0], dtype=np.complex128)]
+    for _ in range(k_max):
+        powers.append(powers[-1] @ s)
+    return powers
+
+
+def filter_matrix(s: np.ndarray, coeffs) -> np.ndarray:
+    """Polynomial of the shift operator, sum_k c_k S^k."""
+    s = np.asarray(s, dtype=np.complex128)
+    out = np.zeros_like(s)
+    power = np.eye(s.shape[0], dtype=np.complex128)
+    for c in coeffs:
+        out = out + c * power
+        power = power @ s
+    return out
+
+
+def cluster_slices(n: int, n_p: int) -> list[np.ndarray]:
+    """Contiguous cluster index blocks, sizes as even as possible, larger first."""
+    bounds = np.cumsum(np.concatenate([[0], _cluster_sizes(n, n_p)]))
+    return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_p)]
 
 
 def naive_conv(s, window, taps):
@@ -318,8 +344,6 @@ class TestHeadAndModel:
 
 class TestShiftInvariance:
     def test_polynomial_commutes_with_shift(self):
-        from ugcn.grid import filter_matrix
-
         rng = np.random.default_rng(11)
         for trial in range(5):
             s = random_gso(int(rng.integers(5, 20)), 400 + trial)

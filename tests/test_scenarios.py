@@ -9,18 +9,16 @@ from conftest import random_tree
 from ugcn.caseio import load_case, to_grid_graph
 from ugcn.errors import (
     ConfigError,
-    MissingCell,
     NoConvergence,
-    NonNumeric,
     WindowOutOfRange,
 )
 from ugcn.estimation import (
+    DEFAULT_LAMBDA,
     GN_MAX_ITER,
     GN_STEP_TOL,
     PmuOperator,
     _ami_h,
     _ami_h_and_jac,
-    ami_cost,
     ami_placement,
     estimate_ami,
     fdi_sensor_count,
@@ -42,7 +40,6 @@ from ugcn.scenarios import (
     build_features,
     build_scenario,
     feature_window,
-    ingest_profiles_csv,
     synth_profiles,
 )
 
@@ -97,6 +94,21 @@ def naive_sweep(graph, s_inj):
         if step < 1e-13:
             break
     return v
+
+
+def ami_cost(
+    graph: GridGraph,
+    v: np.ndarray,
+    z: np.ndarray,
+    ami_buses: tuple[int, ...],
+    lam: float = DEFAULT_LAMBDA,
+    y: np.ndarray | None = None,
+) -> float:
+    """Objective value of `estimate_ami` at an arbitrary state (optimality cross-checks)."""
+    y = build_admittance(graph) if y is None else y
+    idx = np.array([graph.pos(b) for b in ami_buses])
+    split = np.concatenate([v.real, v.imag])
+    return float(np.sum((z - _ami_h(y, v, idx)) ** 2) + lam * np.sum(split ** 2))
 
 
 def lstsq_estimate(graph, z, ami_buses, lam):
@@ -213,23 +225,6 @@ class TestProfiles:
         assert prof.pv.min() >= 0
         night = prof.pv[[0, 1, 2, 3, 22, 23]].sum()
         assert night == 0
-
-    def test_csv_round_trip(self):
-        text = "t,bus,p,q,pv\n0,1,0.1,0.05,0\n0,2,0.2,0.1,0.01\n1,1,0.11,0.05,0\n1,2,0.19,0.1,0.02\n"
-        prof = ingest_profiles_csv(text)
-        assert prof.p.shape == (2, 2)
-        assert prof.pv[1, 1] == pytest.approx(0.02)
-
-    def test_csv_missing_cell(self):
-        text = "t,bus,p,q,pv\n0,1,0.1,0.05,0\n0,2,0.2,0.1,0\n1,1,0.11,0.05,0\n"
-        with pytest.raises(MissingCell) as err:
-            ingest_profiles_csv(text)
-        assert (err.value.t, err.value.bus) == (1, 2)
-
-    def test_csv_non_numeric(self):
-        text = "t,bus,p,q,pv\n0,1,abc,0.05,0\n"
-        with pytest.raises(NonNumeric):
-            ingest_profiles_csv(text)
 
 
 class TestSensorPlacement:
@@ -360,6 +355,16 @@ class TestPmuEstimation:
             est = op.estimate(op.measure(v))
             errs.append(float(np.linalg.norm(est - v)))
         assert all(np.isfinite(e) for e in errs)
+
+
+class TestScenarioConfig:
+    def test_negative_mu1_is_config_error(self):
+        with pytest.raises(ConfigError, match="mu1 must be nonnegative"):
+            ScenarioConfig(mu1=-1e-3)
+
+    def test_negative_lam_is_config_error(self):
+        with pytest.raises(ConfigError, match="lam must be nonnegative"):
+            ScenarioConfig(lam=-1e-3)
 
 
 class TestScenarioBuild:
