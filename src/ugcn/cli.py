@@ -510,6 +510,11 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if not all(type(h) is int and h >= 0 for h in cfg["horizons"]):
         raise ConfigError(f"horizons must be nonnegative integers, got {cfg['horizons']}")
+    if not 0 < cfg["threshold"] < 1:
+        raise ConfigError(f"threshold must lie strictly between 0 and 1, got {cfg['threshold']}")
+    if cfg["max_attacks"] < 0:
+        raise ConfigError(
+            f"max_attacks must be nonnegative (0 replays every attack), got {cfg['max_attacks']}")
     ck = _read_checkpoint(cfg["checkpoint"])
     if cfg["model"] and cfg["model"] != ck["model"]:
         raise ConfigError(

@@ -96,11 +96,6 @@ class ExhaustedRetries(UgcnError):
 class MissingCell(UgcnError):
     """Profile series does not cover every (time, bus) cell."""
 
-    def __init__(self, t, bus):
-        super().__init__(f"missing profile cell for t={t}, bus={bus}")
-        self.t = t
-        self.bus = bus
-
 
 class NonNumeric(UgcnError):
     """Profile series holds a non-finite value."""

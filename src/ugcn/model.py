@@ -1,5 +1,7 @@
 """The network: complex spatio-temporal graph convolutions, adaptive pooling,
 and a position-broadcast decoder head, with hand-rolled reverse-mode gradients.
+The decoder's position term is a per-system constant (`head_constant`), formed
+once per system and parameter set rather than once per window.
 
 Every learnable tensor has a shape independent of the graph size, so one
 parameter set runs on any system.  Convolution layers apply
@@ -389,7 +391,7 @@ def _pool_learnable_back(grad: np.ndarray, cache: dict):
 # Full model
 
 
-def _positions(n_out: int, n: int, node_order: np.ndarray | None) -> np.ndarray:
+def decoder_positions(n_out: int, n: int, node_order: np.ndarray | None) -> np.ndarray:
     """Decoder position codes in [0, 1].
 
     With a node ordering available (and a matching output length) each bus is
@@ -411,12 +413,15 @@ def model_forward(
     n_out: int | None = None,
     node_order: np.ndarray | None = None,
     record: bool = False,
+    head: tuple | None = None,
 ):
     """Run the network on one system's feature window.
 
     x is [N, m0] complex with channel m0-1 the newest estimate.  The output is
     a complex phasor prediction per bus (two real heads) or a real logit per
-    bus, of length n_out (defaults to N).
+    bus, of length n_out (defaults to N).  `head` is the system's decoder
+    constant from `head_constant` for the current parameters; without it the
+    constant is formed here.
     """
     s_mat = s.matrix if isinstance(s, Gso) else np.asarray(s, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
@@ -441,8 +446,10 @@ def model_forward(
     else:
         _, pooled, pool_cache = pool_learnable(top, params.assign)
 
+    if head is None:
+        head = head_constant(decoder_positions(n_out, x.shape[0], node_order), params)
     x_vec = np.concatenate([pooled.real.ravel(), pooled.imag.ravel()])
-    out, head_cache = _head(x_vec, _positions(n_out, x.shape[0], node_order), params)
+    out, head_cache = _head(x_vec, head, params)
 
     if cfg.outputs == 2:
         y = out[:, 0] + 1j * out[:, 1]
@@ -457,39 +464,59 @@ def model_forward(
     return y, tape
 
 
-def _head(x_vec: np.ndarray, positions: np.ndarray, params: UgcnParams):
+def head_constant(positions: np.ndarray, params: UgcnParams):
+    """The decoder's per-system constant (positions, e_pos, E = e_pos w_t + b_t);
+    valid while the parameters it was formed from are unchanged."""
+    e_pos = np.tanh(positions[:, None] * params.w_pos[None, :] + params.b_pos[None, :])
+    return positions, e_pos, e_pos @ params.w_t + params.b_t[None, :]
+
+
+def _head(x_vec: np.ndarray, head: tuple, params: UgcnParams):
+    """The decoder: the encoded window h broadcast over position-coded buses,
+
+        pre_t[n] = (h + e_pos[n]) w_t + b_t,   e_pos[n] = tanh(p_n w_pos + b_pos).
+
+    e_pos depends only on the system and the parameters, so the per-system
+    constant E = e_pos w_t + b_t of `head_constant` is formed once and each
+    window adds one GEMV: pre_t = (h w_t)[None, :] + E.  Backward mirrors the
+    split: with col = sum_n g_pre_t[n], the window's w_t gradient is
+    outer(h, col) + e_pos^T g_pre_t and g_h = w_t col.  The e_pos terms of
+    the w_t, w_pos and b_pos gradients are linear in g_pre_t with per-system
+    coefficients, so a GradientSum sums g_pre_t over a system's windows and
+    contracts that sum once (`_position_grads`).
+    """
     pre_h = params.w_enc @ x_vec + params.b_enc
     h = np.maximum(pre_h, 0.0)
-    pre_e = positions[:, None] * params.w_pos[None, :] + params.b_pos[None, :]
-    e_pos = np.tanh(pre_e)
-    c = h[None, :] + e_pos
-    pre_t = c @ params.w_t + params.b_t[None, :]
+    pre_t = (h @ params.w_t)[None, :] + head[2]
     t_act = np.maximum(pre_t, 0.0)
     out = t_act @ params.w_out + params.b_out[None, :]
-    cache = {"x_vec": x_vec, "pre_h": pre_h, "h": h, "positions": positions,
-             "e_pos": e_pos, "c": c, "pre_t": pre_t, "t_act": t_act}
+    cache = {"x_vec": x_vec, "pre_h": pre_h, "h": h, "head": head,
+             "pre_t": pre_t, "t_act": t_act}
     return out, cache
 
 
 def _head_back(cache: dict, params: UgcnParams, g_out: np.ndarray):
-    """Decoder gradients and the gradient of the flattened pooled block."""
+    """Per-window decoder gradients, the gradient of the flattened pooled block,
+    and g_pre_t, which carries the deferred position terms."""
     grads: dict[str, np.ndarray] = {}
-    t_act, pre_t, c = cache["t_act"], cache["pre_t"], cache["c"]
-    grads["w_out"] = t_act.T @ g_out
+    grads["w_out"] = cache["t_act"].T @ g_out
     grads["b_out"] = g_out.sum(axis=0)
-    g_t = g_out @ params.w_out.T
-    g_pre_t = g_t * (pre_t > 0)
-    grads["w_t"] = c.T @ g_pre_t
-    grads["b_t"] = g_pre_t.sum(axis=0)
-    g_c = g_pre_t @ params.w_t.T
-    g_h = g_c.sum(axis=0)
-    g_pre_e = g_c * (1.0 - cache["e_pos"] ** 2)
-    grads["w_pos"] = (g_pre_e * cache["positions"][:, None]).sum(axis=0)
-    grads["b_pos"] = g_pre_e.sum(axis=0)
-    g_pre_h = g_h * (cache["pre_h"] > 0)
+    g_pre_t = (g_out @ params.w_out.T) * (cache["pre_t"] > 0)
+    col = g_pre_t.sum(axis=0)
+    grads["b_t"] = col
+    g_pre_h = (params.w_t @ col) * (cache["pre_h"] > 0)
     grads["b_enc"] = g_pre_h
-    # w_enc's gradient is the outer product of g_pre_h and x_vec; callers form it
-    return grads, params.w_enc.T @ g_pre_h
+    # w_enc's and w_t's h-terms are outer products (g_pre_h x_vec, h col); callers form them
+    return grads, params.w_enc.T @ g_pre_h, g_pre_t
+
+
+def _position_grads(head: tuple, w_t: np.ndarray, g_pre_t: np.ndarray) -> dict[str, np.ndarray]:
+    """The e_pos terms of the w_t, w_pos and b_pos gradients for the head
+    pre-activation gradient g_pre_t, one window's or a sum over windows."""
+    positions, e_pos, _ = head
+    g_pre_e = (g_pre_t @ w_t.T) * (1.0 - e_pos ** 2)
+    return {"w_t": e_pos.T @ g_pre_t, "w_pos": positions @ g_pre_e,
+            "b_pos": g_pre_e.sum(axis=0)}
 
 
 class GradientSum:
@@ -499,17 +526,24 @@ class GradientSum:
     weight: the ugcn encoder weight's is its b_enc gradient times the
     flattened pooled block, and a dense layer's is its input times its
     pre-activation gradient.  The sum keeps the two factors of each window
-    and contracts them all with one GEMM per weight in `total`.
+    and contracts them all with one GEMM per weight in `total`.  The ugcn
+    decoder's position terms are linear in the head pre-activation gradient,
+    so the sum keeps one running g_pre_t per decoder constant and contracts
+    it once.  `total` reads the weights as they are then, so call it before
+    the tensors are updated.
     """
 
     def __init__(self):
         self._sums: dict[str, np.ndarray] = {}
         self._outer: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._heads: list[list] = []        # [head constant, w_t, summed g_pre_t]
 
     def add(self, grads: dict[str, np.ndarray],
-            outer: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
-        """Add one window: its gradients by name, and by name the (left, right)
-        factors of those that are outer products.
+            outer: dict[str, tuple[np.ndarray, np.ndarray]],
+            head: tuple | None = None) -> None:
+        """Add one window: its gradients by name, by name the (left, right)
+        factors of those that are outer products, and for a ugcn window the
+        (head constant, w_t, g_pre_t) of its deferred position terms.
 
         The first window's arrays become the running sums, updated in place,
         so the factors are copied.
@@ -521,11 +555,20 @@ class GradientSum:
                 self._sums[name] += g
             else:
                 self._sums[name] = g
+        if head is not None:
+            constant, w_t, g_pre_t = head
+            if self._heads and self._heads[-1][0] is constant:
+                self._heads[-1][2] += g_pre_t
+            else:
+                self._heads.append([constant, w_t, g_pre_t.copy()])
 
     def total(self) -> dict[str, np.ndarray]:
         out = dict(self._sums)
         for name, pairs in self._outer.items():
             out[name] = np.stack([a for a, _ in pairs], axis=1) @ np.stack([b for _, b in pairs])
+        for constant, w_t, g_pre_t in self._heads:
+            for name, g in _position_grads(constant, w_t, g_pre_t).items():
+                out[name] = out[name] + g if name in out else g
         return out
 
 
@@ -546,7 +589,7 @@ def model_backward(tape: dict, grad_out: np.ndarray, into: GradientSum | None = 
         g_out = np.stack([grad_out.real, grad_out.imag], axis=1)
     else:
         g_out = grad_out.real[:, None]
-    grads, g_x_vec = _head_back(tape, params, g_out)
+    grads, g_x_vec, g_pre_t = _head_back(tape, params, g_out)
 
     shape = tape["pooled_shape"]
     half = shape[0] * shape[1]
@@ -563,8 +606,7 @@ def model_backward(tape: dict, grad_out: np.ndarray, into: GradientSum | None = 
             tape["s"], tape["stacks"][l], g_pre, params.conv[l])
         g_pre = _relu_back(g_act, tape["pres"][l - 1])
     grads["conv.0"] = _input_layer_back(tape["stacks"][0], g_pre, params.conv[0])
-    if into is not None:
-        into.add(grads, {"w_enc": (grads["b_enc"], tape["x_vec"])})
-        return into
-    grads["w_enc"] = np.outer(grads["b_enc"], tape["x_vec"])
-    return grads
+    acc = GradientSum() if into is None else into
+    acc.add(grads, {"w_enc": (grads["b_enc"], tape["x_vec"]), "w_t": (tape["h"], grads["b_t"])},
+            (tape["head"], params.w_t, g_pre_t))
+    return acc.total() if into is None else into

@@ -81,45 +81,59 @@ def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float) -> np
 
 
 def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Newton-Raphson in rectangular coordinates with a backtracking line search.
+
+    The Jacobian of S = v .* conj(Y v) with respect to (e, f) at the free buses is
+    [[Re A, Re B], [Im A, Im B]] with A = diag(conj(I)) + diag(v) conj(Y) and
+    B = j diag(conj(I)) - j diag(v) conj(Y), I = Y v.  Writing vy = diag(v) conj(Y)
+    and c = conj(I), its blocks are vy's parts plus c's parts on the diagonals,
+    filled into one matrix in place.  The accepted trial's current and mismatch
+    carry over to the next iteration.
+    """
     n = graph.n
     slack = graph.pos(graph.slack_bus())
-    free = np.array([i for i in range(n) if i != slack])
+    free = np.delete(np.arange(n), slack)
+    m = len(free)
+    y_free = np.conj(y[np.ix_(free, free)])
+    jac = np.empty((2 * m, 2 * m))
+    d = np.arange(m)
     v = np.ones(n, dtype=np.complex128)
+    i_conj = np.conj(y @ v)
+    mism = v * i_conj - s_inj
     for it in range(NEWTON_MAX_ITER):
-        mism = nodal_mismatch(y, v, s_inj)
         worst = float(np.max(np.abs(mism[free])))
         if not np.isfinite(worst) or np.max(np.abs(v)) > VOLTAGE_DIVERGED:
             raise NoConvergence(it, float("inf"))
         if worst < tol:
             return v
-        # Rectangular Jacobian of S = v .* conj(Y v) w.r.t. (e, f) at free buses.
-        i_cur = y @ v
-        diag_i = np.diag(np.conj(i_cur))
-        vy = v[:, None] * np.conj(y)
-        ds_de = diag_i + vy
-        ds_df = 1j * diag_i - 1j * vy
-        jac = np.block([
-            [ds_de[np.ix_(free, free)].real, ds_df[np.ix_(free, free)].real],
-            [ds_de[np.ix_(free, free)].imag, ds_df[np.ix_(free, free)].imag],
-        ])
+        vy = v[free, None] * y_free
+        c = i_conj[free]
+        jac[:m, :m] = vy.real
+        jac[:m, m:] = vy.imag
+        jac[m:, :m] = vy.imag
+        np.negative(vy.real, out=jac[m:, m:])
+        jac[d, d] += c.real
+        jac[d, m + d] -= c.imag
+        jac[m + d, d] += c.imag
+        jac[m + d, m + d] += c.real
         rhs = np.concatenate([-mism[free].real, -mism[free].imag])
         try:
             delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(it, worst) from exc
-        m = len(free)
         step = delta[:m] + 1j * delta[m:]
         # Backtrack while the step worsens the balance; full steps resume near the solution.
         scale = 1.0
         for _ in range(8):
             trial = v.copy()
             trial[free] += scale * step
-            trial_worst = float(np.max(np.abs(nodal_mismatch(y, trial, s_inj)[free])))
+            trial_conj = np.conj(y @ trial)
+            trial_mism = trial * trial_conj - s_inj
+            trial_worst = float(np.max(np.abs(trial_mism[free])))
             if np.isfinite(trial_worst) and trial_worst < worst:
                 break
             scale *= 0.5
         else:
             raise NoConvergence(it + 1, worst)
-        v[free] += scale * step
-    mism = nodal_mismatch(y, v, s_inj)
+        v, i_conj, mism = trial, trial_conj, trial_mism
     raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(mism[free]))))

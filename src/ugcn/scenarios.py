@@ -59,7 +59,8 @@ class ProfileSet:
         for name in ("p", "q", "pv"):
             a = getattr(self, name)
             if a.shape != (t, n):
-                raise MissingCell(name, a.shape)
+                raise MissingCell(
+                    f"profile series {name} has shape {a.shape}, expected {(t, n)}")
             if not np.all(np.isfinite(a)):
                 raise NonNumeric(f"profile series {name} has non-finite entries")
 
@@ -97,7 +98,7 @@ def synth_profiles(
     With ar_sigma = 0 the series are exactly periodic with period 24.
     """
     if t_total < 1:
-        raise MissingCell("t", 0)
+        raise MissingCell(f"profiles need t_total of at least 1, got {t_total}")
     key = [seed] if isinstance(seed, int) else list(seed)
     rng = np.random.default_rng(key + [n_buses, 13])
     if base_p is None:
@@ -195,6 +196,8 @@ class ScenarioConfig:
             raise ConfigError(f"lam must be nonnegative, got {self.lam}")
         if self.mu1 < 0:
             raise ConfigError(f"mu1 must be nonnegative, got {self.mu1}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
 
 
 def _series_profiles(graph: GridGraph, cfg: ScenarioConfig, index: int,

@@ -26,6 +26,8 @@ from .model import (
     GradientSum,
     LayerConfig,
     UgcnParams,
+    decoder_positions,
+    head_constant,
     model_backward,
     model_forward,
 )
@@ -236,7 +238,8 @@ class Model:
         Adds the window's parameter gradients for the output cogradient `g`
         to the GradientSum `into`.
     tensors()
-        The learnable tensors by name; the optimizer updates them in place.
+        The learnable tensors by name; the optimizer updates them in place,
+        so a model forms anything it derives from them again after this call.
     copy(), finite()
         An independent copy; whether every tensor is finite.
 
@@ -259,21 +262,35 @@ class Model:
 
 
 class UgcnPredictor(Model):
-    """The graph network: one parameter set and its architecture, for any system."""
+    """The graph network: one parameter set and its architecture, for any system.
+
+    It keeps the decoder constant (`model.head_constant`) of the system it ran
+    last, so consecutive windows of one system share it; `tensors()`, the
+    path of every in-place update, drops it.
+    """
 
     def __init__(self, params: UgcnParams, model_cfg: LayerConfig, center: bool = True):
         self.params = params
         self.cfg = model_cfg
         self.center = center
+        self._head: tuple[SystemContext, tuple] | None = None
+
+    def _head_constant(self, ctx: SystemContext) -> tuple:
+        if self._head is None or self._head[0] is not ctx:
+            n = ctx.system.n
+            self._head = ctx, head_constant(decoder_positions(n, n, ctx.order), self.params)
+        return self._head[1]
 
     def forward(self, ctx: SystemContext, x: np.ndarray, record: bool = False):
         return model_forward(ctx.s, self.centered(x), self.params, self.cfg,
-                             node_order=ctx.order, record=record)
+                             node_order=ctx.order, record=record,
+                             head=self._head_constant(ctx))
 
     def backward(self, tape: dict, g: np.ndarray, into: GradientSum) -> None:
         model_backward(tape, g, into=into)
 
     def tensors(self) -> dict[str, np.ndarray]:
+        self._head = None
         return self.params.tensors()
 
     def copy(self) -> "UgcnPredictor":

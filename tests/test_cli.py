@@ -80,6 +80,7 @@ class TestGen:
     @pytest.mark.parametrize("override, message", [
         (["--t-total", "0"], "t_total must be at least 1"),
         (["--set", "ops_min=5", "--set", "ops_max=2"], "bad ops_range (5, 2)"),
+        (["--set", "noise_sigma=-0.5"], "noise_sigma must be nonnegative, got -0.5"),
     ])
     def test_invalid_generation_config_exits_2(self, tmp_path, capsys, override, message):
         assert run_cli(GEN_ARGS + ["--out", str(tmp_path / "x")] + override) == 2
@@ -349,6 +350,10 @@ def checkpoint(dataset, tmp_path_factory):
     ("train", ["--horizon", "-1"], "horizon must be nonnegative, got -1"),
     ("eval", ["--set", "stride=0"], "stride must be at least 1, got 0"),
     ("eval", ["--set", "horizons=[-3]"], "horizons must be nonnegative integers, got [-3]"),
+    ("eval", ["--set", "threshold=1.5"], "threshold must lie strictly between 0 and 1, got 1.5"),
+    ("eval", ["--set", "threshold=0"], "threshold must lie strictly between 0 and 1, got 0.0"),
+    ("eval", ["--set", "max_attacks=-1"],
+     "max_attacks must be nonnegative (0 replays every attack), got -1"),
 ])
 def test_out_of_range_numbers_exit_2(dataset, checkpoint, tmp_path, capsys,
                                      command, override, message):

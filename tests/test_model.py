@@ -12,14 +12,13 @@ from ugcn.model import (
     GradientSum,
     LayerConfig,
     _cluster_sizes,
-    _head,
-    _head_back,
     _pool_custom_back,
     _pool_learnable_back,
-    _positions,
     conv_forward,
+    decoder_positions,
     fdi_config,
     forecast_config,
+    head_constant,
     init_params,
     model_backward,
     model_forward,
@@ -103,11 +102,38 @@ def naive_pool_custom(x, n_p, order):
     return pooled, backward
 
 
+def naive_head(x_vec, positions, params):
+    """The decoder as written, (h + e_pos) w_t + b_t per bus, with no
+    per-system constant; returns (out, backward) where backward maps the
+    output gradient to the head's gradients and the gradient of x_vec."""
+    pre_h = params.w_enc @ x_vec + params.b_enc
+    h = np.maximum(pre_h, 0.0)
+    e_pos = np.tanh(positions[:, None] * params.w_pos[None, :] + params.b_pos[None, :])
+    c = h[None, :] + e_pos
+    pre_t = c @ params.w_t + params.b_t[None, :]
+    t_act = np.maximum(pre_t, 0.0)
+    out = t_act @ params.w_out + params.b_out[None, :]
+
+    def backward(g_out):
+        g_pre_t = (g_out @ params.w_out.T) * (pre_t > 0)
+        g_c = g_pre_t @ params.w_t.T
+        g_pre_e = g_c * (1.0 - e_pos ** 2)
+        g_pre_h = g_c.sum(axis=0) * (pre_h > 0)
+        grads = {"w_out": t_act.T @ g_out, "b_out": g_out.sum(axis=0),
+                 "w_t": c.T @ g_pre_t, "b_t": g_pre_t.sum(axis=0),
+                 "w_pos": (g_pre_e * positions[:, None]).sum(axis=0),
+                 "b_pos": g_pre_e.sum(axis=0),
+                 "w_enc": np.outer(g_pre_h, x_vec), "b_enc": g_pre_h}
+        return grads, params.w_enc.T @ g_pre_h
+
+    return out, backward
+
+
 def naive_model(s, x, params, cfg, order):
     """The network with every graph convolution evaluated lag by lag, tap by
-    tap, with explicit powers S^k; returns (y, backward) where backward maps
-    the output cogradient to every parameter gradient.  The decoder head and
-    learnable pooling are the model's own."""
+    tap, with explicit powers S^k and the decoder without its per-system
+    constant; returns (y, backward) where backward maps the output cogradient
+    to every parameter gradient.  Learnable pooling is the model's own."""
     n = x.shape[0]
     powers = shift_powers(s, cfg.k_spatial)
     k1, t1 = cfg.k_spatial + 1, cfg.k_temporal + 1
@@ -130,14 +156,13 @@ def naive_model(s, x, params, cfg, order):
     else:
         _, pooled, pool_cache = pool_learnable(top, params.assign)
     x_vec = np.concatenate([pooled.real.ravel(), pooled.imag.ravel()])
-    out, head_cache = _head(x_vec, _positions(n, n, order), params)
+    out, head_back = naive_head(x_vec, decoder_positions(n, n, order), params)
     y = out[:, 0] + 1j * out[:, 1] if cfg.outputs == 2 else out[:, 0]
 
     def backward(grad_out):
         g_out = (np.stack([grad_out.real, grad_out.imag], axis=1) if cfg.outputs == 2
                  else grad_out.real[:, None])
-        grads, g_x_vec = _head_back(head_cache, params, g_out)
-        grads["w_enc"] = np.outer(grads["b_enc"], x_vec)
+        grads, g_x_vec = head_back(g_out)
         half = pooled.size
         g_pooled = (g_x_vec[:half] + 1j * g_x_vec[half:]).reshape(pooled.shape)
         if cfg.pooling == CUSTOM:
@@ -398,6 +423,36 @@ class TestModelAgainstNaive:
                 ref[name] = ref[name] + arr if name in ref else arr
         total = acc.total()
         assert total.keys() == ref.keys()
+        for name in ref:
+            assert rel_err(total[name], ref[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("pooling", [CUSTOM, LEARNABLE])
+    def test_deferred_head_terms_match_summed_gradients(self, pooling):
+        """Windows that share their system's decoder constant, with the systems
+        interleaved, against the sum of each window's full gradients."""
+        cfg = LayerConfig(layers=2, k_spatial=2, k_temporal=1, widths=(3, 4, 4),
+                          pooled_nodes=3, hidden=6, pooling=pooling,
+                          outputs=2 if pooling == LEARNABLE else 1)
+        params = init_params(cfg, seed=8)
+        rng = np.random.default_rng(8)
+        systems = []
+        for n in (6, 9):
+            order = rng.permutation(n)
+            systems.append((random_gso(n, 80 + n), order,
+                            head_constant(decoder_positions(n, n, order), params)))
+        acc, ref = GradientSum(), {}
+        for q in (0, 0, 0, 1, 1, 0):
+            s, order, head = systems[q]
+            n = s.shape[0]
+            x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            g = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cfg.outputs == 2 else 0)
+            _, tape = model_forward(s, x, params, cfg, node_order=order, record=True, head=head)
+            model_backward(tape, g, into=acc)
+            _, tape = model_forward(s, x, params, cfg, node_order=order, record=True)
+            for name, arr in model_backward(tape, g).items():
+                ref[name] = ref[name] + arr if name in ref else arr
+        total = acc.total()
+        assert total.keys() == ref.keys() == params.tensors().keys()
         for name in ref:
             assert rel_err(total[name], ref[name]) <= 1e-12, name
 

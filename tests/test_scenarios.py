@@ -9,6 +9,7 @@ from conftest import random_tree
 from ugcn.caseio import load_case, to_grid_graph
 from ugcn.errors import (
     ConfigError,
+    MissingCell,
     NoConvergence,
     WindowOutOfRange,
 )
@@ -28,14 +29,17 @@ from ugcn.estimation import (
 from ugcn.grid import Branch, GridGraph, build_admittance
 from ugcn.powerflow import (
     MISMATCH_TOL,
+    NEWTON_MAX_ITER,
     SWEEP_MAX_ITER,
     VOLTAGE_DIVERGED,
+    _newton,
     _sweep,
     nodal_mismatch,
     solve_powerflow,
 )
 from ugcn.reconfig import AugmentConfig, augment
 from ugcn.scenarios import (
+    ProfileSet,
     ScenarioConfig,
     build_features,
     build_scenario,
@@ -94,6 +98,51 @@ def naive_sweep(graph, s_inj):
         if step < 1e-13:
             break
     return v
+
+
+def naive_newton(graph, s_inj, y, tol):
+    """Newton-Raphson with the Jacobian assembled from full N x N complex
+    blocks and the mismatch recomputed at the top of every iteration."""
+    n = graph.n
+    slack = graph.pos(graph.slack_bus())
+    free = np.array([i for i in range(n) if i != slack])
+    v = np.ones(n, dtype=np.complex128)
+    for it in range(NEWTON_MAX_ITER):
+        mism = nodal_mismatch(y, v, s_inj)
+        worst = float(np.max(np.abs(mism[free])))
+        if not np.isfinite(worst) or np.max(np.abs(v)) > VOLTAGE_DIVERGED:
+            raise NoConvergence(it, float("inf"))
+        if worst < tol:
+            return v
+        i_cur = y @ v
+        diag_i = np.diag(np.conj(i_cur))
+        vy = v[:, None] * np.conj(y)
+        ds_de = diag_i + vy
+        ds_df = 1j * diag_i - 1j * vy
+        jac = np.block([
+            [ds_de[np.ix_(free, free)].real, ds_df[np.ix_(free, free)].real],
+            [ds_de[np.ix_(free, free)].imag, ds_df[np.ix_(free, free)].imag],
+        ])
+        rhs = np.concatenate([-mism[free].real, -mism[free].imag])
+        try:
+            delta = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(it, worst) from exc
+        m = len(free)
+        step = delta[:m] + 1j * delta[m:]
+        scale = 1.0
+        for _ in range(8):
+            trial = v.copy()
+            trial[free] += scale * step
+            trial_worst = float(np.max(np.abs(nodal_mismatch(y, trial, s_inj)[free])))
+            if np.isfinite(trial_worst) and trial_worst < worst:
+                break
+            scale *= 0.5
+        else:
+            raise NoConvergence(it + 1, worst)
+        v[free] += scale * step
+    mism = nodal_mismatch(y, v, s_inj)
+    raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(mism[free]))))
 
 
 def ami_cost(
@@ -195,6 +244,43 @@ class TestPowerFlow:
         v = _sweep(g, s, build_admittance(g), MISMATCH_TOL)
         assert np.max(np.abs(v - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("case,seed,index", [("ieee30", 1, 0), ("ieee39", 2, 0),
+                                                  ("ieee39", 2, 4)])
+    def test_newton_matches_naive_newton_bit_for_bit(self, case, seed, index, monkeypatch):
+        """Every power flow that generating an FDI system solves, against the
+        oracle: equal voltages, or equal NoConvergence iterations and mismatch.
+        ieee39 seed 2 system 4 fails at every demand scale it backs off to."""
+        import ugcn.scenarios
+        from ugcn.cli import GEN_DEFAULTS, _gen_one_system
+
+        outcomes = []
+
+        def compare(graph, s_inj, y):
+            def run(solve):
+                try:
+                    return solve(graph, s_inj, y, MISMATCH_TOL)
+                except NoConvergence as exc:
+                    return exc.iterations, exc.mismatch
+            got, want = run(_newton), run(naive_newton)
+            if isinstance(want, tuple):
+                assert got == want
+                outcomes.append(False)
+                raise NoConvergence(*want)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+            outcomes.append(True)
+            return got
+
+        monkeypatch.setattr(ugcn.scenarios, "solve_powerflow", compare)
+        cfg = {**GEN_DEFAULTS, "task": "fdi", "case": case, "q": index + 1, "seed": seed,
+               "t_total": 96}
+        if (case, index) == ("ieee39", 4):
+            with pytest.raises(NoConvergence):
+                _gen_one_system(case, "transmission", cfg, index)
+            assert outcomes.count(False) == 4          # one failure per demand scale
+        else:
+            _gen_one_system(case, "transmission", cfg, index)
+            assert outcomes == [True] * 96
+
     def test_absurd_load_diverges(self, chain4):
         s = np.array([0, 0, 0, -100.0 + 0j])
         with pytest.raises(NoConvergence):
@@ -208,6 +294,17 @@ class TestProfiles:
             series = prof.p[:, col]
             ratio = series.max() / series.min()
             assert 1.5 <= ratio <= 3.0
+
+    def test_empty_series_names_t_total(self):
+        with pytest.raises(MissingCell) as exc:
+            synth_profiles(3, 0, seed=1)
+        assert str(exc.value) == "profiles need t_total of at least 1, got 0"
+
+    def test_shape_mismatch_names_series_and_shapes(self):
+        prof = synth_profiles(4, 24, seed=1)
+        with pytest.raises(MissingCell) as exc:
+            ProfileSet(prof.bus_ids, prof.p, prof.q[:, :3], prof.pv)
+        assert str(exc.value) == "profile series q has shape (24, 3), expected (24, 4)"
 
     def test_seed_repeatable(self):
         a = synth_profiles(5, 48, seed=9)
@@ -365,6 +462,10 @@ class TestScenarioConfig:
     def test_negative_lam_is_config_error(self):
         with pytest.raises(ConfigError, match="lam must be nonnegative"):
             ScenarioConfig(lam=-1e-3)
+
+    def test_negative_noise_is_config_error(self):
+        with pytest.raises(ConfigError, match="noise_sigma must be nonnegative, got -0.5"):
+            ScenarioConfig(noise_sigma=-0.5)
 
 
 class TestScenarioBuild:

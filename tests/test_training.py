@@ -134,6 +134,25 @@ class TestTrainLoop:
     def model(self, seed):
         return UgcnPredictor(init_params(self.CFG, seed), self.CFG)
 
+    def test_optimizer_step_leaves_no_stale_decoder_constant(self, tiny_family):
+        from ugcn.scenarios import feature_window
+        from ugcn.training import contexts_for
+
+        model = self.model(0)
+        ctx = contexts_for(tiny_family)[0]
+        x = feature_window(ctx.system.estimates, 12)
+        before = model.forward(ctx, x)
+        rng = np.random.default_rng(0)
+        grads = {}
+        for name, t in model.tensors().items():
+            g = rng.standard_normal(t.shape)
+            grads[name] = g + 1j * rng.standard_normal(t.shape) if np.iscomplexobj(t) else g
+        Adam(lr=1e-2).step(model.tensors(), grads)
+        after = model.forward(ctx, x)
+        fresh = UgcnPredictor(model.params.copy(), self.CFG).forward(ctx, x)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, fresh)
+
     def test_single_system_reduces_to_plain_training(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=3, batch_systems=4,
                            windows_per_system=2, seed=0)
