@@ -96,12 +96,6 @@ class CaseFile:
                 if end not in declared:
                     raise DanglingBranch(end)
 
-    def bus(self, bus_id: int) -> BusRecord:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(bus_id)
-
     def loads_pu(self) -> dict[int, complex]:
         """Net complex demand per bus in per-unit of base_mva."""
         return {b.id: (b.p_mw + 1j * b.q_mvar) / self.base_mva for b in self.buses}
@@ -315,6 +309,22 @@ def _split_floats(obj, floats: list):
     return obj
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w", **open_kwargs):
+    """Open `<path>.tmp` for writing and rename it over `path` once the block
+    completes; on any failure the temporary file is removed and `path` is
+    left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_container(path: str, payload: dict) -> None:
     """Write `payload` as one versioned frame; the file at `path` is replaced atomically."""
     floats: list[float] = []
@@ -323,17 +333,10 @@ def save_container(path: str, payload: dict) -> None:
     prefix = _U64.pack(len(head))
     crc = zlib.crc32(blob, zlib.crc32(head, zlib.crc32(prefix)))
     length = len(prefix) + len(head) + blob.nbytes
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, SCHEMA_VERSION, length, crc))
-            fh.write(prefix + head)
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, SCHEMA_VERSION, length, crc))
+        fh.write(prefix + head)
+        fh.write(blob)
 
 
 def load_container(path: str) -> dict:

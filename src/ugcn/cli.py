@@ -5,8 +5,10 @@ its configuration, inputs, and seed; reruns produce byte-identical outputs.
 Configuration comes from one JSON document (--config), overridable with
 --set key=value, with direct flags winning; UGCN_SEED is a last-resort seed.
 
-Exit codes: 2 configuration error, 3 generation failure, 4 diverged training
-loss, 5 shape-incompatible checkpoint.
+Exit codes: 2 configuration error, bad input file or unwritable output,
+3 generation failure, 4 diverged training loss, 5 shape-incompatible
+checkpoint.  The directory of every output path is created before any work
+starts, and every file is written to `<path>.tmp` and renamed into place.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ TRAIN_DEFAULTS = {
     "lr": 2e-3,
     "lr_decay": 0.99,
     "horizon": 1,
-    "center": True,
     "attack_prob": 0.7,
     "early_stop_patience": 100,
     "layers": 0,                # 0 = task default
@@ -219,26 +220,40 @@ def dense_to_payload(model: DenseModel) -> dict:
         "weights": [caseio.encode_array(w) for w in model.weights],
         "biases": [caseio.encode_array(b) for b in model.biases],
         "task": model.task,
-        "window": model.window,
-        "center": model.center,
     }
 
 
 def payload_to_dense(doc: dict) -> DenseModel:
+    """Older payloads also record `window`, which is ignored, and `center`,
+    which `_read_checkpoint` has checked."""
     return DenseModel(
         bus_slots=tuple(doc["bus_slots"]),
         weights=[caseio.decode_array(w) for w in doc["weights"]],
         biases=[caseio.decode_array(b) for b in doc["biases"]],
         task=doc["task"],
-        window=doc["window"],
-        center=doc["center"],
     )
 
 
 def _read_checkpoint(path: str) -> dict:
     if not os.path.isfile(path):
         raise ConfigError(f"checkpoint {path!r} does not exist")
-    return caseio.load_checkpoint(path)
+    ck = caseio.load_checkpoint(path)
+    # Older checkpoints record whether inputs were centered; models now always are.
+    for section in ("train_config", "dense"):
+        if not ck.get(section, {}).get("center", True):
+            raise ConfigError(
+                f"checkpoint {path!r} was trained on uncentered inputs, "
+                "which are no longer supported; retrain it"
+            )
+    return ck
+
+
+def _make_out_dirs(*paths: str) -> None:
+    """Create the directory of each output path, so a path that cannot be
+    written fails before the work rather than after it."""
+    for path in paths:
+        if path and os.path.dirname(path):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +340,7 @@ def cmd_gen(args) -> int:
         "task": cfg["task"], "config": cfg, "kind": kind,
         "systems": len(payloads), "node_counts": node_counts,
     }
-    with open(os.path.join(cfg["out"], "manifest.json"), "w", encoding="utf-8") as fh:
+    with caseio.atomic_write(os.path.join(cfg["out"], "manifest.json"), encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -351,6 +366,11 @@ def load_dataset_dir(path: str) -> tuple[list[ScenarioSet], dict]:
     meta = {}
     for f in files:
         payload = caseio.load_dataset(f)
+        if systems and payload.get("task") != meta["task"]:
+            raise ConfigError(
+                f"dataset {path!r} mixes tasks: {os.path.basename(files[0])} holds "
+                f"{meta['task']!r}, {os.path.basename(f)} holds {payload.get('task')!r}"
+            )
         systems.append(scenario_from_payload(payload["system"]))
         meta = {"task": payload.get("task"), "config": payload.get("config", {})}
     return systems, meta
@@ -401,6 +421,7 @@ def cmd_train(args) -> int:
     if cfg["model"] == "dense" and cfg["resume"]:
         raise ConfigError("--resume continues ugcn training only; "
                           "the dense baseline trains from scratch")
+    _make_out_dirs(cfg["out"])
     try:
         systems, meta = load_dataset_dir(cfg["data"])
     except (CorruptFile, SchemaVersionMismatch) as exc:
@@ -422,7 +443,7 @@ def cmd_train(args) -> int:
         if cfg["model"] == "dense":
             model = init_dense(
                 systems[0].graph.bus_ids, task=cfg["task"], seed=cfg["seed"],
-                hidden=cfg["dense_hidden"], depth=cfg["dense_depth"], center=cfg["center"],
+                hidden=cfg["dense_hidden"], depth=cfg["dense_depth"],
             )
             model, history_rows = train_dense(model, systems[:1], tcfg)
             payload = {
@@ -442,7 +463,7 @@ def cmd_train(args) -> int:
                     )
                 resume = ck["resume_state"]
                 mcfg = LayerConfig.from_dict(ck["layer_config"])
-                model = UgcnPredictor(payload_to_params(resume["last_params"]), mcfg, cfg["center"])
+                model = UgcnPredictor(payload_to_params(resume["last_params"]), mcfg)
                 optimizer = Adam.from_state(resume["optimizer"])
                 start_epoch = resume["epoch_next"]
                 history_rows = [tuple(r) for r in ck["history"]]
@@ -450,13 +471,13 @@ def cmd_train(args) -> int:
                 # also carry a copy in resume_state.best.params, which is ignored
                 best = {
                     "val": resume["best"]["val"],
-                    "model": UgcnPredictor(payload_to_params(ck["params"]), mcfg, cfg["center"]),
+                    "model": UgcnPredictor(payload_to_params(ck["params"]), mcfg),
                     "bad": resume["best"]["bad"],
                 }
                 # free the checkpoint now: it holds every parameter copy as Python lists
                 del ck, resume
             else:
-                model = UgcnPredictor(init_params(mcfg, seed=cfg["seed"]), mcfg, cfg["center"])
+                model = UgcnPredictor(init_params(mcfg, seed=cfg["seed"]), mcfg)
             state: dict = {}
             model, history_rows = train(
                 model, systems, tcfg,
@@ -487,7 +508,7 @@ def cmd_train(args) -> int:
 
     caseio.save_checkpoint(cfg["out"], payload)
     hist_path = os.path.splitext(cfg["out"])[0] + ".history.csv"
-    with open(hist_path, "w", newline="", encoding="utf-8") as fh:
+    with caseio.atomic_write(hist_path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss", "val_loss"])
         for row in history_rows:
@@ -515,6 +536,7 @@ def cmd_eval(args) -> int:
     if cfg["max_attacks"] < 0:
         raise ConfigError(
             f"max_attacks must be nonnegative (0 replays every attack), got {cfg['max_attacks']}")
+    _make_out_dirs(cfg["out"], cfg["csv"])
     ck = _read_checkpoint(cfg["checkpoint"])
     if cfg["model"] and cfg["model"] != ck["model"]:
         raise ConfigError(
@@ -522,6 +544,11 @@ def cmd_eval(args) -> int:
         )
     systems, meta = load_dataset_dir(cfg["data"])
     task = ck["task"]
+    if meta.get("task") and meta["task"] != task:
+        raise ConfigError(
+            f"dataset was generated for task {meta['task']!r}, "
+            f"the checkpoint holds a {task!r} model"
+        )
     if task == "forecast":
         horizon = max(cfg["horizons"], default=0)
         check_series_lengths(systems, WINDOW + horizon,
@@ -531,7 +558,7 @@ def cmd_eval(args) -> int:
     if ck["model"] == "ugcn":
         params = payload_to_params(ck["params"])
         mcfg = LayerConfig.from_dict(ck["layer_config"])
-        predictor = UgcnPredictor(params, mcfg, center=ck["train_config"].get("center", True))
+        predictor = UgcnPredictor(params, mcfg)
     else:
         predictor = payload_to_dense(ck["dense"])
     try:
@@ -549,7 +576,7 @@ def cmd_eval(args) -> int:
     except DimensionMismatch as exc:
         print(f"checkpoint incompatible with dataset: {exc}", file=sys.stderr)
         return 5
-    with open(cfg["out"], "w", encoding="utf-8") as fh:
+    with caseio.atomic_write(cfg["out"], encoding="utf-8") as fh:
         fh.write(report.to_json())
         fh.write("\n")
     if cfg["csv"]:
@@ -581,7 +608,7 @@ def _write_report_csv(path: str, reports: list[MetricsReport]) -> None:
     tasks = {r.task for r in reports}
     if len(tasks) > 1:
         raise ConfigError(f"cannot mix tasks in one CSV: {sorted(tasks)}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with caseio.atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if tasks == {"forecast"}:
             writer.writerow(["model", "horizon", "mse"])
@@ -605,6 +632,7 @@ def _write_report_csv(path: str, reports: list[MetricsReport]) -> None:
 
 def cmd_report(args) -> int:
     cfg = build_config(REPORT_DEFAULTS, args, {"out": "out", "csv": "csv"})
+    _make_out_dirs(cfg["out"], cfg["csv"])
     reports = []
     for path in args.reports:
         try:
@@ -627,7 +655,7 @@ def cmd_report(args) -> int:
     table = "\n".join(lines)
     print(table)
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
+        with caseio.atomic_write(cfg["out"], encoding="utf-8") as fh:
             fh.write(table + "\n")
     if cfg["csv"]:
         _write_report_csv(cfg["csv"], reports)
@@ -717,6 +745,9 @@ def main(argv=None) -> int:
         return 2
     except (CorruptFile, SchemaVersionMismatch) as exc:
         print(f"bad input file: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except UgcnError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NoConvergence
-from .grid import (
-    DISTRIBUTION,
-    GridGraph,
-    Gso,
-    build_admittance,
-    build_gso,
-)
+from .grid import DISTRIBUTION, GridGraph, build_admittance, build_gso
 
 GN_MAX_ITER = 50
 GN_STEP_TOL = 1e-9
@@ -230,11 +224,9 @@ class PmuOperator:
         graph: GridGraph,
         pmu_buses: tuple[int, ...],
         mu1: float = DEFAULT_MU1,
-        gso: Gso | None = None,
         y: np.ndarray | None = None,
     ) -> "PmuOperator":
         y = build_admittance(graph) if y is None else y
-        gso = build_gso(y) if gso is None else gso
         a_pos = [graph.pos(b) for b in pmu_buses]
         u_pos = [i for i in range(graph.n) if i not in set(a_pos)]
         perm = np.array(a_pos + u_pos)
@@ -242,7 +234,7 @@ class PmuOperator:
         h = np.zeros((2 * m, graph.n), dtype=np.complex128)
         h[:m, :] = y[np.ix_(a_pos, perm)]
         h[m:, :m] = np.eye(m)
-        s_perm = gso.matrix[np.ix_(perm, perm)]
+        s_perm = build_gso(y).matrix[np.ix_(perm, perm)]
         grab = h.conj().T
         solve = np.linalg.pinv(grab @ h + mu1 * s_perm, rcond=1e-10) @ grab
         return cls(graph=graph, pmu_buses=tuple(pmu_buses), mu1=mu1,

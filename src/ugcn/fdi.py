@@ -21,6 +21,7 @@ BASE_MAGNITUDE = 0.05      # infinity-norm of dv_C before omega scaling, p.u.
 LABEL_THRESHOLD = 1e-8
 NULLSPACE_RCOND = 1e-10
 OMEGA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 11))
+MAX_TRIES = 25             # sensor subsets drawn per attack before a null attack
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,14 +123,13 @@ def sample_attacks_for_system(
     graph: GridGraph,
     count: int,
     seed,
-    max_tries: int = 25,
 ) -> tuple[AttackScenario, ...]:
     """Draw feasible attack records; infeasible sensor subsets are resampled."""
     base = list(seed) if not isinstance(seed, int) else [seed]
     out = []
     for i in range(count):
         attack = None
-        for attempt in range(max_tries):
+        for attempt in range(MAX_TRIES):
             idx, omega = sample_attack_config(len(pmu_buses), seed=base + [i, attempt, 3])
             targets = tuple(pmu_buses[j] for j in idx)
             try:

@@ -156,10 +156,9 @@ class GridGraph:
     def slack_bus(self) -> int:
         return self.root if self.root is not None else self.bus_ids[0]
 
-    def bfs(self, start: int | None = None) -> BfsTree:
+    def bfs(self) -> BfsTree:
         """Breadth-first tree from the root/slack; neighbor order follows bus order."""
-        start = self.slack_bus() if start is None else start
-        s = self._pos[start]
+        s = self._pos[self.slack_bus()]
         adj = self.adjacency()
         order = [s]
         parent = np.full(self.n, -1, dtype=int)
@@ -177,7 +176,7 @@ class GridGraph:
                     parent_branch[v] = bidx
                     order.append(v)
         if len(order) < self.n:
-            raise Disconnected("graph is not connected from the start bus")
+            raise Disconnected("graph is not connected from the slack bus")
         return BfsTree(np.array(order), parent, depth, parent_branch)
 
 

@@ -29,6 +29,9 @@ from .errors import (
 from .grid import DISTRIBUTION, TRANSMISSION, Branch, GridGraph
 
 MIN_IMPEDANCE_AFTER_CHANGE = 1e-6
+RETRY_BUDGET = 50                  # op sequences drawn per system before giving up
+PARAM_SPREAD = 0.3                 # uniform +-spread on re/im of z for ParamChange
+SYNTH_SUBTREE_NODES = (1, 3)       # size range of a subtree made up when none is stored
 
 
 @dataclass(frozen=True)
@@ -81,9 +84,6 @@ class AugmentConfig:
     seed: int = 0
     ops_range: tuple[int, int] = (1, 4)
     node_bounds: tuple[int, int] = (1, 10_000)
-    retry_budget: int = 50
-    param_spread: float = 0.3          # uniform +-spread on re/im of z for ParamChange
-    synth_subtree_nodes: tuple[int, int] = (1, 3)
 
     def __post_init__(self):
         if self.q_count < 1:
@@ -289,7 +289,7 @@ class _OpSampler:
         if not live:
             return None
         br = self._pick(live)
-        s = self.cfg.param_spread
+        s = PARAM_SPREAD
         for _ in range(10):
             u = self.rng.uniform(-s, s, size=2)
             delta = complex(br.impedance.real * u[0], br.impedance.imag * u[1])
@@ -317,7 +317,7 @@ class _OpSampler:
         if self.pool:
             payload = self.pool.pop(int(self.rng.integers(0, len(self.pool))))
         else:
-            lo, hi = self.cfg.synth_subtree_nodes
+            lo, hi = SYNTH_SUBTREE_NODES
             count = int(self.rng.integers(lo, hi + 1))
             nodes = tuple(self.fresh_id() for _ in range(count))
             branches = tuple(
@@ -335,7 +335,7 @@ class _OpSampler:
 def _generate_one(base: GridGraph, cfg: AugmentConfig, index: int) -> AugmentedSystem:
     rng = np.random.default_rng([cfg.seed, index])
     lo, hi = cfg.node_bounds
-    for _ in range(cfg.retry_budget):
+    for _ in range(RETRY_BUDGET):
         sampler = _OpSampler(base, cfg, rng)
         g = base
         ops: list[ReconfigOp] = []
@@ -358,7 +358,7 @@ def _generate_one(base: GridGraph, cfg: AugmentConfig, index: int) -> AugmentedS
         if ok and lo <= g.n <= hi:
             return AugmentedSystem(graph=g, ops=tuple(ops))
     raise ExhaustedRetries(
-        f"could not generate system {index} within {cfg.retry_budget} retries"
+        f"could not generate system {index} within {RETRY_BUDGET} retries"
     )
 
 

@@ -23,6 +23,7 @@ from .errors import (
     WindowOutOfRange,
 )
 from .estimation import (
+    DEFAULT_MU1,
     PmuOperator,
     ami_placement,
     estimate_ami,
@@ -35,6 +36,8 @@ from .powerflow import solve_powerflow
 
 WINDOW = 10              # historical hours per feature window (m0 channels)
 SANITY_BAND = (0.5, 1.5)  # acceptable |v| range for true states, p.u.
+PV_FRACTION = 0.3        # share of consuming distribution buses with PV
+AR_RHO = 0.8             # hour-to-hour persistence of demand and cloud wander
 
 AMI = "ami"
 PMU = "pmu"
@@ -89,8 +92,7 @@ def synth_profiles(
     base_p: np.ndarray | None = None,
     base_q: np.ndarray | None = None,
     bus_ids: tuple[int, ...] | None = None,
-    pv_fraction: float = 0.3,
-    ar_rho: float = 0.8,
+    pv_fraction: float = PV_FRACTION,
     ar_sigma: float = 0.03,
 ) -> ProfileSet:
     """Double-peaked daily demand with AR(1) wander plus a midday PV bell.
@@ -117,7 +119,7 @@ def synth_profiles(
     if ar_sigma > 0:
         eps = rng.standard_normal((t_total, n_buses)) * ar_sigma
         for t in range(1, t_total):
-            wander[t] = ar_rho * wander[t - 1] + eps[t]
+            wander[t] = AR_RHO * wander[t - 1] + eps[t]
     factor = np.clip(1.0 + wander, 0.1, None)
 
     p = base_p[None, :] * shape * factor
@@ -136,7 +138,7 @@ def synth_profiles(
             w = np.zeros((t_total, len(pv_buses)))
             eps = rng.standard_normal((t_total, len(pv_buses))) * (2 * ar_sigma)
             for t in range(1, t_total):
-                w[t] = ar_rho * w[t - 1] + eps[t]
+                w[t] = AR_RHO * w[t - 1] + eps[t]
             cloud = np.clip(1.0 + w, 0.0, None)
         pv[:, pv_buses] = bell[:, None] * caps[None, :] * cloud
     return ProfileSet(bus_ids=bus_ids, p=p, q=q, pv=pv)
@@ -177,13 +179,8 @@ class ScenarioConfig:
     t_total: int = 240
     scenario: str = AMI
     noise_sigma: float = 0.002
-    ami_fraction: float = 0.4
     pmu_fraction: float = 0.2           # 0.3 is customary for transmission
-    lam: float = 1e-3
-    mu1: float = 1e-3
     demand_scale: float = 1.0           # transmission cases run at ~0.55
-    pv_fraction: float = 0.3
-    ar_sigma: float = 0.03
     attacks_per_system: int = 0
     seed: int = 0
 
@@ -192,10 +189,6 @@ class ScenarioConfig:
             raise ConfigError(f"t_total must be at least 1, got {self.t_total}")
         if self.scenario not in (AMI, PMU):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be nonnegative, got {self.lam}")
-        if self.mu1 < 0:
-            raise ConfigError(f"mu1 must be nonnegative, got {self.mu1}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
 
@@ -221,8 +214,7 @@ def _series_profiles(graph: GridGraph, cfg: ScenarioConfig, index: int,
         base_p=np.array(base_p),
         base_q=np.array(base_q),
         bus_ids=graph.bus_ids,
-        pv_fraction=cfg.pv_fraction if graph.kind == DISTRIBUTION else 0.0,
-        ar_sigma=cfg.ar_sigma,
+        pv_fraction=PV_FRACTION if graph.kind == DISTRIBUTION else 0.0,
     )
 
 
@@ -275,16 +267,16 @@ def build_scenario(
     elif cfg.scenario == PMU:
         pmu_buses = pmu_placement(graph, cfg.pmu_fraction, seed=cfg.seed)
     if pmu_buses:
-        op = PmuOperator.build(graph, pmu_buses, mu1=cfg.mu1, y=y)
+        op = PmuOperator.build(graph, pmu_buses, y=y)
         for t in range(cfg.t_total):
             z = op.measure(states[t], sigma=cfg.noise_sigma, rng=noise_rng)
             estimates[t] = op.estimate(z)
     else:
-        ami_buses = ami_placement(graph, cfg.ami_fraction)
+        ami_buses = ami_placement(graph)
         for t in range(cfg.t_total):
             z = measure_ami(graph, states[t], ami_buses, y=y,
                             sigma=cfg.noise_sigma, rng=noise_rng)
-            estimates[t] = estimate_ami(graph, z, ami_buses, lam=cfg.lam, y=y)
+            estimates[t] = estimate_ami(graph, z, ami_buses, y=y)
 
     attacks: tuple = ()
     if task == "fdi":
@@ -301,7 +293,7 @@ def build_scenario(
         estimates=estimates,
         ami_buses=ami_buses,
         pmu_buses=pmu_buses,
-        mu1=cfg.mu1,
+        mu1=DEFAULT_MU1,
         attacks=attacks,
         seed=cfg.seed,
         index=index,
@@ -313,28 +305,27 @@ def build_scenario(
 # Feature windows
 
 
-def feature_window(estimates: np.ndarray, t: int, window: int = WINDOW) -> np.ndarray:
-    """[N, window] matrix of the trailing estimates, oldest channel first."""
-    if t < window - 1 or t >= estimates.shape[0]:
-        raise WindowOutOfRange(f"t={t} with window {window} over {estimates.shape[0]} steps")
-    return estimates[t - window + 1: t + 1].T.copy()
+def feature_window(estimates: np.ndarray, t: int) -> np.ndarray:
+    """[N, WINDOW] matrix of the trailing estimates, oldest channel first."""
+    if t < WINDOW - 1 or t >= estimates.shape[0]:
+        raise WindowOutOfRange(f"t={t} with window {WINDOW} over {estimates.shape[0]} steps")
+    return estimates[t - WINDOW + 1: t + 1].T.copy()
 
 
 def build_features(
     system: ScenarioSet,
     t: int,
-    window: int = WINDOW,
     horizon: int = 0,
     attack=None,
     estimate_shift: np.ndarray | None = None,
 ):
-    """(input [N, window], target [N]) for one sample.
+    """(input [N, WINDOW], target [N]) for one sample.
 
     Forecasting targets the true phasor at t+horizon.  With an attack record
     the input window is shifted by the attack's estimate-space footprint and
     the target becomes the per-bus labels.
     """
-    x = feature_window(system.estimates, t, window)
+    x = feature_window(system.estimates, t)
     if attack is not None:
         if estimate_shift is None:
             raise WindowOutOfRange("attacked features need the estimate shift")

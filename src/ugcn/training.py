@@ -82,11 +82,12 @@ class Adam:
     """Elementwise Adam over a named tensor dict; complex tensors update via
     their interleaved float view, i.e. real and imaginary parts independently."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -97,8 +98,8 @@ class Adam:
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         for name in tensors:
             p = self._view(tensors[name])
             g = self._view(np.ascontiguousarray(grads[name]))
@@ -106,23 +107,23 @@ class Adam:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
     def state(self) -> dict:
         return {
-            "t": self.t, "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-            "eps": self.eps,
+            "t": self.t, "lr": self.lr,
             "m": {k: encode_array(a) for k, a in self.m.items()},
             "v": {k: encode_array(a) for k, a in self.v.items()},
         }
 
     @classmethod
     def from_state(cls, doc: dict) -> "Adam":
-        opt = cls(lr=doc["lr"], beta1=doc["beta1"], beta2=doc["beta2"], eps=doc["eps"])
+        """Older states also record the betas and eps, which are ignored."""
+        opt = cls(lr=doc["lr"])
         opt.t = doc["t"]
         opt.m = {k: decode_array(a) for k, a in doc["m"].items()}
         opt.v = {k: decode_array(a) for k, a in doc["v"].items()}
@@ -243,18 +244,16 @@ class Model:
     copy(), finite()
         An independent copy; whether every tensor is finite.
 
-    Centering is decided here: with `center` set, inputs and forecast
-    targets are taken relative to the flat profile, and forecasts are
-    shifted back before they are scored.
+    Inputs and forecast targets are taken relative to the flat profile
+    (`centered`), and forecasts are shifted back before they are scored
+    (`uncentered`).
     """
 
-    center: bool
-
     def centered(self, a: np.ndarray) -> np.ndarray:
-        return a - CENTER if self.center else a
+        return a - CENTER
 
     def uncentered(self, y: np.ndarray) -> np.ndarray:
-        return y + CENTER if self.center else y
+        return y + CENTER
 
     def finite(self) -> bool:
         return all(np.all(np.isfinite(np.asarray(t).view(np.float64)))
@@ -269,10 +268,9 @@ class UgcnPredictor(Model):
     path of every in-place update, drops it.
     """
 
-    def __init__(self, params: UgcnParams, model_cfg: LayerConfig, center: bool = True):
+    def __init__(self, params: UgcnParams, model_cfg: LayerConfig):
         self.params = params
         self.cfg = model_cfg
-        self.center = center
         self._head: tuple[SystemContext, tuple] | None = None
 
     def _head_constant(self, ctx: SystemContext) -> tuple:
@@ -294,7 +292,7 @@ class UgcnPredictor(Model):
         return self.params.tensors()
 
     def copy(self) -> "UgcnPredictor":
-        return UgcnPredictor(self.params.copy(), self.cfg, self.center)
+        return UgcnPredictor(self.params.copy(), self.cfg)
 
 
 @dataclass
@@ -311,8 +309,6 @@ class DenseModel(Model):
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     task: str
-    window: int
-    center: bool = True
 
     def tensors(self) -> dict[str, np.ndarray]:
         out = {}
@@ -326,7 +322,7 @@ class DenseModel(Model):
             bus_slots=self.bus_slots,
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            task=self.task, window=self.window, center=self.center,
+            task=self.task,
         )
 
     def _shared(self, ctx: SystemContext) -> np.ndarray:
@@ -338,7 +334,7 @@ class DenseModel(Model):
     def forward(self, ctx: SystemContext, x: np.ndarray, record: bool = False):
         buses, slots = self._shared(ctx)
         n = len(self.bus_slots)
-        grid = np.zeros((n, self.window), dtype=np.complex128)
+        grid = np.zeros((n, WINDOW), dtype=np.complex128)
         grid[slots] = self.centered(x)[buses]
         h = np.concatenate([grid.real.ravel(), grid.imag.ravel()])
         acts = []                                  # the input of each layer
@@ -377,7 +373,6 @@ def init_dense(
     hidden: int = 512,
     depth: int = 4,
     seed: int = 0,
-    center: bool = True,
 ) -> DenseModel:
     n = len(bus_slots)
     n_in = 2 * n * WINDOW
@@ -387,8 +382,7 @@ def init_dense(
     weights = [rng.standard_normal((dims[i], dims[i + 1])) / np.sqrt(dims[i])
                for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return DenseModel(bus_slots=tuple(bus_slots), weights=weights, biases=biases,
-                      task=task, window=WINDOW, center=center)
+    return DenseModel(bus_slots=tuple(bus_slots), weights=weights, biases=biases, task=task)
 
 
 # --------------------------------------------------------------------------

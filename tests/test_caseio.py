@@ -310,6 +310,16 @@ class TestContainers:
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == ["x.ugcn.json"]
 
+    def test_interrupted_text_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with caseio.atomic_write(str(path), encoding="utf-8") as fh:
+                fh.write("half")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["r.json"]
+
     @settings(max_examples=150, deadline=None)
     @given(payload=_PAYLOADS)
     def test_round_trip_property(self, payload):

@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from ugcn import scenarios
-from ugcn.caseio import load_checkpoint, save_checkpoint
+from ugcn import cli, scenarios
+from ugcn.caseio import load_checkpoint, load_dataset, save_checkpoint, save_dataset
 from ugcn.cli import main, payload_to_params
 from ugcn.errors import NoConvergence, OutsideSanityBand
+from ugcn.training import MetricsReport
 
 
 def run_cli(args, env=None):
@@ -186,7 +187,8 @@ class TestTrainEval:
         assert a == b
 
     def test_resume_reads_checkpoint_with_best_params_copy(self, dataset, tmp_path):
-        """Checkpoints that still store resume_state.best.params resume as before."""
+        """Checkpoints in older layouts resume as before: they may store
+        resume_state.best.params, train_config.center and Adam's betas and eps."""
         args = ["train", "--task", "forecast", "--data", dataset, "--seed", "3"] + TRAIN_SETS[2:]
         full = str(tmp_path / "full.ckpt.json")
         assert run_cli(args + ["--out", full, "--epochs", "4"]) == 0
@@ -194,6 +196,8 @@ class TestTrainEval:
         assert run_cli(args + ["--out", part, "--epochs", "2"]) == 0
         ck = load_checkpoint(part)
         ck["resume_state"]["best"]["params"] = ck["params"]
+        ck["train_config"]["center"] = True
+        ck["resume_state"]["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)
         save_checkpoint(part, ck)
         resumed = str(tmp_path / "resumed.ckpt.json")
         assert run_cli(args + ["--out", resumed, "--epochs", "4", "--resume", part]) == 0
@@ -367,6 +371,179 @@ def test_out_of_range_numbers_exit_2(dataset, checkpoint, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def dense_checkpoint(dataset, tmp_path_factory):
+    ckpt = str(tmp_path_factory.mktemp("dense") / "d.ckpt.json")
+    assert run_cli(["train", "--task", "forecast", "--model", "dense",
+                    "--data", dataset, "--out", ckpt, "--seed", "1",
+                    "--set", "epochs=3", "--set", "windows_per_system=2",
+                    "--set", "dense_hidden=16", "--set", "dense_depth=1"]) == 0
+    return ckpt
+
+
+def relabelled_copy(src, dst, task, first_only=False):
+    """Copy of dataset `src` whose files (or only the first) claim `task`."""
+    os.makedirs(dst)
+    names = sorted(n for n in os.listdir(src) if n.endswith(".ugcn.json"))
+    for i, name in enumerate(names):
+        payload = load_dataset(os.path.join(src, name))
+        if i == 0 or not first_only:
+            payload["task"] = task
+        save_dataset(os.path.join(dst, name), payload)
+    return dst
+
+
+def eval_args(ckpt, data, out):
+    return ["eval", "--checkpoint", ckpt, "--data", data, "--out", out,
+            "--set", "horizons=[0,1]", "--set", "stride=8"]
+
+
+def one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestInputChecks:
+    def test_center_key_is_unknown(self, dataset, tmp_path, capsys):
+        out = tmp_path / "m.ckpt.json"
+        assert run_cli(["train", "--task", "forecast", "--data", dataset, "--out", str(out)]
+                       + TRAIN_SETS + ["--set", "center=false"]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'center'\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_eval_refuses_dataset_of_other_task(self, dataset, checkpoint, tmp_path, capsys):
+        data = relabelled_copy(dataset, str(tmp_path / "fdi"), "fdi")
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run_cli(eval_args(checkpoint, data, str(report))) == 2
+        err = one_line_error(capsys, "config error: dataset was generated for task 'fdi'")
+        assert "'forecast' model" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mixed_task_directory_exits_2(self, dataset, checkpoint, tmp_path, capsys, command):
+        data = relabelled_copy(dataset, str(tmp_path / "mixed"), "fdi", first_only=True)
+        out = tmp_path / "out.json"
+        if command == "train":
+            args = ["train", "--task", "forecast", "--data", data, "--out", str(out)] + TRAIN_SETS
+        else:
+            args = eval_args(checkpoint, data, str(out))
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        err = one_line_error(capsys, f"config error: dataset {data!r} mixes tasks")
+        assert "system_000.ugcn.json holds 'fdi'" in err
+        assert "system_001.ugcn.json holds 'forecast'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["train_config", "dense"])
+    def test_uncentered_checkpoint_refused(self, dataset, checkpoint, dense_checkpoint,
+                                           tmp_path, capsys, section):
+        ck = load_checkpoint(checkpoint if section == "train_config" else dense_checkpoint)
+        ck[section]["center"] = False
+        old = str(tmp_path / "old.ckpt.json")
+        save_checkpoint(old, ck)
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run_cli(eval_args(old, dataset, str(report))) == 2
+        one_line_error(capsys, f"config error: checkpoint {old!r} was trained on uncentered")
+        assert not report.exists()
+        if section == "train_config":
+            out = tmp_path / "m.ckpt.json"
+            assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                            "--out", str(out), "--resume", old] + TRAIN_SETS) == 2
+            one_line_error(capsys, "config error: checkpoint")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["ugcn", "dense"])
+    def test_checkpoint_in_older_layout_evaluates_the_same(
+            self, dataset, checkpoint, dense_checkpoint, tmp_path, model):
+        """Checkpoints that still record center, the dense window and Adam's
+        betas and eps evaluate as before."""
+        path = checkpoint if model == "ugcn" else dense_checkpoint
+        ck = load_checkpoint(path)
+        if model == "ugcn":
+            ck["train_config"]["center"] = True
+            ck["resume_state"]["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+        else:
+            ck["dense"].update(window=10, center=True)
+        old = str(tmp_path / "old.ckpt.json")
+        save_checkpoint(old, ck)
+        reports = []
+        for i, ckpt in enumerate((path, old)):
+            out = str(tmp_path / f"r{i}.json")
+            assert run_cli(eval_args(ckpt, dataset, out)) == 0
+            doc = json.loads(open(out).read())
+            doc.pop("wall_clock_s")
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
+
+class TestOutputPaths:
+    def test_missing_output_directories_are_created(self, dataset, checkpoint, tmp_path):
+        ckpt = tmp_path / "a" / "b" / "m.ckpt.json"
+        assert run_cli(["train", "--task", "forecast", "--data", dataset,
+                        "--out", str(ckpt), "--seed", "1"] + TRAIN_SETS) == 0
+        assert ckpt.exists() and (tmp_path / "a" / "b" / "m.ckpt.history.csv").exists()
+        report, csv_out = tmp_path / "c" / "r.json", tmp_path / "d" / "r.csv"
+        assert run_cli(eval_args(checkpoint, dataset, str(report))
+                       + ["--csv", str(csv_out)]) == 0
+        assert report.exists() and csv_out.exists()
+        table, merged = tmp_path / "e" / "t.txt", tmp_path / "f" / "t.csv"
+        assert run_cli(["report", str(report), "--out", str(table),
+                        "--csv", str(merged)]) == 0
+        assert table.exists() and merged.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "report"])
+    def test_uncreatable_directory_exits_2_before_work(
+            self, dataset, checkpoint, tmp_path, capsys, monkeypatch, command):
+        report = tmp_path / "r.json"
+        report.write_text(MetricsReport(model="ugcn", task="forecast",
+                                        horizons={1: 0.5}).to_json())
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = str(blocker / "sub" / "out.json")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        monkeypatch.setattr(cli, "load_dataset_dir", no_work)
+        args = {
+            "train": ["train", "--task", "forecast", "--data", dataset, "--out", out]
+            + TRAIN_SETS,
+            "eval": eval_args(checkpoint, dataset, out),
+            "report": ["report", str(report), "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        err = one_line_error(capsys, "file error:")
+        assert "blocker" in err
+        assert sorted(os.listdir(tmp_path)) == ["blocker", "r.json"]
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "report"])
+    def test_failed_write_exits_2_and_leaves_no_partial_file(
+            self, dataset, checkpoint, tmp_path, capsys, command):
+        """The output path is a directory, so the final rename fails after the work."""
+        report = tmp_path / "r.json"
+        report.write_text(MetricsReport(model="ugcn", task="forecast",
+                                        horizons={1: 0.5}).to_json())
+        target = tmp_path / "taken"
+        target.mkdir()
+        args = {
+            "train": ["train", "--task", "forecast", "--data", dataset,
+                      "--out", str(target)] + TRAIN_SETS,
+            "eval": eval_args(checkpoint, dataset, str(target)),
+            "report": ["report", str(report), "--out", str(target)],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        one_line_error(capsys, "file error:")
+        assert sorted(os.listdir(tmp_path)) == ["r.json", "taken"]
+        assert os.listdir(target) == []
 
 
 class TestReportCmd:

@@ -6,3 +6,46 @@ import ugcn
 def test_every_export_resolves():
     missing = [name for name in ugcn.__all__ if not hasattr(ugcn, name)]
     assert missing == []
+
+
+def test_settable_values_are_pinned():
+    """Every config field and CLI config key, by name: a new setting shows up here."""
+    import dataclasses
+
+    from ugcn.cli import EVAL_DEFAULTS, GEN_DEFAULTS, TRAIN_DEFAULTS
+    from ugcn.model import LayerConfig
+    from ugcn.reconfig import AugmentConfig
+    from ugcn.scenarios import ScenarioConfig
+    from ugcn.training import TrainConfig
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert fields(ScenarioConfig) == {
+        "t_total", "scenario", "noise_sigma", "pmu_fraction", "demand_scale",
+        "attacks_per_system", "seed",
+    }
+    assert fields(AugmentConfig) == {"q_count", "seed", "ops_range", "node_bounds"}
+    assert fields(TrainConfig) == {
+        "task", "horizon", "epochs", "batch_systems", "windows_per_system", "lr",
+        "lr_decay", "seed", "attack_prob", "early_stop_patience",
+    }
+    assert fields(LayerConfig) == {
+        "layers", "k_spatial", "k_temporal", "widths", "pooled_nodes", "hidden",
+        "pooling", "outputs",
+    }
+    assert set(GEN_DEFAULTS) == {
+        "task", "case", "kind", "scenario", "q", "t_total", "seed", "noise_sigma",
+        "ops_min", "ops_max", "node_min", "node_max", "attacks_per_system",
+        "demand_scale", "pmu_fraction", "out",
+    }
+    assert set(TRAIN_DEFAULTS) == {
+        "task", "model", "data", "out", "resume", "seed", "epochs", "batch_systems",
+        "windows_per_system", "lr", "lr_decay", "horizon", "attack_prob",
+        "early_stop_patience", "layers", "k_spatial", "k_temporal", "widths",
+        "pooled_nodes", "hidden", "pooling", "dense_hidden", "dense_depth",
+    }
+    assert set(EVAL_DEFAULTS) == {
+        "checkpoint", "data", "out", "csv", "horizons", "omegas", "stride",
+        "fdi_stride", "threshold", "max_attacks", "model",
+    }

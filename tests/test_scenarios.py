@@ -455,14 +455,6 @@ class TestPmuEstimation:
 
 
 class TestScenarioConfig:
-    def test_negative_mu1_is_config_error(self):
-        with pytest.raises(ConfigError, match="mu1 must be nonnegative"):
-            ScenarioConfig(mu1=-1e-3)
-
-    def test_negative_lam_is_config_error(self):
-        with pytest.raises(ConfigError, match="lam must be nonnegative"):
-            ScenarioConfig(lam=-1e-3)
-
     def test_negative_noise_is_config_error(self):
         with pytest.raises(ConfigError, match="noise_sigma must be nonnegative, got -0.5"):
             ScenarioConfig(noise_sigma=-0.5)
@@ -493,7 +485,7 @@ class TestFeatureWindows:
         cfg = ScenarioConfig(t_total=20, scenario="pmu", seed=3, noise_sigma=0.0)
         loads = load_case("ieee33").loads_pu()
         system = build_scenario(ieee33, cfg, 0, loads)
-        x = feature_window(system.estimates, t=12, window=10)
+        x = feature_window(system.estimates, t=12)
         assert x.shape == (33, 10)
         assert np.array_equal(x[:, -1], system.estimates[12])
         assert np.array_equal(x[:, 0], system.estimates[3])
@@ -510,6 +502,6 @@ class TestFeatureWindows:
         loads = load_case("ieee33").loads_pu()
         system = build_scenario(ieee33, cfg, 0, loads)
         with pytest.raises(WindowOutOfRange):
-            feature_window(system.estimates, t=5, window=10)
+            feature_window(system.estimates, t=5)
         with pytest.raises(WindowOutOfRange):
             build_features(system, t=18, horizon=5)

@@ -205,7 +205,7 @@ class TestTrainLoop:
             for h in horizons:
                 errs = []
                 for t in range(9, system.t_total - h, stride):
-                    x = feature_window(system.estimates, t, 10)
+                    x = feature_window(system.estimates, t)
                     pred = forward(ctx, x) + CENTER
                     d = pred - system.true_states[t + h]
                     errs.append(float(np.mean(d.real ** 2 + d.imag ** 2)))
@@ -257,7 +257,7 @@ class TestDenseBaseline:
         from ugcn.scenarios import feature_window
 
         for system in tiny_family:
-            x = feature_window(system.estimates, 12, 10)
+            x = feature_window(system.estimates, 12)
             pred = model.uncentered(model.forward(SystemContext(system), x))
             assert pred.shape == (system.n,)
 
@@ -272,7 +272,7 @@ class TestDenseBaseline:
         # the base layout lacks two of the system's buses and has one the system lacks
         model = init_dense(tuple(system.graph.bus_ids[2:]) + (9999,), task=task, seed=1,
                            hidden=6, depth=2)
-        x = feature_window(system.estimates, 12, 10)
+        x = feature_window(system.estimates, 12)
         rng = np.random.default_rng(0)
         if task == "forecast":
             loss, loss_grad = loss_forecast, _loss_forecast_grad
@@ -327,7 +327,7 @@ class TestDenseBaseline:
         model = init_dense((9991, 9992), task="forecast", seed=0, hidden=8, depth=1)
         from ugcn.scenarios import feature_window
 
-        x = feature_window(base.estimates, 12, 10)
+        x = feature_window(base.estimates, 12)
         pred = model.uncentered(model.forward(SystemContext(base), x))
         assert np.allclose(pred, 1.0 + 0.0j)
 
@@ -337,7 +337,7 @@ class TestDenseBaseline:
         system = tiny_fdi_family[0]
         model = init_dense((9991, system.graph.bus_ids[0]), task="fdi", seed=0,
                            hidden=8, depth=1)
-        logits = model.forward(SystemContext(system), feature_window(system.estimates, 12, 10))
+        logits = model.forward(SystemContext(system), feature_window(system.estimates, 12))
         assert logits.shape == (system.n,)
         assert np.all(logits[1:] == -10.0) and logits[0] != -10.0
 
@@ -380,7 +380,7 @@ class TestMetricsReport:
         from ugcn.training import contexts_for
 
         ctx = contexts_for(tiny_fdi_family)[0]
-        x = feature_window(ctx.system.estimates, 12, 10)
+        x = feature_window(ctx.system.estimates, 12)
         logits = predictor.forward(ctx, x)
         pred = logits > 0
         tn = int(np.sum(~pred))
