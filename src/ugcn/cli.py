@@ -332,9 +332,11 @@ def cmd_gen(args) -> int:
 
     echo = {k: v for k, v in cfg.items() if k != "out"}   # path-free: reruns stay byte-identical
     node_counts = []
+    written = set()
     for i, payload in enumerate(payloads):
         path = os.path.join(cfg["out"], f"system_{i:03d}.ugcn.json")
         caseio.save_dataset(path, {"task": cfg["task"], "config": echo, "system": payload})
+        written.add(path)
         node_counts.append(len(payload["graph"]["bus_ids"]))
     manifest = {
         "task": cfg["task"], "config": cfg, "kind": kind,
@@ -343,6 +345,10 @@ def cmd_gen(args) -> int:
     with caseio.atomic_write(os.path.join(cfg["out"], "manifest.json"), encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    # train and eval load every system file in the directory: drop those of an earlier run.
+    for path in glob.glob(os.path.join(cfg["out"], "system_*.ugcn.json")):
+        if path not in written:
+            os.remove(path)
 
     counts = {}
     for n in node_counts:

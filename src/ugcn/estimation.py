@@ -3,9 +3,12 @@
 Two measurement systems are modeled.  Smart-meter (AMI) buses report net
 active/reactive injection and voltage magnitude; the state is recovered by a
 damped Gauss-Newton descent on a weighted least-squares cost with a quadratic
-regularizer.  Phasor-unit (PMU) buses report complex current injections and
-voltages; the state follows in closed form from a shift-regularized
-pseudoinverse.  Both estimators return the full bus-ordered phasor vector.
+regularizer.  Only the metered buses and their neighbors enter the
+measurements; every other coordinate is set by the regularizer alone, in
+closed form, and decays toward 0 from the flat start.  Phasor-unit (PMU)
+buses report complex current injections and voltages; the state follows in
+closed form from a shift-regularized pseudoinverse.  Both estimators return
+the full bus-ordered phasor vector.
 """
 
 from __future__ import annotations
@@ -94,40 +97,43 @@ def measure_ami(
     return z
 
 
-def _ami_h(y: np.ndarray, v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Stacked [P_a, Q_a, |v|_a] the state v implies at the metered positions."""
-    v_a = v[idx]
-    s = v_a * np.conj(y[idx] @ v)
+def _ami_h(yc_a: np.ndarray, v: np.ndarray, loc: np.ndarray) -> np.ndarray:
+    """Stacked [P_a, Q_a, |v|_a] the state v implies at the metered buses.
+
+    yc_a holds the conjugated admittance rows of the metered buses over v's
+    buses, and loc the metered buses' own positions in v.
+    """
+    v_a = v[loc]
+    s = v_a * (yc_a @ np.conj(v))
     return np.concatenate([s.real, s.imag, np.abs(v_a)])
 
 
-def _ami_h_and_jac(y: np.ndarray, v: np.ndarray, idx: np.ndarray):
-    """h and its Jacobian in (e, f) = (Re v, Im v), built at the metered rows only."""
-    n = len(v)
-    m = len(idx)
-    y_a = y[idx]
-    v_a = v[idx]
-    i_conj = np.conj(y_a @ v)
+def _ami_h_and_jac(yc_a: np.ndarray, v: np.ndarray, loc: np.ndarray):
+    """h and its Jacobian in (e, f) = (Re v, Im v) over v's buses; arguments as in `_ami_h`."""
+    k = len(v)
+    m = len(loc)
+    v_a = v[loc]
+    i_conj = yc_a @ np.conj(v)
     s = v_a * i_conj
     vmag = np.abs(v_a)
     h = np.concatenate([s.real, s.imag, vmag])
 
     # dS_a/de = diag(conj i_a) + v_a conj(Y_a), dS_a/df = j diag(conj i_a) - j v_a conj(Y_a);
-    # the diagonal terms sit at (row r, column idx[r]).
+    # the diagonal terms sit at (row r, column loc[r]).
     rows = np.arange(m)
-    vy = v_a[:, None] * np.conj(y_a)
+    vy = v_a[:, None] * yc_a
     ds_de = vy.copy()
-    ds_de[rows, idx] += i_conj
+    ds_de[rows, loc] += i_conj
     ds_df = -1j * vy
-    ds_df[rows, idx] += 1j * i_conj
-    jac = np.zeros((3 * m, 2 * n))
-    jac[:m, :n] = ds_de.real
-    jac[:m, n:] = ds_df.real
-    jac[m:2 * m, :n] = ds_de.imag
-    jac[m:2 * m, n:] = ds_df.imag
+    ds_df[rows, loc] += 1j * i_conj
+    jac = np.zeros((3 * m, 2 * k))
+    jac[:m, :k] = ds_de.real
+    jac[:m, k:] = ds_df.real
+    jac[m:2 * m, :k] = ds_de.imag
+    jac[m:2 * m, k:] = ds_df.imag
     safe = np.where(vmag > 1e-12, vmag, 1.0)
-    jac[rows + 2 * m, idx] = v_a.real / safe
-    jac[rows + 2 * m, n + idx] = v_a.imag / safe
+    jac[rows + 2 * m, loc] = v_a.real / safe
+    jac[rows + 2 * m, k + loc] = v_a.imag / safe
     return h, jac
 
 
@@ -141,8 +147,14 @@ def estimate_ami(
 ):
     """Minimize ||z - h(v)||^2 + lam * ||[e; f]||^2 from a flat start, lam >= 0.
 
-    Steps halve on cost increase; iteration stops when the step norm drops
-    below GN_STEP_TOL or the budget runs out, returning the last iterate.
+    h sees only the visible buses: the metered ones and their neighbors.  The
+    Gauss-Newton normal equations are solved on their columns alone.  Every
+    other coordinate sees only lam * x^2, so its step is exactly -x, or 0 when
+    lam = 0 (the minimum-norm step); it is set in closed form.  Steps halve on
+    cost increase; iteration stops when the step norm drops below GN_STEP_TOL
+    or the budget runs out, returning the last iterate.  With `info`, the
+    iteration count and the residual norm and objective at the returned state
+    come along.
     """
     y = build_admittance(graph) if y is None else y
     n = graph.n
@@ -150,37 +162,50 @@ def estimate_ami(
     if z.shape != (3 * len(idx),):
         raise DimensionMismatch(f"expected {3 * len(idx)} measurements, got {z.shape}")
 
-    v = np.ones(n, dtype=np.complex128)
+    vis = np.union1d(idx, np.flatnonzero(np.any(y[idx] != 0, axis=0)))
+    loc = np.searchsorted(vis, idx)
+    yc_a = np.conj(y[np.ix_(idx, vis)])
+    k = len(vis)
     # Injections and magnitudes cannot see a global rotation; pin the angle
-    # reference by freezing the slack bus imaginary part at zero.
-    gauge = n + graph.pos(graph.slack_bus())
-    free = np.array([i for i in range(2 * n) if i != gauge])
+    # reference by freezing the slack bus imaginary part at zero, seen or not.
+    slack = graph.pos(graph.slack_bus())
+    free = np.arange(2 * k)
+    if slack in vis:
+        free = np.delete(free, k + int(np.searchsorted(vis, slack)))
+    cols = np.concatenate([vis, n + vis])[free]        # state coordinates of `free`
+    hidden = np.ones(2 * n, dtype=bool)
+    hidden[cols] = False
+    hidden[n + slack] = False
+    diag = np.arange(len(free))
+
+    v = np.ones(n, dtype=np.complex128)
 
     def cost(vec):
         split = np.concatenate([vec.real, vec.imag])
-        return float(np.sum((z - _ami_h(y, vec, idx)) ** 2) + lam * np.sum(split ** 2))
+        return float(np.sum((z - _ami_h(yc_a, vec[vis], loc)) ** 2) + lam * np.sum(split ** 2))
 
     current = cost(v)
     iterations = 0
     for iterations in range(1, GN_MAX_ITER + 1):
-        h, jac = _ami_h_and_jac(y, v, idx)
+        h, jac = _ami_h_and_jac(yc_a, v[vis], loc)
         split = np.concatenate([v.real, v.imag])
         # Normal equations of the stacked system [J; sqrt(lam) I] on the free
-        # columns: J^T J + lam I, with the gauge column dropped.
+        # visible columns: J^T J + lam I.
         j_free = jac[:, free]
         r = z - h
+        step = np.zeros(2 * n)
         if lam > 0:
             normal = j_free.T @ j_free
-            normal[np.diag_indices_from(normal)] += lam
-            reduced = np.linalg.solve(normal, j_free.T @ r - lam * split[free])
+            normal[diag, diag] += lam
+            reduced = np.linalg.solve(normal, j_free.T @ r - lam * split[cols])
+            step[hidden] = -split[hidden]
         else:
             # Without the regularizer an unmetered bus may be unobservable;
             # take the minimum-norm least-squares step instead.
             reduced = np.linalg.lstsq(j_free, r, rcond=None)[0]
         if not np.all(np.isfinite(reduced)):
             raise NoConvergence(iterations, float("inf"))
-        step = np.zeros(2 * n)
-        step[free] = reduced
+        step[cols] = reduced
         trial = v + step[:n] + 1j * step[n:]
         trial_cost = cost(trial)
         halvings = 0
@@ -197,8 +222,11 @@ def estimate_ami(
         if float(np.linalg.norm(step)) < GN_STEP_TOL:
             break
     if info:
-        residual = float(np.linalg.norm(z - _ami_h(y, v, idx)))
-        return v, {"iterations": iterations, "residual": residual, "cost": current}
+        r = z - _ami_h(np.conj(y[idx]), v, idx)
+        split = np.concatenate([v.real, v.imag])
+        objective = float(np.sum(r ** 2) + lam * np.sum(split ** 2))
+        return v, {"iterations": iterations, "residual": float(np.linalg.norm(r)),
+                   "cost": objective}
     return v
 
 

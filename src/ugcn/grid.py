@@ -11,6 +11,7 @@ bounded when it is used inside polynomial graph filters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -178,6 +179,29 @@ class GridGraph:
         if len(order) < self.n:
             raise Disconnected("graph is not connected from the slack bus")
         return BfsTree(np.array(order), parent, depth, parent_branch)
+
+    @cached_property
+    def path_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The radial sweep's read-only (sub, drop), built once per graph (Teng, IEEE TPWRD 2003).
+
+        sub[p, q] = 1 when q lies in the subtree of p, so the backward sweep's branch
+        currents are sub @ i_bus and the forward sweep's drops are drop @ i_branch with
+        drop = sub^T diag(z_to_parent).  The graph is immutable, so the pair never goes stale.
+        """
+        tree = self.bfs()
+        z_to_parent = np.zeros(self.n, dtype=np.complex128)
+        # Row p of `anc` marks p and its ancestors; parents precede children in BFS order.
+        anc = np.zeros((self.n, self.n), dtype=np.complex128)
+        for p in tree.order:
+            par = tree.parent[p]
+            if par >= 0:
+                z_to_parent[p] = self.branches[tree.parent_branch[p]].impedance
+                anc[p] = anc[par]
+            anc[p, p] = 1.0
+        drop = anc * z_to_parent
+        anc.flags.writeable = False
+        drop.flags.writeable = False
+        return anc.T, drop
 
 
 @dataclass(frozen=True)

@@ -41,42 +41,23 @@ def solve_powerflow(
 
 
 def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """Backward/forward sweep written with the tree's path matrix (Teng, IEEE TPWRD 2003).
-
-    sub[p, q] = 1 when q lies in the subtree of p, so the backward sweep's branch
-    currents are sub @ i_bus and the forward sweep's drops are drop @ i_branch with
-    drop = sub^T diag(z_to_parent).
-    """
-    tree = graph.bfs()
-    slack = graph.pos(graph.slack_bus())
-    n = graph.n
-    z_to_parent = np.zeros(n, dtype=np.complex128)
-    # Row p of `anc` marks p and its ancestors; parents precede children in BFS order.
-    anc = np.zeros((n, n), dtype=np.complex128)
-    for p in tree.order:
-        par = tree.parent[p]
-        if par >= 0:
-            z_to_parent[p] = graph.branches[tree.parent_branch[p]].impedance
-            anc[p] = anc[par]
-        anc[p, p] = 1.0
-    sub = anc.T
-    drop = anc * z_to_parent
-
-    v = np.ones(n, dtype=np.complex128)
-    for it in range(SWEEP_MAX_ITER):
+    """Backward/forward sweep with the graph's path matrices (see GridGraph.path_matrices)."""
+    sub, drop = graph.path_matrices
+    v = np.ones(graph.n, dtype=np.complex128)
+    for sweeps in range(1, SWEEP_MAX_ITER + 1):
         v_new = 1.0 + drop @ (sub @ np.conj(s_inj / v))
         step = float(np.max(np.abs(v_new - v)))
         v = v_new
         if not np.all(np.isfinite(v.view(np.float64))) or np.max(np.abs(v)) > VOLTAGE_DIVERGED \
                 or np.min(np.abs(v)) < 1e-6:
-            raise NoConvergence(it + 1, float("inf"))
+            raise NoConvergence(sweeps, float("inf"))
         if step < 1e-13:
             break
     mism = nodal_mismatch(y, v, s_inj)
-    mism[slack] = 0.0
+    mism[graph.pos(graph.slack_bus())] = 0.0
     worst = float(np.max(np.abs(mism)))
     if worst > tol:
-        raise NoConvergence(SWEEP_MAX_ITER, worst)
+        raise NoConvergence(sweeps, worst)
     return v
 
 

@@ -51,6 +51,16 @@ class TestGen:
             if name.endswith(".ugcn.json"):
                 assert sha(os.path.join(dataset, name)) == sha(os.path.join(out2, name))
 
+    def test_rerun_into_same_directory_drops_earlier_systems(self, tmp_path):
+        out = str(tmp_path / "d")
+        base = ["gen", "--task", "forecast", "--case", "ieee33", "--t-total", "24", "--out", out]
+        assert run_cli(base + ["--q", "4", "--seed", "1"]) == 0
+        assert run_cli(base + ["--q", "2", "--seed", "9"]) == 0
+        systems, _ = cli.load_dataset_dir(out)
+        assert [s.seed for s in systems] == [9, 9]
+        assert sorted(os.listdir(out)) == ["manifest.json", "system_000.ugcn.json",
+                                           "system_001.ugcn.json"]
+
     def test_parallel_matches_serial(self, dataset, tmp_path):
         out2 = str(tmp_path / "dsj")
         assert run_cli(GEN_ARGS + ["--out", out2, "--jobs", "2"]) == 0

@@ -49,3 +49,25 @@ def test_settable_values_are_pinned():
         "checkpoint", "data", "out", "csv", "horizons", "omegas", "stride",
         "fdi_stride", "threshold", "max_attacks", "model",
     }
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every import in src/ugcn is the standard library, numpy or ugcn itself."""
+    import ast
+    import pathlib
+    import sys
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ugcn"}
+    found = {}
+    for path in sorted(pathlib.Path(ugcn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in allowed:
+                    found.setdefault(path.name, []).append(name)
+    assert found == {}

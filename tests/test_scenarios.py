@@ -69,7 +69,7 @@ def reconfigured(name, seed, ops):
     return augment(base, cfg)[0].graph
 
 
-def naive_sweep(graph, s_inj):
+def loop_sweep(graph, s_inj):
     """Backward/forward sweep with one Python loop over the buses per direction."""
     tree = graph.bfs()
     slack = graph.pos(graph.slack_bus())
@@ -97,6 +97,39 @@ def naive_sweep(graph, s_inj):
             raise NoConvergence(it + 1, float("inf"))
         if step < 1e-13:
             break
+    return v
+
+
+def naive_sweep(graph, s_inj, y, tol):
+    """The path-matrix sweep with the tree and both path matrices rebuilt on every call."""
+    tree = graph.bfs()
+    slack = graph.pos(graph.slack_bus())
+    n = graph.n
+    z_to_parent = np.zeros(n, dtype=np.complex128)
+    anc = np.zeros((n, n), dtype=np.complex128)
+    for p in tree.order:
+        par = tree.parent[p]
+        if par >= 0:
+            z_to_parent[p] = graph.branches[tree.parent_branch[p]].impedance
+            anc[p] = anc[par]
+        anc[p, p] = 1.0
+    sub = anc.T
+    drop = anc * z_to_parent
+    v = np.ones(n, dtype=np.complex128)
+    for it in range(SWEEP_MAX_ITER):
+        v_new = 1.0 + drop @ (sub @ np.conj(s_inj / v))
+        step = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if not np.all(np.isfinite(v.view(np.float64))) or np.max(np.abs(v)) > VOLTAGE_DIVERGED \
+                or np.min(np.abs(v)) < 1e-6:
+            raise NoConvergence(it + 1, float("inf"))
+        if step < 1e-13:
+            break
+    mism = nodal_mismatch(y, v, s_inj)
+    mism[slack] = 0.0
+    worst = float(np.max(np.abs(mism)))
+    if worst > tol:
+        raise NoConvergence(SWEEP_MAX_ITER, worst)
     return v
 
 
@@ -157,7 +190,50 @@ def ami_cost(
     y = build_admittance(graph) if y is None else y
     idx = np.array([graph.pos(b) for b in ami_buses])
     split = np.concatenate([v.real, v.imag])
-    return float(np.sum((z - _ami_h(y, v, idx)) ** 2) + lam * np.sum(split ** 2))
+    return float(np.sum((z - _ami_h(np.conj(y[idx]), v, idx)) ** 2) + lam * np.sum(split ** 2))
+
+
+def naive_estimate_ami(graph, z, ami_buses, lam):
+    """Damped Gauss-Newton with the Jacobian and the normal equations on all 2N - 1 free columns."""
+    y = build_admittance(graph)
+    n = graph.n
+    idx = np.array([graph.pos(b) for b in ami_buses])
+    yc_a = np.conj(y[idx])
+    v = np.ones(n, dtype=np.complex128)
+    gauge = n + graph.pos(graph.slack_bus())
+    free = np.array([i for i in range(2 * n) if i != gauge])
+
+    def cost(vec):
+        split = np.concatenate([vec.real, vec.imag])
+        return float(np.sum((z - _ami_h(yc_a, vec, idx)) ** 2) + lam * np.sum(split ** 2))
+
+    current = cost(v)
+    for _ in range(GN_MAX_ITER):
+        h, jac = _ami_h_and_jac(yc_a, v, idx)
+        split = np.concatenate([v.real, v.imag])
+        j_free = jac[:, free]
+        r = z - h
+        if lam > 0:
+            normal = j_free.T @ j_free
+            normal[np.diag_indices_from(normal)] += lam
+            reduced = np.linalg.solve(normal, j_free.T @ r - lam * split[free])
+        else:
+            reduced = np.linalg.lstsq(j_free, r, rcond=None)[0]
+        step = np.zeros(2 * n)
+        step[free] = reduced
+        trial = v + step[:n] + 1j * step[n:]
+        trial_cost = cost(trial)
+        halvings = 0
+        while trial_cost > current and halvings < 12:
+            step *= 0.5
+            halvings += 1
+            trial = v + step[:n] + 1j * step[n:]
+            trial_cost = cost(trial)
+        if trial_cost <= current:
+            v, current = trial, trial_cost
+        if np.linalg.norm(step) < GN_STEP_TOL:
+            break
+    return v
 
 
 def lstsq_estimate(graph, z, ami_buses, lam):
@@ -169,7 +245,7 @@ def lstsq_estimate(graph, z, ami_buses, lam):
     v = np.ones(n, dtype=np.complex128)
     current = ami_cost(graph, v, z, ami_buses, lam=lam, y=y)
     for _ in range(GN_MAX_ITER):
-        h, jac = _ami_h_and_jac(y, v, idx)
+        h, jac = _ami_h_and_jac(np.conj(y[idx]), v, idx)
         split = np.concatenate([v.real, v.imag])
         a = np.vstack([jac, np.sqrt(lam) * np.eye(2 * n)])[:, free]
         b = np.concatenate([z - h, -np.sqrt(lam) * split])
@@ -227,7 +303,7 @@ class TestPowerFlow:
         g = request.getfixturevalue(fixture)
         s = case_injections(name, g)
         v = _sweep(g, s, build_admittance(g), MISMATCH_TOL)
-        assert np.max(np.abs(v - naive_sweep(g, s))) <= 1e-12
+        assert np.max(np.abs(v - loop_sweep(g, s))) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["ieee33", "ieee69"]), seed=st.integers(0, 10_000),
@@ -236,13 +312,41 @@ class TestPowerFlow:
         g = reconfigured(name, seed, ops)
         s = feeder_injections(name, g, scale)
         try:
-            expected = naive_sweep(g, s)
+            expected = loop_sweep(g, s)
         except NoConvergence:
             with pytest.raises(NoConvergence):
                 _sweep(g, s, build_admittance(g), MISMATCH_TOL)
             return
         v = _sweep(g, s, build_admittance(g), MISMATCH_TOL)
         assert np.max(np.abs(v - expected)) <= 1e-12
+
+    def test_sweep_matches_per_call_oracle_bit_for_bit_on_interleaved_graphs(self):
+        """Calls alternate between graphs, three of them with 33 buses, so a path
+        matrix reused from the wrong graph would show."""
+        feeders = [("ieee33", to_grid_graph(load_case("ieee33"))),
+                   ("ieee33", reconfigured("ieee33", 0, 3)), ("ieee69", reconfigured("ieee69", 4, 2)),
+                   ("ieee33", reconfigured("ieee33", 1, 1))]
+        assert [g.n for _, g in feeders] == [33, 33, 69, 33]
+        for scale in (0.4, 0.8, 1.2):
+            for name, g in feeders:
+                s = feeder_injections(name, g, scale)
+                y = build_admittance(g)
+                got = solve_powerflow(g, s, y)
+                assert np.array_equal(got.view(np.float64),
+                                      naive_sweep(g, s, y, MISMATCH_TOL).view(np.float64))
+
+    def test_path_matrices_built_once_and_read_only(self, ieee33):
+        sub, drop = ieee33.path_matrices
+        assert ieee33.path_matrices[0] is sub and ieee33.path_matrices[1] is drop
+        for matrix in (sub, drop):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[1, 0] = 2.0
+
+    def test_sweep_failure_reports_the_sweeps_run(self, ieee33):
+        with pytest.raises(NoConvergence) as exc:
+            solve_powerflow(ieee33, case_injections("ieee33", ieee33), tol=1e-300)
+        assert 0 < exc.value.iterations < SWEEP_MAX_ITER
+        assert f"after {exc.value.iterations} iterations" in str(exc.value)
 
     @pytest.mark.parametrize("case,seed,index", [("ieee30", 1, 0), ("ieee39", 2, 0),
                                                   ("ieee39", 2, 4)])
@@ -370,14 +474,15 @@ class TestAmiEstimation:
         idx = np.array([g.pos(b) for b in ami_placement(g, 0.4)])
         rng = np.random.default_rng(5)
         v = (1 + 0.05 * rng.standard_normal(g.n)) * np.exp(0.05j * rng.standard_normal(g.n))
-        h, jac = _ami_h_and_jac(y, v, idx)
-        assert np.array_equal(h, _ami_h(y, v, idx))
+        yc_a = np.conj(y[idx])
+        h, jac = _ami_h_and_jac(yc_a, v, idx)
+        assert np.array_equal(h, _ami_h(yc_a, v, idx))
         eps = 1e-6
         fd = np.empty_like(jac)
         for k in range(2 * g.n):
             dv = np.zeros(g.n, dtype=np.complex128)
             dv[k % g.n] = eps if k < g.n else 1j * eps
-            fd[:, k] = (_ami_h(y, v + dv, idx) - _ami_h(y, v - dv, idx)) / (2 * eps)
+            fd[:, k] = (_ami_h(yc_a, v + dv, idx) - _ami_h(yc_a, v - dv, idx)) / (2 * eps)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
 
     def test_objective_matches_lstsq_step_oracle(self):
@@ -404,6 +509,44 @@ class TestAmiEstimation:
         v = np.ones(4, dtype=np.complex128)
         with pytest.raises(ConfigError, match="rng required"):
             measure_ami(chain4, v, (2, 3, 4), sigma=0.01)
+
+    @staticmethod
+    def assert_matches_full_column_oracle(g, z, buses, lam):
+        est = estimate_ami(g, z, buses, lam=lam)
+        want = naive_estimate_ami(g, z, buses, lam)
+        assert np.max(np.abs(est - want)) <= 2e-8
+        # Unregularized, both runs stop where the objective lies within about
+        # 1e-15 of a 200-iteration refinement's, so rounding alone moves it
+        # by more than 1e-12 relative.
+        floor = 0.0 if lam > 0 else 1e-15
+        assert ami_cost(g, est, z, buses, lam=lam) <= \
+            ami_cost(g, want, z, buses, lam=lam) * (1 + 1e-12) + floor
+        return est
+
+    @pytest.mark.parametrize("lam", [DEFAULT_LAMBDA, 0.0])
+    @pytest.mark.parametrize("name,seed", [("ieee33", 2), ("ieee33", 9), ("ieee69", 3),
+                                           ("ieee69", 8)])
+    def test_matches_full_column_oracle_on_reconfigured_feeders(self, name, seed, lam):
+        g = reconfigured(name, seed, ops=4)
+        v = solve_powerflow(g, feeder_injections(name, g))
+        buses = ami_placement(g)
+        z = measure_ami(g, v, buses, sigma=0.002, rng=np.random.default_rng(seed))
+        self.assert_matches_full_column_oracle(g, z, buses, lam)
+
+    @pytest.mark.parametrize("lam", [DEFAULT_LAMBDA, 0.0])
+    @pytest.mark.parametrize("slack_seen", [False, True])
+    def test_gauge_frozen_whether_or_not_a_meter_sees_the_slack(self, ieee33, slack_seen, lam):
+        y = build_admittance(ieee33)
+        slack = ieee33.pos(ieee33.root)
+        neighbors = {b for b in ieee33.bus_ids if b != ieee33.root and y[slack, ieee33.pos(b)] != 0}
+        buses = ami_placement(ieee33)
+        assert not neighbors & set(buses)
+        if slack_seen:
+            buses = tuple(sorted(set(buses) | {min(neighbors)}))
+        v = solve_powerflow(ieee33, case_injections("ieee33", ieee33))
+        z = measure_ami(ieee33, v, buses, sigma=0.002, rng=np.random.default_rng(4))
+        est = self.assert_matches_full_column_oracle(ieee33, z, buses, lam)
+        assert est[slack].imag == 0.0
 
     def test_huge_regularization_shrinks_to_zero(self, chain4):
         s = np.array([0, -0.02j, -0.02j, -0.02j])
