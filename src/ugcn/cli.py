@@ -309,13 +309,17 @@ def cmd_gen(args) -> int:
         raise ConfigError(f"unknown task {cfg['task']!r}")
     if cfg["q"] < 1:
         raise ConfigError(f"q must be at least 1, got {cfg['q']}")
+    jobs = 1 if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     case = caseio.load_case(cfg["case"])
     kind = cfg["kind"] or case.kind or DISTRIBUTION
     if cfg["task"] == "fdi" and kind != TRANSMISSION:
         kind = TRANSMISSION if case.kind == TRANSMISSION else kind
     os.makedirs(cfg["out"], exist_ok=True)
 
-    jobs = max(1, args.jobs or 1)
+    # The pool starts all its workers at once, so never more than can be busy.
+    jobs = min(jobs, cfg["q"], os.cpu_count() or 1)
     indices = list(range(cfg["q"]))
     try:
         if jobs == 1:
@@ -701,7 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=["ami", "pmu"])
     p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for generation (default 1)")
+                   help="parallel workers for generation, capped at q and the CPU count "
+                        "(default 1)")
 
     p = sub.add_parser("train", help="train a model on a dataset directory",
                        description=_keys_doc(TRAIN_DEFAULTS))

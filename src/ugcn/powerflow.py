@@ -4,6 +4,8 @@ Injections are net complex power into the network in per-unit (loads negative).
 The slack bus (root for distribution, first bus otherwise) holds 1+0j and
 absorbs the balance.  Solutions satisfy the nodal power balance
 S_n = v_n * conj((Y v)_n) at every non-slack bus to the stated tolerance.
+Both solvers start from a given state, or from the flat profile 1+0j; a start
+that fails is retried once from the flat profile.
 """
 
 from __future__ import annotations
@@ -29,21 +31,33 @@ def solve_powerflow(
     s_inj: np.ndarray,
     y: np.ndarray | None = None,
     tol: float = MISMATCH_TOL,
+    v0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Bus voltage phasors for the given net injections (slack entry ignored)."""
+    """Bus voltage phasors for the given net injections (slack entry ignored).
+
+    The solver starts from v0, whose slack entry must be 1+0j, or from the
+    flat profile without v0; it does not write into v0.  If the start from v0
+    does not converge, the solve is retried from the flat profile, whose
+    failure is the one raised.
+    """
     s_inj = np.asarray(s_inj, dtype=np.complex128)
     if s_inj.shape != (graph.n,):
         raise DimensionMismatch(f"expected {graph.n} injections, got {s_inj.shape}")
     y = build_admittance(graph) if y is None else y
-    if graph.kind == DISTRIBUTION:
-        return _sweep(graph, s_inj, y, tol)
-    return _newton(graph, s_inj, y, tol)
+    solve = _sweep if graph.kind == DISTRIBUTION else _newton
+    if v0 is not None:
+        try:
+            return solve(graph, s_inj, y, tol, v0)
+        except NoConvergence:
+            pass
+    return solve(graph, s_inj, y, tol)
 
 
-def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
+           v0: np.ndarray | None = None) -> np.ndarray:
     """Backward/forward sweep with the graph's path matrices (see GridGraph.path_matrices)."""
     sub, drop = graph.path_matrices
-    v = np.ones(graph.n, dtype=np.complex128)
+    v = np.ones(graph.n, dtype=np.complex128) if v0 is None else v0
     for sweeps in range(1, SWEEP_MAX_ITER + 1):
         v_new = 1.0 + drop @ (sub @ np.conj(s_inj / v))
         step = float(np.max(np.abs(v_new - v)))
@@ -61,7 +75,8 @@ def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float) -> np
     return v
 
 
-def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
+            v0: np.ndarray | None = None) -> np.ndarray:
     """Newton-Raphson in rectangular coordinates with a backtracking line search.
 
     The Jacobian of S = v .* conj(Y v) with respect to (e, f) at the free buses is
@@ -78,7 +93,7 @@ def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float) -> n
     y_free = np.conj(y[np.ix_(free, free)])
     jac = np.empty((2 * m, 2 * m))
     d = np.arange(m)
-    v = np.ones(n, dtype=np.complex128)
+    v = np.ones(n, dtype=np.complex128) if v0 is None else v0
     i_conj = np.conj(y @ v)
     mism = v * i_conj - s_inj
     for it in range(NEWTON_MAX_ITER):

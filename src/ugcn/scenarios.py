@@ -218,13 +218,26 @@ def _series_profiles(graph: GridGraph, cfg: ScenarioConfig, index: int,
     )
 
 
-def _solve_series(graph: GridGraph, y: np.ndarray, s_inj: np.ndarray) -> np.ndarray:
+def _solve_series(graph: GridGraph, y: np.ndarray, z: np.ndarray,
+                  s_inj: np.ndarray) -> np.ndarray:
+    """One power flow per hour; after hour 0, each starts from a linear prediction.
+
+    z is the inverse of Y restricted to the free (non-slack) buses.  Hour 0
+    starts from the flat profile; hour t starts from the previous solution
+    plus z conj(dS / v), the first-order change of the bus currents.
+    """
     slack = graph.pos(graph.slack_bus())
+    free = np.delete(np.arange(graph.n), slack)
     states = np.empty_like(s_inj)
+    v0 = None
     for t in range(s_inj.shape[0]):
+        if t:
+            prev = states[t - 1]
+            v0 = prev.copy()
+            v0[free] += z @ np.conj((s_inj[t, free] - s_inj[t - 1, free]) / prev[free])
         s_t = s_inj[t].copy()
         s_t[slack] = 0.0
-        states[t] = solve_powerflow(graph, s_t, y)
+        states[t] = solve_powerflow(graph, s_t, y, v0=v0)
     return states
 
 
@@ -238,6 +251,8 @@ def build_scenario(
 ) -> ScenarioSet:
     """Profiles -> power flow -> measurements -> estimates for one system."""
     y = build_admittance(graph)
+    free = np.delete(np.arange(graph.n), graph.pos(graph.slack_bus()))
+    z = np.linalg.inv(y[np.ix_(free, free)])
     scale = cfg.demand_scale
     tried = []
     states = None
@@ -245,7 +260,7 @@ def build_scenario(
         tried.append(scale)
         profiles = _series_profiles(graph, cfg, index, base_loads, scale)
         try:
-            states = _solve_series(graph, y, profiles.injections())
+            states = _solve_series(graph, y, z, profiles.injections())
             break
         except NoConvergence as exc:
             last = exc

@@ -68,6 +68,56 @@ class TestGen:
             if name.endswith(".ugcn.json"):
                 assert sha(os.path.join(dataset, name)) == sha(os.path.join(out2, name))
 
+    @pytest.mark.parametrize("q, jobs, cpus, workers", [
+        (2, 5000, 4, 2), (3, 5000, 2, 2), (3, 2, 8, 2), (3, 5000, None, None), (1, 4, 4, None),
+    ])
+    def test_worker_count_capped_at_q_and_cpu_count(self, tmp_path, monkeypatch,
+                                                     q, jobs, cpus, workers):
+        """The pool forks every worker up front, so `--jobs` is capped; the fake
+        pool records its size and runs the systems in this process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out, serial = str(tmp_path / "d"), str(tmp_path / "s")
+        assert run_cli(GEN_ARGS + ["--out", out, "--q", str(q), "--jobs", str(jobs)]) == 0
+        assert sizes == ([] if workers is None else [workers])
+        assert run_cli(GEN_ARGS + ["--out", serial, "--q", str(q)]) == 0
+        written = sorted(f for f in os.listdir(out) if f.endswith(".ugcn.json"))
+        assert len(written) == q
+        for name in written:
+            assert sha(os.path.join(serial, name)) == sha(os.path.join(out, name))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_before_work(self, tmp_path, capsys, jobs):
+        out = tmp_path / "x"
+        assert run_cli(GEN_ARGS + ["--out", str(out), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_ieee39_seed_2_failure_unchanged(self, tmp_path, capsys):
+        """System 4 fails at every demand scale, from the predicted and from the
+        flat start alike, and reports the flat start's last Newton run."""
+        assert run_cli(["gen", "--task", "fdi", "--case", "ieee39", "--q", "5", "--seed", "2",
+                        "--t-total", "96", "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == (
+            "generation failed: system 4 failed at demand scales 0.55, 0.4675, 0.3974, "
+            "0.3378; last power flow: no convergence after 9 iterations (mismatch 3.657e-02)\n")
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         code = run_cli(GEN_ARGS + ["--out", str(tmp_path / "x"), "--set", "bogus_key=1"])
         assert code == 2

@@ -133,13 +133,14 @@ def naive_sweep(graph, s_inj, y, tol):
     return v
 
 
-def naive_newton(graph, s_inj, y, tol):
+def naive_newton(graph, s_inj, y, tol, v0=None):
     """Newton-Raphson with the Jacobian assembled from full N x N complex
-    blocks and the mismatch recomputed at the top of every iteration."""
+    blocks and the mismatch recomputed at the top of every iteration; it
+    starts from v0, or from the flat profile without it."""
     n = graph.n
     slack = graph.pos(graph.slack_bus())
     free = np.array([i for i in range(n) if i != slack])
-    v = np.ones(n, dtype=np.complex128)
+    v = np.ones(n, dtype=np.complex128) if v0 is None else np.array(v0, dtype=np.complex128)
     for it in range(NEWTON_MAX_ITER):
         mism = nodal_mismatch(y, v, s_inj)
         worst = float(np.max(np.abs(mism[free])))
@@ -352,27 +353,32 @@ class TestPowerFlow:
                                                   ("ieee39", 2, 4)])
     def test_newton_matches_naive_newton_bit_for_bit(self, case, seed, index, monkeypatch):
         """Every power flow that generating an FDI system solves, against the
-        oracle: equal voltages, or equal NoConvergence iterations and mismatch.
-        ieee39 seed 2 system 4 fails at every demand scale it backs off to."""
+        oracle, from the predicted start where there is one and then, as
+        solve_powerflow retries, from the flat profile: equal voltages, or equal
+        NoConvergence iterations and mismatch.  ieee39 seed 2 system 4 fails at
+        every demand scale it backs off to."""
         import ugcn.scenarios
         from ugcn.cli import GEN_DEFAULTS, _gen_one_system
 
         outcomes = []
 
-        def compare(graph, s_inj, y):
-            def run(solve):
+        def compare(graph, s_inj, y, v0):
+            def run(solve, start):
                 try:
-                    return solve(graph, s_inj, y, MISMATCH_TOL)
+                    return solve(graph, s_inj, y, MISMATCH_TOL, start)
                 except NoConvergence as exc:
                     return exc.iterations, exc.mismatch
-            got, want = run(_newton), run(naive_newton)
-            if isinstance(want, tuple):
-                assert got == want
-                outcomes.append(False)
-                raise NoConvergence(*want)
-            assert np.array_equal(got.view(np.float64), want.view(np.float64))
-            outcomes.append(True)
-            return got
+            assert v0 is None or v0[graph.pos(graph.slack_bus())] == 1.0
+            for start in ((None,) if v0 is None else (v0, None)):
+                got, want = run(_newton, start), run(naive_newton, start)
+                if isinstance(want, tuple):
+                    assert got == want
+                    continue
+                assert np.array_equal(got.view(np.float64), want.view(np.float64))
+                outcomes.append(True)
+                return got
+            outcomes.append(False)
+            raise NoConvergence(*want)
 
         monkeypatch.setattr(ugcn.scenarios, "solve_powerflow", compare)
         cfg = {**GEN_DEFAULTS, "task": "fdi", "case": case, "q": index + 1, "seed": seed,
@@ -389,6 +395,127 @@ class TestPowerFlow:
         s = np.array([0, 0, 0, -100.0 + 0j])
         with pytest.raises(NoConvergence):
             solve_powerflow(chain4, s)
+
+
+def fdi_series(case, seed, index, t_total=96):
+    """Graph, admittance and hourly injections of one generated system, at the
+    first demand scale that `build_scenario` tries."""
+    from ugcn.cli import GEN_DEFAULTS, _augment_config, _scenario_config
+    from ugcn.reconfig import _generate_one
+    from ugcn.scenarios import _series_profiles
+
+    loaded = load_case(case)
+    base = to_grid_graph(loaded)
+    cfg = {**GEN_DEFAULTS, "task": "fdi", "case": case, "q": index + 1, "seed": seed,
+           "t_total": t_total}
+    graph = _generate_one(base, _augment_config(base.n, base.kind, cfg), index).graph
+    scfg = _scenario_config(base.kind, cfg)
+    profiles = _series_profiles(graph, scfg, index, loaded.loads_pu(), scfg.demand_scale)
+    return graph, build_admittance(graph), profiles.injections()
+
+
+class TestWarmStart:
+    # Largest |warm - flat| measured over 48 transmission and 30 distribution
+    # systems at T=96: 3.2e-10 (ieee30) and 9.1e-14 (ieee69).  Both solutions
+    # meet MISMATCH_TOL, and the gap is what that tolerance leaves open.
+    BOUND = {"transmission": 1e-9, "distribution": 1e-12}
+
+    @pytest.mark.parametrize("case,task,seed", [("ieee30", "fdi", 1), ("ieee39", "fdi", 2),
+                                                ("ieee33", "forecast", 1),
+                                                ("ieee69", "forecast", 5)])
+    def test_series_matches_flat_start_solves(self, case, task, seed, monkeypatch):
+        """Each hour of a generated system, solved from the predicted start and
+        from the flat profile: both balance to MISMATCH_TOL and agree."""
+        import ugcn.scenarios
+        from ugcn.cli import GEN_DEFAULTS, _gen_one_system
+
+        worst = {"gap": 0.0, "mismatch": 0.0}
+        hours = []
+
+        def both(graph, s_inj, y, v0):
+            assert v0 is None or v0[graph.pos(graph.slack_bus())] == 1.0
+            warm = solve_powerflow(graph, s_inj, y, v0=v0)
+            flat = solve_powerflow(graph, s_inj, y)
+            for v in (warm, flat):
+                mism = nodal_mismatch(y, v, s_inj)
+                mism[graph.pos(graph.slack_bus())] = 0
+                worst["mismatch"] = max(worst["mismatch"], float(np.max(np.abs(mism))))
+            worst["gap"] = max(worst["gap"], float(np.max(np.abs(warm - flat))))
+            hours.append(graph.kind)
+            return warm
+
+        monkeypatch.setattr(ugcn.scenarios, "solve_powerflow", both)
+        kind = to_grid_graph(load_case(case)).kind
+        cfg = {**GEN_DEFAULTS, "task": task, "case": case, "q": 2, "seed": seed, "t_total": 96}
+        for index in range(2):
+            _gen_one_system(case, kind, cfg, index)
+        assert hours == [kind] * 192
+        assert worst["mismatch"] < MISMATCH_TOL
+        assert worst["gap"] <= self.BOUND[kind]
+
+    @pytest.mark.parametrize("name", ["ieee30", "ieee33"])
+    def test_diverging_start_falls_back_to_flat_bit_for_bit(self, name):
+        g = to_grid_graph(load_case(name))
+        s = case_injections(name, g) * (0.55 if name == "ieee30" else 1.0)
+        y = build_admittance(g)
+        # Newton from -1 (the wrong half-plane) fails after 10 iterations; the
+        # sweep from 1e-3 blows up in its first sweep.
+        start = np.full(g.n, -1.0 if name == "ieee30" else 1e-3, dtype=complex)
+        start[g.pos(g.slack_bus())] = 1.0
+        solver = _newton if name == "ieee30" else _sweep
+        with pytest.raises(NoConvergence):
+            solver(g, s, y, MISMATCH_TOL, start)
+        got = solve_powerflow(g, s, y, v0=start)
+        assert np.array_equal(got.view(np.float64), solve_powerflow(g, s, y).view(np.float64))
+
+    def test_failure_reports_the_flat_start(self, chain4):
+        s = np.array([0, 0, 0, -100.0 + 0j])
+        with pytest.raises(NoConvergence) as flat:
+            solve_powerflow(chain4, s)
+        with pytest.raises(NoConvergence) as warm:
+            solve_powerflow(chain4, s, v0=np.array([1, 0.9 + 0.1j, 0.9 + 0.1j, 0.9 + 0.1j]))
+        assert str(warm.value) == str(flat.value)
+        assert (warm.value.iterations, warm.value.mismatch) == \
+            (flat.value.iterations, flat.value.mismatch)
+
+    def test_start_is_not_modified(self, ieee30):
+        s = case_injections("ieee30", ieee30) * 0.55
+        y = build_admittance(ieee30)
+        flat = solve_powerflow(ieee30, s, y)
+        start = flat * 1.01
+        start[ieee30.pos(ieee30.slack_bus())] = 1.0
+        kept = start.copy()
+        v = solve_powerflow(ieee30, s, y, v0=start)
+        assert np.array_equal(start, kept)
+        assert np.max(np.abs(v - flat)) <= 1e-9
+
+    def test_lu_solves_per_hour(self, monkeypatch):
+        """ieee39 seed 2 system 0, 96 hours: at most 3.2 Newton LU solves per
+        hour from the predicted starts, and at most 0.65 times the count from
+        the flat profile (measured: 297 against 504)."""
+        from ugcn.scenarios import _solve_series
+
+        graph, y, s_inj = fdi_series("ieee39", 2, 0)
+        slack = graph.pos(graph.slack_bus())
+        free = np.delete(np.arange(graph.n), slack)
+        z = np.linalg.inv(y[np.ix_(free, free)])
+        solves = [0]
+        real = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        states = _solve_series(graph, y, z, s_inj)
+        warm, solves[0] = solves[0], 0
+        for t in range(s_inj.shape[0]):
+            s_t = s_inj[t].copy()
+            s_t[slack] = 0
+            solve_powerflow(graph, s_t, y)
+        assert warm <= 3.2 * s_inj.shape[0]
+        assert warm <= 0.65 * solves[0]
+        assert states.shape == (96, graph.n)
 
 
 class TestProfiles:
