@@ -9,7 +9,7 @@ parameter set whose shapes are independent of system size.
 from .caseio import CaseFile, load_case, parse_case, to_grid_graph
 from .errors import UgcnError
 from .fdi import AttackScenario, build_stealth_attack, inject, sample_attack_config
-from .grid import Branch, GridGraph, Gso, build_admittance, build_gso
+from .grid import Branch, GridGraph, build_admittance, build_gso
 from .model import (
     LayerConfig,
     UgcnParams,
@@ -23,7 +23,7 @@ from .model import (
     pool_learnable,
 )
 from .powerflow import nodal_mismatch, solve_powerflow
-from .reconfig import AugmentConfig, apply_op, augment, transmission_augment
+from .reconfig import AugmentConfig, apply_op, augment
 from .scenarios import (
     ProfileSet,
     ScenarioConfig,
@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackScenario", "AugmentConfig", "Adam", "Branch", "CaseFile", "GridGraph",
-    "Gso", "LayerConfig", "MetricsReport", "ProfileSet", "ScenarioConfig",
+    "LayerConfig", "MetricsReport", "ProfileSet", "ScenarioConfig",
     "ScenarioSet", "TrainConfig", "UgcnError", "UgcnParams", "UgcnPredictor",
     "apply_op", "augment", "build_admittance", "build_features", "build_gso",
     "build_scenario", "build_stealth_attack", "conv_forward", "eval_fdi",
@@ -57,5 +57,5 @@ __all__ = [
     "loss_forecast", "model_backward", "model_forward", "nodal_mismatch",
     "parse_case", "pool_custom", "pool_learnable",
     "sample_attack_config", "solve_powerflow", "synth_profiles",
-    "to_grid_graph", "train", "transmission_augment",
+    "to_grid_graph", "train",
 ]

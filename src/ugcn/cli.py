@@ -129,15 +129,7 @@ REPORT_DEFAULTS = {
 
 
 def _coerce(key: str, value, template):
-    if isinstance(template, bool):
-        if isinstance(value, bool):
-            return value
-        if str(value).lower() in ("1", "true", "yes"):
-            return True
-        if str(value).lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
-    if isinstance(template, int) and not isinstance(template, bool):
+    if isinstance(template, int):
         try:
             return int(value)
         except (TypeError, ValueError) as exc:
@@ -159,7 +151,7 @@ def _coerce(key: str, value, template):
     return str(value)
 
 
-def build_config(defaults: dict, args: argparse.Namespace, flag_keys: dict) -> dict:
+def build_config(defaults: dict, args: argparse.Namespace) -> dict:
     """defaults < UGCN_SEED < --config file < --set pairs < explicit flags."""
     cfg = dict(defaults)
     if "seed" in cfg and os.environ.get("UGCN_SEED"):
@@ -183,8 +175,8 @@ def build_config(defaults: dict, args: argparse.Namespace, flag_keys: dict) -> d
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = _coerce(key, value, defaults[key])
-    for flag, key in flag_keys.items():
-        value = getattr(args, flag, None)
+    for key in defaults:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = _coerce(key, value, defaults[key])
     return cfg
@@ -301,10 +293,7 @@ def _gen_one_system(case_name: str, kind: str, cfg: dict, index: int) -> dict:
 
 
 def cmd_gen(args) -> int:
-    cfg = build_config(GEN_DEFAULTS, args, {
-        "task": "task", "case": "case", "q": "q", "seed": "seed", "out": "out",
-        "t_total": "t_total", "scenario": "scenario",
-    })
+    cfg = build_config(GEN_DEFAULTS, args)
     if cfg["task"] not in ("forecast", "fdi"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
     if cfg["q"] < 1:
@@ -313,6 +302,8 @@ def cmd_gen(args) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     case = caseio.load_case(cfg["case"])
+    for warning in case.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     kind = cfg["kind"] or case.kind or DISTRIBUTION
     if cfg["task"] == "fdi" and kind != TRANSMISSION:
         kind = TRANSMISSION if case.kind == TRANSMISSION else kind
@@ -420,10 +411,7 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    cfg = build_config(TRAIN_DEFAULTS, args, {
-        "task": "task", "data": "data", "out": "out", "seed": "seed",
-        "model": "model", "epochs": "epochs", "horizon": "horizon", "resume": "resume",
-    })
+    cfg = build_config(TRAIN_DEFAULTS, args)
     if cfg["task"] not in ("forecast", "fdi"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
     if cfg["model"] not in ("ugcn", "dense"):
@@ -532,10 +520,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = build_config(EVAL_DEFAULTS, args, {
-        "checkpoint": "checkpoint", "data": "data", "out": "out", "csv": "csv",
-        "model": "model",
-    })
+    cfg = build_config(EVAL_DEFAULTS, args)
     for key in ("stride", "fdi_stride"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
@@ -641,15 +626,16 @@ def _write_report_csv(path: str, reports: list[MetricsReport]) -> None:
 
 
 def cmd_report(args) -> int:
-    cfg = build_config(REPORT_DEFAULTS, args, {"out": "out", "csv": "csv"})
+    cfg = build_config(REPORT_DEFAULTS, args)
     _make_out_dirs(cfg["out"], cfg["csv"])
-    reports = []
+    reports, lines = [], []
     for path in args.reports:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            reports.append(MetricsReport.from_dict(doc))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+                reports.append(MetricsReport.from_dict(json.load(fh)))
+            lines.extend(_report_lines(reports[-1]))
+        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+            # JSON of another shape fails in `from_dict`, or in `_report_lines` at its values
             print(f"not a metrics report: {path} ({exc})", file=sys.stderr)
             return 2
     if not reports:
@@ -659,9 +645,6 @@ def cmd_report(args) -> int:
     if len(configs) > 1:
         print("warning: reports carry differing config echoes; merging anyway",
               file=sys.stderr)
-    lines = []
-    for r in reports:
-        lines.extend(_report_lines(r))
     table = "\n".join(lines)
     print(table)
     if cfg["out"]:

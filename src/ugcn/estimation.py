@@ -22,7 +22,7 @@ from .grid import DISTRIBUTION, GridGraph, build_admittance, build_gso
 
 GN_MAX_ITER = 50
 GN_STEP_TOL = 1e-9
-DEFAULT_LAMBDA = 1e-3
+GN_LAMBDA = 1e-3
 DEFAULT_MU1 = 1e-3
 FDI_SENSOR_COUNTS = {30: 15, 39: 20, 57: 25}
 
@@ -141,20 +141,18 @@ def estimate_ami(
     graph: GridGraph,
     z: np.ndarray,
     ami_buses: tuple[int, ...],
-    lam: float = DEFAULT_LAMBDA,
     y: np.ndarray | None = None,
     info: bool = False,
 ):
-    """Minimize ||z - h(v)||^2 + lam * ||[e; f]||^2 from a flat start, lam >= 0.
+    """Minimize ||z - h(v)||^2 + GN_LAMBDA * ||[e; f]||^2 from a flat start.
 
     h sees only the visible buses: the metered ones and their neighbors.  The
     Gauss-Newton normal equations are solved on their columns alone.  Every
-    other coordinate sees only lam * x^2, so its step is exactly -x, or 0 when
-    lam = 0 (the minimum-norm step); it is set in closed form.  Steps halve on
-    cost increase; iteration stops when the step norm drops below GN_STEP_TOL
-    or the budget runs out, returning the last iterate.  With `info`, the
-    iteration count and the residual norm and objective at the returned state
-    come along.
+    other coordinate sees only GN_LAMBDA * x^2, so its step is exactly -x; it
+    is set in closed form.  Steps halve on cost increase; iteration stops when
+    the step norm drops below GN_STEP_TOL or the budget runs out, returning
+    the last iterate.  With `info`, the iteration count and the residual norm
+    and objective at the returned state come along.
     """
     y = build_admittance(graph) if y is None else y
     n = graph.n
@@ -182,27 +180,22 @@ def estimate_ami(
 
     def cost(vec):
         split = np.concatenate([vec.real, vec.imag])
-        return float(np.sum((z - _ami_h(yc_a, vec[vis], loc)) ** 2) + lam * np.sum(split ** 2))
+        return float(np.sum((z - _ami_h(yc_a, vec[vis], loc)) ** 2) + GN_LAMBDA * np.sum(split ** 2))
 
     current = cost(v)
     iterations = 0
     for iterations in range(1, GN_MAX_ITER + 1):
         h, jac = _ami_h_and_jac(yc_a, v[vis], loc)
         split = np.concatenate([v.real, v.imag])
-        # Normal equations of the stacked system [J; sqrt(lam) I] on the free
-        # visible columns: J^T J + lam I.
+        # Normal equations of the stacked system [J; sqrt(GN_LAMBDA) I] on the
+        # free visible columns: J^T J + GN_LAMBDA I.
         j_free = jac[:, free]
         r = z - h
+        normal = j_free.T @ j_free
+        normal[diag, diag] += GN_LAMBDA
+        reduced = np.linalg.solve(normal, j_free.T @ r - GN_LAMBDA * split[cols])
         step = np.zeros(2 * n)
-        if lam > 0:
-            normal = j_free.T @ j_free
-            normal[diag, diag] += lam
-            reduced = np.linalg.solve(normal, j_free.T @ r - lam * split[cols])
-            step[hidden] = -split[hidden]
-        else:
-            # Without the regularizer an unmetered bus may be unobservable;
-            # take the minimum-norm least-squares step instead.
-            reduced = np.linalg.lstsq(j_free, r, rcond=None)[0]
+        step[hidden] = -split[hidden]
         if not np.all(np.isfinite(reduced)):
             raise NoConvergence(iterations, float("inf"))
         step[cols] = reduced
@@ -224,7 +217,7 @@ def estimate_ami(
     if info:
         r = z - _ami_h(np.conj(y[idx]), v, idx)
         split = np.concatenate([v.real, v.imag])
-        objective = float(np.sum(r ** 2) + lam * np.sum(split ** 2))
+        objective = float(np.sum(r ** 2) + GN_LAMBDA * np.sum(split ** 2))
         return v, {"iterations": iterations, "residual": float(np.linalg.norm(r)),
                    "cost": objective}
     return v
@@ -262,7 +255,7 @@ class PmuOperator:
         h = np.zeros((2 * m, graph.n), dtype=np.complex128)
         h[:m, :] = y[np.ix_(a_pos, perm)]
         h[m:, :m] = np.eye(m)
-        s_perm = build_gso(y).matrix[np.ix_(perm, perm)]
+        s_perm = build_gso(y)[np.ix_(perm, perm)]
         grab = h.conj().T
         solve = np.linalg.pinv(grab @ h + mu1 * s_perm, rcond=1e-10) @ grab
         return cls(graph=graph, pmu_buses=tuple(pmu_buses), mu1=mu1,

@@ -204,31 +204,6 @@ class GridGraph:
         return anc.T, drop
 
 
-@dataclass(frozen=True)
-class Gso:
-    """Graph shift operator: complex symmetric, spectral norm 1."""
-
-    matrix: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"GSO must be square, got {m.shape}")
-        if not np.all(np.isfinite(m.view(np.float64))):
-            raise DegenerateMatrix("GSO has non-finite entries")
-        if np.max(np.abs(m - m.T)) > 1e-12:
-            raise InvalidGraph("GSO must be complex symmetric")
-        top = np.linalg.norm(m, 2)
-        if abs(top - 1.0) > 1e-9:
-            raise DegenerateMatrix(f"GSO has spectral norm {top}, not 1")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
 def build_admittance(graph: GridGraph) -> np.ndarray:
     """Nodal admittance matrix of the in-service branches (no shunts)."""
     n = graph.n
@@ -247,7 +222,7 @@ def build_admittance(graph: GridGraph) -> np.ndarray:
     return y
 
 
-def build_gso(admittance: np.ndarray) -> Gso:
+def build_gso(admittance: np.ndarray) -> np.ndarray:
     """Shift operator from an admittance matrix, scaled to unit spectral norm."""
     y = np.asarray(admittance, dtype=np.complex128)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
@@ -257,4 +232,4 @@ def build_gso(admittance: np.ndarray) -> Gso:
     top = float(np.linalg.norm(y, 2))
     if top < 1e-12:
         raise DegenerateMatrix("admittance matrix is numerically zero")
-    return Gso(matrix=y / top, scale=top)
+    return y / top

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, NoForwardRecorded, TooFewNodes
-from .grid import Gso
+from .errors import ConfigError, DimensionMismatch, NoForwardRecorded, TooFewNodes
 
 CUSTOM = "custom"
 LEARNABLE = "learnable"
@@ -46,15 +45,15 @@ class LayerConfig:
 
     def __post_init__(self):
         if self.layers < 1 or len(self.widths) != self.layers + 1:
-            raise DimensionMismatch(
+            raise ConfigError(
                 f"widths {self.widths} inconsistent with {self.layers} layers"
             )
         if self.k_spatial < 0 or self.k_temporal < 0:
-            raise DimensionMismatch("filter orders must be nonnegative")
+            raise ConfigError("filter orders must be nonnegative")
         if self.pooled_nodes < 1 or self.hidden < 1 or self.outputs < 1:
-            raise DimensionMismatch("pooled_nodes, hidden and outputs must be positive")
+            raise ConfigError("pooled_nodes, hidden and outputs must be positive")
         if self.pooling not in (CUSTOM, LEARNABLE):
-            raise DimensionMismatch(f"unknown pooling {self.pooling!r}")
+            raise ConfigError(f"unknown pooling {self.pooling!r}")
 
     @property
     def pooled_width(self) -> int:
@@ -283,7 +282,7 @@ def conv_forward(s, window: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
     window[tau] holds the features lagged by tau; entry 0 is the current time.
     """
-    s_mat = s.matrix if isinstance(s, Gso) else np.asarray(s, dtype=np.complex128)
+    s_mat = np.asarray(s, dtype=np.complex128)
     window = np.asarray(window, dtype=np.complex128)
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.ndim != 4:
@@ -423,7 +422,7 @@ def model_forward(
     constant from `head_constant` for the current parameters; without it the
     constant is formed here.
     """
-    s_mat = s.matrix if isinstance(s, Gso) else np.asarray(s, dtype=np.complex128)
+    s_mat = np.asarray(s, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[1] != cfg.widths[0]:
         raise DimensionMismatch(f"input {x.shape} incompatible with width {cfg.widths[0]}")

@@ -363,16 +363,7 @@ def _generate_one(base: GridGraph, cfg: AugmentConfig, index: int) -> AugmentedS
 
 
 def augment(base: GridGraph, cfg: AugmentConfig) -> list[AugmentedSystem]:
-    """Generate cfg.q_count reconfigured distribution systems with op logs."""
-    if base.kind != DISTRIBUTION:
-        raise InvalidGraph("augment expects a distribution graph; see transmission_augment")
-    return [_generate_one(base, cfg, q) for q in range(cfg.q_count)]
-
-
-def transmission_augment(base: GridGraph, cfg: AugmentConfig) -> list[AugmentedSystem]:
-    """Line outages (connectivity preserving) and parameter changes only."""
-    if base.kind != TRANSMISSION:
-        raise InvalidGraph("transmission_augment expects a transmission graph")
+    """Generate cfg.q_count reconfigured systems with op logs, by the operators of base.kind."""
     return [_generate_one(base, cfg, q) for q in range(cfg.q_count)]
 
 
@@ -406,30 +397,3 @@ def op_to_dict(op: ReconfigOp) -> dict:
             },
         }
     raise UnknownElement(f"unknown op {op!r}")
-
-
-def op_from_dict(doc: dict) -> ReconfigOp:
-    t = doc["type"]
-    if t == "feeder_disconnect":
-        return FeederDisconnect(doc["node"])
-    if t == "new_feeder":
-        return NewFeeder(doc["attach_at"], doc["new_bus"], complex(*doc["z"]))
-    if t == "param_change":
-        return ParamChange(doc["from"], doc["to"], complex(*doc["delta"]))
-    if t == "line_break":
-        return LineBreak(doc["from"], doc["to"])
-    if t == "subtree_merge":
-        sub = doc["subtree"]
-        return SubtreeMerge(
-            subtree=SubtreePayload(
-                nodes=tuple(sub["nodes"]),
-                branches=tuple(
-                    Branch(f, to, complex(re, im), bool(st))
-                    for f, to, re, im, st in sub["branches"]
-                ),
-                root=sub["root"],
-            ),
-            attach_at=doc["attach_at"],
-            tie_impedance=complex(*doc["tie_z"]),
-        )
-    raise UnknownElement(f"unknown op record {t!r}")

@@ -67,10 +67,6 @@ class ProfileSet:
             if not np.all(np.isfinite(a)):
                 raise NonNumeric(f"profile series {name} has non-finite entries")
 
-    @property
-    def t_total(self) -> int:
-        return self.p.shape[0]
-
     def injections(self) -> np.ndarray:
         """Net complex power into the network per (t, bus)."""
         return (self.pv - self.p) - 1j * self.q

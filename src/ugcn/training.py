@@ -140,7 +140,7 @@ class SystemContext:
     def __init__(self, system: ScenarioSet):
         self.system = system
         y = build_admittance(system.graph)
-        self.s = build_gso(y).matrix
+        self.s = build_gso(y)
         self.order = system.graph.bfs().order
         self._op: PmuOperator | None = None
         self._shifts: dict[int, np.ndarray] = {}

@@ -31,7 +31,7 @@ from ugcn.model import (
     pool_learnable,
 )
 from ugcn.powerflow import nodal_mismatch, solve_powerflow
-from ugcn.reconfig import AugmentConfig, augment, transmission_augment
+from ugcn.reconfig import AugmentConfig, augment
 from ugcn.scenarios import ScenarioConfig, build_scenario
 from ugcn.estimation import PmuOperator
 
@@ -263,7 +263,7 @@ def test_criterion_09_augmentation_invariants():
             bad += 1
     base30 = to_grid_graph(load_case("ieee30"), kind="transmission")
     tcfg = AugmentConfig(q_count=1000, seed=98, ops_range=(1, 4), node_bounds=(30, 30))
-    for member in transmission_augment(base30, tcfg):
+    for member in augment(base30, tcfg):
         member.graph._validate()   # raises Disconnected if an outage split it
     verdict(9, bad == 0,
             "1000 radial variants valid within (22,38); 1000 outage variants connected")

@@ -131,6 +131,7 @@ class TestParseCase:
             assert len(case.buses) == buses
             assert len(case.branches) == branches
             assert all(br.status == 1 for br in case.branches)
+            assert case.warnings == ()
 
 
 class TestToGridGraph:

@@ -127,6 +127,25 @@ class TestGen:
         cfg.write_text(json.dumps({"q": 1, "mistyped": True}))
         assert run_cli(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
+    def test_case_file_warnings_go_to_stderr(self, tmp_path, capsys):
+        from importlib import resources
+        case = tmp_path / "feeder.case.json"
+        doc = json.loads(resources.files("ugcn.cases").joinpath("ieee33.case.json").read_text())
+        out = tmp_path / "d"
+        args = ["gen", "--case", str(case), "--q", "1", "--seed", "7", "--t-total", "24",
+                "--set", "ops_min=1", "--set", "ops_max=3", "--out", str(out)]
+        case.write_text(json.dumps(doc))
+        assert run_cli(args) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        written = {name: sha(out / name) for name in os.listdir(out)}
+        case.write_text(json.dumps({**doc, "color": "red"}))
+        assert run_cli(args) == 0
+        flagged = capsys.readouterr()
+        assert flagged.err == "warning: ignored unknown case key 'color'\n"
+        assert flagged.out == clean.out
+        assert {name: sha(out / name) for name in os.listdir(out)} == written
+
     def test_generation_failure_exits_3(self, tmp_path):
         code = run_cli(["gen", "--task", "forecast", "--q", "1", "--t-total", "24",
                         "--set", "ops_min=1", "--set", "ops_max=2",
@@ -341,12 +360,17 @@ class TestTrainEval:
         if model == "ugcn":
             assert "diverged_at" in load_checkpoint(str(ckpt))
 
-    @pytest.mark.parametrize("override", [["--epochs", "0"], ["--set", "lr=0"]])
+    @pytest.mark.parametrize("override", [
+        ["--epochs", "0"], ["--set", "lr=0"], ["--set", "widths=[10,48]"],
+        ["--set", "pooling=foo"], ["--set", "pooled_nodes=0"], ["--set", "k_spatial=-1"],
+    ])
     def test_invalid_train_config_exits_2(self, dataset, tmp_path, capsys, override):
+        ckpt = tmp_path / "m.ckpt.json"
         assert run_cli(["train", "--task", "forecast", "--data", dataset,
-                        "--out", str(tmp_path / "m.ckpt.json")] + TRAIN_SETS + override) == 2
+                        "--out", str(ckpt)] + TRAIN_SETS + override) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert not ckpt.exists()
 
     def test_first_width_other_than_window_exits_2(self, dataset, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt.json"
@@ -607,10 +631,16 @@ class TestOutputPaths:
 
 
 class TestReportCmd:
-    def test_not_a_report_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("doc", [
+        {}, [1, 2], {"model": "u", "task": "forecast", "horizons": {"a": 1}},
+        {"model": "u", "task": "forecast", "horizons": {"1": "x"}},
+        {"model": "u", "task": "fdi", "omegas": {"0.5": {}}},
+    ])
+    def test_not_a_report_exits_2(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
+        bad.write_text(json.dumps(doc))
         assert run_cli(["report", str(bad)]) == 2
+        one_line_error(capsys, f"not a metrics report: {bad} (")
 
     def test_entry_point_runs(self):
         # the child imports the package this process imported, installed or not

@@ -26,7 +26,7 @@ REL_TOL = 1e-4
 
 def setup_instance(cfg, task, seed=0, n=6):
     g = random_tree(n, seed)
-    s = build_gso(build_admittance(g)).matrix
+    s = build_gso(build_admittance(g))
     order = g.bfs().order
     rng = np.random.default_rng([seed, 99])
     x = 0.1 * (rng.standard_normal((n, cfg.widths[0]))

@@ -31,7 +31,7 @@ from ugcn.model import (
 
 def random_gso(n, seed):
     g = random_tree(n, seed)
-    return build_gso(build_admittance(g)).matrix
+    return build_gso(build_admittance(g))
 
 
 def shift_powers(s: np.ndarray, k_max: int) -> list[np.ndarray]:

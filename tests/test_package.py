@@ -71,3 +71,28 @@ def test_numpy_is_the_only_runtime_dependency():
                 if name.split(".")[0] not in allowed:
                     found.setdefault(path.name, []).append(name)
     assert found == {}
+
+
+def test_benchmark_hook_points_resolve(monkeypatch):
+    """The benchmark's tracer patches these attributes by name; a renamed or
+    module-qualified entry point would only show up as a crashed benchmark run."""
+    import importlib
+    import pathlib
+    import sys
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+
+    points = [(module, owner, attr) for module, owner, attr, _ in tracer.SPAN_POINTS]
+    points += [(module, None, attr) for module, attr in tracer.PROBE_POINTS]
+    assert any(owner == "Adam" for _, owner, _ in points)
+    assert any(owner == "PmuOperator" for _, owner, _ in points)
+    missing = []
+    for module, owner, attr in points:
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner, None)
+        if not callable(getattr(target, attr, None)):
+            missing.append(f"{module}.{owner + '.' if owner else ''}{attr}")
+    assert missing == []

@@ -14,7 +14,7 @@ from ugcn.errors import (
     WindowOutOfRange,
 )
 from ugcn.estimation import (
-    DEFAULT_LAMBDA,
+    GN_LAMBDA,
     GN_MAX_ITER,
     GN_STEP_TOL,
     PmuOperator,
@@ -184,17 +184,17 @@ def ami_cost(
     v: np.ndarray,
     z: np.ndarray,
     ami_buses: tuple[int, ...],
-    lam: float = DEFAULT_LAMBDA,
     y: np.ndarray | None = None,
 ) -> float:
     """Objective value of `estimate_ami` at an arbitrary state (optimality cross-checks)."""
     y = build_admittance(graph) if y is None else y
     idx = np.array([graph.pos(b) for b in ami_buses])
     split = np.concatenate([v.real, v.imag])
-    return float(np.sum((z - _ami_h(np.conj(y[idx]), v, idx)) ** 2) + lam * np.sum(split ** 2))
+    return float(np.sum((z - _ami_h(np.conj(y[idx]), v, idx)) ** 2)
+                 + GN_LAMBDA * np.sum(split ** 2))
 
 
-def naive_estimate_ami(graph, z, ami_buses, lam):
+def naive_estimate_ami(graph, z, ami_buses):
     """Damped Gauss-Newton with the Jacobian and the normal equations on all 2N - 1 free columns."""
     y = build_admittance(graph)
     n = graph.n
@@ -206,7 +206,7 @@ def naive_estimate_ami(graph, z, ami_buses, lam):
 
     def cost(vec):
         split = np.concatenate([vec.real, vec.imag])
-        return float(np.sum((z - _ami_h(yc_a, vec, idx)) ** 2) + lam * np.sum(split ** 2))
+        return float(np.sum((z - _ami_h(yc_a, vec, idx)) ** 2) + GN_LAMBDA * np.sum(split ** 2))
 
     current = cost(v)
     for _ in range(GN_MAX_ITER):
@@ -214,12 +214,9 @@ def naive_estimate_ami(graph, z, ami_buses, lam):
         split = np.concatenate([v.real, v.imag])
         j_free = jac[:, free]
         r = z - h
-        if lam > 0:
-            normal = j_free.T @ j_free
-            normal[np.diag_indices_from(normal)] += lam
-            reduced = np.linalg.solve(normal, j_free.T @ r - lam * split[free])
-        else:
-            reduced = np.linalg.lstsq(j_free, r, rcond=None)[0]
+        normal = j_free.T @ j_free
+        normal[np.diag_indices_from(normal)] += GN_LAMBDA
+        reduced = np.linalg.solve(normal, j_free.T @ r - GN_LAMBDA * split[free])
         step = np.zeros(2 * n)
         step[free] = reduced
         trial = v + step[:n] + 1j * step[n:]
@@ -237,29 +234,29 @@ def naive_estimate_ami(graph, z, ami_buses, lam):
     return v
 
 
-def lstsq_estimate(graph, z, ami_buses, lam):
-    """Damped Gauss-Newton whose steps solve the stacked system [J; sqrt(lam) I] by SVD."""
+def lstsq_estimate(graph, z, ami_buses):
+    """Damped Gauss-Newton whose steps solve the stacked system [J; sqrt(GN_LAMBDA) I] by SVD."""
     y = build_admittance(graph)
     n = graph.n
     idx = np.array([graph.pos(b) for b in ami_buses])
     free = np.array([i for i in range(2 * n) if i != n + graph.pos(graph.slack_bus())])
     v = np.ones(n, dtype=np.complex128)
-    current = ami_cost(graph, v, z, ami_buses, lam=lam, y=y)
+    current = ami_cost(graph, v, z, ami_buses, y=y)
     for _ in range(GN_MAX_ITER):
         h, jac = _ami_h_and_jac(np.conj(y[idx]), v, idx)
         split = np.concatenate([v.real, v.imag])
-        a = np.vstack([jac, np.sqrt(lam) * np.eye(2 * n)])[:, free]
-        b = np.concatenate([z - h, -np.sqrt(lam) * split])
+        a = np.vstack([jac, np.sqrt(GN_LAMBDA) * np.eye(2 * n)])[:, free]
+        b = np.concatenate([z - h, -np.sqrt(GN_LAMBDA) * split])
         step = np.zeros(2 * n)
         step[free] = np.linalg.lstsq(a, b, rcond=None)[0]
         trial = v + step[:n] + 1j * step[n:]
-        trial_cost = ami_cost(graph, trial, z, ami_buses, lam=lam, y=y)
+        trial_cost = ami_cost(graph, trial, z, ami_buses, y=y)
         halvings = 0
         while trial_cost > current and halvings < 12:
             step *= 0.5
             halvings += 1
             trial = v + step[:n] + 1j * step[n:]
-            trial_cost = ami_cost(graph, trial, z, ami_buses, lam=lam, y=y)
+            trial_cost = ami_cost(graph, trial, z, ami_buses, y=y)
         if trial_cost <= current:
             v, current = trial, trial_cost
         if np.linalg.norm(step) < GN_STEP_TOL:
@@ -577,22 +574,13 @@ class TestSensorPlacement:
 
 
 class TestAmiEstimation:
-    def test_full_metering_zero_noise_recovers(self, chain4):
-        s = np.array([0, -0.02 - 0.01j, -0.03 - 0.015j, -0.02 - 0.01j])
-        v = solve_powerflow(chain4, s)
-        buses = (1, 2, 3, 4)
-        z = measure_ami(chain4, v, buses)
-        est = estimate_ami(chain4, z, buses, lam=0.0)
-        assert np.max(np.abs(est - v)) < 1e-6
-
     def test_sparse_estimate_beats_truth_on_objective(self, ieee33):
         s = case_injections("ieee33", ieee33)
         v = solve_powerflow(ieee33, s)
         buses = ami_placement(ieee33, 0.4)
         z = measure_ami(ieee33, v, buses)
-        est, info = estimate_ami(ieee33, z, buses, lam=1e-3, info=True)
-        assert ami_cost(ieee33, est, z, buses, lam=1e-3) <= \
-            ami_cost(ieee33, v, z, buses, lam=1e-3) + 1e-12
+        est, info = estimate_ami(ieee33, z, buses, info=True)
+        assert ami_cost(ieee33, est, z, buses) <= ami_cost(ieee33, v, z, buses) + 1e-12
         assert info["iterations"] <= 50
 
     def test_jacobian_matches_central_differences(self):
@@ -617,20 +605,10 @@ class TestAmiEstimation:
         v = solve_powerflow(g, feeder_injections("ieee69", g))
         buses = ami_placement(g, 0.4)
         z = measure_ami(g, v, buses, sigma=0.002, rng=np.random.default_rng(13))
-        est, info = estimate_ami(g, z, buses, lam=1e-3, info=True)
-        oracle = ami_cost(g, lstsq_estimate(g, z, buses, 1e-3), z, buses, lam=1e-3)
-        assert info["cost"] == ami_cost(g, est, z, buses, lam=1e-3)
+        est, info = estimate_ami(g, z, buses, info=True)
+        oracle = ami_cost(g, lstsq_estimate(g, z, buses), z, buses)
+        assert info["cost"] == ami_cost(g, est, z, buses)
         assert info["cost"] <= oracle * (1 + 1e-12)
-
-    def test_unregularized_sparse_metering_takes_minimum_norm_steps(self, ieee33):
-        s = case_injections("ieee33", ieee33)
-        v = solve_powerflow(ieee33, s)
-        buses = ami_placement(ieee33, 0.4)
-        z = measure_ami(ieee33, v, buses)
-        est = estimate_ami(ieee33, z, buses, lam=0.0)
-        oracle = ami_cost(ieee33, lstsq_estimate(ieee33, z, buses, 0.0), z, buses, lam=0.0)
-        assert np.all(np.isfinite(est))
-        assert ami_cost(ieee33, est, z, buses, lam=0.0) <= oracle + 1e-12
 
     def test_noise_without_rng_is_config_error(self, chain4):
         v = np.ones(4, dtype=np.complex128)
@@ -638,31 +616,24 @@ class TestAmiEstimation:
             measure_ami(chain4, v, (2, 3, 4), sigma=0.01)
 
     @staticmethod
-    def assert_matches_full_column_oracle(g, z, buses, lam):
-        est = estimate_ami(g, z, buses, lam=lam)
-        want = naive_estimate_ami(g, z, buses, lam)
+    def assert_matches_full_column_oracle(g, z, buses):
+        est = estimate_ami(g, z, buses)
+        want = naive_estimate_ami(g, z, buses)
         assert np.max(np.abs(est - want)) <= 2e-8
-        # Unregularized, both runs stop where the objective lies within about
-        # 1e-15 of a 200-iteration refinement's, so rounding alone moves it
-        # by more than 1e-12 relative.
-        floor = 0.0 if lam > 0 else 1e-15
-        assert ami_cost(g, est, z, buses, lam=lam) <= \
-            ami_cost(g, want, z, buses, lam=lam) * (1 + 1e-12) + floor
+        assert ami_cost(g, est, z, buses) <= ami_cost(g, want, z, buses) * (1 + 1e-12)
         return est
 
-    @pytest.mark.parametrize("lam", [DEFAULT_LAMBDA, 0.0])
     @pytest.mark.parametrize("name,seed", [("ieee33", 2), ("ieee33", 9), ("ieee69", 3),
                                            ("ieee69", 8)])
-    def test_matches_full_column_oracle_on_reconfigured_feeders(self, name, seed, lam):
+    def test_matches_full_column_oracle_on_reconfigured_feeders(self, name, seed):
         g = reconfigured(name, seed, ops=4)
         v = solve_powerflow(g, feeder_injections(name, g))
         buses = ami_placement(g)
         z = measure_ami(g, v, buses, sigma=0.002, rng=np.random.default_rng(seed))
-        self.assert_matches_full_column_oracle(g, z, buses, lam)
+        self.assert_matches_full_column_oracle(g, z, buses)
 
-    @pytest.mark.parametrize("lam", [DEFAULT_LAMBDA, 0.0])
     @pytest.mark.parametrize("slack_seen", [False, True])
-    def test_gauge_frozen_whether_or_not_a_meter_sees_the_slack(self, ieee33, slack_seen, lam):
+    def test_gauge_frozen_whether_or_not_a_meter_sees_the_slack(self, ieee33, slack_seen):
         y = build_admittance(ieee33)
         slack = ieee33.pos(ieee33.root)
         neighbors = {b for b in ieee33.bus_ids if b != ieee33.root and y[slack, ieee33.pos(b)] != 0}
@@ -672,15 +643,8 @@ class TestAmiEstimation:
             buses = tuple(sorted(set(buses) | {min(neighbors)}))
         v = solve_powerflow(ieee33, case_injections("ieee33", ieee33))
         z = measure_ami(ieee33, v, buses, sigma=0.002, rng=np.random.default_rng(4))
-        est = self.assert_matches_full_column_oracle(ieee33, z, buses, lam)
+        est = self.assert_matches_full_column_oracle(ieee33, z, buses)
         assert est[slack].imag == 0.0
-
-    def test_huge_regularization_shrinks_to_zero(self, chain4):
-        s = np.array([0, -0.02j, -0.02j, -0.02j])
-        v = solve_powerflow(chain4, s)
-        z = measure_ami(chain4, v, (1, 2, 3, 4))
-        est = estimate_ami(chain4, z, (1, 2, 3, 4), lam=1e9)
-        assert np.max(np.abs(est)) < 1e-3
 
 
 class TestPmuEstimation:

@@ -9,7 +9,7 @@ import pytest
 from ugcn.caseio import load_case, to_grid_graph
 from ugcn.errors import DimensionMismatch
 from ugcn.model import fdi_config, forecast_config, init_params
-from ugcn.reconfig import AugmentConfig, augment, transmission_augment
+from ugcn.reconfig import AugmentConfig, augment
 from ugcn.scenarios import ScenarioConfig, build_scenario
 from ugcn.training import (
     CENTER,
@@ -118,7 +118,7 @@ def tiny_fdi_family():
     loads = case.loads_pu()
     scfg = ScenarioConfig(t_total=30, scenario="pmu", seed=4, noise_sigma=0.005,
                           demand_scale=0.55, attacks_per_system=6)
-    fam = transmission_augment(base, AugmentConfig(q_count=2, seed=4, ops_range=(1, 3),
+    fam = augment(base, AugmentConfig(q_count=2, seed=4, ops_range=(1, 3),
                                                    node_bounds=(30, 30)))
     return [build_scenario(m.graph, scfg, i, loads, task="fdi") for i, m in enumerate(fam)]
 
