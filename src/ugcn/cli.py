@@ -21,8 +21,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import caseio
 from .errors import (
     ConfigError,
@@ -36,7 +34,14 @@ from .errors import (
     UgcnError,
 )
 from .grid import DISTRIBUTION, TRANSMISSION
-from .model import LayerConfig, UgcnParams, fdi_config, forecast_config, init_params
+from .model import (
+    LayerConfig,
+    UgcnParams,
+    fdi_config,
+    forecast_config,
+    init_params,
+    param_shapes,
+)
 from .reconfig import AugmentConfig, _generate_one, op_to_dict
 from .scenarios import (
     WINDOW,
@@ -238,6 +243,32 @@ def _read_checkpoint(path: str) -> dict:
                 "which are no longer supported; retrain it"
             )
     return ck
+
+
+def _checkpoint_layers(path: str, ck: dict) -> LayerConfig:
+    try:
+        return LayerConfig.from_dict(ck["layer_config"])
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path!r}: layer_config: {exc}") from exc
+
+
+def _checkpoint_params(path: str, mcfg: LayerConfig, doc: dict) -> UgcnParams:
+    """Parameters of a checkpoint, every tensor shaped as its layer config gives
+    (`init_params` gives the same shapes).
+
+    The network reads its sizes from the tensors, so a config that disagrees
+    with them would otherwise be ignored without a word.
+    """
+    params = payload_to_params(doc)
+    want = param_shapes(mcfg)
+    got = {name: t.shape for name, t in params.tensors().items()}
+    for name in sorted(want.keys() | got.keys()):
+        if want.get(name) != got.get(name):
+            raise ConfigError(
+                f"checkpoint {path!r}: tensor {name!r} is {got.get(name, 'absent')} in the "
+                f"file but {want.get(name, 'absent')} by its layer_config"
+            )
+    return params
 
 
 def _make_out_dirs(*paths: str) -> None:
@@ -460,8 +491,9 @@ def cmd_train(args) -> int:
                         f"checkpoint {cfg['resume']!r} has no resume state to continue from"
                     )
                 resume = ck["resume_state"]
-                mcfg = LayerConfig.from_dict(ck["layer_config"])
-                model = UgcnPredictor(payload_to_params(resume["last_params"]), mcfg)
+                mcfg = _checkpoint_layers(cfg["resume"], ck)
+                model = UgcnPredictor(
+                    _checkpoint_params(cfg["resume"], mcfg, resume["last_params"]), mcfg)
                 optimizer = Adam.from_state(resume["optimizer"])
                 start_epoch = resume["epoch_next"]
                 history_rows = [tuple(r) for r in ck["history"]]
@@ -469,7 +501,8 @@ def cmd_train(args) -> int:
                 # also carry a copy in resume_state.best.params, which is ignored
                 best = {
                     "val": resume["best"]["val"],
-                    "model": UgcnPredictor(payload_to_params(ck["params"]), mcfg),
+                    "model": UgcnPredictor(
+                        _checkpoint_params(cfg["resume"], mcfg, ck["params"]), mcfg),
                     "bad": resume["best"]["bad"],
                 }
                 # free the checkpoint now: it holds every parameter copy as Python lists
@@ -551,9 +584,8 @@ def cmd_eval(args) -> int:
     else:
         check_series_lengths(systems, WINDOW, f"a window of {WINDOW} steps")
     if ck["model"] == "ugcn":
-        params = payload_to_params(ck["params"])
-        mcfg = LayerConfig.from_dict(ck["layer_config"])
-        predictor = UgcnPredictor(params, mcfg)
+        mcfg = _checkpoint_layers(cfg["checkpoint"], ck)
+        predictor = UgcnPredictor(_checkpoint_params(cfg["checkpoint"], mcfg, ck["params"]), mcfg)
     else:
         predictor = payload_to_dense(ck["dense"])
     try:
@@ -583,19 +615,22 @@ def cmd_eval(args) -> int:
 
 
 def _report_lines(report: MetricsReport) -> list[str]:
+    """The model's lines, then those of each baseline the report carries."""
+    tables = [(report.model, report.horizons if report.task == "forecast" else report.omegas)]
+    tables += [(f"baseline {name}", table) for name, table in sorted(report.baselines.items())]
     lines = []
-    if report.task == "forecast":
-        for h in sorted(report.horizons):
-            lines.append(f"  {report.model} H={h}: mse {report.horizons[h]:.6e}")
-    else:
-        for w in sorted(report.omegas):
-            r = report.omegas[w]
-            lines.append(
-                f"  {report.model} omega={w}: acc {r['accuracy']:.4f} "
-                f"prec {r['precision']:.4f} rec {r['recall']:.4f} f1 {r['f1']:.4f}"
-            )
-        if report.zeros_accuracy is not None:
-            lines.append(f"  all-zeros predictor accuracy: {report.zeros_accuracy:.4f}")
+    for label, table in tables:
+        for key in sorted(table):
+            if report.task == "forecast":
+                lines.append(f"  {label} H={key}: mse {table[key]:.6e}")
+            else:
+                r = table[key]
+                lines.append(
+                    f"  {label} omega={key}: acc {r['accuracy']:.4f} "
+                    f"prec {r['precision']:.4f} rec {r['recall']:.4f} f1 {r['f1']:.4f}"
+                )
+    if report.zeros_accuracy is not None:
+        lines.append(f"  all-zeros predictor accuracy: {report.zeros_accuracy:.4f}")
     return lines
 
 
@@ -638,9 +673,6 @@ def cmd_report(args) -> int:
             # JSON of another shape fails in `from_dict`, or in `_report_lines` at its values
             print(f"not a metrics report: {path} ({exc})", file=sys.stderr)
             return 2
-    if not reports:
-        print("no reports given", file=sys.stderr)
-        return 2
     configs = {json.dumps(r.config, sort_keys=True) for r in reports}
     if len(configs) > 1:
         print("warning: reports carry differing config echoes; merging anyway",

@@ -1,14 +1,23 @@
 """The network: complex spatio-temporal graph convolutions, adaptive pooling,
 and a position-broadcast decoder head, with hand-rolled reverse-mode gradients.
-The decoder's position term is a per-system constant (`head_constant`), formed
-once per system and parameter set rather than once per window.
+
+The network runs on a stack of B feature windows of one system at once:
+[B, N, m0] in, [B, n_out] out, and backward sums the parameter gradients over
+the windows.  The windows share the system's shift operator, pooling order
+and decoder position term; the last (`head_constant`) is formed once per
+system and parameter set.
 
 Every learnable tensor has a shape independent of the graph size, so one
 parameter set runs on any system.  Convolution layers apply
 sigma(sum_k sum_tau S^k X[t-tau] H[k,tau]) where S is the normalized shift
 operator of the system at hand and the taps H are shared across systems.
-Temporal lags of the input window are realized by shifting the channel axis
-(channel j holds the estimate j steps back), so a sample stays self-contained.
+The filter is associative, so a layer after the first forms the tap
+products X H_k first, in one GEMM over all windows and lags, and applies S
+after it in Horner form, on the narrow F_out side.  The first layer's input
+is narrower than its output, so it applies S to the input and folds its
+temporal taps instead (`_input_layer`).  Temporal lags of the input window are realized by
+shifting the channel axis (channel j holds the estimate j steps back), so a
+sample stays self-contained.
 
 Complex tensors are differentiated in the split sense: gradients are taken
 with respect to the real and imaginary parts independently and reassembled as
@@ -75,8 +84,13 @@ class LayerConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LayerConfig":
+        """Missing keys keep their defaults; an unknown key is a ConfigError."""
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ConfigError(f"unknown layer config key {unknown[0]!r}")
         doc = dict(doc)
-        doc["widths"] = tuple(doc["widths"])
+        if "widths" in doc:
+            doc["widths"] = tuple(doc["widths"])
         return cls(**doc)
 
 
@@ -127,22 +141,33 @@ class UgcnParams:
         )
 
 
+def param_shapes(cfg: LayerConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every learnable tensor by name, in `UgcnParams.tensors` order."""
+    shapes = {f"conv.{l}": (cfg.k_spatial + 1, cfg.k_temporal + 1, cfg.widths[l], cfg.widths[l + 1])
+              for l in range(cfg.layers)}
+    if cfg.pooling == LEARNABLE:
+        shapes["assign"] = (cfg.pooled_nodes, cfg.widths[-1])
+    d = cfg.hidden
+    shapes.update(w_enc=(d, cfg.head_inputs), b_enc=(d,), w_pos=(d,), b_pos=(d,),
+                  w_t=(d, d), b_t=(d,), w_out=(d, cfg.outputs), b_out=(cfg.outputs,))
+    return shapes
+
+
 def init_params(cfg: LayerConfig, seed: int = 0) -> UgcnParams:
     """Complex Glorot-style init, scaled by fan-in times the tap count."""
     rng = np.random.default_rng([seed, 41])
+    shapes = param_shapes(cfg)
+
+    def complex_normal(shape, std):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (std / np.sqrt(2))
+
     conv = []
     for l in range(cfg.layers):
-        f_in, f_out = cfg.widths[l], cfg.widths[l + 1]
-        std = 1.0 / np.sqrt(f_in * (cfg.k_spatial + 1) * (cfg.k_temporal + 1))
-        shape = (cfg.k_spatial + 1, cfg.k_temporal + 1, f_in, f_out)
-        conv.append(
-            (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (std / np.sqrt(2))
-        )
+        fan_in = cfg.widths[l] * (cfg.k_spatial + 1) * (cfg.k_temporal + 1)
+        conv.append(complex_normal(shapes[f"conv.{l}"], 1.0 / np.sqrt(fan_in)))
     assign = None
     if cfg.pooling == LEARNABLE:
-        std = 1.0 / np.sqrt(cfg.widths[-1])
-        shape = (cfg.pooled_nodes, cfg.widths[-1])
-        assign = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (std / np.sqrt(2))
+        assign = complex_normal(shapes["assign"], 1.0 / np.sqrt(cfg.widths[-1]))
     d, hin = cfg.hidden, cfg.head_inputs
     # Position units start as tanh thresholds spread over [0, 1] with mixed
     # sharpness, so the decoder has a localized basis over output positions
@@ -152,13 +177,13 @@ def init_params(cfg: LayerConfig, seed: int = 0) -> UgcnParams:
     return UgcnParams(
         conv=conv,
         assign=assign,
-        w_enc=rng.standard_normal((d, hin)) / np.sqrt(hin),
+        w_enc=rng.standard_normal(shapes["w_enc"]) / np.sqrt(hin),
         b_enc=np.zeros(d),
         w_pos=w_pos,
         b_pos=b_pos,
-        w_t=rng.standard_normal((d, d)) / np.sqrt(d),
+        w_t=rng.standard_normal(shapes["w_t"]) / np.sqrt(d),
         b_t=np.zeros(d),
-        w_out=rng.standard_normal((d, cfg.outputs)) / np.sqrt(d),
+        w_out=rng.standard_normal(shapes["w_out"]) / np.sqrt(d),
         b_out=np.zeros(cfg.outputs),
     )
 
@@ -178,102 +203,105 @@ def _relu_back(grad: np.ndarray, pre: np.ndarray) -> np.ndarray:
     return (grad.view(np.float64) * (pre.view(np.float64) > 0)).view(np.complex128)
 
 
-def shift_channels(x: np.ndarray, lag: int) -> np.ndarray:
-    """Delay the channel/time axis by `lag` steps, zero-filling the oldest slots."""
-    if lag == 0:
-        return x
-    out = np.zeros_like(x)
-    if lag < x.shape[1]:
-        out[:, lag:] = x[:, : x.shape[1] - lag]
-    return out
-
-
 def _products(s_mat: np.ndarray, stack: np.ndarray, k_max: int) -> np.ndarray:
-    """[N, K+1, J, F] with [:, k] = S^k stack, each built as S (S^{k-1} stack)."""
-    n, j, f = stack.shape
-    prods = np.empty((n, k_max + 1, j * f), dtype=np.complex128)
-    prods[:, 0] = stack.reshape(n, j * f)
+    """[N, K+1, C] with [:, k] = S^k stack for a [N, C] stack, each built as S (S^{k-1} stack)."""
+    n, c = stack.shape
+    prods = np.empty((n, k_max + 1, c), dtype=np.complex128)
+    prods[:, 0] = stack
     for k in range(1, k_max + 1):
         np.matmul(s_mat, prods[:, k - 1], out=prods[:, k])
-    return prods.reshape(n, k_max + 1, j, f)
+    return prods
 
 
 def _conv_layer(s_mat: np.ndarray, stack: np.ndarray, taps: np.ndarray):
     """Pre-activations of one layer at every output lag the stack supports.
 
-    stack is [N, J, F_in] with lag j at stack[:, j]; output lag r sums
-    S^k stack[:, r + tau] H[k, tau], so there are J - Kt output lags.  Returns
-    ([N, J - Kt, F_out] pre-activations, [N (J - Kt), (K+1)(Kt+1)F_in] stacked
-    products), the products flattened in the order of the flattened taps so
-    one GEMM contracts (k, tau, F_in) for all output lags.
+    stack is [N, B, J, F_in] with lag j of window b at stack[:, b, j]; output
+    lag r sums S^k stack[:, :, r + tau] H[k, tau], so there are R = J - Kt
+    output lags.  The sum is taken as sum_k S^k (win H_k): one GEMM contracts
+    (tau, F_in) for every k at once, and S then acts in Horner form on the
+    [N, B R F_out] side, narrower than the [N, B J F_in] side it would act on
+    before the GEMM.  Returns ([N, B, R, F_out] pre-activations,
+    [N B R, (Kt+1) F_in] lag windows).
     """
     k1, t1, f_in, f_out = taps.shape
-    n, j, _ = stack.shape
+    n, b, j, _ = stack.shape
     r = j - t1 + 1
-    prods = _products(s_mat, stack, k1 - 1)
-    # a view of the products, no copy, when a single output lag is left
-    lagged = sliding_window_view(prods, t1, axis=2)            # [N, K+1, R, F_in, Kt+1]
-    z = lagged.transpose(0, 2, 1, 4, 3).reshape(n * r, k1 * t1 * f_in)
-    pre = (z @ taps.reshape(k1 * t1 * f_in, f_out)).reshape(n, r, f_out)
-    return pre, z
+    # a view of the stack, no copy, when a single output lag is left
+    win = sliding_window_view(stack, t1, axis=2).transpose(0, 1, 2, 4, 3).reshape(
+        n * b * r, t1 * f_in)
+    y = (win @ taps.transpose(1, 2, 0, 3).reshape(t1 * f_in, k1 * f_out)).reshape(
+        n, b * r, k1, f_out)
+    pre = y[:, :, k1 - 1].copy()
+    for k in range(k1 - 2, -1, -1):
+        pre = (s_mat @ pre.reshape(n, -1)).reshape(n, b * r, f_out)
+        pre += y[:, :, k]
+    return pre.reshape(n, b, r, f_out), win
 
 
-def _conv_layer_back(s_mat: np.ndarray, z: np.ndarray, g_pre: np.ndarray, taps: np.ndarray):
+def _conv_layer_back(s_mat: np.ndarray, win: np.ndarray, g_pre: np.ndarray, taps: np.ndarray):
     """Tap gradient of one layer and the gradient of its input stack.
 
-    The input gradient scatters the product gradients back to their lags and
-    applies sum_k (S^H)^k in Horner form.
+    With U_k = (S^H)^k g_pre, the product win H_k has gradient U_k, so
+    g_H = win^H [U_0 .. U_K] and g_win = [U_0 .. U_K] H^H are one GEMM each;
+    g_win then scatters back to the lags it was read from.
     """
     k1, t1, f_in, f_out = taps.shape
-    n, r, _ = g_pre.shape
-    g_flat = g_pre.reshape(n * r, f_out)
-    g_taps = (z.conj().T @ g_flat).reshape(taps.shape)
-    g_z = (g_flat @ taps.reshape(k1 * t1 * f_in, f_out).conj().T).reshape(n, r, k1, t1, f_in)
-    j = r + t1 - 1
-    if r == 1:
-        # one output lag: each product feeds exactly one column of z
-        g_prods = g_z.reshape(n, k1, j * f_in)
-    else:
-        g_prods = np.zeros((n, k1, j, f_in), dtype=np.complex128)
-        for tau in range(t1):
-            g_prods[:, :, tau:tau + r] += g_z[:, :, :, tau].transpose(0, 2, 1, 3)
-        g_prods = g_prods.reshape(n, k1, j * f_in)
+    n, b, r, _ = g_pre.shape
     s_h = s_mat.conj().T
-    g_stack = g_prods[:, k1 - 1]
-    for k in range(k1 - 2, -1, -1):
-        g_stack = s_h @ g_stack + g_prods[:, k]
-    return g_taps, g_stack.reshape(n, j, f_in)
+    u = np.empty((n, b * r, k1, f_out), dtype=np.complex128)
+    cur = g_pre.reshape(n, b * r, f_out)
+    u[:, :, 0] = cur
+    for k in range(1, k1):
+        cur = (s_h @ cur.reshape(n, -1)).reshape(n, b * r, f_out)
+        u[:, :, k] = cur
+    u = u.reshape(n * b * r, k1 * f_out)
+    g_taps = (win.conj().T @ u).reshape(t1, f_in, k1, f_out).transpose(2, 0, 1, 3)
+    g_win = (u @ taps.transpose(1, 2, 0, 3).reshape(t1 * f_in, k1 * f_out).conj().T).reshape(
+        n, b, r, t1, f_in)
+    if r == 1:
+        # one output lag: each lag of the stack feeds exactly one column of win
+        return g_taps, g_win.reshape(n, b, t1, f_in)
+    g_stack = np.zeros((n, b, r + t1 - 1, f_in), dtype=np.complex128)
+    for tau in range(t1):
+        g_stack[:, :, tau:tau + r] += g_win[:, :, :, tau]
+    return g_taps, g_stack
+
+
+def _input_pairs(t1: int, f_in: int, lags: int):
+    """(tau, r, d = r + tau) for every tap lag tau and output lag r with d < F_in."""
+    return [(tau, r, r + tau) for r in range(lags) for tau in range(t1) if r + tau < f_in]
 
 
 def _input_layer(s_mat: np.ndarray, x: np.ndarray, taps: np.ndarray, lags: int):
     """Pre-activations of the first layer at output lags 0 .. lags-1.
 
-    Its lagged inputs are channel shifts of x, and S^k commutes with them, so
-    sum_tau S^k shift(x, r + tau) H[k, tau] = shift(S^k x, r) F[k] with the
-    folded taps F[k][c] = sum_tau H[k, tau][c + tau].  Only S^k x is formed,
-    and the GEMM contracts (k, F_in) instead of (k, tau, F_in).  Returns
-    ([N, lags, F_out] pre-activations, [N lags, (K+1) F_in] shifted products).
+    x is [N, B, F_in].  Lag r + tau of the input is x with its channels
+    shifted by r + tau, and a channel shift is a linear map on the F_in side,
+    so sum_tau S^k shift(x, r + tau) H[k, tau] = (S^k x) W[k, :, r] with the
+    folded taps W[k, c, r] = sum_tau H[k, tau, c + r + tau].  S acts on the
+    narrow x, and one GEMM contracts (k, F_in) for every output lag.  Returns
+    ([N, B, lags, F_out] pre-activations, [N B, (K+1) F_in] products).
     """
     k1, t1, f_in, f_out = taps.shape
-    n = x.shape[0]
-    folded = np.zeros((k1, f_in, f_out), dtype=np.complex128)
-    for tau in range(min(t1, f_in)):
-        folded[:, : f_in - tau] += taps[:, tau, tau:]
-    prods = _products(s_mat, x[:, None, :], k1 - 1).reshape(n * k1, f_in)
-    z = np.stack([shift_channels(prods, r).reshape(n, k1, f_in) for r in range(lags)],
-                 axis=1).reshape(n * lags, k1 * f_in)
-    pre = (z @ folded.reshape(k1 * f_in, f_out)).reshape(n, lags, f_out)
+    n, b, _ = x.shape
+    folded = np.zeros((k1, f_in, lags, f_out), dtype=np.complex128)
+    for tau, r, d in _input_pairs(t1, f_in, lags):
+        folded[:, : f_in - d, r] += taps[:, tau, d:]
+    prods = _products(s_mat, x.reshape(n, b * f_in), k1 - 1)
+    z = prods.reshape(n, k1, b, f_in).transpose(0, 2, 1, 3).reshape(n * b, k1 * f_in)
+    pre = (z @ folded.reshape(k1 * f_in, lags * f_out)).reshape(n, b, lags, f_out)
     return pre, z
 
 
 def _input_layer_back(z: np.ndarray, g_pre: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Tap gradient of the first layer: the folded-tap gradient, unfolded."""
     k1, t1, f_in, f_out = taps.shape
-    n, lags, _ = g_pre.shape
-    g_folded = (z.conj().T @ g_pre.reshape(n * lags, f_out)).reshape(k1, f_in, f_out)
+    n, b, lags, _ = g_pre.shape
+    g_folded = (z.conj().T @ g_pre.reshape(n * b, lags * f_out)).reshape(k1, f_in, lags, f_out)
     g_taps = np.zeros_like(taps)
-    for tau in range(min(t1, f_in)):
-        g_taps[:, tau, tau:] = g_folded[:, : f_in - tau]
+    for tau, r, d in _input_pairs(t1, f_in, lags):
+        g_taps[:, tau, d:] += g_folded[:, : f_in - d, r]
     return g_taps
 
 
@@ -297,8 +325,8 @@ def conv_forward(s, window: np.ndarray, taps: np.ndarray) -> np.ndarray:
         )
     if s_mat.shape[0] != window.shape[1]:
         raise DimensionMismatch(f"S is {s_mat.shape} but window has {window.shape[1]} nodes")
-    pre, _ = _conv_layer(s_mat, window.transpose(1, 0, 2), taps)
-    return split_relu(pre[:, 0])
+    pre, _ = _conv_layer(s_mat, window.transpose(1, 0, 2)[:, None], taps)
+    return split_relu(pre[:, 0, 0])
 
 
 def _cluster_sizes(n: int, n_p: int) -> np.ndarray:
@@ -311,60 +339,69 @@ def _cluster_sizes(n: int, n_p: int) -> np.ndarray:
 def pool_custom(x: np.ndarray, n_p: int, order: np.ndarray | None = None):
     """Average and split elementwise-max per BFS-ordered cluster, concatenated.
 
-    The clusters are padded to the size of the largest and reduced together.
-    Padding is -inf for the max, so a tie between real entries (split-ReLU
-    outputs tie at 0) still goes to the cluster's first row, as np.argmax
-    picks.  Returns ([N_p, 2F] pooled, cache) where the cache carries what
-    backward needs.
+    x is [..., N, F]; each leading index (a window) is pooled on its own, and
+    the result is [..., N_p, 2F].  The clusters are padded to the size of the
+    largest and reduced together.  Padding is -inf for the max, so a tie
+    between real entries (split-ReLU outputs tie at 0) still goes to the
+    cluster's first row, as np.argmax picks.  Returns (pooled, cache) where
+    the cache carries what backward needs.
     """
     x = np.asarray(x, dtype=np.complex128)
-    n, f = x.shape
+    n, f = x.shape[-2:]
+    cols = np.moveaxis(x, -2, 0).reshape(n, -1)                        # [N, C]
     order = np.arange(n) if order is None else np.asarray(order)
     sizes = _cluster_sizes(n, n_p)
     slot = np.arange(sizes[0])
     pad = slot[None, :] >= sizes[:, None]                              # [N_p, M]
     rows = order[np.minimum((np.cumsum(sizes) - sizes)[:, None] + slot, n - 1)]
-    block = x[rows]                                                    # [N_p, M, F]
+    block = cols[rows]                                                 # [N_p, M, C]
     block[pad] = 0.0
     avg = block.sum(axis=1) / sizes[:, None]
     block[pad] = complex(-np.inf, -np.inf)
     ire = np.argmax(block.real, axis=1)
     iim = np.argmax(block.imag, axis=1)
-    pooled = np.concatenate([avg, block.real.max(axis=1) + 1j * block.imag.max(axis=1)], axis=1)
-    cache = {"order": order, "sizes": sizes, "shape": (n, f),
+    top = block.real.max(axis=1) + 1j * block.imag.max(axis=1)
+    lead = x.shape[:-2]
+    pooled = np.concatenate([avg.reshape(n_p, *lead, f), top.reshape(n_p, *lead, f)], axis=-1)
+    cache = {"order": order, "sizes": sizes, "shape": x.shape,
              "argmax_re": np.take_along_axis(rows, ire, axis=1),
              "argmax_im": np.take_along_axis(rows, iim, axis=1)}
-    return pooled, cache
+    return np.moveaxis(pooled, 0, -2), cache
 
 
 def _pool_custom_back(grad: np.ndarray, cache: dict) -> np.ndarray:
-    n, f = cache["shape"]
+    shape = cache["shape"]
+    n, f = shape[-2:]
     sizes = cache["sizes"]
-    g_x = np.empty((n, f), dtype=np.complex128)
-    g_x[cache["order"]] = np.repeat(grad[:, :f] / sizes[:, None], sizes, axis=0)
+    grad = np.moveaxis(grad, -2, 0)
+    g_avg = grad[..., :f].reshape(len(sizes), -1)
+    g_max = grad[..., f:].reshape(len(sizes), -1)
+    g_x = np.empty((n, g_avg.shape[1]), dtype=np.complex128)
+    g_x[cache["order"]] = np.repeat(g_avg / sizes[:, None], sizes, axis=0)
     # clusters are disjoint, so no (row, column) pair repeats within one max
-    cols = np.arange(f)
-    g_x.real[cache["argmax_re"], cols] += grad[:, f:].real
-    g_x.imag[cache["argmax_im"], cols] += grad[:, f:].imag
-    return g_x
+    cols = np.arange(g_avg.shape[1])
+    g_x.real[cache["argmax_re"], cols] += g_max.real
+    g_x.imag[cache["argmax_im"], cols] += g_max.imag
+    return np.moveaxis(g_x.reshape(n, *shape[:-2], f), 0, -2)
 
 
 def pool_learnable(x: np.ndarray, w_assign: np.ndarray):
     """Row-stochastic soft assignment: A = softmax_rows |W_A X^H|, pooled = A X.
 
-    Returns (A [N_p, N] real, pooled [N_p, F], cache).
+    x is [..., N, F], one assignment per leading index (window).  Returns
+    (A [..., N_p, N] real, pooled [..., N_p, F], cache).
     """
     x = np.asarray(x, dtype=np.complex128)
     w_assign = np.asarray(w_assign, dtype=np.complex128)
-    if w_assign.shape[1] != x.shape[1]:
+    if w_assign.shape[1] != x.shape[-1]:
         raise DimensionMismatch(
-            f"assignment width {w_assign.shape[1]} != features {x.shape[1]}"
+            f"assignment width {w_assign.shape[1]} != features {x.shape[-1]}"
         )
-    m = w_assign @ x.conj().T                 # [N_p, N]
+    m = w_assign @ x.conj().swapaxes(-1, -2)            # [..., N_p, N]
     scores = np.abs(m)
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    a = e / e.sum(axis=1, keepdims=True)
+    a = e / e.sum(axis=-1, keepdims=True)
     pooled = a @ x
     cache = {"m": m, "scores": scores, "a": a, "x": x, "w": w_assign}
     return a, pooled, cache
@@ -372,17 +409,17 @@ def pool_learnable(x: np.ndarray, w_assign: np.ndarray):
 
 def _pool_learnable_back(grad: np.ndarray, cache: dict):
     m, scores, a, x, w = cache["m"], cache["scores"], cache["a"], cache["x"], cache["w"]
-    g_a = (grad @ x.conj().T).real
-    g_x = a.T @ grad
+    g_a = (grad @ x.conj().swapaxes(-1, -2)).real
+    g_x = a.swapaxes(-1, -2) @ grad
     # softmax rows
-    g_scores = a * (g_a - np.sum(g_a * a, axis=1, keepdims=True))
+    g_scores = a * (g_a - np.sum(g_a * a, axis=-1, keepdims=True))
     # modulus
     safe = np.where(scores > 1e-300, scores, 1.0)
     g_m = g_scores * np.where(scores > 0, m / safe, 0.0)
-    # m = w @ conj(x).T
-    g_w = g_m @ x
-    g_conj_x_t = w.conj().T @ g_m            # gradient w.r.t. conj(x).T
-    g_x = g_x + np.conj(g_conj_x_t).T
+    # m = w conj(x)^T: w's gradient sums g_m x over the windows, x's adds g_m^H w
+    lead = tuple(range(x.ndim - 2))
+    g_w = np.tensordot(g_m, x, axes=(lead + (x.ndim - 1,), lead + (x.ndim - 2,)))
+    g_x = g_x + g_m.conj().swapaxes(-1, -2) @ w
     return g_w, g_x
 
 
@@ -414,31 +451,35 @@ def model_forward(
     record: bool = False,
     head: tuple | None = None,
 ):
-    """Run the network on one system's feature window.
+    """Run the network on a stack of one system's feature windows.
 
-    x is [N, m0] complex with channel m0-1 the newest estimate.  The output is
-    a complex phasor prediction per bus (two real heads) or a real logit per
-    bus, of length n_out (defaults to N).  `head` is the system's decoder
-    constant from `head_constant` for the current parameters; without it the
-    constant is formed here.
+    x is [B, N, m0] complex: B windows, channel m0-1 the newest estimate.
+    The output is [B, n_out], per window a complex phasor prediction per bus
+    (two real heads) or a real logit per bus; n_out defaults to N.  `head` is
+    the system's decoder constant from `head_constant` for the current
+    parameters; without it the constant is formed here.
     """
     s_mat = np.asarray(s, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[1] != cfg.widths[0]:
-        raise DimensionMismatch(f"input {x.shape} incompatible with width {cfg.widths[0]}")
-    if s_mat.shape[0] != x.shape[0]:
-        raise DimensionMismatch(f"S {s_mat.shape} vs {x.shape[0]} nodes")
-    n_out = x.shape[0] if n_out is None else int(n_out)
+    if x.ndim != 3 or x.shape[2] != cfg.widths[0]:
+        raise DimensionMismatch(
+            f"input {x.shape} is not a [B, N, {cfg.widths[0]}] stack of windows")
+    if s_mat.shape[0] != x.shape[1]:
+        raise DimensionMismatch(f"S {s_mat.shape} vs {x.shape[1]} nodes")
+    b, n, _ = x.shape
+    n_out = n if n_out is None else int(n_out)
 
     # Each later layer drops k_temporal lags, so the first one evaluates
     # (layers - 1) * k_temporal + 1 of them and the top layer is left with lag 0.
-    pre, z = _input_layer(s_mat, x, params.conv[0], (cfg.layers - 1) * cfg.k_temporal + 1)
+    # Inside the conv stack the node axis leads: [N, B, lags, F].
+    pre, z = _input_layer(s_mat, x.transpose(1, 0, 2), params.conv[0],
+                          (cfg.layers - 1) * cfg.k_temporal + 1)
     pres, stacks = [pre], [z]
     for taps in params.conv[1:]:
         pre, z = _conv_layer(s_mat, split_relu(pre), taps)
         pres.append(pre)
         stacks.append(z)
-    top = split_relu(pre)[:, 0]
+    top = split_relu(pre)[:, :, 0].transpose(1, 0, 2)          # [B, N, F]
 
     if cfg.pooling == CUSTOM:
         pooled, pool_cache = pool_custom(top, cfg.pooled_nodes, node_order)
@@ -446,14 +487,14 @@ def model_forward(
         _, pooled, pool_cache = pool_learnable(top, params.assign)
 
     if head is None:
-        head = head_constant(decoder_positions(n_out, x.shape[0], node_order), params)
-    x_vec = np.concatenate([pooled.real.ravel(), pooled.imag.ravel()])
+        head = head_constant(decoder_positions(n_out, n, node_order), params)
+    x_vec = np.concatenate([pooled.real.reshape(b, -1), pooled.imag.reshape(b, -1)], axis=1)
     out, head_cache = _head(x_vec, head, params)
 
     if cfg.outputs == 2:
-        y = out[:, 0] + 1j * out[:, 1]
+        y = out[..., 0] + 1j * out[..., 1]
     else:
-        y = out[:, 0]
+        y = out[..., 0]
     if not record:
         return y
     tape = {
@@ -471,113 +512,60 @@ def head_constant(positions: np.ndarray, params: UgcnParams):
 
 
 def _head(x_vec: np.ndarray, head: tuple, params: UgcnParams):
-    """The decoder: the encoded window h broadcast over position-coded buses,
+    """The decoder: each window's encoded block h broadcast over position-coded buses,
 
-        pre_t[n] = (h + e_pos[n]) w_t + b_t,   e_pos[n] = tanh(p_n w_pos + b_pos).
+        pre_t[b, n] = (h[b] + e_pos[n]) w_t + b_t,   e_pos[n] = tanh(p_n w_pos + b_pos).
 
     e_pos depends only on the system and the parameters, so the per-system
     constant E = e_pos w_t + b_t of `head_constant` is formed once and each
-    window adds one GEMV: pre_t = (h w_t)[None, :] + E.  Backward mirrors the
-    split: with col = sum_n g_pre_t[n], the window's w_t gradient is
-    outer(h, col) + e_pos^T g_pre_t and g_h = w_t col.  The e_pos terms of
-    the w_t, w_pos and b_pos gradients are linear in g_pre_t with per-system
-    coefficients, so a GradientSum sums g_pre_t over a system's windows and
-    contracts that sum once (`_position_grads`).
+    window adds one row: pre_t[b] = (h[b] w_t)[None, :] + E.  x_vec is the
+    [B, head_inputs] stack of flattened pooled blocks; out is [B, n_out, outputs].
     """
-    pre_h = params.w_enc @ x_vec + params.b_enc
+    pre_h = x_vec @ params.w_enc.T + params.b_enc
     h = np.maximum(pre_h, 0.0)
-    pre_t = (h @ params.w_t)[None, :] + head[2]
+    pre_t = (h @ params.w_t)[:, None, :] + head[2]
     t_act = np.maximum(pre_t, 0.0)
-    out = t_act @ params.w_out + params.b_out[None, :]
+    d = params.w_t.shape[0]
+    out = (t_act.reshape(-1, d) @ params.w_out + params.b_out).reshape(*pre_t.shape[:2], -1)
     cache = {"x_vec": x_vec, "pre_h": pre_h, "h": h, "head": head,
              "pre_t": pre_t, "t_act": t_act}
     return out, cache
 
 
 def _head_back(cache: dict, params: UgcnParams, g_out: np.ndarray):
-    """Per-window decoder gradients, the gradient of the flattened pooled block,
-    and g_pre_t, which carries the deferred position terms."""
-    grads: dict[str, np.ndarray] = {}
-    grads["w_out"] = cache["t_act"].T @ g_out
-    grads["b_out"] = g_out.sum(axis=0)
-    g_pre_t = (g_out @ params.w_out.T) * (cache["pre_t"] > 0)
-    col = g_pre_t.sum(axis=0)
-    grads["b_t"] = col
-    g_pre_h = (params.w_t @ col) * (cache["pre_h"] > 0)
-    grads["b_enc"] = g_pre_h
-    # w_enc's and w_t's h-terms are outer products (g_pre_h x_vec, h col); callers form them
-    return grads, params.w_enc.T @ g_pre_h, g_pre_t
+    """Decoder gradients summed over the windows, and the gradient of each
+    window's flattened pooled block.
 
-
-def _position_grads(head: tuple, w_t: np.ndarray, g_pre_t: np.ndarray) -> dict[str, np.ndarray]:
-    """The e_pos terms of the w_t, w_pos and b_pos gradients for the head
-    pre-activation gradient g_pre_t, one window's or a sum over windows."""
-    positions, e_pos, _ = head
-    g_pre_e = (g_pre_t @ w_t.T) * (1.0 - e_pos ** 2)
-    return {"w_t": e_pos.T @ g_pre_t, "w_pos": positions @ g_pre_e,
-            "b_pos": g_pre_e.sum(axis=0)}
-
-
-class GradientSum:
-    """Sum of per-window parameter gradients over several windows.
-
-    Some weight gradients are outer products of two vectors, as large as the
-    weight: the ugcn encoder weight's is its b_enc gradient times the
-    flattened pooled block, and a dense layer's is its input times its
-    pre-activation gradient.  The sum keeps the two factors of each window
-    and contracts them all with one GEMM per weight in `total`.  The ugcn
-    decoder's position terms are linear in the head pre-activation gradient,
-    so the sum keeps one running g_pre_t per decoder constant and contracts
-    it once.  `total` reads the weights as they are then, so call it before
-    the tensors are updated.
+    With col[b] = sum_n g_pre_t[b, n], the w_t gradient is
+    sum_b outer(h[b], col[b]) + e_pos^T sum_b g_pre_t[b], and g_h[b] = w_t col[b].
+    The outer products over windows are one GEMM each (for w_t and w_enc),
+    and the e_pos terms of the w_t, w_pos and b_pos gradients are linear in
+    g_pre_t, so they contract its sum over the windows once.
     """
-
-    def __init__(self):
-        self._sums: dict[str, np.ndarray] = {}
-        self._outer: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        self._heads: list[list] = []        # [head constant, w_t, summed g_pre_t]
-
-    def add(self, grads: dict[str, np.ndarray],
-            outer: dict[str, tuple[np.ndarray, np.ndarray]],
-            head: tuple | None = None) -> None:
-        """Add one window: its gradients by name, by name the (left, right)
-        factors of those that are outer products, and for a ugcn window the
-        (head constant, w_t, g_pre_t) of its deferred position terms.
-
-        The first window's arrays become the running sums, updated in place,
-        so the factors are copied.
-        """
-        for name, (left, right) in outer.items():
-            self._outer.setdefault(name, []).append((left.copy(), right.copy()))
-        for name, g in grads.items():
-            if name in self._sums:
-                self._sums[name] += g
-            else:
-                self._sums[name] = g
-        if head is not None:
-            constant, w_t, g_pre_t = head
-            if self._heads and self._heads[-1][0] is constant:
-                self._heads[-1][2] += g_pre_t
-            else:
-                self._heads.append([constant, w_t, g_pre_t.copy()])
-
-    def total(self) -> dict[str, np.ndarray]:
-        out = dict(self._sums)
-        for name, pairs in self._outer.items():
-            out[name] = np.stack([a for a, _ in pairs], axis=1) @ np.stack([b for _, b in pairs])
-        for constant, w_t, g_pre_t in self._heads:
-            for name, g in _position_grads(constant, w_t, g_pre_t).items():
-                out[name] = out[name] + g if name in out else g
-        return out
+    positions, e_pos, _ = cache["head"]
+    pre_t, t_act = cache["pre_t"], cache["t_act"]
+    d = params.w_t.shape[0]
+    g_flat = g_out.reshape(-1, g_out.shape[-1])
+    g_pre_t = (g_flat @ params.w_out.T).reshape(pre_t.shape) * (pre_t > 0)
+    col = g_pre_t.sum(axis=1)                                  # [B, d]
+    g_pos = g_pre_t.sum(axis=0)                                # [n_out, d]
+    g_pre_e = (g_pos @ params.w_t.T) * (1.0 - e_pos ** 2)
+    g_pre_h = (col @ params.w_t.T) * (cache["pre_h"] > 0)     # [B, d]
+    grads = {
+        "w_out": t_act.reshape(-1, d).T @ g_flat, "b_out": g_flat.sum(axis=0),
+        "w_t": cache["h"].T @ col + e_pos.T @ g_pos, "b_t": col.sum(axis=0),
+        "w_pos": positions @ g_pre_e, "b_pos": g_pre_e.sum(axis=0),
+        "w_enc": g_pre_h.T @ cache["x_vec"], "b_enc": g_pre_h.sum(axis=0),
+    }
+    return grads, g_pre_h @ params.w_enc
 
 
-def model_backward(tape: dict, grad_out: np.ndarray, into: GradientSum | None = None):
-    """Parameter gradients for a recorded forward pass.
+def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients of a recorded forward pass, summed over its windows.
 
-    grad_out is the cogradient of the loss with respect to the model output:
-    complex for the two-head phasor output, real for logits.  Returns the
-    gradients by tensor name or, with `into`, adds them to that sum and
-    returns it.
+    grad_out is the [B, n_out] cogradient of the loss with respect to the
+    model output: complex for the two-head phasor output, real for logits.
+    Returns the gradients by tensor name.
     """
     if not isinstance(tape, dict) or "cfg" not in tape:
         raise NoForwardRecorded("model_backward needs the tape from model_forward(record=True)")
@@ -585,27 +573,23 @@ def model_backward(tape: dict, grad_out: np.ndarray, into: GradientSum | None = 
     params: UgcnParams = tape["params"]
     grad_out = np.asarray(grad_out)
     if cfg.outputs == 2:
-        g_out = np.stack([grad_out.real, grad_out.imag], axis=1)
+        g_out = np.stack([grad_out.real, grad_out.imag], axis=-1)
     else:
-        g_out = grad_out.real[:, None]
-    grads, g_x_vec, g_pre_t = _head_back(tape, params, g_out)
+        g_out = grad_out.real[..., None]
+    grads, g_x_vec = _head_back(tape, params, g_out)
 
-    shape = tape["pooled_shape"]
-    half = shape[0] * shape[1]
-    g_pooled = g_x_vec[:half].reshape(shape) + 1j * g_x_vec[half:].reshape(shape)
+    b, n_p, width = tape["pooled_shape"]
+    half = n_p * width
+    g_pooled = (g_x_vec[:, :half] + 1j * g_x_vec[:, half:]).reshape(b, n_p, width)
     if cfg.pooling == CUSTOM:
         g_top = _pool_custom_back(g_pooled, tape["pool_cache"])
     else:
-        g_assign, g_top = _pool_learnable_back(g_pooled, tape["pool_cache"])
-        grads["assign"] = g_assign
+        grads["assign"], g_top = _pool_learnable_back(g_pooled, tape["pool_cache"])
 
-    g_pre = _relu_back(g_top[:, None, :], tape["pres"][-1])
+    g_pre = _relu_back(g_top.transpose(1, 0, 2)[:, :, None, :], tape["pres"][-1])
     for l in range(cfg.layers - 1, 0, -1):
         grads[f"conv.{l}"], g_act = _conv_layer_back(
             tape["s"], tape["stacks"][l], g_pre, params.conv[l])
         g_pre = _relu_back(g_act, tape["pres"][l - 1])
     grads["conv.0"] = _input_layer_back(tape["stacks"][0], g_pre, params.conv[0])
-    acc = GradientSum() if into is None else into
-    acc.add(grads, {"w_enc": (grads["b_enc"], tape["x_vec"]), "w_t": (tape["h"], grads["b_t"])},
-            (tape["head"], params.w_t, g_pre_t))
-    return acc.total() if into is None else into
+    return grads

@@ -23,7 +23,6 @@ from .caseio import decode_array, encode_array
 from .errors import ConfigError, DimensionMismatch, DivergedLoss
 from .grid import build_admittance, build_gso
 from .model import (
-    GradientSum,
     LayerConfig,
     UgcnParams,
     decoder_positions,
@@ -55,9 +54,9 @@ def loss_forecast(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def _loss_forecast_grad(pred: np.ndarray, target: np.ndarray):
+    """(loss, its gradient) for a [B, N] stack of windows, the loss their mean."""
     d = pred - target
-    n = pred.shape[0]
-    return float(np.mean(d.real ** 2 + d.imag ** 2)), (2.0 / n) * d
+    return float(np.mean(d.real ** 2 + d.imag ** 2)), (2.0 / d.size) * d
 
 
 def loss_fdi(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -71,7 +70,7 @@ def loss_fdi(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def _loss_fdi_grad(logits: np.ndarray, labels: np.ndarray):
     sig = 1.0 / (1.0 + np.exp(-logits))
-    return loss_fdi(logits, labels), (sig - labels) / logits.shape[0]
+    return loss_fdi(logits, labels), (sig - labels) / logits.size
 
 
 # --------------------------------------------------------------------------
@@ -232,12 +231,12 @@ class Model:
     """What `train`, `eval_forecast` and `eval_fdi` need of a model.
 
     forward(ctx, x, record=False)
-        A raw [N, window] estimate window of the system in `ctx` in, the
-        centered per-bus output out: complex phasors for forecasting, real
-        logits for FDI.  With `record`, (output, tape).
-    backward(tape, g, into)
-        Adds the window's parameter gradients for the output cogradient `g`
-        to the GradientSum `into`.
+        A [B, N, window] stack of raw estimate windows of the system in `ctx`
+        in, the [B, N] centered per-bus outputs out: complex phasors for
+        forecasting, real logits for FDI.  With `record`, (output, tape).
+    backward(tape, g)
+        The parameter gradients by name for the [B, N] output cogradient `g`,
+        summed over the windows.
     tensors()
         The learnable tensors by name; the optimizer updates them in place,
         so a model forms anything it derives from them again after this call.
@@ -284,8 +283,8 @@ class UgcnPredictor(Model):
                              node_order=ctx.order, record=record,
                              head=self._head_constant(ctx))
 
-    def backward(self, tape: dict, g: np.ndarray, into: GradientSum) -> None:
-        model_backward(tape, g, into=into)
+    def backward(self, tape: dict, g: np.ndarray) -> dict[str, np.ndarray]:
+        return model_backward(tape, g)
 
     def tensors(self) -> dict[str, np.ndarray]:
         self._head = None
@@ -334,37 +333,38 @@ class DenseModel(Model):
     def forward(self, ctx: SystemContext, x: np.ndarray, record: bool = False):
         buses, slots = self._shared(ctx)
         n = len(self.bus_slots)
-        grid = np.zeros((n, WINDOW), dtype=np.complex128)
-        grid[slots] = self.centered(x)[buses]
-        h = np.concatenate([grid.real.ravel(), grid.imag.ravel()])
+        b = x.shape[0]
+        grid = np.zeros((b, n, WINDOW), dtype=np.complex128)
+        grid[:, slots] = self.centered(x)[:, buses]
+        h = np.concatenate([grid.real.reshape(b, -1), grid.imag.reshape(b, -1)], axis=1)
         acts = []                                  # the input of each layer
-        for w, b in zip(self.weights, self.biases):
+        for w, bias in zip(self.weights, self.biases):
             if acts:
                 h = np.maximum(h, 0.0)
             acts.append(h)
-            h = h @ w + b
+            h = h @ w + bias
         if self.task == FORECAST:
-            y = np.zeros(ctx.system.n, dtype=np.complex128)
-            y[buses] = h[slots] + 1j * h[n + slots]
+            y = np.zeros((b, ctx.system.n), dtype=np.complex128)
+            y[:, buses] = h[:, slots] + 1j * h[:, n + slots]
         else:
-            y = np.full(ctx.system.n, -10.0)
-            y[buses] = h[slots]
+            y = np.full((b, ctx.system.n), -10.0)
+            y[:, buses] = h[:, slots]
         return (y, (acts, buses, slots)) if record else y
 
-    def backward(self, tape, g: np.ndarray, into: GradientSum) -> None:
+    def backward(self, tape, g: np.ndarray) -> dict[str, np.ndarray]:
         acts, buses, slots = tape
         n = len(self.bus_slots)
-        g_out = np.zeros(2 * n if self.task == FORECAST else n)
-        g_out[slots] = g[buses].real
+        g_out = np.zeros((g.shape[0], 2 * n if self.task == FORECAST else n))
+        g_out[:, slots] = g[:, buses].real
         if self.task == FORECAST:
-            g_out[n + slots] = g[buses].imag
-        grads, outer = {}, {}
+            g_out[:, n + slots] = g[:, buses].imag
+        grads = {}
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[f"b{i}"] = g_out
-            outer[f"w{i}"] = (acts[i], g_out)      # w_i's gradient is their outer product
+            grads[f"b{i}"] = g_out.sum(axis=0)
+            grads[f"w{i}"] = acts[i].T @ g_out     # the windows' outer products, summed
             if i:
                 g_out = (g_out @ self.weights[i].T) * (acts[i] > 0)
-        into.add(grads, outer)
+        return grads
 
 
 def init_dense(
@@ -389,36 +389,34 @@ def init_dense(
 # Training loop
 
 
-def _sample_loss_and_grads(
-    model: Model,
-    cfg: TrainConfig,
-    ctx: SystemContext,
-    t: int,
-    attack_idx: int | None,
-    accumulate: GradientSum | None,
-):
-    """Loss of one window; with `accumulate`, also adds its gradients there."""
+def _stack_loss(model: Model, cfg: TrainConfig, ctx: SystemContext, picks, grads=False):
+    """Mean loss over windows of one system, picked as (t, attack index or
+    None); with `grads`, (loss, its parameter gradients)."""
     system = ctx.system
-    if cfg.task == FORECAST:
-        x, target = build_features(system, t, horizon=cfg.horizon)
-        target = model.centered(target)
-        loss, loss_grad = loss_forecast, _loss_forecast_grad
-    else:
-        if attack_idx is not None:
+    xs, targets = [], []
+    for t, attack_idx in picks:
+        if cfg.task == FORECAST:
+            x, target = build_features(system, t, horizon=cfg.horizon)
+        elif attack_idx is not None:
             x, target = build_features(
                 system, t, attack=system.attacks[attack_idx],
                 estimate_shift=ctx.attack_shift(attack_idx),
             )
         else:
-            x = feature_window(system.estimates, t)
-            target = np.zeros(system.n)
+            x, target = feature_window(system.estimates, t), np.zeros(system.n)
+        xs.append(x)
+        targets.append(target)
+    x, target = np.stack(xs), np.stack(targets)
+    if cfg.task == FORECAST:
+        target = model.centered(target)
+        loss, loss_grad = loss_forecast, _loss_forecast_grad
+    else:
         loss, loss_grad = loss_fdi, _loss_fdi_grad
-    if accumulate is None:
+    if not grads:
         return loss(model.forward(ctx, x), target)
     y, tape = model.forward(ctx, x, record=True)
     val, g = loss_grad(y, target)
-    model.backward(tape, g, accumulate)
-    return val
+    return val, model.backward(tape, g)
 
 
 def _pick_attack(system: ScenarioSet, rng: np.random.Generator, prob: float):
@@ -469,20 +467,20 @@ def train(
         for q in batch:
             ctx = contexts[q]
             train_times = splits[q][0]
-            sys_grads = GradientSum()
-            sys_loss = 0.0
+            picks = []
             for _ in range(cfg.windows_per_system):
                 t = int(train_times[rng.integers(0, len(train_times))])
-                attack_idx = (
-                    _pick_attack(ctx.system, rng, cfg.attack_prob) if cfg.task == FDI else None
-                )
-                sys_loss += _sample_loss_and_grads(model, cfg, ctx, t, attack_idx, sys_grads)
-            scale = 1.0 / cfg.windows_per_system
-            sys_loss *= scale
-            for name, g in sys_grads.total().items():
-                g = g * (scale / batch_size)
-                grads[name] = grads[name] + g if name in grads else g
+                picks.append((t, _pick_attack(ctx.system, rng, cfg.attack_prob)
+                                  if cfg.task == FDI else None))
+            sys_loss, sys_grads = _stack_loss(model, cfg, ctx, picks, grads=True)
+            for name, g in sys_grads.items():
+                if name in grads:
+                    grads[name] += g
+                else:
+                    grads[name] = g
             batch_loss += sys_loss / batch_size
+        for g in grads.values():
+            g *= 1.0 / batch_size
         if not np.isfinite(batch_loss):
             raise DivergedLoss(epoch, best["model"])
         opt.lr = cfg.lr * cfg.lr_decay ** epoch   # function of epoch: resume-safe
@@ -522,14 +520,12 @@ def _validation_loss(model: Model, cfg: TrainConfig, contexts, splits) -> float:
     count = 0
     for q, ctx in enumerate(contexts):
         val_times = splits[q][1]
-        picks = val_times if len(val_times) <= 4 else val_times[:: max(1, len(val_times) // 4)][:4]
-        for t in picks:
-            attack_idx = None
-            if cfg.task == FDI and ctx.system.attacks:
-                live = [i for i, a in enumerate(ctx.system.attacks) if not a.is_null]
-                attack_idx = live[int(t) % len(live)] if live else None
-            total += _sample_loss_and_grads(model, cfg, ctx, int(t), attack_idx, None)
-            count += 1
+        times = val_times if len(val_times) <= 4 else val_times[:: max(1, len(val_times) // 4)][:4]
+        live = [i for i, a in enumerate(ctx.system.attacks) if not a.is_null]
+        picks = [(int(t), live[int(t) % len(live)] if cfg.task == FDI and live else None)
+                 for t in times]
+        total += _stack_loss(model, cfg, ctx, picks) * len(picks)
+        count += len(picks)
     return total / max(count, 1)
 
 
@@ -547,12 +543,16 @@ class MetricsReport:
     zeros_accuracy: float | None = None
     wall_clock_s: float = 0.0
     config: dict = field(default_factory=dict)
+    # {name: {H or omega: mse or rates}} of the predictors that need no model
+    baselines: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "model": self.model, "task": self.task,
             "horizons": {str(k): v for k, v in self.horizons.items()},
             "omegas": {str(k): v for k, v in self.omegas.items()},
+            "baselines": {name: {str(k): v for k, v in table.items()}
+                          for name, table in self.baselines.items()},
             "per_system": self.per_system,
             "zeros_accuracy": self.zeros_accuracy,
             "wall_clock_s": self.wall_clock_s,
@@ -561,10 +561,14 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
+        """Reports written before the baselines were added load without them."""
+        key = int if doc["task"] == FORECAST else float
         return cls(
             model=doc["model"], task=doc["task"],
             horizons={int(k): v for k, v in doc.get("horizons", {}).items()},
             omegas={float(k): v for k, v in doc.get("omegas", {}).items()},
+            baselines={name: {key(k): v for k, v in table.items()}
+                       for name, table in doc.get("baselines", {}).items()},
             per_system=doc.get("per_system", []),
             zeros_accuracy=doc.get("zeros_accuracy"),
             wall_clock_s=doc.get("wall_clock_s", 0.0),
@@ -575,6 +579,12 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
+def _mse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean over windows of the per-window mean squared modulus error."""
+    d = pred - target
+    return float(np.mean(np.mean(d.real ** 2 + d.imag ** 2, axis=-1)))
+
+
 def eval_forecast(
     predictor: Model,
     systems: list[ScenarioSet],
@@ -582,35 +592,40 @@ def eval_forecast(
     stride: int = 4,
     model_name: str = "ugcn",
 ) -> MetricsReport:
-    """Zero-shot per-horizon MSE over unseen systems; parameters are never touched."""
+    """Zero-shot per-horizon MSE over unseen systems; parameters are never touched.
+
+    The same windows also score two predictors that need no model: the flat
+    profile 1+0j and the latest estimate carried forward.
+    """
     start = time.time()
     contexts = contexts_for(systems)
     mse = {int(h): [] for h in horizons}
+    flat = {int(h): [] for h in horizons}
+    carry = {int(h): [] for h in horizons}
     per_system = []
     for ctx in contexts:
         system = ctx.system
         sys_entry = {"index": system.index, "n": system.n, "mse": {}}
         # The prediction depends on t alone, so each horizon reads the same
         # forward pass; the shortest horizon needs the most time steps.
-        preds = {}
-        for t in range(WINDOW - 1, system.t_total - min(horizons, default=0), stride):
-            x = feature_window(system.estimates, t)
-            preds[t] = predictor.uncentered(predictor.forward(ctx, x))
+        times = np.arange(WINDOW - 1, system.t_total - min(horizons, default=0), stride)
+        x = np.stack([feature_window(system.estimates, int(t)) for t in times])
+        preds = predictor.uncentered(predictor.forward(ctx, x))
         for h in horizons:
-            errs = []
-            for t in range(WINDOW - 1, system.t_total - h, stride):
-                pred = preds[t]
-                target = system.true_states[t + h]
-                d = pred - target
-                errs.append(float(np.mean(d.real ** 2 + d.imag ** 2)))
-            val = float(np.mean(errs))
+            kept = times[times < system.t_total - h]
+            target = system.true_states[kept + h]
+            val = _mse(preds[: len(kept)], target)
             mse[int(h)].append(val)
+            flat[int(h)].append(_mse(CENTER, target))
+            carry[int(h)].append(_mse(system.estimates[kept], target))
             sys_entry["mse"][str(h)] = val
         per_system.append(sys_entry)
     report = MetricsReport(
         model=model_name,
         task=FORECAST,
         horizons={h: float(np.mean(v)) for h, v in mse.items()},
+        baselines={"flat": {h: float(np.mean(v)) for h, v in flat.items()},
+                   "carry_forward": {h: float(np.mean(v)) for h, v in carry.items()}},
         per_system=per_system,
         wall_clock_s=time.time() - start,
         config={"stride": stride, "window": WINDOW, "n_systems": len(systems)},
@@ -628,6 +643,13 @@ def _rates(tp, tn, fp, fn) -> dict:
             "tp": tp, "tn": tn, "fp": fp, "fn": fn}
 
 
+def _confusion(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """[..., 4] counts (tp, tn, fp, fn) over the last two axes of the flags."""
+    return np.stack([np.sum(pred & labels, axis=(-2, -1)), np.sum(~pred & ~labels, axis=(-2, -1)),
+                     np.sum(pred & ~labels, axis=(-2, -1)), np.sum(~pred & labels, axis=(-2, -1))],
+                    axis=-1)
+
+
 def eval_fdi(
     predictor: Model,
     systems: list[ScenarioSet],
@@ -640,13 +662,17 @@ def eval_fdi(
     """Bus-level detection rates per attack magnitude on unseen systems.
 
     Every stored non-null attack pattern is replayed at each requested omega
-    over strided windows; the all-zeros predictor's accuracy on the identical
-    sample set is reported alongside.
+    over strided windows, all of one attack in one forward pass.  Two
+    predictors that need no model score the identical sample set: the
+    all-zeros predictor (its accuracy) and the one that flags every sensor
+    bus, which is where every attack lands (its rates, per omega).
     """
     start = time.time()
     contexts = contexts_for(systems)
     logit_cut = np.log(threshold / (1.0 - threshold))
-    counts = {float(w): [0, 0, 0, 0] for w in omegas}   # tp, tn, fp, fn
+    w_grid = np.array([float(w) for w in omegas])
+    counts = np.zeros((len(omegas), 4), dtype=np.int64)     # tp, tn, fp, fn per omega
+    sensor_counts = np.zeros(4, dtype=np.int64)
     per_system = {}
     zeros_correct = 0
     total_labels = 0
@@ -655,35 +681,32 @@ def eval_fdi(
         live = [i for i, a in enumerate(system.attacks) if not a.is_null]
         if max_attacks is not None:
             live = live[:max_attacks]
-        sys_counts = {float(w): [0, 0, 0, 0] for w in omegas}
+        sys_counts = np.zeros((len(omegas), 4), dtype=np.int64)
         times = list(range(WINDOW - 1, system.t_total, stride))
+        windows = np.stack([feature_window(system.estimates, t) for t in times])
+        sensors = np.zeros(system.n, dtype=bool)
+        sensors[[system.graph.pos(b) for b in system.pmu_buses]] = True
         for ai in live:
-            attack = system.attacks[ai]
             shift = ctx.attack_shift(ai)
-            labels = attack.labels.astype(bool)
-            for w in omegas:
-                for t in times:
-                    x = feature_window(system.estimates, t) + float(w) * shift[:, None]
-                    logits = predictor.forward(ctx, x)
-                    pred = logits > logit_cut
-                    tp = int(np.sum(pred & labels))
-                    tn = int(np.sum(~pred & ~labels))
-                    fp = int(np.sum(pred & ~labels))
-                    fn = int(np.sum(~pred & labels))
-                    for acc in (counts[float(w)], sys_counts[float(w)]):
-                        acc[0] += tp
-                        acc[1] += tn
-                        acc[2] += fp
-                        acc[3] += fn
+            labels = system.attacks[ai].labels.astype(bool)
+            # [omega, t, N, window], omega-major as the counts are kept
+            x = windows[None] + (w_grid[:, None] * shift[None, :])[:, None, :, None]
+            logits = predictor.forward(ctx, x.reshape(-1, *windows.shape[1:]))
+            sys_counts += _confusion(logits.reshape(len(omegas), len(times), -1) > logit_cut,
+                                     labels)
+            sensor_counts += _confusion(sensors[None], labels[None]) * len(times)
             zeros_correct += int(np.sum(~labels)) * len(times) * len(omegas)
             total_labels += labels.size * len(times) * len(omegas)
+        counts += sys_counts
         per_system[str(system.index)] = {
-            str(w): _rates(*sys_counts[float(w)]) for w in omegas
+            str(w): _rates(*map(int, sys_counts[i])) for i, w in enumerate(omegas)
         }
     report = MetricsReport(
         model=model_name,
         task=FDI,
-        omegas={float(w): _rates(*counts[float(w)]) for w in omegas},
+        omegas={float(w): _rates(*map(int, counts[i])) for i, w in enumerate(omegas)},
+        baselines={"sensor_buses": {float(w): _rates(*map(int, sensor_counts))
+                                    for w in omegas}},
         per_system=[{"index": k, "omegas": v} for k, v in per_system.items()],
         zeros_accuracy=(zeros_correct / total_labels) if total_labels else None,
         wall_clock_s=time.time() - start,

@@ -154,9 +154,9 @@ def test_criterion_05_universality_shape_audit():
     sizes = (10, 22, 33, 38, 57)
     for n in sizes:
         s = random_gso(n, 7000 + n)
-        x = np.random.default_rng(n).standard_normal((n, 10)) * (0.05 + 0.02j)
+        x = np.random.default_rng(n).standard_normal((2, n, 10)) * (0.05 + 0.02j)
         y = model_forward(s, x, params, cfg, node_order=np.arange(n))
-        assert y.shape == (n,)
+        assert y.shape == (2, n)
     verdict(5, params_digest(params) == digest_before,
             f"one parameter set ran on sizes {sizes}; checksum unchanged")
 

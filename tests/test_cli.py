@@ -566,6 +566,53 @@ class TestInputChecks:
         assert reports[0] == reports[1]
 
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"color": 1}, "layer_config: unknown layer config key 'color'"),
+        ({"hidden": 128}, "tensor 'b_enc' is (12,) in the file but (128,) by its layer_config"),
+        ({"k_spatial": 1},
+         "tensor 'conv.0' is (4, 3, 10, 6) in the file but (2, 3, 10, 6) by its layer_config"),
+        ({"pooling": "custom"}, "tensor 'assign' is (4, 6) in the file but absent by its "
+                                "layer_config"),
+        ({"layers": 3}, "layer_config: widths (10, 6, 6) inconsistent with 3 layers"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_checkpoint_layer_config_checked_against_tensors(
+            self, dataset, checkpoint, tmp_path, capsys, edit, message, command):
+        ck = load_checkpoint(checkpoint)
+        ck["layer_config"].update(edit)
+        bad = str(tmp_path / "bad.ckpt.json")
+        save_checkpoint(bad, ck)
+        out = tmp_path / "out.json"
+        if command == "eval":
+            args = eval_args(bad, dataset, str(out))
+        else:
+            args = (["train", "--task", "forecast", "--data", dataset, "--out", str(out),
+                     "--resume", bad] + TRAIN_SETS)
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        one_line_error(capsys, f"config error: checkpoint {bad!r}: {message}\n")
+        assert not out.exists()
+
+    def test_checkpoint_layer_config_missing_keys_keep_defaults(
+            self, dataset, checkpoint, tmp_path):
+        """An older checkpoint without the `outputs` key evaluates the same."""
+        ck = load_checkpoint(checkpoint)
+        assert ck["layer_config"].pop("outputs") == 2
+        old = str(tmp_path / "old.ckpt.json")
+        save_checkpoint(old, ck)
+        reports = []
+        for i, ckpt in enumerate((checkpoint, old)):
+            out = str(tmp_path / f"r{i}.json")
+            assert run_cli(eval_args(ckpt, dataset, out)) == 0
+            doc = json.loads(open(out).read())
+            doc.pop("wall_clock_s")
+            reports.append(doc)
+        assert reports[0] == reports[1]
+        assert set(reports[0]["baselines"]) == {"flat", "carry_forward"}
+        for table in reports[0]["baselines"].values():
+            assert set(table) == {"0", "1"}
+
+
 class TestOutputPaths:
     def test_missing_output_directories_are_created(self, dataset, checkpoint, tmp_path):
         ckpt = tmp_path / "a" / "b" / "m.ckpt.json"
@@ -641,6 +688,34 @@ class TestReportCmd:
         bad.write_text(json.dumps(doc))
         assert run_cli(["report", str(bad)]) == 2
         one_line_error(capsys, f"not a metrics report: {bad} (")
+
+    def test_no_report_file_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["report"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: reports" in capsys.readouterr().err
+
+    def test_baselines_printed_and_optional(self, tmp_path, capsys):
+        """The baselines print after the model's lines; a report written
+        without them still loads."""
+        rep = MetricsReport(model="ugcn", task="forecast", horizons={1: 2e-4, 10: 1e-4},
+                            baselines={"flat": {1: 3e-3, 10: 4e-3},
+                                       "carry_forward": {1: 5e-5, 10: 6e-5}})
+        full, bare = tmp_path / "full.json", tmp_path / "bare.json"
+        full.write_text(rep.to_json())
+        doc = rep.to_dict()
+        del doc["baselines"]
+        bare.write_text(json.dumps(doc))
+        assert MetricsReport.from_dict(json.loads(full.read_text())).baselines == rep.baselines
+        capsys.readouterr()
+        assert run_cli(["report", str(full), str(bare)]) == 0
+        model = ["  ugcn H=1: mse 2.000000e-04", "  ugcn H=10: mse 1.000000e-04"]
+        assert capsys.readouterr().out.splitlines() == model + [
+            "  baseline carry_forward H=1: mse 5.000000e-05",
+            "  baseline carry_forward H=10: mse 6.000000e-05",
+            "  baseline flat H=1: mse 3.000000e-03",
+            "  baseline flat H=10: mse 4.000000e-03",
+        ] + model
 
     def test_entry_point_runs(self):
         # the child imports the package this process imported, installed or not

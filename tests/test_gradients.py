@@ -2,7 +2,8 @@
 
 Complex tensors are perturbed one real component at a time (re then im), so
 the check covers exactly the split derivatives the backward pass claims to
-produce.
+produce.  Each instance is a stack of two windows of one system, and the loss
+is their mean.
 """
 
 import numpy as np
@@ -29,12 +30,12 @@ def setup_instance(cfg, task, seed=0, n=6):
     s = build_gso(build_admittance(g))
     order = g.bfs().order
     rng = np.random.default_rng([seed, 99])
-    x = 0.1 * (rng.standard_normal((n, cfg.widths[0]))
-               + 1j * rng.standard_normal((n, cfg.widths[0])))
+    x = 0.1 * (rng.standard_normal((2, n, cfg.widths[0]))
+               + 1j * rng.standard_normal((2, n, cfg.widths[0])))
     if task == "forecast":
-        target = 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        target = 0.1 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
     else:
-        target = (rng.random(n) > 0.5).astype(float)
+        target = (rng.random((2, n)) > 0.5).astype(float)
     params = init_params(cfg, seed=seed + 1)
     return s, order, x, target, params
 
@@ -114,7 +115,7 @@ def test_unused_temporal_taps_get_zero_gradient():
                           pooled_nodes=2, hidden=6)
     s, order, x, target, params = setup_instance(cfg, "forecast", seed=5, n=5)
     x = np.zeros_like(x)
-    x[:, -1] = 0.3 + 0.2j   # only the newest channel carries signal
+    x[..., -1] = 0.3 + 0.2j   # only the newest channel carries signal
     grads = analytic_grads(params, s, order, x, target, cfg, "forecast")
     # Layer-1 taps at lags beyond the populated history see only zero inputs
     # once the channel shift pushes the single live channel out of range.

@@ -9,7 +9,6 @@ from ugcn.grid import build_admittance, build_gso
 from ugcn.model import (
     CUSTOM,
     LEARNABLE,
-    GradientSum,
     LayerConfig,
     _cluster_sizes,
     _pool_custom_back,
@@ -22,9 +21,9 @@ from ugcn.model import (
     init_params,
     model_backward,
     model_forward,
+    param_shapes,
     pool_custom,
     pool_learnable,
-    shift_channels,
     split_relu,
 )
 
@@ -51,6 +50,16 @@ def filter_matrix(s: np.ndarray, coeffs) -> np.ndarray:
     for c in coeffs:
         out = out + c * power
         power = power @ s
+    return out
+
+
+def shift_channels(x: np.ndarray, lag: int) -> np.ndarray:
+    """Delay the channel/time axis by `lag` steps, zero-filling the oldest slots."""
+    if lag == 0:
+        return x
+    out = np.zeros_like(x)
+    if lag < x.shape[1]:
+        out[:, lag:] = x[:, : x.shape[1] - lag]
     return out
 
 
@@ -307,28 +316,28 @@ class TestHeadAndModel:
         params = init_params(cfg, seed=0)
         for n, n_out in ((12, 30), (12, 39), (12, 57), (12, 1), (12, 2)):
             s = random_gso(n, n)
-            x = np.random.default_rng(n).standard_normal((n, 4)) * (0.1 + 0.05j)
+            x = np.random.default_rng(n).standard_normal((2, n, 4)) * (0.1 + 0.05j)
             y = model_forward(s, x, params, cfg, n_out=n_out)
-            assert y.shape == (n_out,)
+            assert y.shape == (2, n_out)
             assert np.iscomplexobj(y)
 
     def test_zero_input_zero_preactivations(self):
         cfg = forecast_config(widths=(4, 5, 5), pooled_nodes=2, hidden=8)
         params = init_params(cfg, seed=1)
         s = random_gso(6, 5)
-        x = np.zeros((6, 4), dtype=complex)
+        x = np.zeros((2, 6, 4), dtype=complex)
         _, tape = model_forward(s, x, params, cfg, record=True)
         assert len(tape["pres"]) == cfg.layers
         for l, pre in enumerate(tape["pres"], 1):
-            # every output lag the layer evaluates: [N, lags, F_out]
-            assert pre.shape == (6, (cfg.layers - l) * cfg.k_temporal + 1, cfg.widths[l])
+            # every output lag the layer evaluates: [N, B, lags, F_out]
+            assert pre.shape == (6, 2, (cfg.layers - l) * cfg.k_temporal + 1, cfg.widths[l])
             assert np.all(pre == 0)
 
     def test_forward_is_pure(self):
         cfg = fdi_config(widths=(5, 7), pooled_nodes=3, hidden=12)
         params = init_params(cfg, seed=2)
         s = random_gso(9, 9)
-        x = np.random.default_rng(0).standard_normal((9, 5)) + 0j
+        x = np.random.default_rng(0).standard_normal((3, 9, 5)) + 0j
         y1 = model_forward(s, x, params, cfg)
         y2 = model_forward(s, x, params, cfg)
         assert np.array_equal(y1, y2)
@@ -339,10 +348,10 @@ class TestHeadAndModel:
         blobs_before = {k: v.copy() for k, v in params.tensors().items()}
         for n in (10, 22, 33, 38, 57):
             s = random_gso(n, 1000 + n)
-            x = np.random.default_rng(n).standard_normal((n, 6)) * (0.2 + 0.1j)
+            x = np.random.default_rng(n).standard_normal((2, n, 6)) * (0.2 + 0.1j)
             order = np.arange(n)
             y = model_forward(s, x, params, cfg, node_order=order)
-            assert y.shape == (n,)
+            assert y.shape == (2, n)
         for k, v in params.tensors().items():
             assert np.array_equal(blobs_before[k], v)
 
@@ -361,6 +370,12 @@ class TestHeadAndModel:
             assert shapes["w_t"] == (cfg.hidden, cfg.hidden)
             assert shapes["w_out"] == (cfg.hidden, cfg.outputs)
 
+    def test_param_shapes_match_init_params(self):
+        for cfg in (forecast_config(), fdi_config(),
+                    forecast_config(layers=3, widths=(4, 5, 6, 7), k_temporal=0)):
+            shapes = {k: v.shape for k, v in init_params(cfg, seed=1).tensors().items()}
+            assert list(param_shapes(cfg).items()) == list(shapes.items())
+
     def test_split_relu(self):
         z = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
         out = split_relu(z)
@@ -378,8 +393,14 @@ class TestShiftInvariance:
             assert np.linalg.norm(comm, "fro") < 1e-9
 
 
+def add_grads(total: dict, grads: dict) -> None:
+    for name, arr in grads.items():
+        total[name] = total[name] + arr if name in total else arr
+
+
 class TestModelAgainstNaive:
-    """The live conv and pooling path against the lag-by-lag reference."""
+    """The live conv and pooling path, on stacks of windows, against the
+    window-by-window, lag-by-lag reference."""
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("pooling", [CUSTOM, LEARNABLE])
@@ -391,67 +412,50 @@ class TestModelAgainstNaive:
                                   widths=(3,) + (4,) * layers, pooled_nodes=4, hidden=6,
                                   pooling=pooling, outputs=2 if pooling == LEARNABLE else 1)
                 params = init_params(cfg, seed=10 * k + kt)
-                # uneven clusters, one node per cluster, and an all-zero window
-                # whose split-ReLU outputs all tie at 0 under max pooling
-                for n, scale in ((7, 1.0), (4, 1.0), (7, 0.0)):
+                # uneven clusters and one node per cluster; the middle window of
+                # each stack is all zero, so its split-ReLU outputs all tie at 0
+                # under max pooling
+                for n in (7, 4):
                     s = random_gso(n, 50 + n)
                     order = rng.permutation(n)
-                    x = scale * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
-                    g = rng.standard_normal(n) + (1j * rng.standard_normal(n)
-                                                  if cfg.outputs == 2 else 0)
-                    case = f"K={k} Kt={kt} n={n} scale={scale}"
+                    x = rng.standard_normal((3, n, 3)) + 1j * rng.standard_normal((3, n, 3))
+                    x[1] = 0.0
+                    g = rng.standard_normal((3, n)) + (1j * rng.standard_normal((3, n))
+                                                       if cfg.outputs == 2 else 0)
+                    case = f"K={k} Kt={kt} n={n}"
                     y, tape = model_forward(s, x, params, cfg, node_order=order, record=True)
-                    y_ref, backward = naive_model(s, x, params, cfg, order)
-                    assert rel_err(y, y_ref) <= 1e-12, case
-                    grads, ref = model_backward(tape, g), backward(g)
+                    grads, ref = model_backward(tape, g), {}
+                    for b in range(3):
+                        y_ref, backward = naive_model(s, x[b], params, cfg, order)
+                        assert rel_err(y[b], y_ref) <= 1e-12, f"{case} window {b}"
+                        add_grads(ref, backward(g[b]))
                     assert grads.keys() == ref.keys() == params.tensors().keys(), case
                     for name in ref:
                         assert rel_err(grads[name], ref[name]) <= 1e-12, f"{case} {name}"
 
-    def test_gradient_sum_matches_summed_gradients(self):
-        cfg = forecast_config(widths=(3, 4, 4), pooled_nodes=3, hidden=6)
-        params = init_params(cfg, seed=7)
-        rng = np.random.default_rng(7)
-        acc, ref = GradientSum(), {}
-        for n in (6, 8, 5):
-            s = random_gso(n, 70 + n)
-            x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            _, tape = model_forward(s, x, params, cfg, record=True)
-            assert model_backward(tape, g, into=acc) is acc
-            for name, arr in model_backward(tape, g).items():
-                ref[name] = ref[name] + arr if name in ref else arr
-        total = acc.total()
-        assert total.keys() == ref.keys()
-        for name in ref:
-            assert rel_err(total[name], ref[name]) <= 1e-12, name
-
     @pytest.mark.parametrize("pooling", [CUSTOM, LEARNABLE])
     def test_deferred_head_terms_match_summed_gradients(self, pooling):
-        """Windows that share their system's decoder constant, with the systems
-        interleaved, against the sum of each window's full gradients."""
+        """Stacks that share their system's decoder constant, passed in, against
+        the sum of each window's gradients with the constant formed per window."""
         cfg = LayerConfig(layers=2, k_spatial=2, k_temporal=1, widths=(3, 4, 4),
                           pooled_nodes=3, hidden=6, pooling=pooling,
                           outputs=2 if pooling == LEARNABLE else 1)
         params = init_params(cfg, seed=8)
         rng = np.random.default_rng(8)
-        systems = []
-        for n in (6, 9):
+        total, ref = {}, {}
+        for n, b in ((6, 3), (9, 2), (6, 1)):
             order = rng.permutation(n)
-            systems.append((random_gso(n, 80 + n), order,
-                            head_constant(decoder_positions(n, n, order), params)))
-        acc, ref = GradientSum(), {}
-        for q in (0, 0, 0, 1, 1, 0):
-            s, order, head = systems[q]
-            n = s.shape[0]
-            x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-            g = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cfg.outputs == 2 else 0)
+            s = random_gso(n, 80 + n)
+            head = head_constant(decoder_positions(n, n, order), params)
+            x = rng.standard_normal((b, n, 3)) + 1j * rng.standard_normal((b, n, 3))
+            g = rng.standard_normal((b, n)) + (1j * rng.standard_normal((b, n))
+                                               if cfg.outputs == 2 else 0)
             _, tape = model_forward(s, x, params, cfg, node_order=order, record=True, head=head)
-            model_backward(tape, g, into=acc)
-            _, tape = model_forward(s, x, params, cfg, node_order=order, record=True)
-            for name, arr in model_backward(tape, g).items():
-                ref[name] = ref[name] + arr if name in ref else arr
-        total = acc.total()
+            add_grads(total, model_backward(tape, g))
+            for i in range(b):
+                _, tape = model_forward(s, x[i:i + 1], params, cfg, node_order=order,
+                                        record=True)
+                add_grads(ref, model_backward(tape, g[i:i + 1]))
         assert total.keys() == ref.keys() == params.tensors().keys()
         for name in ref:
             assert rel_err(total[name], ref[name]) <= 1e-12, name

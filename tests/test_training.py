@@ -140,7 +140,7 @@ class TestTrainLoop:
 
         model = self.model(0)
         ctx = contexts_for(tiny_family)[0]
-        x = feature_window(ctx.system.estimates, 12)
+        x = feature_window(ctx.system.estimates, 12)[None]
         before = model.forward(ctx, x)
         rng = np.random.default_rng(0)
         grads = {}
@@ -185,7 +185,9 @@ class TestTrainLoop:
         assert params_digest(model) == digest
 
     @pytest.mark.parametrize("kind", ["ugcn", "dense"])
-    def test_eval_forecast_one_forward_per_time_step(self, tiny_family, monkeypatch, kind):
+    def test_eval_forecast_one_forward_per_system(self, tiny_family, monkeypatch, kind):
+        """One forward per system over all its windows, against a loop over
+        the windows one at a time; the baselines against the same loop."""
         from ugcn.scenarios import feature_window
 
         if kind == "ugcn":
@@ -199,22 +201,33 @@ class TestTrainLoop:
         calls = []
         horizons, stride = (2, 0, 5), 4
         rep = eval_forecast(predictor, tiny_family, horizons=horizons, stride=stride)
-        assert len(calls) == sum(len(range(9, s.t_total, stride)) for s in tiny_family)
+        assert len(calls) == len(tiny_family)
+        oracle = {name: {h: [] for h in horizons} for name in ("ugcn", "flat", "carry")}
         for system, entry in zip(tiny_family, rep.per_system):
             ctx = SystemContext(system)
             for h in horizons:
-                errs = []
+                errs = {name: [] for name in oracle}
                 for t in range(9, system.t_total - h, stride):
                     x = feature_window(system.estimates, t)
-                    pred = forward(ctx, x) + CENTER
-                    d = pred - system.true_states[t + h]
-                    errs.append(float(np.mean(d.real ** 2 + d.imag ** 2)))
-                assert entry["mse"][str(h)] == float(np.mean(errs))
+                    target = system.true_states[t + h]
+                    preds = {"ugcn": forward(ctx, x[None])[0] + CENTER,
+                             "flat": np.full(system.n, 1.0 + 0.0j), "carry": x[:, -1]}
+                    for name, pred in preds.items():
+                        errs[name].append(float(np.mean(np.abs(pred - target) ** 2)))
+                for name in oracle:
+                    oracle[name][h].append(np.mean(errs[name]))
+                assert entry["mse"][str(h)] == pytest.approx(oracle["ugcn"][h][-1], rel=1e-12)
+        got = {"ugcn": rep.horizons, "flat": rep.baselines["flat"],
+               "carry": rep.baselines["carry_forward"]}
+        for name in oracle:
+            assert got[name].keys() == set(horizons)
+            for h in horizons:
+                assert got[name][h] == pytest.approx(np.mean(oracle[name][h]), rel=1e-12), name
 
     def test_batch_loss_is_mean_of_system_losses(self, tiny_family):
         # one window per system, full batch: the epoch loss must equal the
         # mean of independently computed per-system losses
-        from ugcn.training import _sample_loss_and_grads, _split_times
+        from ugcn.training import _split_times, _stack_loss
 
         tcfg = TrainConfig(task="forecast", epochs=1, batch_systems=3,
                            windows_per_system=1, seed=5)
@@ -227,7 +240,7 @@ class TestTrainLoop:
             ctx = SystemContext(tiny_family[q])
             times = _split_times(tiny_family[q], tcfg)[0]
             t = int(times[rng.integers(0, len(times))])
-            total += _sample_loss_and_grads(model, tcfg, ctx, t, None, None)
+            total += _stack_loss(model, tcfg, ctx, [(t, None)])
         assert history[0][1] == pytest.approx(total / 3, rel=1e-10)
 
 
@@ -257,13 +270,12 @@ class TestDenseBaseline:
         from ugcn.scenarios import feature_window
 
         for system in tiny_family:
-            x = feature_window(system.estimates, 12)
+            x = feature_window(system.estimates, 12)[None]
             pred = model.uncentered(model.forward(SystemContext(system), x))
-            assert pred.shape == (system.n,)
+            assert pred.shape == (1, system.n)
 
     @pytest.mark.parametrize("task", ["forecast", "fdi"])
     def test_gradients_match_finite_differences(self, tiny_family, task):
-        from ugcn.model import GradientSum
         from ugcn.scenarios import feature_window
         from ugcn.training import _loss_fdi_grad, _loss_forecast_grad
 
@@ -272,18 +284,17 @@ class TestDenseBaseline:
         # the base layout lacks two of the system's buses and has one the system lacks
         model = init_dense(tuple(system.graph.bus_ids[2:]) + (9999,), task=task, seed=1,
                            hidden=6, depth=2)
-        x = feature_window(system.estimates, 12)
+        # a stack of two windows, the loss their mean
+        x = np.stack([feature_window(system.estimates, t) for t in (12, 20)])
         rng = np.random.default_rng(0)
         if task == "forecast":
             loss, loss_grad = loss_forecast, _loss_forecast_grad
-            target = system.true_states[13] - CENTER
+            target = system.true_states[[13, 21]] - CENTER
         else:
             loss, loss_grad = loss_fdi, _loss_fdi_grad
-            target = (rng.random(system.n) > 0.5) * 1.0
+            target = (rng.random((2, system.n)) > 0.5) * 1.0
         y, tape = model.forward(ctx, x, record=True)
-        acc = GradientSum()
-        model.backward(tape, loss_grad(y, target)[1], acc)
-        grads = acc.total()
+        grads = model.backward(tape, loss_grad(y, target)[1])
         assert grads.keys() == model.tensors().keys()
         for name, tensor in model.tensors().items():
             flat = tensor.reshape(-1)
@@ -327,7 +338,7 @@ class TestDenseBaseline:
         model = init_dense((9991, 9992), task="forecast", seed=0, hidden=8, depth=1)
         from ugcn.scenarios import feature_window
 
-        x = feature_window(base.estimates, 12)
+        x = feature_window(base.estimates, 12)[None]
         pred = model.uncentered(model.forward(SystemContext(base), x))
         assert np.allclose(pred, 1.0 + 0.0j)
 
@@ -337,9 +348,9 @@ class TestDenseBaseline:
         system = tiny_fdi_family[0]
         model = init_dense((9991, system.graph.bus_ids[0]), task="fdi", seed=0,
                            hidden=8, depth=1)
-        logits = model.forward(SystemContext(system), feature_window(system.estimates, 12))
-        assert logits.shape == (system.n,)
-        assert np.all(logits[1:] == -10.0) and logits[0] != -10.0
+        logits = model.forward(SystemContext(system), feature_window(system.estimates, 12)[None])
+        assert logits.shape == (1, system.n)
+        assert np.all(logits[0, 1:] == -10.0) and logits[0, 0] != -10.0
 
     def test_base_mse_below_target_variance(self, tiny_family):
         base = tiny_family[0]
@@ -372,6 +383,48 @@ class TestMetricsReport:
             for key in ("accuracy", "precision", "recall", "f1"):
                 assert 0.0 <= metrics[key] <= 1.0
 
+    def test_eval_fdi_one_forward_per_attack(self, tiny_fdi_family, monkeypatch):
+        """One forward per attack over its (omega, t) windows, against a loop
+        over the windows one at a time; the sensor-bus baseline against the
+        same loop.  Counts must agree exactly."""
+        from ugcn.scenarios import feature_window
+
+        cfg = fdi_config(widths=(10, 8), pooled_nodes=6, hidden=16)
+        predictor = UgcnPredictor(init_params(cfg, 5), cfg)
+        forward = predictor.forward
+        monkeypatch.setattr(predictor, "forward", lambda ctx, x, record=False:
+                            calls.append(len(x)) or forward(ctx, x, record))
+        calls = []
+        omegas, stride, threshold = (0.1, 0.5, 0.9), 8, 0.4
+        rep = eval_fdi(predictor, tiny_fdi_family, omegas=omegas, stride=stride,
+                       threshold=threshold, max_attacks=3)
+        cut = np.log(threshold / (1 - threshold))
+        keys = ("tp", "tn", "fp", "fn")
+        model = {w: dict.fromkeys(keys, 0) for w in omegas}
+        sensor = {w: dict.fromkeys(keys, 0) for w in omegas}
+        windows = []
+        for system in tiny_fdi_family:
+            ctx = SystemContext(system)
+            sensors = {system.graph.pos(b) for b in system.pmu_buses}
+            times = range(9, system.t_total, stride)
+            for ai in [i for i, a in enumerate(system.attacks) if not a.is_null][:3]:
+                windows.append(len(omegas) * len(times))
+                labels = system.attacks[ai].labels
+                for w in omegas:
+                    for t in times:
+                        x = feature_window(system.estimates, t) + w * ctx.attack_shift(ai)[:, None]
+                        flags = forward(ctx, x[None])[0] > cut
+                        for i in range(system.n):
+                            for counts, flag in ((model, flags[i]), (sensor, i in sensors)):
+                                key = ("t" if bool(flag) == bool(labels[i]) else "f") + \
+                                      ("p" if flag else "n")
+                                counts[w][key] += 1
+        assert calls == windows
+        for w in omegas:
+            assert {k: rep.omegas[w][k] for k in keys} == model[w]
+            assert {k: rep.baselines["sensor_buses"][w][k] for k in keys} == sensor[w]
+        assert rep.baselines["sensor_buses"][0.5]["recall"] == 1.0
+
     def test_all_clean_split_accuracy_equals_specificity(self, tiny_fdi_family):
         # with every label zero, accuracy is the true-negative rate by definition
         cfg = fdi_config(widths=(10, 8), pooled_nodes=6, hidden=16)
@@ -380,7 +433,7 @@ class TestMetricsReport:
         from ugcn.training import contexts_for
 
         ctx = contexts_for(tiny_fdi_family)[0]
-        x = feature_window(ctx.system.estimates, 12)
+        x = feature_window(ctx.system.estimates, 12)[None]
         logits = predictor.forward(ctx, x)
         pred = logits > 0
         tn = int(np.sum(~pred))
