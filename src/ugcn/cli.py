@@ -246,9 +246,11 @@ def _read_checkpoint(path: str) -> dict:
 
 
 def _checkpoint_layers(path: str, ck: dict) -> LayerConfig:
+    if "layer_config" not in ck:
+        raise ConfigError(f"checkpoint {path!r} has no layer_config")
     try:
         return LayerConfig.from_dict(ck["layer_config"])
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path!r}: layer_config: {exc}") from exc
 
 
@@ -259,7 +261,10 @@ def _checkpoint_params(path: str, mcfg: LayerConfig, doc: dict) -> UgcnParams:
     The network reads its sizes from the tensors, so a config that disagrees
     with them would otherwise be ignored without a word.
     """
-    params = payload_to_params(doc)
+    try:
+        params = payload_to_params(doc)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"checkpoint {path!r}: unreadable parameters: {exc}") from exc
     want = param_shapes(mcfg)
     got = {name: t.shape for name, t in params.tensors().items()}
     for name in sorted(want.keys() | got.keys()):

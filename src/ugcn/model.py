@@ -203,16 +203,6 @@ def _relu_back(grad: np.ndarray, pre: np.ndarray) -> np.ndarray:
     return (grad.view(np.float64) * (pre.view(np.float64) > 0)).view(np.complex128)
 
 
-def _products(s_mat: np.ndarray, stack: np.ndarray, k_max: int) -> np.ndarray:
-    """[N, K+1, C] with [:, k] = S^k stack for a [N, C] stack, each built as S (S^{k-1} stack)."""
-    n, c = stack.shape
-    prods = np.empty((n, k_max + 1, c), dtype=np.complex128)
-    prods[:, 0] = stack
-    for k in range(1, k_max + 1):
-        np.matmul(s_mat, prods[:, k - 1], out=prods[:, k])
-    return prods
-
-
 def _conv_layer(s_mat: np.ndarray, stack: np.ndarray, taps: np.ndarray):
     """Pre-activations of one layer at every output lag the stack supports.
 
@@ -288,7 +278,10 @@ def _input_layer(s_mat: np.ndarray, x: np.ndarray, taps: np.ndarray, lags: int):
     folded = np.zeros((k1, f_in, lags, f_out), dtype=np.complex128)
     for tau, r, d in _input_pairs(t1, f_in, lags):
         folded[:, : f_in - d, r] += taps[:, tau, d:]
-    prods = _products(s_mat, x.reshape(n, b * f_in), k1 - 1)
+    prods = np.empty((n, k1, b * f_in), dtype=np.complex128)       # [:, k] = S^k x
+    prods[:, 0] = x.reshape(n, b * f_in)
+    for k in range(1, k1):
+        np.matmul(s_mat, prods[:, k - 1], out=prods[:, k])
     z = prods.reshape(n, k1, b, f_in).transpose(0, 2, 1, 3).reshape(n * b, k1 * f_in)
     pre = (z @ folded.reshape(k1 * f_in, lags * f_out)).reshape(n, b, lags, f_out)
     return pre, z

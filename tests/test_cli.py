@@ -567,19 +567,28 @@ class TestInputChecks:
 
 
     @pytest.mark.parametrize("edit, message", [
-        ({"color": 1}, "layer_config: unknown layer config key 'color'"),
-        ({"hidden": 128}, "tensor 'b_enc' is (12,) in the file but (128,) by its layer_config"),
+        ({"color": 1}, ": layer_config: unknown layer config key 'color'"),
+        ({"hidden": 128}, ": tensor 'b_enc' is (12,) in the file but (128,) by its layer_config"),
         ({"k_spatial": 1},
-         "tensor 'conv.0' is (4, 3, 10, 6) in the file but (2, 3, 10, 6) by its layer_config"),
-        ({"pooling": "custom"}, "tensor 'assign' is (4, 6) in the file but absent by its "
+         ": tensor 'conv.0' is (4, 3, 10, 6) in the file but (2, 3, 10, 6) by its layer_config"),
+        ({"pooling": "custom"}, ": tensor 'assign' is (4, 6) in the file but absent by its "
                                 "layer_config"),
-        ({"layers": 3}, "layer_config: widths (10, 6, 6) inconsistent with 3 layers"),
+        ({"layers": 3}, ": layer_config: widths (10, 6, 6) inconsistent with 3 layers"),
+        ("no w_t", ": unreadable parameters: UgcnParams.__init__() missing 1 required "
+                   "positional argument: 'w_t'"),
+        ("no layer_config", " has no layer_config"),
     ])
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_checkpoint_layer_config_checked_against_tensors(
             self, dataset, checkpoint, tmp_path, capsys, edit, message, command):
         ck = load_checkpoint(checkpoint)
-        ck["layer_config"].update(edit)
+        if edit == "no w_t":
+            del ck["params"]["head"]["w_t"]
+            del ck["resume_state"]["last_params"]["head"]["w_t"]
+        elif edit == "no layer_config":
+            del ck["layer_config"]
+        else:
+            ck["layer_config"].update(edit)
         bad = str(tmp_path / "bad.ckpt.json")
         save_checkpoint(bad, ck)
         out = tmp_path / "out.json"
@@ -590,7 +599,7 @@ class TestInputChecks:
                      "--resume", bad] + TRAIN_SETS)
         capsys.readouterr()
         assert run_cli(args) == 2
-        one_line_error(capsys, f"config error: checkpoint {bad!r}: {message}\n")
+        one_line_error(capsys, f"config error: checkpoint {bad!r}{message}\n")
         assert not out.exists()
 
     def test_checkpoint_layer_config_missing_keys_keep_defaults(
