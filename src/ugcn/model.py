@@ -15,9 +15,9 @@ The filter is associative, so a layer after the first forms the tap
 products X H_k first, in one GEMM over all windows and lags, and applies S
 after it in Horner form, on the narrow F_out side.  The first layer's input
 is narrower than its output, so it applies S to the input and folds its
-temporal taps instead (`_input_layer`).  Temporal lags of the input window are realized by
-shifting the channel axis (channel j holds the estimate j steps back), so a
-sample stays self-contained.
+temporal taps instead (`_input_layer`).  Temporal lags of the input window
+are realized by shifting the channel axis (channel j holds the estimate j
+steps back), so a sample stays self-contained.
 
 Complex tensors are differentiated in the split sense: gradients are taken
 with respect to the real and imaginary parts independently and reassembled as

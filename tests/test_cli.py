@@ -577,7 +577,8 @@ class TestInputChecks:
         ("no w_t", ": unreadable parameters: UgcnParams.__init__() missing 1 required "
                    "positional argument: 'w_t'"),
         ("no layer_config", " has no layer_config"),
-    ])
+    ], ids=["unknown-key", "hidden", "k_spatial", "pooling", "layers", "no-w_t",
+            "no-layer_config"])
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_checkpoint_layer_config_checked_against_tensors(
             self, dataset, checkpoint, tmp_path, capsys, edit, message, command):
