@@ -19,12 +19,20 @@ historical: the suffix does not pick the format.  Files of schema version 1
 to ``<path>.tmp`` and are renamed over ``path``, so a failed write leaves
 the previous file intact.  Complex tensors are stored as separate re/im
 float lists.
+
+Tensors travel as :class:`Float64List`: a read-only list of Python floats
+that also keeps the float64 array it holds.  `encode_array` makes them,
+`save_container` writes their arrays to the blob without a pass over the
+floats, `load_container` returns them backed by the bytes it read, and
+`decode_array` copies from the array.  A plain float list is written to the
+same bytes, so the format does not depend on which kind a payload holds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 import struct
@@ -288,24 +296,55 @@ def _canonical_payload(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _split_floats(obj, floats: list):
-    """`obj` with every non-empty all-float list moved to the end of `floats`
-    and replaced by a ``$f64`` reference to its place there.
+class Float64List(list):
+    """A read-only list of Python floats that keeps the 1-D float64 array it
+    was made from, so a container moves the tensor as an array.
+
+    `array` may be a view, of the encoded tensor or of the bytes a container
+    was read from.  The list refuses edits, so that it and `array` cannot
+    disagree: edit a ``list(...)`` copy instead.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        super().__init__(array.tolist())
+        self.array = array
+
+    def __reduce__(self):
+        return Float64List, (self.array,)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Float64List is read-only; edit a list(...) copy of it")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
+def _split_floats(obj, chunks: list):
+    """`obj` with every non-empty all-float list replaced by a ``$f64``
+    reference; the list's float64 array goes to the end of `chunks`, paired
+    with the reference's ``[offset, count]``.
 
     A module-level function on purpose: a recursive closure is a reference
-    cycle, which would keep `floats`, and so every float of the payload,
+    cycle, which would keep `chunks`, and so every tensor of the payload,
     alive until the cyclic garbage collector happens to run.
     """
     if isinstance(obj, dict):
         if _F64_REF in obj:
             raise UgcnError(f"payload key {_F64_REF!r} is reserved for tensor references")
-        return {key: _split_floats(value, floats) for key, value in obj.items()}
+        return {key: _split_floats(value, chunks) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) == _FLOAT_ONLY:
-            ref = {_F64_REF: [len(floats), len(obj)]}
-            floats.extend(obj)
-            return ref
-        return [_split_floats(value, floats) for value in obj]
+        if isinstance(obj, Float64List) and obj:
+            array = obj.array
+        elif obj and set(map(type, obj)) == _FLOAT_ONLY:
+            array = np.array(obj, dtype="<f8")
+        else:
+            return [_split_floats(value, chunks) for value in obj]
+        # a tensor starts where the one before it ends
+        ref = [sum(chunks[-1][0]) if chunks else 0, len(obj)]
+        chunks.append((ref, array))
+        return {_F64_REF: ref}
     return obj
 
 
@@ -326,17 +365,23 @@ def atomic_write(path: str, mode: str = "w", **open_kwargs):
 
 
 def save_container(path: str, payload: dict) -> None:
-    """Write `payload` as one versioned frame; the file at `path` is replaced atomically."""
-    floats: list[float] = []
-    head = _canonical_payload(_split_floats(payload, floats))
-    blob = np.array(floats, dtype="<f8")
-    prefix = _U64.pack(len(head))
-    crc = zlib.crc32(blob, zlib.crc32(head, zlib.crc32(prefix)))
-    length = len(prefix) + len(head) + blob.nbytes
+    """Write `payload` as one versioned frame; the file at `path` is replaced atomically.
+
+    The blob is never assembled: its CRC is taken and its bytes written one
+    tensor at a time.
+    """
+    chunks: list = []
+    head = _canonical_payload(_split_floats(payload, chunks))
+    prefix = _U64.pack(len(head)) + head
+    crc = zlib.crc32(prefix)
+    for _, array in chunks:
+        crc = zlib.crc32(np.ascontiguousarray(array, dtype="<f8"), crc)
+    length = len(prefix) + 8 * sum(ref[1] for ref, _ in chunks)
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, SCHEMA_VERSION, length, crc))
-        fh.write(prefix + head)
-        fh.write(blob)
+        fh.write(prefix)
+        for _, array in chunks:
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
 def load_container(path: str) -> dict:
@@ -368,7 +413,7 @@ def load_container(path: str) -> dict:
         offset, count = doc[_F64_REF]
         if not 0 <= offset <= offset + count <= len(values):
             raise CorruptFile(f"{path}: tensor reference outside the blob")
-        return values[offset:offset + count].tolist()
+        return Float64List(values[offset:offset + count])
 
     try:
         payload = json.loads(bytes(body[_U64.size:_U64.size + head_len]), object_hook=resolve)
@@ -384,18 +429,34 @@ def load_container(path: str) -> dict:
 
 
 def encode_array(a: np.ndarray) -> dict:
+    """`a` as its shape and its row-major values, complex ones as re/im parts.
+
+    The parts are views of `a` where they can be, so save the payload before
+    `a` changes.
+    """
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        return {"shape": list(a.shape), "re": a.real.ravel().tolist(), "im": a.imag.ravel().tolist()}
-    return {"shape": list(a.shape), "re": a.astype(np.float64).ravel().tolist()}
+        a = np.asarray(a, dtype=np.complex128)
+        return {"shape": list(a.shape), "re": Float64List(a.real.reshape(-1)),
+                "im": Float64List(a.imag.reshape(-1))}
+    return {"shape": list(a.shape), "re": Float64List(np.asarray(a, dtype=np.float64).reshape(-1))}
 
 
 def decode_array(doc: dict) -> np.ndarray:
+    """A new array holding the tensor `doc` encodes; `CorruptFile` when its
+    shape does not fit its values."""
     shape = tuple(doc["shape"])
-    re_part = np.array(doc["re"], dtype=np.float64).reshape(shape)
-    if "im" in doc:
-        return re_part + 1j * np.array(doc["im"], dtype=np.float64).reshape(shape)
-    return re_part
+    parts = []
+    for key in ("re", "im") if "im" in doc else ("re",):
+        values = doc[key]
+        part = np.array(values.array if isinstance(values, Float64List) else values,
+                        dtype=np.float64)
+        if not all(type(n) is int and n >= 0 for n in shape) or part.shape != (math.prod(shape),):
+            raise CorruptFile(f"tensor of shape {list(shape)} holds {part.size} values")
+        parts.append(part.reshape(shape))
+    if len(parts) == 2:
+        return parts[0] + 1j * parts[1]
+    return parts[0]
 
 
 def encode_graph(g: GridGraph) -> dict:

@@ -263,7 +263,7 @@ def _checkpoint_params(path: str, mcfg: LayerConfig, doc: dict) -> UgcnParams:
     """
     try:
         params = payload_to_params(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, CorruptFile) as exc:
         raise ConfigError(f"checkpoint {path!r}: unreadable parameters: {exc}") from exc
     want = param_shapes(mcfg)
     got = {name: t.shape for name, t in params.tensors().items()}
@@ -274,6 +274,35 @@ def _checkpoint_params(path: str, mcfg: LayerConfig, doc: dict) -> UgcnParams:
                 f"file but {want.get(name, 'absent')} by its layer_config"
             )
     return params
+
+
+def _checkpoint_dense(path: str, ck: dict) -> DenseModel:
+    """The dense baseline of a checkpoint, its layer shapes chained from its
+    `bus_slots` the way `init_dense` builds them."""
+    try:
+        model = payload_to_dense(ck["dense"])
+    except (KeyError, TypeError, CorruptFile) as exc:
+        raise ConfigError(f"checkpoint {path!r}: unreadable dense model: {exc}") from exc
+    if model.task != ck["task"]:
+        raise ConfigError(
+            f"checkpoint {path!r}: dense model of task {model.task!r} in a {ck['task']!r} checkpoint")
+    layers = len(model.weights)
+    if not layers or len(model.biases) != layers:
+        raise ConfigError(
+            f"checkpoint {path!r}: {layers} dense weights but {len(model.biases)} biases")
+    n = len(model.bus_slots)
+    width = 2 * n * WINDOW
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if i == layers - 1:
+            out = 2 * n if model.task == "forecast" else n
+        else:
+            out = w.shape[-1] if w.ndim else None
+        if w.shape != (width, out) or b.shape != (out,):
+            raise ConfigError(
+                f"checkpoint {path!r}: dense layer {i} is {w.shape} and {b.shape} in the file "
+                f"but {(width, out)} and {(out,)} by its {n} bus_slots")
+        width = out
+    return model
 
 
 def _make_out_dirs(*paths: str) -> None:
@@ -408,7 +437,10 @@ def load_dataset_dir(path: str) -> tuple[list[ScenarioSet], dict]:
                 f"dataset {path!r} mixes tasks: {os.path.basename(files[0])} holds "
                 f"{meta['task']!r}, {os.path.basename(f)} holds {payload.get('task')!r}"
             )
-        systems.append(scenario_from_payload(payload["system"]))
+        try:
+            systems.append(scenario_from_payload(payload["system"]))
+        except CorruptFile as exc:
+            raise CorruptFile(f"{f}: {exc}") from exc
         meta = {"task": payload.get("task"), "config": payload.get("config", {})}
     return systems, meta
 
@@ -499,7 +531,11 @@ def cmd_train(args) -> int:
                 mcfg = _checkpoint_layers(cfg["resume"], ck)
                 model = UgcnPredictor(
                     _checkpoint_params(cfg["resume"], mcfg, resume["last_params"]), mcfg)
-                optimizer = Adam.from_state(resume["optimizer"])
+                try:
+                    optimizer = Adam.from_state(resume["optimizer"])
+                except (KeyError, TypeError, CorruptFile) as exc:
+                    raise ConfigError(
+                        f"checkpoint {cfg['resume']!r}: unreadable optimizer state: {exc}") from exc
                 start_epoch = resume["epoch_next"]
                 history_rows = [tuple(r) for r in ck["history"]]
                 # the best parameters are the top-level ones; older checkpoints
@@ -592,7 +628,7 @@ def cmd_eval(args) -> int:
         mcfg = _checkpoint_layers(cfg["checkpoint"], ck)
         predictor = UgcnPredictor(_checkpoint_params(cfg["checkpoint"], mcfg, ck["params"]), mcfg)
     else:
-        predictor = payload_to_dense(ck["dense"])
+        predictor = _checkpoint_dense(cfg["checkpoint"], ck)
     try:
         if task == "forecast":
             report = eval_forecast(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import struct
 import tempfile
 import zlib
@@ -16,6 +17,7 @@ from ugcn import caseio
 from ugcn.caseio import (
     BUILTIN_CASES,
     CaseFile,
+    Float64List,
     decode_array,
     encode_array,
     load_case,
@@ -175,7 +177,7 @@ def load_case_text(name):
 def _bits(obj, loaded=False):
     """`obj` with every float replaced by its IEEE bytes and every scalar tagged
     by type, so equality means a bit-exact, type-exact round trip."""
-    if isinstance(obj, float):
+    if type(obj) is float:
         return struct.pack("<d", obj)
     if isinstance(obj, (list, tuple)):
         assert not (loaded and isinstance(obj, tuple)), "a tuple must come back as a list"
@@ -195,6 +197,7 @@ _FLOAT_LISTS = st.lists(_BLOB_FLOATS, min_size=1, max_size=20)
 _LEAVES = (
     st.none() | st.booleans() | st.integers() | st.text(max_size=8) | _TEXT_FLOATS
     | _FLOAT_LISTS | _FLOAT_LISTS.map(tuple) | st.just([])
+    | st.lists(_BLOB_FLOATS, max_size=20).map(lambda v: Float64List(np.array(v, dtype=float)))
     | st.lists(st.integers() | _TEXT_FLOATS, min_size=1, max_size=8)
 )
 _KEYS = st.text(max_size=6).filter(lambda k: k != "$f64")
@@ -204,6 +207,53 @@ _PAYLOADS = st.dictionaries(_KEYS, st.recursive(
                    | st.dictionaries(_KEYS, inner, max_size=4)),
     max_leaves=20,
 ), max_size=5)
+
+
+def _plain(obj):
+    """`obj` with every Float64List replaced by a plain list of its floats."""
+    if isinstance(obj, Float64List):
+        return list(obj)
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_plain(v) for v in obj)
+    return obj
+
+
+def _save_both_kinds(directory, payload) -> dict:
+    """Save `payload` as built and with plain float lists; both files must hold
+    the same bytes.  Returns the reload, checked bit and type exact."""
+    paths = [os.path.join(directory, name) for name in ("array.ugcn.json", "plain.ugcn.json")]
+    save_container(paths[0], payload)
+    save_container(paths[1], _plain(payload))
+    first, second = (open(path, "rb").read() for path in paths)
+    assert first == second
+    loaded = load_container(paths[0])
+    assert _bits(loaded, loaded=True) == _bits(payload)
+    return loaded
+
+
+def _from_bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+_RNG = np.random.default_rng(0)
+_CODEC_CASES = {
+    "signed-zeros": np.array([0.0, -0.0, 1.0]),
+    "nan-payloads": _from_bits(0x7FF8000000000001, 0xFFF8000000000002, 0x7FF0000000000003,
+                               0xFFF4000000000000),
+    "infinities": np.array([math.inf, -math.inf]),
+    "subnormals": np.array([5e-324, -5e-324, 2.2250738585072e-308]),
+    "empty": np.zeros(0),
+    "empty-2d": np.zeros((2, 0)),
+    "0-d": np.array(-2.5),
+    "ints": np.arange(6).reshape(2, 3),
+    "transposed": _RNG.standard_normal((3, 4)).T,
+    "complex": _RNG.standard_normal((2, 5)) + 1j * _RNG.standard_normal((2, 5)),
+    "complex-transposed": (_RNG.standard_normal((3, 2)) + 1j * _RNG.standard_normal((3, 2))).T,
+    "complex-special": np.array([complex(-0.0, math.nan), complex(math.inf, -0.0),
+                                 complex(5e-324, -math.inf)]),
+}
 
 
 class TestContainers:
@@ -325,16 +375,40 @@ class TestContainers:
     @given(payload=_PAYLOADS)
     def test_round_trip_property(self, payload):
         with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "p.ugcn.json")
-            save_container(path, payload)
-            assert _bits(load_container(path), loaded=True) == _bits(payload)
+            _save_both_kinds(d, payload)
 
-    def test_array_codec_bit_exact(self):
-        rng = np.random.default_rng(0)
-        real = rng.standard_normal((3, 4))
-        cplx = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-        assert np.array_equal(decode_array(encode_array(real)), real)
-        assert np.array_equal(decode_array(encode_array(cplx)), cplx)
+    def test_array_codec_bit_exact(self, tmp_path):
+        """An encoded tensor writes the same bytes as its plain-list copy, and
+        its values come back bit exact from memory, from disk and from a pickle."""
+        for name, a in _CODEC_CASES.items():
+            doc = encode_array(a)
+            assert all(type(doc[key]) is Float64List for key in doc.keys() - {"shape"}), name
+            loaded = _save_both_kinds(str(tmp_path), {"kind": "dataset", "t": doc})["t"]
+            for parts in (doc, loaded, pickle.loads(pickle.dumps(doc))):
+                for key in parts.keys() - {"shape"}:
+                    values = parts[key]
+                    if type(values) is Float64List:
+                        assert np.array_equal(np.array(values).view(np.uint64),
+                                              np.asarray(values.array).view(np.uint64)), name
+                    else:
+                        assert values == [] and not a.size, name
+                with np.errstate(invalid="ignore"):
+                    back = decode_array(parts)
+                assert back.shape == a.shape, name
+                if np.iscomplexobj(a):
+                    # the re/im parts reload bit exact; `re + 1j * im` rounds special values
+                    assert np.array_equal(back, a) or name == "complex-special"
+                else:
+                    assert np.array_equal(back.view(np.uint64),
+                                          a.astype(np.float64).view(np.uint64)), name
+
+    def test_float64_list_is_read_only(self):
+        values = encode_array(np.arange(3.0))["re"]
+        for edit in (lambda v: v.__setitem__(0, 1.0), lambda v: v.append(1.0),
+                     lambda v: v.extend([1.0]), lambda v: v.pop(), lambda v: v.sort()):
+            with pytest.raises(TypeError, match="read-only"):
+                edit(values)
+        assert values == [0.0, 1.0, 2.0]
 
 
 class TestScenarioRoundTrip:

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from ugcn import cli, scenarios
-from ugcn.caseio import load_checkpoint, load_dataset, save_checkpoint, save_dataset
+from ugcn.caseio import (
+    encode_array,
+    load_checkpoint,
+    load_dataset,
+    save_checkpoint,
+    save_dataset,
+)
 from ugcn.cli import main, payload_to_params
 from ugcn.errors import NoConvergence, OutsideSanityBand
 from ugcn.training import MetricsReport
@@ -577,8 +583,9 @@ class TestInputChecks:
         ("no w_t", ": unreadable parameters: UgcnParams.__init__() missing 1 required "
                    "positional argument: 'w_t'"),
         ("no layer_config", " has no layer_config"),
+        ("b_out shape", ": unreadable parameters: tensor of shape [3] holds 2 values"),
     ], ids=["unknown-key", "hidden", "k_spatial", "pooling", "layers", "no-w_t",
-            "no-layer_config"])
+            "no-layer_config", "b_out-shape"])
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_checkpoint_layer_config_checked_against_tensors(
             self, dataset, checkpoint, tmp_path, capsys, edit, message, command):
@@ -588,6 +595,9 @@ class TestInputChecks:
             del ck["resume_state"]["last_params"]["head"]["w_t"]
         elif edit == "no layer_config":
             del ck["layer_config"]
+        elif edit == "b_out shape":
+            ck["params"]["head"]["b_out"]["shape"] = [3]
+            ck["resume_state"]["last_params"]["head"]["b_out"]["shape"] = [3]
         else:
             ck["layer_config"].update(edit)
         bad = str(tmp_path / "bad.ckpt.json")
@@ -600,6 +610,86 @@ class TestInputChecks:
                      "--resume", bad] + TRAIN_SETS)
         capsys.readouterr()
         assert run_cli(args) == 2
+        one_line_error(capsys, f"config error: checkpoint {bad!r}{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "resume"])
+    def test_tensor_shape_disagreeing_with_its_values_exits_2(
+            self, dataset, checkpoint, tmp_path, capsys, command):
+        """A dataset tensor (train, eval) or an optimizer moment (resume) whose
+        shape does not fit its values ends in one line naming the file."""
+        out = tmp_path / "out.json"
+        if command == "resume":
+            ck = load_checkpoint(checkpoint)
+            moment = ck["resume_state"]["optimizer"]["m"]["b_out"]
+            moment["shape"] = [moment["shape"][0] + 1]
+            bad = str(tmp_path / "bad.ckpt.json")
+            save_checkpoint(bad, ck)
+            args = (["train", "--task", "forecast", "--data", dataset, "--out", str(out),
+                     "--resume", bad] + TRAIN_SETS)
+            prefix = (f"config error: checkpoint {bad!r}: unreadable optimizer state: "
+                      "tensor of shape [3] holds 2 values\n")
+        else:
+            data = relabelled_copy(dataset, str(tmp_path / "data"), "forecast")
+            bad = os.path.join(data, "system_000.ugcn.json")
+            payload = load_dataset(bad)
+            shape = payload["system"]["estimates"]["shape"]
+            values = shape[0] * shape[1]
+            shape[0] += 1
+            save_dataset(bad, payload)
+            if command == "train":
+                args = (["train", "--task", "forecast", "--data", data, "--out", str(out)]
+                        + TRAIN_SETS)
+                prefix = "cannot load dataset: "
+            else:
+                args = eval_args(checkpoint, data, str(out))
+                prefix = "bad input file: "
+            prefix += f"{bad}: tensor of shape {shape} holds {values} values\n"
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        one_line_error(capsys, prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ("no bus_slots", ": unreadable dense model: 'bus_slots'"),
+        ("no weights", ": unreadable dense model: 'weights'"),
+        ("no biases", ": unreadable dense model: 'biases'"),
+        ("no task", ": unreadable dense model: 'task'"),
+        ("3 bus_slots fewer", ": dense layer 0 is (680, 16) and (16,) in the file but "
+                              "(620, 16) and (16,) by its 31 bus_slots"),
+        ("no last layer", ": dense layer 0 is (680, 16) and (16,) in the file but "
+                          "(680, 68) and (68,) by its 34 bus_slots"),
+        ("bias shape", ": dense layer 0 is (680, 16) and (15,) in the file but "
+                       "(680, 16) and (16,) by its 34 bus_slots"),
+        ("one bias fewer", ": 2 dense weights but 1 biases"),
+        ("task fdi", ": dense model of task 'fdi' in a 'forecast' checkpoint"),
+        ("bias values", ": unreadable dense model: tensor of shape [16] holds 15 values"),
+    ], ids=["no-bus_slots", "no-weights", "no-biases", "no-task", "bus_slots-3", "no-last-layer",
+            "bias-shape", "one-bias-fewer", "task-fdi", "bias-values"])
+    def test_dense_checkpoint_checked(self, dataset, dense_checkpoint, tmp_path, capsys,
+                                      edit, message):
+        ck = load_checkpoint(dense_checkpoint)
+        dense = ck["dense"]
+        assert len(dense["bus_slots"]) == 34
+        if edit.startswith("no ") and edit != "no last layer":
+            del dense[edit[3:]]
+        elif edit == "3 bus_slots fewer":
+            dense["bus_slots"] = dense["bus_slots"][:-3]
+        elif edit == "no last layer":
+            del dense["weights"][-1], dense["biases"][-1]
+        elif edit == "bias shape":
+            dense["biases"][0] = encode_array(np.zeros(15))
+        elif edit == "one bias fewer":
+            del dense["biases"][-1]
+        elif edit == "task fdi":
+            dense["task"] = "fdi"
+        else:
+            dense["biases"][0]["re"] = encode_array(np.zeros(15))["re"]
+        bad = str(tmp_path / "bad.ckpt.json")
+        save_checkpoint(bad, ck)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert run_cli(eval_args(bad, dataset, str(out))) == 2
         one_line_error(capsys, f"config error: checkpoint {bad!r}{message}\n")
         assert not out.exists()
 

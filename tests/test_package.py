@@ -96,3 +96,55 @@ def test_benchmark_hook_points_resolve(monkeypatch):
         if not callable(getattr(target, attr, None)):
             missing.append(f"{module}.{owner + '.' if owner else ''}{attr}")
     assert missing == []
+
+
+def test_benchmark_reload_check_sees_every_float(tmp_path, monkeypatch):
+    """The benchmark's bit-exact reload check hashes a list float by float but
+    any other object by its repr, which numpy abridges for large arrays; a
+    bare array in a checkpoint payload would blind the check."""
+    import copy
+    import importlib
+    import pathlib
+    import sys
+
+    import numpy as np
+
+    from ugcn.caseio import load_checkpoint, save_checkpoint
+    from ugcn.cli import params_to_payload
+    from ugcn.model import forecast_config, init_params
+    from ugcn.training import Adam
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+    monkeypatch.delitem(sys.modules, "checks", raising=False)
+    checks = importlib.import_module("checks")
+
+    params = init_params(forecast_config(), seed=0)
+    optimizer = Adam()
+    tensors = params.tensors()
+    optimizer.step(tensors, {name: np.full_like(t, 0.5) for name, t in tensors.items()})
+    payload = {"params": params_to_payload(params), "optimizer": optimizer.state()}
+    path = str(tmp_path / "m.ckpt.json")
+    save_checkpoint(path, payload)
+    reloaded = load_checkpoint(path)
+    assert checks.digest(reloaded) == checks.digest({"kind": "checkpoint", **payload})
+
+    def nodes(parent):
+        """(container, key, value) for every value below `parent` but the
+        items of float lists."""
+        items = parent.items() if isinstance(parent, dict) else enumerate(parent)
+        for key, value in items:
+            yield parent, key, value
+            if isinstance(value, dict) or (
+                    isinstance(value, (list, tuple)) and set(map(type, value)) != {float}):
+                yield from nodes(value)
+
+    for doc in (payload, reloaded):
+        assert [key for _, key, value in nodes(doc) if isinstance(value, np.ndarray)] == []
+        edited = copy.deepcopy(doc)
+        parent, key, values = max(
+            ((p, k, v) for p, k, v in nodes(edited) if isinstance(v, list)), key=lambda n: len(n[2]))
+        assert len(values) > 1000
+        values = list(values)
+        values[len(values) // 2] = float(np.nextafter(values[len(values) // 2], np.inf))
+        parent[key] = values
+        assert checks.digest(edited) != checks.digest(doc)
