@@ -12,8 +12,6 @@ from .fdi import AttackScenario, build_stealth_attack, inject, sample_attack_con
 from .grid import Branch, GridGraph, build_admittance, build_gso
 from .model import (
     LayerConfig,
-    UgcnParams,
-    conv_forward,
     fdi_config,
     forecast_config,
     init_params,
@@ -49,9 +47,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackScenario", "AugmentConfig", "Adam", "Branch", "CaseFile", "GridGraph",
     "LayerConfig", "MetricsReport", "ProfileSet", "ScenarioConfig",
-    "ScenarioSet", "TrainConfig", "UgcnError", "UgcnParams", "UgcnPredictor",
+    "ScenarioSet", "TrainConfig", "UgcnError", "UgcnPredictor",
     "apply_op", "augment", "build_admittance", "build_features", "build_gso",
-    "build_scenario", "build_stealth_attack", "conv_forward", "eval_fdi",
+    "build_scenario", "build_stealth_attack", "eval_fdi",
     "eval_forecast", "fdi_config", "forecast_config",
     "init_params", "inject", "load_case", "loss_fdi",
     "loss_forecast", "model_backward", "model_forward", "nodal_mismatch",

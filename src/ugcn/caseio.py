@@ -454,9 +454,12 @@ def decode_array(doc: dict) -> np.ndarray:
         if not all(type(n) is int and n >= 0 for n in shape) or part.shape != (math.prod(shape),):
             raise CorruptFile(f"tensor of shape {list(shape)} holds {part.size} values")
         parts.append(part.reshape(shape))
-    if len(parts) == 2:
-        return parts[0] + 1j * parts[1]
-    return parts[0]
+    if len(parts) == 1:
+        return parts[0]
+    # written part by part: `re + 1j * im` would round -0.0 and inf parts
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
 
 
 def encode_graph(g: GridGraph) -> dict:

@@ -36,7 +36,6 @@ from .errors import (
 from .grid import DISTRIBUTION, TRANSMISSION
 from .model import (
     LayerConfig,
-    UgcnParams,
     fdi_config,
     forecast_config,
     init_params,
@@ -57,6 +56,7 @@ from .training import (
     TrainConfig,
     UgcnPredictor,
     check_series_lengths,
+    dense_shapes,
     eval_fdi,
     eval_forecast,
     init_dense,
@@ -191,31 +191,30 @@ def build_config(defaults: dict, args: argparse.Namespace) -> dict:
 # Checkpoint codecs
 
 
-def params_to_payload(params: UgcnParams) -> dict:
+def params_to_payload(params: dict) -> dict:
+    """The on-disk layout: the conv taps as a list, `assign` (None under custom
+    pooling) and the decoder tensors by name."""
     return {
-        "conv": [caseio.encode_array(t) for t in params.conv],
-        "assign": None if params.assign is None else caseio.encode_array(params.assign),
-        "head": {
-            name: caseio.encode_array(getattr(params, name))
-            for name in ("w_enc", "b_enc", "w_pos", "b_pos", "w_t", "b_t", "w_out", "b_out")
-        },
+        "conv": [caseio.encode_array(t) for name, t in params.items() if name.startswith("conv.")],
+        "assign": caseio.encode_array(params["assign"]) if "assign" in params else None,
+        "head": {name: caseio.encode_array(t) for name, t in params.items()
+                 if not name.startswith("conv.") and name != "assign"},
     }
 
 
-def payload_to_params(doc: dict) -> UgcnParams:
-    head = {name: caseio.decode_array(a) for name, a in doc["head"].items()}
-    return UgcnParams(
-        conv=[caseio.decode_array(t) for t in doc["conv"]],
-        assign=None if doc["assign"] is None else caseio.decode_array(doc["assign"]),
-        **head,
-    )
+def payload_to_params(doc: dict) -> dict:
+    params = {f"conv.{l}": caseio.decode_array(t) for l, t in enumerate(doc["conv"])}
+    if doc["assign"] is not None:
+        params["assign"] = caseio.decode_array(doc["assign"])
+    params.update((name, caseio.decode_array(a)) for name, a in doc["head"].items())
+    return params
 
 
 def dense_to_payload(model: DenseModel) -> dict:
     return {
         "bus_slots": list(model.bus_slots),
-        "weights": [caseio.encode_array(w) for w in model.weights],
-        "biases": [caseio.encode_array(b) for b in model.biases],
+        "weights": [caseio.encode_array(t) for name, t in model.params.items() if name[0] == "w"],
+        "biases": [caseio.encode_array(t) for name, t in model.params.items() if name[0] == "b"],
         "task": model.task,
     }
 
@@ -223,12 +222,10 @@ def dense_to_payload(model: DenseModel) -> dict:
 def payload_to_dense(doc: dict) -> DenseModel:
     """Older payloads also record `window`, which is ignored, and `center`,
     which `_read_checkpoint` has checked."""
-    return DenseModel(
-        bus_slots=tuple(doc["bus_slots"]),
-        weights=[caseio.decode_array(w) for w in doc["weights"]],
-        biases=[caseio.decode_array(b) for b in doc["biases"]],
-        task=doc["task"],
-    )
+    params = {f"{prefix}{i}": caseio.decode_array(t)
+              for prefix, key in (("w", "weights"), ("b", "biases"))
+              for i, t in enumerate(doc[key])}
+    return DenseModel(bus_slots=tuple(doc["bus_slots"]), params=params, task=doc["task"])
 
 
 def _read_checkpoint(path: str) -> dict:
@@ -254,54 +251,45 @@ def _checkpoint_layers(path: str, ck: dict) -> LayerConfig:
         raise ConfigError(f"checkpoint {path!r}: layer_config: {exc}") from exc
 
 
-def _checkpoint_params(path: str, mcfg: LayerConfig, doc: dict) -> UgcnParams:
-    """Parameters of a checkpoint, every tensor shaped as its layer config gives
-    (`init_params` gives the same shapes).
+def _checked(path: str, tensors: dict, shapes: dict, source: str) -> dict:
+    """The tensors of a checkpoint, each shaped as `shapes` gives by name and
+    in its order; `source` names where the shapes come from.
 
-    The network reads its sizes from the tensors, so a config that disagrees
-    with them would otherwise be ignored without a word.
+    The models read their sizes from the tensors, so a tensor that disagrees
+    with the configuration would otherwise be ignored, or fail mid-run.
     """
+    for name in sorted(shapes.keys() | tensors.keys()):
+        got = tensors[name].shape if name in tensors else "absent"
+        if shapes.get(name, "absent") != got:
+            raise ConfigError(
+                f"checkpoint {path!r}: tensor {name!r} is {got} in the file but "
+                f"{shapes.get(name, 'absent')} by its {source}")
+    return {name: tensors[name] for name in shapes}
+
+
+def _checkpoint_params(path: str, mcfg: LayerConfig, doc: dict) -> dict:
+    """Parameters of a checkpoint, checked against `param_shapes` of its layer config."""
     try:
         params = payload_to_params(doc)
     except (KeyError, TypeError, CorruptFile) as exc:
         raise ConfigError(f"checkpoint {path!r}: unreadable parameters: {exc}") from exc
-    want = param_shapes(mcfg)
-    got = {name: t.shape for name, t in params.tensors().items()}
-    for name in sorted(want.keys() | got.keys()):
-        if want.get(name) != got.get(name):
-            raise ConfigError(
-                f"checkpoint {path!r}: tensor {name!r} is {got.get(name, 'absent')} in the "
-                f"file but {want.get(name, 'absent')} by its layer_config"
-            )
-    return params
+    return _checked(path, params, param_shapes(mcfg), "layer_config")
 
 
 def _checkpoint_dense(path: str, ck: dict) -> DenseModel:
-    """The dense baseline of a checkpoint, its layer shapes chained from its
-    `bus_slots` the way `init_dense` builds them."""
+    """The dense baseline of a checkpoint, checked against `dense_shapes` of its
+    task, `bus_slots` and the `dense_hidden` and `dense_depth` it was trained with."""
     try:
         model = payload_to_dense(ck["dense"])
+        hidden, depth = ck["train_config"]["dense_hidden"], ck["train_config"]["dense_depth"]
     except (KeyError, TypeError, CorruptFile) as exc:
         raise ConfigError(f"checkpoint {path!r}: unreadable dense model: {exc}") from exc
     if model.task != ck["task"]:
         raise ConfigError(
             f"checkpoint {path!r}: dense model of task {model.task!r} in a {ck['task']!r} checkpoint")
-    layers = len(model.weights)
-    if not layers or len(model.biases) != layers:
-        raise ConfigError(
-            f"checkpoint {path!r}: {layers} dense weights but {len(model.biases)} biases")
     n = len(model.bus_slots)
-    width = 2 * n * WINDOW
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if i == layers - 1:
-            out = 2 * n if model.task == "forecast" else n
-        else:
-            out = w.shape[-1] if w.ndim else None
-        if w.shape != (width, out) or b.shape != (out,):
-            raise ConfigError(
-                f"checkpoint {path!r}: dense layer {i} is {w.shape} and {b.shape} in the file "
-                f"but {(width, out)} and {(out,)} by its {n} bus_slots")
-        width = out
+    model.params = _checked(path, model.params, dense_shapes(n, model.task, hidden, depth),
+                            f"{n} bus_slots, dense_hidden {hidden} and dense_depth {depth}")
     return model
 
 
@@ -370,8 +358,6 @@ def cmd_gen(args) -> int:
     for warning in case.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     kind = cfg["kind"] or case.kind or DISTRIBUTION
-    if cfg["task"] == "fdi" and kind != TRANSMISSION:
-        kind = TRANSMISSION if case.kind == TRANSMISSION else kind
     os.makedirs(cfg["out"], exist_ok=True)
 
     # The pool starts all its workers at once, so never more than can be busy.
@@ -488,11 +474,7 @@ def cmd_train(args) -> int:
         raise ConfigError("--resume continues ugcn training only; "
                           "the dense baseline trains from scratch")
     _make_out_dirs(cfg["out"])
-    try:
-        systems, meta = load_dataset_dir(cfg["data"])
-    except (CorruptFile, SchemaVersionMismatch) as exc:
-        print(f"cannot load dataset: {exc}", file=sys.stderr)
-        return 2
+    systems, meta = load_dataset_dir(cfg["data"])
     if meta.get("task") and meta["task"] != cfg["task"]:
         raise ConfigError(
             f"dataset was generated for task {meta['task']!r}, requested {cfg['task']!r}"
@@ -536,6 +518,10 @@ def cmd_train(args) -> int:
                 except (KeyError, TypeError, CorruptFile) as exc:
                     raise ConfigError(
                         f"checkpoint {cfg['resume']!r}: unreadable optimizer state: {exc}") from exc
+                views = {name: Adam._view(t).shape for name, t in model.params.items()}
+                for key in ("m", "v"):
+                    _checked(cfg["resume"], getattr(optimizer, key), views,
+                             f"parameters (optimizer moment {key})")
                 start_epoch = resume["epoch_next"]
                 history_rows = [tuple(r) for r in ck["history"]]
                 # the best parameters are the top-level ones; older checkpoints

@@ -8,7 +8,9 @@ and decoder position term; the last (`head_constant`) is formed once per
 system and parameter set.
 
 Every learnable tensor has a shape independent of the graph size, so one
-parameter set runs on any system.  Convolution layers apply
+parameter set runs on any system.  A parameter set is a dict of named
+tensors (`conv.0`, ..., `assign`, `w_enc`, ...) shaped and ordered as
+`param_shapes` gives; gradients carry the same names.  Convolution layers apply
 sigma(sum_k sum_tau S^k X[t-tau] H[k,tau]) where S is the normalized shift
 operator of the system at hand and the taps H are shared across systems.
 The filter is associative, so a layer after the first forms the tap
@@ -105,44 +107,9 @@ def fdi_config(**overrides) -> LayerConfig:
                                  pooling=CUSTOM, outputs=1), **overrides})
 
 
-@dataclass
-class UgcnParams:
-    """All learnable tensors; shapes never depend on the graph size."""
-
-    conv: list[np.ndarray]              # per layer: [K+1, Kt+1, F_in, F_out] complex
-    assign: np.ndarray | None           # [N_p, F_L] complex (learnable pooling only)
-    w_enc: np.ndarray                   # [d, head_inputs]
-    b_enc: np.ndarray                   # [d]
-    w_pos: np.ndarray                   # [d]
-    b_pos: np.ndarray                   # [d]
-    w_t: np.ndarray                     # [d, d]
-    b_t: np.ndarray                     # [d]
-    w_out: np.ndarray                   # [d, outputs]
-    b_out: np.ndarray                   # [outputs]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {f"conv.{i}": t for i, t in enumerate(self.conv)}
-        if self.assign is not None:
-            out["assign"] = self.assign
-        out.update(
-            w_enc=self.w_enc, b_enc=self.b_enc, w_pos=self.w_pos, b_pos=self.b_pos,
-            w_t=self.w_t, b_t=self.b_t, w_out=self.w_out, b_out=self.b_out,
-        )
-        return out
-
-    def copy(self) -> "UgcnParams":
-        return UgcnParams(
-            conv=[t.copy() for t in self.conv],
-            assign=None if self.assign is None else self.assign.copy(),
-            w_enc=self.w_enc.copy(), b_enc=self.b_enc.copy(),
-            w_pos=self.w_pos.copy(), b_pos=self.b_pos.copy(),
-            w_t=self.w_t.copy(), b_t=self.b_t.copy(),
-            w_out=self.w_out.copy(), b_out=self.b_out.copy(),
-        )
-
-
 def param_shapes(cfg: LayerConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every learnable tensor by name, in `UgcnParams.tensors` order."""
+    """The shape of every learnable tensor by name, in the order of the model's
+    parameter dict, its gradients and its checkpoint layout."""
     shapes = {f"conv.{l}": (cfg.k_spatial + 1, cfg.k_temporal + 1, cfg.widths[l], cfg.widths[l + 1])
               for l in range(cfg.layers)}
     if cfg.pooling == LEARNABLE:
@@ -153,39 +120,34 @@ def param_shapes(cfg: LayerConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: LayerConfig, seed: int = 0) -> UgcnParams:
-    """Complex Glorot-style init, scaled by fan-in times the tap count."""
+def init_params(cfg: LayerConfig, seed: int = 0) -> dict[str, np.ndarray]:
+    """Complex Glorot-style init, scaled by fan-in times the tap count; the
+    tensors by name, in `param_shapes` order."""
     rng = np.random.default_rng([seed, 41])
     shapes = param_shapes(cfg)
+    # filled in the seed's draw order; the keys keep `param_shapes` order
+    params = dict.fromkeys(shapes)
 
     def complex_normal(shape, std):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (std / np.sqrt(2))
 
-    conv = []
     for l in range(cfg.layers):
         fan_in = cfg.widths[l] * (cfg.k_spatial + 1) * (cfg.k_temporal + 1)
-        conv.append(complex_normal(shapes[f"conv.{l}"], 1.0 / np.sqrt(fan_in)))
-    assign = None
+        params[f"conv.{l}"] = complex_normal(shapes[f"conv.{l}"], 1.0 / np.sqrt(fan_in))
     if cfg.pooling == LEARNABLE:
-        assign = complex_normal(shapes["assign"], 1.0 / np.sqrt(cfg.widths[-1]))
-    d, hin = cfg.hidden, cfg.head_inputs
+        params["assign"] = complex_normal(shapes["assign"], 1.0 / np.sqrt(cfg.widths[-1]))
+    d = cfg.hidden
     # Position units start as tanh thresholds spread over [0, 1] with mixed
     # sharpness, so the decoder has a localized basis over output positions
     # from the first step instead of a monotone family pinned at p = 0.
-    w_pos = rng.standard_normal(d) * 6.0
-    b_pos = -w_pos * rng.uniform(0.0, 1.0, size=d)
-    return UgcnParams(
-        conv=conv,
-        assign=assign,
-        w_enc=rng.standard_normal(shapes["w_enc"]) / np.sqrt(hin),
-        b_enc=np.zeros(d),
-        w_pos=w_pos,
-        b_pos=b_pos,
-        w_t=rng.standard_normal(shapes["w_t"]) / np.sqrt(d),
-        b_t=np.zeros(d),
-        w_out=rng.standard_normal(shapes["w_out"]) / np.sqrt(d),
-        b_out=np.zeros(cfg.outputs),
-    )
+    params["w_pos"] = rng.standard_normal(d) * 6.0
+    params["b_pos"] = -params["w_pos"] * rng.uniform(0.0, 1.0, size=d)
+    params["w_enc"] = rng.standard_normal(shapes["w_enc"]) / np.sqrt(cfg.head_inputs)
+    params["w_t"] = rng.standard_normal(shapes["w_t"]) / np.sqrt(d)
+    params["w_out"] = rng.standard_normal(shapes["w_out"]) / np.sqrt(d)
+    for name in ("b_enc", "b_t", "b_out"):
+        params[name] = np.zeros(shapes[name])
+    return params
 
 
 # --------------------------------------------------------------------------
@@ -296,30 +258,6 @@ def _input_layer_back(z: np.ndarray, g_pre: np.ndarray, taps: np.ndarray) -> np.
     for tau, r, d in _input_pairs(t1, f_in, lags):
         g_taps[:, tau, d:] += g_folded[:, : f_in - d, r]
     return g_taps
-
-
-def conv_forward(s, window: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """One spatio-temporal graph convolution output slice.
-
-    window[tau] holds the features lagged by tau; entry 0 is the current time.
-    """
-    s_mat = np.asarray(s, dtype=np.complex128)
-    window = np.asarray(window, dtype=np.complex128)
-    taps = np.asarray(taps, dtype=np.complex128)
-    if taps.ndim != 4:
-        raise DimensionMismatch(f"taps must be [K+1, Kt+1, F_in, F_out], got {taps.shape}")
-    if window.ndim != 3 or window.shape[0] != taps.shape[1]:
-        raise DimensionMismatch(
-            f"window {window.shape} does not provide {taps.shape[1]} lags"
-        )
-    if window.shape[2] != taps.shape[2]:
-        raise DimensionMismatch(
-            f"window features {window.shape[2]} != taps input width {taps.shape[2]}"
-        )
-    if s_mat.shape[0] != window.shape[1]:
-        raise DimensionMismatch(f"S is {s_mat.shape} but window has {window.shape[1]} nodes")
-    pre, _ = _conv_layer(s_mat, window.transpose(1, 0, 2)[:, None], taps)
-    return split_relu(pre[:, 0, 0])
 
 
 def _cluster_sizes(n: int, n_p: int) -> np.ndarray:
@@ -437,7 +375,7 @@ def decoder_positions(n_out: int, n: int, node_order: np.ndarray | None) -> np.n
 def model_forward(
     s,
     x: np.ndarray,
-    params: UgcnParams,
+    params: dict[str, np.ndarray],
     cfg: LayerConfig,
     n_out: int | None = None,
     node_order: np.ndarray | None = None,
@@ -465,11 +403,11 @@ def model_forward(
     # Each later layer drops k_temporal lags, so the first one evaluates
     # (layers - 1) * k_temporal + 1 of them and the top layer is left with lag 0.
     # Inside the conv stack the node axis leads: [N, B, lags, F].
-    pre, z = _input_layer(s_mat, x.transpose(1, 0, 2), params.conv[0],
+    pre, z = _input_layer(s_mat, x.transpose(1, 0, 2), params["conv.0"],
                           (cfg.layers - 1) * cfg.k_temporal + 1)
     pres, stacks = [pre], [z]
-    for taps in params.conv[1:]:
-        pre, z = _conv_layer(s_mat, split_relu(pre), taps)
+    for l in range(1, cfg.layers):
+        pre, z = _conv_layer(s_mat, split_relu(pre), params[f"conv.{l}"])
         pres.append(pre)
         stacks.append(z)
     top = split_relu(pre)[:, :, 0].transpose(1, 0, 2)          # [B, N, F]
@@ -477,7 +415,7 @@ def model_forward(
     if cfg.pooling == CUSTOM:
         pooled, pool_cache = pool_custom(top, cfg.pooled_nodes, node_order)
     else:
-        _, pooled, pool_cache = pool_learnable(top, params.assign)
+        _, pooled, pool_cache = pool_learnable(top, params["assign"])
 
     if head is None:
         head = head_constant(decoder_positions(n_out, n, node_order), params)
@@ -497,14 +435,14 @@ def model_forward(
     return y, tape
 
 
-def head_constant(positions: np.ndarray, params: UgcnParams):
+def head_constant(positions: np.ndarray, params: dict[str, np.ndarray]):
     """The decoder's per-system constant (positions, e_pos, E = e_pos w_t + b_t);
     valid while the parameters it was formed from are unchanged."""
-    e_pos = np.tanh(positions[:, None] * params.w_pos[None, :] + params.b_pos[None, :])
-    return positions, e_pos, e_pos @ params.w_t + params.b_t[None, :]
+    e_pos = np.tanh(positions[:, None] * params["w_pos"][None, :] + params["b_pos"][None, :])
+    return positions, e_pos, e_pos @ params["w_t"] + params["b_t"][None, :]
 
 
-def _head(x_vec: np.ndarray, head: tuple, params: UgcnParams):
+def _head(x_vec: np.ndarray, head: tuple, params: dict[str, np.ndarray]):
     """The decoder: each window's encoded block h broadcast over position-coded buses,
 
         pre_t[b, n] = (h[b] + e_pos[n]) w_t + b_t,   e_pos[n] = tanh(p_n w_pos + b_pos).
@@ -514,18 +452,18 @@ def _head(x_vec: np.ndarray, head: tuple, params: UgcnParams):
     window adds one row: pre_t[b] = (h[b] w_t)[None, :] + E.  x_vec is the
     [B, head_inputs] stack of flattened pooled blocks; out is [B, n_out, outputs].
     """
-    pre_h = x_vec @ params.w_enc.T + params.b_enc
+    pre_h = x_vec @ params["w_enc"].T + params["b_enc"]
     h = np.maximum(pre_h, 0.0)
-    pre_t = (h @ params.w_t)[:, None, :] + head[2]
+    pre_t = (h @ params["w_t"])[:, None, :] + head[2]
     t_act = np.maximum(pre_t, 0.0)
-    d = params.w_t.shape[0]
-    out = (t_act.reshape(-1, d) @ params.w_out + params.b_out).reshape(*pre_t.shape[:2], -1)
+    d = params["w_t"].shape[0]
+    out = (t_act.reshape(-1, d) @ params["w_out"] + params["b_out"]).reshape(*pre_t.shape[:2], -1)
     cache = {"x_vec": x_vec, "pre_h": pre_h, "h": h, "head": head,
              "pre_t": pre_t, "t_act": t_act}
     return out, cache
 
 
-def _head_back(cache: dict, params: UgcnParams, g_out: np.ndarray):
+def _head_back(cache: dict, params: dict[str, np.ndarray], g_out: np.ndarray):
     """Decoder gradients summed over the windows, and the gradient of each
     window's flattened pooled block.
 
@@ -537,20 +475,20 @@ def _head_back(cache: dict, params: UgcnParams, g_out: np.ndarray):
     """
     positions, e_pos, _ = cache["head"]
     pre_t, t_act = cache["pre_t"], cache["t_act"]
-    d = params.w_t.shape[0]
+    d = params["w_t"].shape[0]
     g_flat = g_out.reshape(-1, g_out.shape[-1])
-    g_pre_t = (g_flat @ params.w_out.T).reshape(pre_t.shape) * (pre_t > 0)
+    g_pre_t = (g_flat @ params["w_out"].T).reshape(pre_t.shape) * (pre_t > 0)
     col = g_pre_t.sum(axis=1)                                  # [B, d]
     g_pos = g_pre_t.sum(axis=0)                                # [n_out, d]
-    g_pre_e = (g_pos @ params.w_t.T) * (1.0 - e_pos ** 2)
-    g_pre_h = (col @ params.w_t.T) * (cache["pre_h"] > 0)     # [B, d]
+    g_pre_e = (g_pos @ params["w_t"].T) * (1.0 - e_pos ** 2)
+    g_pre_h = (col @ params["w_t"].T) * (cache["pre_h"] > 0)     # [B, d]
     grads = {
         "w_out": t_act.reshape(-1, d).T @ g_flat, "b_out": g_flat.sum(axis=0),
         "w_t": cache["h"].T @ col + e_pos.T @ g_pos, "b_t": col.sum(axis=0),
         "w_pos": positions @ g_pre_e, "b_pos": g_pre_e.sum(axis=0),
         "w_enc": g_pre_h.T @ cache["x_vec"], "b_enc": g_pre_h.sum(axis=0),
     }
-    return grads, g_pre_h @ params.w_enc
+    return grads, g_pre_h @ params["w_enc"]
 
 
 def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
@@ -563,7 +501,7 @@ def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     if not isinstance(tape, dict) or "cfg" not in tape:
         raise NoForwardRecorded("model_backward needs the tape from model_forward(record=True)")
     cfg: LayerConfig = tape["cfg"]
-    params: UgcnParams = tape["params"]
+    params: dict[str, np.ndarray] = tape["params"]
     grad_out = np.asarray(grad_out)
     if cfg.outputs == 2:
         g_out = np.stack([grad_out.real, grad_out.imag], axis=-1)
@@ -582,7 +520,7 @@ def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     g_pre = _relu_back(g_top.transpose(1, 0, 2)[:, :, None, :], tape["pres"][-1])
     for l in range(cfg.layers - 1, 0, -1):
         grads[f"conv.{l}"], g_act = _conv_layer_back(
-            tape["s"], tape["stacks"][l], g_pre, params.conv[l])
+            tape["s"], tape["stacks"][l], g_pre, params[f"conv.{l}"])
         g_pre = _relu_back(g_act, tape["pres"][l - 1])
-    grads["conv.0"] = _input_layer_back(tape["stacks"][0], g_pre, params.conv[0])
+    grads["conv.0"] = _input_layer_back(tape["stacks"][0], g_pre, params["conv.0"])
     return grads

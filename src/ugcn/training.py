@@ -12,6 +12,7 @@ same evaluators score them.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,6 @@ from .errors import ConfigError, DimensionMismatch, DivergedLoss
 from .grid import build_admittance, build_gso
 from .model import (
     LayerConfig,
-    UgcnParams,
     decoder_positions,
     head_constant,
     model_backward,
@@ -230,6 +230,10 @@ def _split_times(system: ScenarioSet, cfg: TrainConfig):
 class Model:
     """What `train`, `eval_forecast` and `eval_fdi` need of a model.
 
+    params
+        The learnable tensors by name, shaped and ordered as the model's shape
+        table gives (`model.param_shapes`, `dense_shapes`).  Gradients, the
+        optimizer moments and the checkpoint check use the same names.
     forward(ctx, x, record=False)
         A [B, N, window] stack of raw estimate windows of the system in `ctx`
         in, the [B, N] centered per-bus outputs out: complex phasors for
@@ -238,21 +242,31 @@ class Model:
         The parameter gradients by name for the [B, N] output cogradient `g`,
         summed over the windows.
     tensors()
-        The learnable tensors by name; the optimizer updates them in place,
-        so a model forms anything it derives from them again after this call.
+        `params`, for the optimizer to update in place, so a model forms
+        anything it derives from them again after this call.
     copy(), finite()
-        An independent copy; whether every tensor is finite.
+        A copy with its own tensors; whether every tensor is finite.
 
     Inputs and forecast targets are taken relative to the flat profile
     (`centered`), and forecasts are shifted back before they are scored
     (`uncentered`).
     """
 
+    params: dict[str, np.ndarray]
+
     def centered(self, a: np.ndarray) -> np.ndarray:
         return a - CENTER
 
     def uncentered(self, y: np.ndarray) -> np.ndarray:
         return y + CENTER
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return self.params
+
+    def copy(self) -> "Model":
+        twin = copy.copy(self)
+        twin.params = {name: t.copy() for name, t in self.params.items()}
+        return twin
 
     def finite(self) -> bool:
         return all(np.all(np.isfinite(np.asarray(t).view(np.float64)))
@@ -267,7 +281,7 @@ class UgcnPredictor(Model):
     path of every in-place update, drops it.
     """
 
-    def __init__(self, params: UgcnParams, model_cfg: LayerConfig):
+    def __init__(self, params: dict[str, np.ndarray], model_cfg: LayerConfig):
         self.params = params
         self.cfg = model_cfg
         self._head: tuple[SystemContext, tuple] | None = None
@@ -288,10 +302,7 @@ class UgcnPredictor(Model):
 
     def tensors(self) -> dict[str, np.ndarray]:
         self._head = None
-        return self.params.tensors()
-
-    def copy(self) -> "UgcnPredictor":
-        return UgcnPredictor(self.params.copy(), self.cfg)
+        return super().tensors()
 
 
 @dataclass
@@ -301,28 +312,13 @@ class DenseModel(Model):
     Buses map to the input and output slots of the base layout by id.  A slot
     whose bus the system lacks reads the flat profile; a bus without a slot
     is predicted at the flat profile (forecast) or as confidently clean
-    (FDI), and passes no gradient.
+    (FDI), and passes no gradient.  Layer i is `params["w{i}"]` and
+    `params["b{i}"]`, shaped as `dense_shapes` gives.
     """
 
     bus_slots: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: dict[str, np.ndarray]
     task: str
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"w{i}"] = w
-            out[f"b{i}"] = b
-        return out
-
-    def copy(self) -> "DenseModel":
-        return DenseModel(
-            bus_slots=self.bus_slots,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            task=self.task,
-        )
 
     def _shared(self, ctx: SystemContext) -> np.ndarray:
         """[2, k]: positions of the buses the system shares with the base, and their slots."""
@@ -338,11 +334,11 @@ class DenseModel(Model):
         grid[:, slots] = self.centered(x)[:, buses]
         h = np.concatenate([grid.real.reshape(b, -1), grid.imag.reshape(b, -1)], axis=1)
         acts = []                                  # the input of each layer
-        for w, bias in zip(self.weights, self.biases):
+        for i in range(len(self.params) // 2):
             if acts:
                 h = np.maximum(h, 0.0)
             acts.append(h)
-            h = h @ w + bias
+            h = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
         if self.task == FORECAST:
             y = np.zeros((b, ctx.system.n), dtype=np.complex128)
             y[:, buses] = h[:, slots] + 1j * h[:, n + slots]
@@ -359,12 +355,24 @@ class DenseModel(Model):
         if self.task == FORECAST:
             g_out[:, n + slots] = g[:, buses].imag
         grads = {}
-        for i in range(len(self.weights) - 1, -1, -1):
+        for i in range(len(acts) - 1, -1, -1):
             grads[f"b{i}"] = g_out.sum(axis=0)
             grads[f"w{i}"] = acts[i].T @ g_out     # the windows' outer products, summed
             if i:
-                g_out = (g_out @ self.weights[i].T) * (acts[i] > 0)
+                g_out = (g_out @ self.params[f"w{i}"].T) * (acts[i] > 0)
         return grads
+
+
+def dense_shapes(n_slots: int, task: str, hidden: int, depth: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every dense tensor by name, layer by layer (w0, b0, w1, ...):
+    from the 2 n_slots WINDOW inputs through `depth` hidden layers of width
+    `hidden` to one output per slot, two (re, im) when forecasting."""
+    dims = [2 * n_slots * WINDOW] + [hidden] * depth + [2 * n_slots if task == FORECAST else n_slots]
+    shapes = {}
+    for i in range(len(dims) - 1):
+        shapes[f"w{i}"] = (dims[i], dims[i + 1])
+        shapes[f"b{i}"] = (dims[i + 1],)
+    return shapes
 
 
 def init_dense(
@@ -374,15 +382,11 @@ def init_dense(
     depth: int = 4,
     seed: int = 0,
 ) -> DenseModel:
-    n = len(bus_slots)
-    n_in = 2 * n * WINDOW
-    n_out = 2 * n if task == FORECAST else n
     rng = np.random.default_rng([seed, 53])
-    dims = [n_in] + [hidden] * depth + [n_out]
-    weights = [rng.standard_normal((dims[i], dims[i + 1])) / np.sqrt(dims[i])
-               for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return DenseModel(bus_slots=tuple(bus_slots), weights=weights, biases=biases, task=task)
+    params = {name: rng.standard_normal(shape) / np.sqrt(shape[0]) if name[0] == "w"
+              else np.zeros(shape)
+              for name, shape in dense_shapes(len(bus_slots), task, hidden, depth).items()}
+    return DenseModel(bus_slots=tuple(bus_slots), params=params, task=task)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from ugcn.estimation import fdi_sensor_placement
 from ugcn.fdi import build_stealth_attack, inject, sample_attack_config
 from ugcn.grid import build_admittance
 from ugcn.model import (
-    conv_forward,
     fdi_config,
     forecast_config,
     init_params,
@@ -58,7 +57,7 @@ def test_criterion_01_gradient_correctness():
     ):
         s, order, x, target, params = setup_instance(cfg, task, seed=seed, n=6)
         grads = analytic_grads(params, s, order, x, target, cfg, task)
-        for name, tensor in params.tensors().items():
+        for name, tensor in params.items():
             view = tensor.view(np.float64) if np.iscomplexobj(tensor) else tensor
             grad = np.ascontiguousarray(grads[name])
             gview = grad.view(np.float64) if np.iscomplexobj(grad) else grad
@@ -82,7 +81,7 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_conv_oracle():
-    from test_model import naive_conv, random_gso
+    from test_model import conv_forward, naive_conv, random_gso
 
     worst = 0.0
     rng = np.random.default_rng(42)
@@ -120,7 +119,7 @@ def test_criterion_03_shift_invariance():
 
 
 def test_criterion_04_permutation_equivariance():
-    from test_model import random_gso
+    from test_model import conv_forward, random_gso
 
     rng = np.random.default_rng(8)
     worst = 0.0
@@ -141,7 +140,7 @@ def test_criterion_04_permutation_equivariance():
 
 
 def params_digest(params):
-    blob = b"".join(np.ascontiguousarray(v).tobytes() for v in params.tensors().values())
+    blob = b"".join(np.ascontiguousarray(v).tobytes() for v in params.values())
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -174,6 +174,16 @@ class TestGen:
         assert err.startswith("config error:") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("task", ["forecast", "fdi"])
+    def test_explicit_kind_is_kept(self, tmp_path, capsys, task):
+        """`kind=distribution` on a transmission case is refused alike for both
+        tasks, not replaced by the case's kind."""
+        out = tmp_path / "x"
+        assert run_cli(["gen", "--task", task, "--case", "ieee30", "--q", "1",
+                        "--t-total", "24", "--set", "kind=distribution", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: distribution graph requires a root bus\n"
+        assert not any(f.endswith(".ugcn.json") for f in os.listdir(out))
+
     def test_sanity_band_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scenarios, "SANITY_BAND", (0.999, 1.001))
         assert run_cli(GEN_ARGS + ["--out", str(tmp_path / "x")]) == 3
@@ -295,7 +305,7 @@ class TestTrainEval:
                         "--out", ckpt, "--seed", "1"] + TRAIN_SETS) == 0
         ck = load_checkpoint(ckpt)
         per_copy = sum(t.size * (2 if np.iscomplexobj(t) else 1)
-                       for t in payload_to_params(ck["params"]).tensors().values())
+                       for t in payload_to_params(ck["params"]).values())
 
         def stored(node):
             if isinstance(node, dict):
@@ -580,8 +590,7 @@ class TestInputChecks:
         ({"pooling": "custom"}, ": tensor 'assign' is (4, 6) in the file but absent by its "
                                 "layer_config"),
         ({"layers": 3}, ": layer_config: widths (10, 6, 6) inconsistent with 3 layers"),
-        ("no w_t", ": unreadable parameters: UgcnParams.__init__() missing 1 required "
-                   "positional argument: 'w_t'"),
+        ("no w_t", ": tensor 'w_t' is absent in the file but (12, 12) by its layer_config"),
         ("no layer_config", " has no layer_config"),
         ("b_out shape", ": unreadable parameters: tensor of shape [3] holds 2 values"),
     ], ids=["unknown-key", "hidden", "k_spatial", "pooling", "layers", "no-w_t",
@@ -613,22 +622,30 @@ class TestInputChecks:
         one_line_error(capsys, f"config error: checkpoint {bad!r}{message}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval", "resume"])
+    @pytest.mark.parametrize("command", ["train", "eval", "resume", "resume-moment"])
     def test_tensor_shape_disagreeing_with_its_values_exits_2(
             self, dataset, checkpoint, tmp_path, capsys, command):
         """A dataset tensor (train, eval) or an optimizer moment (resume) whose
-        shape does not fit its values ends in one line naming the file."""
+        shape does not fit its values, or a well-formed moment whose shape
+        does not fit its parameter (resume-moment), ends in one line naming
+        the file."""
         out = tmp_path / "out.json"
-        if command == "resume":
+        if command.startswith("resume"):
             ck = load_checkpoint(checkpoint)
-            moment = ck["resume_state"]["optimizer"]["m"]["b_out"]
-            moment["shape"] = [moment["shape"][0] + 1]
+            moments = ck["resume_state"]["optimizer"]["m"]
+            if command == "resume":
+                moments["b_out"]["shape"] = [moments["b_out"]["shape"][0] + 1]
+                message = "unreadable optimizer state: tensor of shape [3] holds 2 values"
+            else:
+                moments["b_out"] = encode_array(np.zeros(3))
+                message = ("tensor 'b_out' is (3,) in the file but (2,) by its parameters "
+                           "(optimizer moment m)")
             bad = str(tmp_path / "bad.ckpt.json")
             save_checkpoint(bad, ck)
+            # past the checkpoint's 3 epochs, so a moment left unchecked meets Adam
             args = (["train", "--task", "forecast", "--data", dataset, "--out", str(out),
-                     "--resume", bad] + TRAIN_SETS)
-            prefix = (f"config error: checkpoint {bad!r}: unreadable optimizer state: "
-                      "tensor of shape [3] holds 2 values\n")
+                     "--resume", bad, "--epochs", "5"] + TRAIN_SETS)
+            prefix = f"config error: checkpoint {bad!r}: {message}\n"
         else:
             data = relabelled_copy(dataset, str(tmp_path / "data"), "forecast")
             bad = os.path.join(data, "system_000.ugcn.json")
@@ -640,11 +657,9 @@ class TestInputChecks:
             if command == "train":
                 args = (["train", "--task", "forecast", "--data", data, "--out", str(out)]
                         + TRAIN_SETS)
-                prefix = "cannot load dataset: "
             else:
                 args = eval_args(checkpoint, data, str(out))
-                prefix = "bad input file: "
-            prefix += f"{bad}: tensor of shape {shape} holds {values} values\n"
+            prefix = f"bad input file: {bad}: tensor of shape {shape} holds {values} values\n"
         capsys.readouterr()
         assert run_cli(args) == 2
         one_line_error(capsys, prefix)
@@ -655,23 +670,30 @@ class TestInputChecks:
         ("no weights", ": unreadable dense model: 'weights'"),
         ("no biases", ": unreadable dense model: 'biases'"),
         ("no task", ": unreadable dense model: 'task'"),
-        ("3 bus_slots fewer", ": dense layer 0 is (680, 16) and (16,) in the file but "
-                              "(620, 16) and (16,) by its 31 bus_slots"),
-        ("no last layer", ": dense layer 0 is (680, 16) and (16,) in the file but "
-                          "(680, 68) and (68,) by its 34 bus_slots"),
-        ("bias shape", ": dense layer 0 is (680, 16) and (15,) in the file but "
-                       "(680, 16) and (16,) by its 34 bus_slots"),
-        ("one bias fewer", ": 2 dense weights but 1 biases"),
+        ("3 bus_slots fewer", ": tensor 'b1' is (68,) in the file but (62,) by its 31 bus_slots, "
+                              "dense_hidden 16 and dense_depth 1"),
+        ("no last layer", ": tensor 'b1' is absent in the file but (68,) by its 34 bus_slots, "
+                          "dense_hidden 16 and dense_depth 1"),
+        ("bias shape", ": tensor 'b0' is (15,) in the file but (16,) by its 34 bus_slots, "
+                       "dense_hidden 16 and dense_depth 1"),
+        ("one bias fewer", ": tensor 'b1' is absent in the file but (68,) by its 34 bus_slots, "
+                           "dense_hidden 16 and dense_depth 1"),
         ("task fdi", ": dense model of task 'fdi' in a 'forecast' checkpoint"),
         ("bias values", ": unreadable dense model: tensor of shape [16] holds 15 values"),
+        ("dense_hidden 8", ": tensor 'b0' is (16,) in the file but (8,) by its 34 bus_slots, "
+                           "dense_hidden 8 and dense_depth 1"),
+        ("no dense_depth", ": unreadable dense model: 'dense_depth'"),
     ], ids=["no-bus_slots", "no-weights", "no-biases", "no-task", "bus_slots-3", "no-last-layer",
-            "bias-shape", "one-bias-fewer", "task-fdi", "bias-values"])
+            "bias-shape", "one-bias-fewer", "task-fdi", "bias-values", "dense_hidden",
+            "no-dense_depth"])
     def test_dense_checkpoint_checked(self, dataset, dense_checkpoint, tmp_path, capsys,
                                       edit, message):
         ck = load_checkpoint(dense_checkpoint)
         dense = ck["dense"]
         assert len(dense["bus_slots"]) == 34
-        if edit.startswith("no ") and edit != "no last layer":
+        if edit == "no dense_depth":
+            del ck["train_config"]["dense_depth"]
+        elif edit.startswith("no ") and edit != "no last layer":
             del dense[edit[3:]]
         elif edit == "3 bus_slots fewer":
             dense["bus_slots"] = dense["bus_slots"][:-3]
@@ -683,6 +705,8 @@ class TestInputChecks:
             del dense["biases"][-1]
         elif edit == "task fdi":
             dense["task"] = "fdi"
+        elif edit == "dense_hidden 8":
+            ck["train_config"]["dense_hidden"] = 8
         else:
             dense["biases"][0]["re"] = encode_array(np.zeros(15))["re"]
         bad = str(tmp_path / "bad.ckpt.json")

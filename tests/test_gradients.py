@@ -85,21 +85,21 @@ FDI_CFG = fdi_config(
 )
 
 
-@pytest.mark.parametrize("name", list(init_params(FORECAST_CFG).tensors()))
+@pytest.mark.parametrize("name", list(init_params(FORECAST_CFG)))
 def test_forecast_learnable_pooling_grads(name):
     cfg, task = FORECAST_CFG, "forecast"
     s, order, x, target, params = setup_instance(cfg, task, seed=0)
     grads = analytic_grads(params, s, order, x, target, cfg, task)
-    check_tensor(name, params.tensors()[name], grads[name],
+    check_tensor(name, params[name], grads[name],
                  params, s, order, x, target, cfg, task)
 
 
-@pytest.mark.parametrize("name", list(init_params(FDI_CFG).tensors()))
+@pytest.mark.parametrize("name", list(init_params(FDI_CFG)))
 def test_fdi_custom_pooling_grads(name):
     cfg, task = FDI_CFG, "fdi"
     s, order, x, target, params = setup_instance(cfg, task, seed=3)
     grads = analytic_grads(params, s, order, x, target, cfg, task)
-    check_tensor(name, params.tensors()[name], grads[name],
+    check_tensor(name, params[name], grads[name],
                  params, s, order, x, target, cfg, task)
 
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_tree
-from ugcn.errors import DimensionMismatch, TooFewNodes
+from ugcn.errors import TooFewNodes
 from ugcn.grid import build_admittance, build_gso
 from ugcn.model import (
     CUSTOM,
     LEARNABLE,
     LayerConfig,
     _cluster_sizes,
+    _conv_layer,
     _pool_custom_back,
     _pool_learnable_back,
-    conv_forward,
     decoder_positions,
     fdi_config,
     forecast_config,
@@ -26,6 +26,7 @@ from ugcn.model import (
     pool_learnable,
     split_relu,
 )
+from ugcn.training import dense_shapes, init_dense
 
 
 def random_gso(n, seed):
@@ -67,6 +68,15 @@ def cluster_slices(n: int, n_p: int) -> list[np.ndarray]:
     """Contiguous cluster index blocks, sizes as even as possible, larger first."""
     bounds = np.cumsum(np.concatenate([[0], _cluster_sizes(n, n_p)]))
     return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_p)]
+
+
+def conv_forward(s, window, taps):
+    """One graph convolution layer's output at lag 0, through the model's
+    `_conv_layer`; window[tau] holds the [N, F_in] features lagged by tau."""
+    stack = np.asarray(window, dtype=np.complex128).transpose(1, 0, 2)[:, None]
+    pre, _ = _conv_layer(np.asarray(s, dtype=np.complex128), stack,
+                         np.asarray(taps, dtype=np.complex128))
+    return split_relu(pre[:, 0, 0])
 
 
 def naive_conv(s, window, taps):
@@ -115,17 +125,17 @@ def naive_head(x_vec, positions, params):
     """The decoder as written, (h + e_pos) w_t + b_t per bus, with no
     per-system constant; returns (out, backward) where backward maps the
     output gradient to the head's gradients and the gradient of x_vec."""
-    pre_h = params.w_enc @ x_vec + params.b_enc
+    pre_h = params["w_enc"] @ x_vec + params["b_enc"]
     h = np.maximum(pre_h, 0.0)
-    e_pos = np.tanh(positions[:, None] * params.w_pos[None, :] + params.b_pos[None, :])
+    e_pos = np.tanh(positions[:, None] * params["w_pos"][None, :] + params["b_pos"][None, :])
     c = h[None, :] + e_pos
-    pre_t = c @ params.w_t + params.b_t[None, :]
+    pre_t = c @ params["w_t"] + params["b_t"][None, :]
     t_act = np.maximum(pre_t, 0.0)
-    out = t_act @ params.w_out + params.b_out[None, :]
+    out = t_act @ params["w_out"] + params["b_out"][None, :]
 
     def backward(g_out):
-        g_pre_t = (g_out @ params.w_out.T) * (pre_t > 0)
-        g_c = g_pre_t @ params.w_t.T
+        g_pre_t = (g_out @ params["w_out"].T) * (pre_t > 0)
+        g_c = g_pre_t @ params["w_t"].T
         g_pre_e = g_c * (1.0 - e_pos ** 2)
         g_pre_h = g_c.sum(axis=0) * (pre_h > 0)
         grads = {"w_out": t_act.T @ g_out, "b_out": g_out.sum(axis=0),
@@ -133,7 +143,7 @@ def naive_head(x_vec, positions, params):
                  "w_pos": (g_pre_e * positions[:, None]).sum(axis=0),
                  "b_pos": g_pre_e.sum(axis=0),
                  "w_enc": np.outer(g_pre_h, x_vec), "b_enc": g_pre_h}
-        return grads, params.w_enc.T @ g_pre_h
+        return grads, params["w_enc"].T @ g_pre_h
 
     return out, backward
 
@@ -149,7 +159,7 @@ def naive_model(s, x, params, cfg, order):
     feats = [{r: shift_channels(x, r) for r in range(cfg.layers * cfg.k_temporal + 1)}]
     pres = [{}]
     for l in range(1, cfg.layers + 1):
-        taps = params.conv[l - 1]
+        taps = params[f"conv.{l - 1}"]
         feats.append({})
         pres.append({})
         for r in range((cfg.layers - l) * cfg.k_temporal + 1):
@@ -163,7 +173,7 @@ def naive_model(s, x, params, cfg, order):
     if cfg.pooling == CUSTOM:
         pooled, pool_back = naive_pool_custom(top, cfg.pooled_nodes, order)
     else:
-        _, pooled, pool_cache = pool_learnable(top, params.assign)
+        _, pooled, pool_cache = pool_learnable(top, params["assign"])
     x_vec = np.concatenate([pooled.real.ravel(), pooled.imag.ravel()])
     out, head_back = naive_head(x_vec, decoder_positions(n, n, order), params)
     y = out[:, 0] + 1j * out[:, 1] if cfg.outputs == 2 else out[:, 0]
@@ -181,7 +191,7 @@ def naive_model(s, x, params, cfg, order):
         g_feats = [{} for _ in range(cfg.layers + 1)]
         g_feats[cfg.layers][0] = g_top
         for l in range(cfg.layers, 0, -1):
-            taps = params.conv[l - 1]
+            taps = params[f"conv.{l - 1}"]
             g_taps = np.zeros_like(taps)
             for r, g_act in g_feats[l].items():
                 pre = pres[l][r]
@@ -244,16 +254,6 @@ class TestConvForward:
             out = conv_forward(s, window, taps)
             out_p = conv_forward(p @ s @ p.T, window[:, perm, :], taps)
             assert np.max(np.abs(out_p - out[perm])) < 1e-10
-
-    def test_dimension_checks(self):
-        s = random_gso(5, 3)
-        taps = np.zeros((2, 2, 3, 3), dtype=complex)
-        with pytest.raises(DimensionMismatch):
-            conv_forward(s, np.zeros((1, 5, 3), dtype=complex), taps)
-        with pytest.raises(DimensionMismatch):
-            conv_forward(s, np.zeros((2, 5, 4), dtype=complex), taps)
-        with pytest.raises(DimensionMismatch):
-            conv_forward(s, np.zeros((2, 6, 3), dtype=complex), taps)
 
 
 class TestShiftChannels:
@@ -345,20 +345,20 @@ class TestHeadAndModel:
     def test_same_params_run_across_sizes(self):
         cfg = forecast_config(widths=(6, 8, 8), pooled_nodes=4, hidden=16)
         params = init_params(cfg, seed=3)
-        blobs_before = {k: v.copy() for k, v in params.tensors().items()}
+        blobs_before = {k: v.copy() for k, v in params.items()}
         for n in (10, 22, 33, 38, 57):
             s = random_gso(n, 1000 + n)
             x = np.random.default_rng(n).standard_normal((2, n, 6)) * (0.2 + 0.1j)
             order = np.arange(n)
             y = model_forward(s, x, params, cfg, node_order=order)
             assert y.shape == (2, n)
-        for k, v in params.tensors().items():
+        for k, v in params.items():
             assert np.array_equal(blobs_before[k], v)
 
     def test_tensor_shapes_derive_from_config_alone(self):
         for cfg in (forecast_config(), fdi_config()):
             params = init_params(cfg, seed=4)
-            shapes = {k: v.shape for k, v in params.tensors().items()}
+            shapes = {k: v.shape for k, v in params.items()}
             for l in range(cfg.layers):
                 assert shapes[f"conv.{l}"] == (
                     cfg.k_spatial + 1, cfg.k_temporal + 1, cfg.widths[l], cfg.widths[l + 1]
@@ -373,8 +373,12 @@ class TestHeadAndModel:
     def test_param_shapes_match_init_params(self):
         for cfg in (forecast_config(), fdi_config(),
                     forecast_config(layers=3, widths=(4, 5, 6, 7), k_temporal=0)):
-            shapes = {k: v.shape for k, v in init_params(cfg, seed=1).tensors().items()}
+            shapes = {k: v.shape for k, v in init_params(cfg, seed=1).items()}
             assert list(param_shapes(cfg).items()) == list(shapes.items())
+        for task, hidden, depth in (("forecast", 16, 1), ("fdi", 8, 3)):
+            model = init_dense((4, 7, 9), task, hidden=hidden, depth=depth, seed=1)
+            shapes = {k: v.shape for k, v in model.params.items()}
+            assert list(dense_shapes(3, task, hidden, depth).items()) == list(shapes.items())
 
     def test_split_relu(self):
         z = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
@@ -429,7 +433,7 @@ class TestModelAgainstNaive:
                         y_ref, backward = naive_model(s, x[b], params, cfg, order)
                         assert rel_err(y[b], y_ref) <= 1e-12, f"{case} window {b}"
                         add_grads(ref, backward(g[b]))
-                    assert grads.keys() == ref.keys() == params.tensors().keys(), case
+                    assert grads.keys() == ref.keys() == params.keys(), case
                     for name in ref:
                         assert rel_err(grads[name], ref[name]) <= 1e-12, f"{case} {name}"
 
@@ -456,7 +460,7 @@ class TestModelAgainstNaive:
                 _, tape = model_forward(s, x[i:i + 1], params, cfg, node_order=order,
                                         record=True)
                 add_grads(ref, model_backward(tape, g[i:i + 1]))
-        assert total.keys() == ref.keys() == params.tensors().keys()
+        assert total.keys() == ref.keys() == params.keys()
         for name in ref:
             assert rel_err(total[name], ref[name]) <= 1e-12, name
 

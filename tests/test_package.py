@@ -120,7 +120,7 @@ def test_benchmark_reload_check_sees_every_float(tmp_path, monkeypatch):
 
     params = init_params(forecast_config(), seed=0)
     optimizer = Adam()
-    tensors = params.tensors()
+    tensors = params
     optimizer.step(tensors, {name: np.full_like(t, 0.5) for name, t in tensors.items()})
     payload = {"params": params_to_payload(params), "optimizer": optimizer.state()}
     path = str(tmp_path / "m.ckpt.json")
