@@ -9,28 +9,27 @@ Datasets and checkpoints travel in one versioned binary container:
 * the body: u64 length of a JSON head, the head, then one float64 blob.
 
 The head is the payload encoded canonically (sorted keys, no spaces), except
-that every non-empty list whose items are all Python floats is replaced by a
-reference ``{"$f64": [offset, count]}`` into the blob, so tensors are stored
-as raw little-endian float64 and reload bit exact (-0.0, NaN and inf
-included).  Ints, bools, strings, None and mixed lists stay in the head;
-tuples come back as lists.  The ``.ugcn.json`` / ``.ckpt.json`` suffixes are
-historical: the suffix does not pick the format.  Files of schema version 1
-(JSON text, or the earlier frame around JSON text) are refused.  Writes go
-to ``<path>.tmp`` and are renamed over ``path``, so a failed write leaves
-the previous file intact.  Complex tensors are stored as separate re/im
-float lists.
+that every :class:`F64Block` is replaced by a reference
+``{"$f64": [offset, count]}`` into the blob, so tensors are stored as raw
+little-endian float64 and reload bit exact (-0.0, NaN payloads and inf
+included).  Everything else stays in the head, plain float lists included:
+their JSON text is exact for finite values, +-0.0 and +-inf, and keeps one
+NaN.  Tuples come back as lists.  The ``.ugcn.json`` / ``.ckpt.json``
+suffixes are historical: the suffix does not pick the format.  Files of
+schema version 1 (JSON text, or the earlier frame around JSON text) are
+refused.  Writes go to ``<path>.tmp`` and are renamed over ``path``, so a
+failed write leaves the previous file intact.  Complex tensors are stored as
+separate re/im blocks.
 
-Tensors travel as :class:`Float64List`: a read-only list of Python floats
-that also keeps the float64 array it holds.  `encode_array` makes them,
-`save_container` writes their arrays to the blob without a pass over the
-floats, `load_container` returns them backed by the bytes it read, and
-`decode_array` copies from the array.  A plain float list is written to the
-same bytes, so the format does not depend on which kind a payload holds.
+`encode_array` makes the blocks, `save_container` writes their arrays to the
+blob without a pass over the floats, `load_container` returns blocks over the
+bytes it read, and `decode_array` copies from them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -56,7 +55,6 @@ MAGIC = b"UGCN"
 _HEADER = struct.Struct("<4sIQI")   # magic, version, body length, CRC32 of the body
 _U64 = struct.Struct("<Q")
 _F64_REF = "$f64"                   # head key of a reference into the float64 blob
-_FLOAT_ONLY = {float}
 
 BUILTIN_CASES = ("ieee33", "ieee69", "ieee30", "ieee39")
 
@@ -296,35 +294,49 @@ def _canonical_payload(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-class Float64List(list):
-    """A read-only list of Python floats that keeps the 1-D float64 array it
-    was made from, so a container moves the tensor as an array.
+class F64Block:
+    """An immutable 1-D float64 tensor part, which a container moves as raw bytes.
 
-    `array` may be a view, of the encoded tensor or of the bytes a container
-    was read from.  The list refuses edits, so that it and `array` cannot
-    disagree: edit a ``list(...)`` copy instead.
+    `array` is a read-only, contiguous little-endian view, of the encoded
+    tensor (a copy where it is strided) or of the bytes a container was read
+    from.  Blocks are equal when their bits are; the repr is exact but short:
+    the length and the SHA-256 of the bytes.
     """
 
     __slots__ = ("array",)
 
-    def __init__(self, array: np.ndarray):
-        super().__init__(array.tolist())
-        self.array = array
+    def __init__(self, array):
+        view = np.ascontiguousarray(array, dtype="<f8").view()
+        if view.ndim != 1:
+            raise ValueError(f"an F64Block holds a 1-D array, got shape {view.shape}")
+        view.flags.writeable = False
+        object.__setattr__(self, "array", view)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("an F64Block is immutable")
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array, dtype=dtype, copy=copy)
+
+    def __eq__(self, other):
+        if not isinstance(other, F64Block):
+            return NotImplemented
+        return np.array_equal(self.array.view(np.uint64), other.array.view(np.uint64))
+
+    def __repr__(self) -> str:
+        return f"F64Block(len={len(self)}, sha256={hashlib.sha256(self.array).hexdigest()})"
 
     def __reduce__(self):
-        return Float64List, (self.array,)
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a Float64List is read-only; edit a list(...) copy of it")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+        return F64Block, (self.array,)
 
 
 def _split_floats(obj, chunks: list):
-    """`obj` with every non-empty all-float list replaced by a ``$f64``
-    reference; the list's float64 array goes to the end of `chunks`, paired
-    with the reference's ``[offset, count]``.
+    """`obj` with every F64Block replaced by a ``$f64`` reference; the
+    block's array goes to the end of `chunks`, paired with the reference's
+    ``[offset, count]``.
 
     A module-level function on purpose: a recursive closure is a reference
     cycle, which would keep `chunks`, and so every tensor of the payload,
@@ -335,15 +347,11 @@ def _split_floats(obj, chunks: list):
             raise UgcnError(f"payload key {_F64_REF!r} is reserved for tensor references")
         return {key: _split_floats(value, chunks) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if isinstance(obj, Float64List) and obj:
-            array = obj.array
-        elif obj and set(map(type, obj)) == _FLOAT_ONLY:
-            array = np.array(obj, dtype="<f8")
-        else:
-            return [_split_floats(value, chunks) for value in obj]
+        return [_split_floats(value, chunks) for value in obj]
+    if isinstance(obj, F64Block):
         # a tensor starts where the one before it ends
         ref = [sum(chunks[-1][0]) if chunks else 0, len(obj)]
-        chunks.append((ref, array))
+        chunks.append((ref, obj.array))
         return {_F64_REF: ref}
     return obj
 
@@ -375,13 +383,13 @@ def save_container(path: str, payload: dict) -> None:
     prefix = _U64.pack(len(head)) + head
     crc = zlib.crc32(prefix)
     for _, array in chunks:
-        crc = zlib.crc32(np.ascontiguousarray(array, dtype="<f8"), crc)
+        crc = zlib.crc32(array, crc)
     length = len(prefix) + 8 * sum(ref[1] for ref, _ in chunks)
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, SCHEMA_VERSION, length, crc))
         fh.write(prefix)
         for _, array in chunks:
-            fh.write(np.ascontiguousarray(array, dtype="<f8"))
+            fh.write(array)
 
 
 def load_container(path: str) -> dict:
@@ -413,7 +421,7 @@ def load_container(path: str) -> dict:
         offset, count = doc[_F64_REF]
         if not 0 <= offset <= offset + count <= len(values):
             raise CorruptFile(f"{path}: tensor reference outside the blob")
-        return Float64List(values[offset:offset + count])
+        return F64Block(values[offset:offset + count])
 
     try:
         payload = json.loads(bytes(body[_U64.size:_U64.size + head_len]), object_hook=resolve)
@@ -437,9 +445,9 @@ def encode_array(a: np.ndarray) -> dict:
     a = np.asarray(a)
     if np.iscomplexobj(a):
         a = np.asarray(a, dtype=np.complex128)
-        return {"shape": list(a.shape), "re": Float64List(a.real.reshape(-1)),
-                "im": Float64List(a.imag.reshape(-1))}
-    return {"shape": list(a.shape), "re": Float64List(np.asarray(a, dtype=np.float64).reshape(-1))}
+        return {"shape": list(a.shape), "re": F64Block(a.real.reshape(-1)),
+                "im": F64Block(a.imag.reshape(-1))}
+    return {"shape": list(a.shape), "re": F64Block(np.asarray(a, dtype=np.float64).reshape(-1))}
 
 
 def decode_array(doc: dict) -> np.ndarray:
@@ -448,9 +456,7 @@ def decode_array(doc: dict) -> np.ndarray:
     shape = tuple(doc["shape"])
     parts = []
     for key in ("re", "im") if "im" in doc else ("re",):
-        values = doc[key]
-        part = np.array(values.array if isinstance(values, Float64List) else values,
-                        dtype=np.float64)
+        part = np.array(doc[key], dtype=np.float64)
         if not all(type(n) is int and n >= 0 for n in shape) or part.shape != (math.prod(shape),):
             raise CorruptFile(f"tensor of shape {list(shape)} holds {part.size} values")
         parts.append(part.reshape(shape))

@@ -46,6 +46,7 @@ from .scenarios import (
     WINDOW,
     ScenarioConfig,
     ScenarioSet,
+    build_scenario,
     scenario_from_payload,
     scenario_to_payload,
 )
@@ -328,11 +329,8 @@ def _scenario_config(kind: str, cfg: dict) -> ScenarioConfig:
 
 def _gen_one_system(case_name: str, kind: str, cfg: dict, index: int) -> dict:
     """Worker: augment variant `index` and build its scenario payload."""
-    from .caseio import load_case, to_grid_graph
-    from .scenarios import build_scenario
-
-    case = load_case(case_name)
-    base = to_grid_graph(case, kind=kind)
+    case = caseio.load_case(case_name)
+    base = caseio.to_grid_graph(case, kind=kind)
     member = _generate_one(base, _augment_config(base.n, kind, cfg), index)
     scenario = build_scenario(
         member.graph,
@@ -358,6 +356,10 @@ def cmd_gen(args) -> int:
     for warning in case.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     kind = cfg["kind"] or case.kind or DISTRIBUTION
+    try:
+        caseio.to_grid_graph(case, kind=kind)
+    except UgcnError as exc:
+        raise ConfigError(f"case {cfg['case']!r} does not make a {kind} graph: {exc}") from exc
     os.makedirs(cfg["out"], exist_ok=True)
 
     # The pool starts all its workers at once, so never more than can be busy.
@@ -532,8 +534,7 @@ def cmd_train(args) -> int:
                         _checkpoint_params(cfg["resume"], mcfg, ck["params"]), mcfg),
                     "bad": resume["best"]["bad"],
                 }
-                # free the checkpoint now: it holds every parameter copy as Python lists
-                del ck, resume
+                del ck, resume   # its tensors are views of the whole file's bytes
             else:
                 model = UgcnPredictor(init_params(mcfg, seed=cfg["seed"]), mcfg)
             state: dict = {}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .caseio import F64Block
 from .errors import DimensionMismatch, InfeasibleAttack
 from .grid import GridGraph
 
@@ -148,8 +149,8 @@ def sample_attacks_for_system(
 def attack_to_dict(a: AttackScenario) -> dict:
     return {
         "compromised": list(a.compromised),
-        "delta_re": a.delta_v.real.tolist(),
-        "delta_im": a.delta_v.imag.tolist(),
+        "delta_re": F64Block(a.delta_v.real),
+        "delta_im": F64Block(a.delta_v.imag),
         "omega": a.omega,
         "labels": a.labels.astype(int).tolist(),
     }

@@ -106,11 +106,21 @@ class Adam:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             m, v = self.m[name], self.v[name]
+            # p -= lr * (m / c1) / (sqrt(v / c2) + EPS) in place, in two scratch buffers
+            s = np.multiply(g, 1 - self.BETA1)
             m *= self.BETA1
-            m += (1 - self.BETA1) * g
+            m += s
+            np.multiply(g, 1 - self.BETA2, out=s)
+            s *= g
             v *= self.BETA2
-            v += (1 - self.BETA2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
+            v += s
+            den = np.divide(v, c2)
+            np.sqrt(den, out=den)
+            den += self.EPS
+            np.divide(m, c1, out=s)
+            s *= self.lr
+            s /= den
+            p -= s
 
     def state(self) -> dict:
         return {

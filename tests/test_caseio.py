@@ -1,10 +1,13 @@
 """Case parsing and container round trips."""
 
+import importlib
 import json
 import math
 import os
+import pathlib
 import pickle
 import struct
+import sys
 import tempfile
 import zlib
 
@@ -17,7 +20,7 @@ from ugcn import caseio
 from ugcn.caseio import (
     BUILTIN_CASES,
     CaseFile,
-    Float64List,
+    F64Block,
     decode_array,
     encode_array,
     load_case,
@@ -187,17 +190,17 @@ def _bits(obj, loaded=False):
     return (type(obj).__name__, obj)
 
 
-# Floats outside all-float lists travel as JSON text, whose repr keeps every
-# finite value, -0.0 and inf exactly but only one NaN; all-float lists travel
-# as raw float64 and keep every bit pattern.
+# Floats outside blocks travel as JSON text, whose repr keeps every finite
+# value, -0.0 and inf exactly but only one NaN; blocks travel as raw float64
+# and keep every bit pattern.
 _TEXT_FLOATS = st.floats(allow_nan=False)
 _BLOB_FLOATS = st.floats() | st.sampled_from(
     [-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308])
-_FLOAT_LISTS = st.lists(_BLOB_FLOATS, min_size=1, max_size=20)
+_FLOAT_LISTS = st.lists(_TEXT_FLOATS, min_size=1, max_size=20)
 _LEAVES = (
     st.none() | st.booleans() | st.integers() | st.text(max_size=8) | _TEXT_FLOATS
     | _FLOAT_LISTS | _FLOAT_LISTS.map(tuple) | st.just([])
-    | st.lists(_BLOB_FLOATS, max_size=20).map(lambda v: Float64List(np.array(v, dtype=float)))
+    | st.lists(_BLOB_FLOATS, max_size=20).map(lambda v: F64Block(np.array(v, dtype=float)))
     | st.lists(st.integers() | _TEXT_FLOATS, min_size=1, max_size=8)
 )
 _KEYS = st.text(max_size=6).filter(lambda k: k != "$f64")
@@ -209,26 +212,12 @@ _PAYLOADS = st.dictionaries(_KEYS, st.recursive(
 ), max_size=5)
 
 
-def _plain(obj):
-    """`obj` with every Float64List replaced by a plain list of its floats."""
-    if isinstance(obj, Float64List):
-        return list(obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(_plain(v) for v in obj)
-    return obj
-
-
-def _save_both_kinds(directory, payload) -> dict:
-    """Save `payload` as built and with plain float lists; both files must hold
-    the same bytes.  Returns the reload, checked bit and type exact."""
-    paths = [os.path.join(directory, name) for name in ("array.ugcn.json", "plain.ugcn.json")]
-    save_container(paths[0], payload)
-    save_container(paths[1], _plain(payload))
-    first, second = (open(path, "rb").read() for path in paths)
-    assert first == second
-    loaded = load_container(paths[0])
+def _round_trip(directory, payload) -> dict:
+    """Save and reload `payload`; the reload is checked bit and type exact
+    (blocks compare bit for bit) and returned."""
+    path = os.path.join(directory, "x.ugcn.json")
+    save_container(path, payload)
+    loaded = load_container(path)
     assert _bits(loaded, loaded=True) == _bits(payload)
     return loaded
 
@@ -375,36 +364,66 @@ class TestContainers:
     @given(payload=_PAYLOADS)
     def test_round_trip_property(self, payload):
         with tempfile.TemporaryDirectory() as d:
-            _save_both_kinds(d, payload)
+            _round_trip(d, payload)
 
     def test_array_codec_bit_exact(self, tmp_path):
-        """An encoded tensor writes the same bytes as its plain-list copy, and
-        its values come back bit exact from memory, from disk and from a pickle."""
+        """An encoded tensor's values come back bit exact from memory, from
+        disk and from a pickle."""
         for name, a in _CODEC_CASES.items():
             doc = encode_array(a)
-            assert all(type(doc[key]) is Float64List for key in doc.keys() - {"shape"}), name
-            loaded = _save_both_kinds(str(tmp_path), {"kind": "dataset", "t": doc})["t"]
+            assert all(type(doc[key]) is F64Block for key in doc.keys() - {"shape"}), name
+            loaded = _round_trip(str(tmp_path), {"kind": "dataset", "t": doc})["t"]
             for parts in (doc, loaded, pickle.loads(pickle.dumps(doc))):
                 for key in parts.keys() - {"shape"}:
                     values = parts[key]
-                    if type(values) is Float64List:
-                        assert np.array_equal(np.array(values).view(np.uint64),
-                                              np.asarray(values.array).view(np.uint64)), name
-                    else:
-                        assert values == [] and not a.size, name
+                    assert type(values) is F64Block, name
+                    assert np.array_equal(np.array(values).view(np.uint64),
+                                          np.asarray(values.array).view(np.uint64)), name
                 back = decode_array(parts)
                 assert back.shape == a.shape, name
                 assert back.dtype == (np.complex128 if np.iscomplexobj(a) else np.float64), name
                 assert np.array_equal(np.ascontiguousarray(back).view(np.uint64),
                                       np.ascontiguousarray(a, dtype=back.dtype).view(np.uint64)), name
 
-    def test_float64_list_is_read_only(self):
-        values = encode_array(np.arange(3.0))["re"]
-        for edit in (lambda v: v.__setitem__(0, 1.0), lambda v: v.append(1.0),
-                     lambda v: v.extend([1.0]), lambda v: v.pop(), lambda v: v.sort()):
-            with pytest.raises(TypeError, match="read-only"):
-                edit(values)
-        assert values == [0.0, 1.0, 2.0]
+    def test_f64_block_identity(self, monkeypatch):
+        """Equal bits, and only equal bits, give equal blocks, reprs and
+        benchmark digests; the array refuses writes; pickle and
+        `np.asarray` give the bits back."""
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+        monkeypatch.delitem(sys.modules, "checks", raising=False)
+        checks = importlib.import_module("checks")
+
+        base = np.linspace(-1.0, 1.0, 101)
+        block = F64Block(base)
+        same = F64Block(base.copy())
+        assert same == block and repr(same) == repr(block)
+        assert checks.digest({"t": same}) == checks.digest({"t": block})
+        ulp = base.copy()
+        ulp[50] = np.nextafter(ulp[50], np.inf)
+        pairs = {
+            "one ulp mid-array": (block, F64Block(ulp)),
+            "signed zero": (F64Block(np.array([0.0, 1.0])), F64Block(np.array([-0.0, 1.0]))),
+            "nan payload": (F64Block(_from_bits(0x7FF8000000000001)),
+                            F64Block(_from_bits(0x7FF8000000000002))),
+        }
+        for name, (a, b) in pairs.items():
+            assert a != b, name
+            assert repr(a) != repr(b), name
+            assert checks.digest({"t": a}) != checks.digest({"t": b}), name
+        assert repr(block).startswith("F64Block(len=101, sha256=")
+
+        with pytest.raises(ValueError, match="read-only"):
+            block.array[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(block)[0] = 2.0
+        with pytest.raises(AttributeError, match="immutable"):
+            block.array = ulp
+        assert base.flags.writeable   # the block's view is read-only, not its source
+
+        for back in (pickle.loads(pickle.dumps(block)), F64Block(np.asarray(block))):
+            assert type(back) is F64Block and back == block and repr(back) == repr(block)
+        nan = pairs["nan payload"][1]
+        assert np.asarray(pickle.loads(pickle.dumps(nan))).view(np.uint64)[0] == 0x7FF8000000000002
 
 
 class TestScenarioRoundTrip:

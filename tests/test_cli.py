@@ -12,6 +12,7 @@ import pytest
 
 from ugcn import cli, scenarios
 from ugcn.caseio import (
+    F64Block,
     encode_array,
     load_checkpoint,
     load_dataset,
@@ -177,12 +178,14 @@ class TestGen:
     @pytest.mark.parametrize("task", ["forecast", "fdi"])
     def test_explicit_kind_is_kept(self, tmp_path, capsys, task):
         """`kind=distribution` on a transmission case is refused alike for both
-        tasks, not replaced by the case's kind."""
+        tasks, not replaced by the case's kind, and before any output exists."""
         out = tmp_path / "x"
         assert run_cli(["gen", "--task", task, "--case", "ieee30", "--q", "1",
-                        "--t-total", "24", "--set", "kind=distribution", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "error: distribution graph requires a root bus\n"
-        assert not any(f.endswith(".ugcn.json") for f in os.listdir(out))
+                        "--t-total", "24", "--set", "kind=distribution", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: case 'ieee30' does not make a distribution graph: "
+            "distribution graph requires a root bus\n")
+        assert not out.exists()
 
     def test_sanity_band_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scenarios, "SANITY_BAND", (0.999, 1.001))
@@ -581,6 +584,31 @@ class TestInputChecks:
             reports.append(doc)
         assert reports[0] == reports[1]
 
+
+    def test_dataset_with_op_log_pairs_in_the_blob_trains_and_evaluates(
+            self, dataset, tmp_path):
+        """Older datasets hold the op_log's float pairs in the blob; they train
+        and evaluate as today's files, which keep them in the JSON head."""
+        old = tmp_path / "old"
+        os.makedirs(old)
+        for name in sorted(n for n in os.listdir(dataset) if n.endswith(".ugcn.json")):
+            payload = load_dataset(os.path.join(dataset, name))
+            for op in payload["system"]["op_log"]:
+                op.update((k, F64Block(np.array(op[k]))) for k in ("z", "delta", "tie_z") if k in op)
+            save_dataset(str(old / name), payload)
+        assert type(load_dataset(str(old / "system_000.ugcn.json"))
+                    ["system"]["op_log"][1]["tie_z"]) is F64Block
+        ckpts, reports = [], []
+        for data in (dataset, str(old)):
+            ckpt, out = str(tmp_path / f"{len(ckpts)}.ckpt.json"), str(tmp_path / "r.json")
+            assert run_cli(["train", "--task", "forecast", "--data", data, "--out", ckpt,
+                            "--seed", "1"] + TRAIN_SETS) == 0
+            assert run_cli(eval_args(ckpt, data, out)) == 0
+            ckpts.append(open(ckpt, "rb").read())
+            reports.append(json.loads(open(out).read()))
+            reports[-1].pop("wall_clock_s")
+        assert ckpts[0] == ckpts[1]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("edit, message", [
         ({"color": 1}, ": layer_config: unknown layer config key 'color'"),

@@ -101,7 +101,8 @@ def test_benchmark_hook_points_resolve(monkeypatch):
 def test_benchmark_reload_check_sees_every_float(tmp_path, monkeypatch):
     """The benchmark's bit-exact reload check hashes a list float by float but
     any other object by its repr, which numpy abridges for large arrays; a
-    bare array in a checkpoint payload would blind the check."""
+    bare array in a checkpoint payload would blind the check, while a block's
+    repr is exact."""
     import copy
     import importlib
     import pathlib
@@ -109,7 +110,7 @@ def test_benchmark_reload_check_sees_every_float(tmp_path, monkeypatch):
 
     import numpy as np
 
-    from ugcn.caseio import load_checkpoint, save_checkpoint
+    from ugcn.caseio import F64Block, load_checkpoint, save_checkpoint
     from ugcn.cli import params_to_payload
     from ugcn.model import forecast_config, init_params
     from ugcn.training import Adam
@@ -129,22 +130,21 @@ def test_benchmark_reload_check_sees_every_float(tmp_path, monkeypatch):
     assert checks.digest(reloaded) == checks.digest({"kind": "checkpoint", **payload})
 
     def nodes(parent):
-        """(container, key, value) for every value below `parent` but the
-        items of float lists."""
+        """(container, key, value) for every value below `parent`."""
         items = parent.items() if isinstance(parent, dict) else enumerate(parent)
         for key, value in items:
             yield parent, key, value
-            if isinstance(value, dict) or (
-                    isinstance(value, (list, tuple)) and set(map(type, value)) != {float}):
+            if isinstance(value, (dict, list, tuple)):
                 yield from nodes(value)
 
     for doc in (payload, reloaded):
         assert [key for _, key, value in nodes(doc) if isinstance(value, np.ndarray)] == []
         edited = copy.deepcopy(doc)
-        parent, key, values = max(
-            ((p, k, v) for p, k, v in nodes(edited) if isinstance(v, list)), key=lambda n: len(n[2]))
-        assert len(values) > 1000
-        values = list(values)
-        values[len(values) // 2] = float(np.nextafter(values[len(values) // 2], np.inf))
-        parent[key] = values
+        parent, key, block = max(
+            ((p, k, v) for p, k, v in nodes(edited) if isinstance(v, F64Block)),
+            key=lambda n: len(n[2]))
+        assert len(block) > 1000
+        values = block.array.copy()
+        values[len(values) // 2] = np.nextafter(values[len(values) // 2], np.inf)
+        parent[key] = F64Block(values)
         assert checks.digest(edited) != checks.digest(doc)

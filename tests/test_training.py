@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ugcn.caseio import load_case, to_grid_graph
+from ugcn.caseio import load_case, load_container, save_container, to_grid_graph
 from ugcn.errors import DimensionMismatch
 from ugcn.model import fdi_config, forecast_config, init_params
 from ugcn.reconfig import AugmentConfig, augment
@@ -89,15 +89,45 @@ class TestAdam:
             opt.step(x, {"x": 2 * x["x"]})
         assert np.max(np.abs(x["x"])) < 1e-3
 
-    def test_state_round_trip(self):
+    def test_state_round_trip(self, tmp_path):
         x = {"x": np.array([1.0, 2.0])}
         opt = Adam(lr=0.05)
         opt.step(x, {"x": np.array([0.5, -0.5])})
-        clone = Adam.from_state(json.loads(json.dumps(opt.state())))
+        path = str(tmp_path / "adam.ckpt.json")
+        save_container(path, {"optimizer": opt.state()})
+        clone = Adam.from_state(load_container(path)["optimizer"])
         x2 = {"x": x["x"].copy()}
         opt.step(x, {"x": np.array([1.0, 1.0])})
         clone.step(x2, {"x": np.array([1.0, 1.0])})
         assert np.array_equal(x["x"], x2["x"])
+
+    def test_step_matches_one_line_update(self):
+        """The in-place step gives the bits of the textbook expressions."""
+        def oracle(p, g, m, v, t, lr):
+            m *= Adam.BETA1
+            m += (1 - Adam.BETA1) * g
+            v *= Adam.BETA2
+            v += (1 - Adam.BETA2) * g * g
+            p -= lr * (m / (1.0 - Adam.BETA1 ** t)) / (np.sqrt(v / (1.0 - Adam.BETA2 ** t)) + Adam.EPS)
+
+        rng = np.random.default_rng(11)
+        tensors = {"real": rng.standard_normal((7, 5)),
+                   "complex": rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))}
+        expected = {k: t.copy() for k, t in tensors.items()}
+        moments = {k: (np.zeros(Adam._view(t).shape), np.zeros(Adam._view(t).shape))
+                   for k, t in tensors.items()}
+        opt = Adam(lr=0.03)
+        for t in range(1, 6):
+            scale = 10.0 ** rng.integers(-9, 3)
+            grads = {k: scale * rng.standard_normal(a.shape).astype(a.dtype)
+                        + (1j * rng.standard_normal(a.shape) if np.iscomplexobj(a) else 0)
+                     for k, a in tensors.items()}
+            opt.step(tensors, grads)
+            for k in tensors:
+                oracle(Adam._view(expected[k]), Adam._view(grads[k]), *moments[k], t, 0.03)
+                assert np.array_equal(tensors[k].view(np.uint8), expected[k].view(np.uint8)), (k, t)
+                assert np.array_equal(opt.m[k].view(np.uint8), moments[k][0].view(np.uint8)), (k, t)
+                assert np.array_equal(opt.v[k].view(np.uint8), moments[k][1].view(np.uint8)), (k, t)
 
 
 @pytest.fixture(scope="module")
