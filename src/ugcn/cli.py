@@ -343,6 +343,15 @@ def _gen_one_system(case_name: str, kind: str, cfg: dict, index: int) -> dict:
     return scenario_to_payload(scenario)
 
 
+def _gen_or_failure(case_name: str, kind: str, cfg: dict, index: int) -> dict | str:
+    """Worker: system `index`'s payload, or a line naming the system and why it failed."""
+    try:
+        return _gen_one_system(case_name, kind, cfg, index)
+    except (NoConvergence, ExhaustedRetries, OutsideSanityBand) as exc:
+        text = str(exc)
+        return text if text.startswith(f"system {index} ") else f"system {index}: {text}"
+
+
 def cmd_gen(args) -> int:
     cfg = build_config(GEN_DEFAULTS, args)
     if cfg["task"] not in ("forecast", "fdi"):
@@ -365,30 +374,30 @@ def cmd_gen(args) -> int:
     # The pool starts all its workers at once, so never more than can be busy.
     jobs = min(jobs, cfg["q"], os.cpu_count() or 1)
     indices = list(range(cfg["q"]))
-    try:
-        if jobs == 1:
-            payloads = [_gen_one_system(cfg["case"], kind, cfg, i) for i in indices]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                payloads = list(
-                    pool.map(_gen_one_system, [cfg["case"]] * len(indices),
-                             [kind] * len(indices), [cfg] * len(indices), indices)
-                )
-    except (NoConvergence, ExhaustedRetries, OutsideSanityBand) as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return 3
+    if jobs == 1:
+        results = [_gen_or_failure(cfg["case"], kind, cfg, i) for i in indices]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(
+                pool.map(_gen_or_failure, [cfg["case"]] * len(indices),
+                         [kind] * len(indices), [cfg] * len(indices), indices)
+            )
 
     echo = {k: v for k, v in cfg.items() if k != "out"}   # path-free: reruns stay byte-identical
     node_counts = []
     written = set()
-    for i, payload in enumerate(payloads):
+    failed = []
+    for i, result in enumerate(results):
+        if isinstance(result, str):
+            failed.append(i)
+            continue
         path = os.path.join(cfg["out"], f"system_{i:03d}.ugcn.json")
-        caseio.save_dataset(path, {"task": cfg["task"], "config": echo, "system": payload})
+        caseio.save_dataset(path, {"task": cfg["task"], "config": echo, "system": result})
         written.add(path)
-        node_counts.append(len(payload["graph"]["bus_ids"]))
+        node_counts.append(len(result["graph"]["bus_ids"]))
     manifest = {
         "task": cfg["task"], "config": cfg, "kind": kind,
-        "systems": len(payloads), "node_counts": node_counts,
+        "systems": len(written), "node_counts": node_counts, "failed": failed,
     }
     with caseio.atomic_write(os.path.join(cfg["out"], "manifest.json"), encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -401,11 +410,13 @@ def cmd_gen(args) -> int:
     counts = {}
     for n in node_counts:
         counts[n] = counts.get(n, 0) + 1
-    print(f"wrote {len(payloads)} systems to {cfg['out']} (task={cfg['task']}, kind={kind})")
+    print(f"wrote {len(written)} systems to {cfg['out']} (task={cfg['task']}, kind={kind})")
     print("node-count histogram:")
     for n in sorted(counts):
         print(f"  {n:4d} buses: {'#' * counts[n]} ({counts[n]})")
-    return 0
+    for i in failed:
+        print(f"generation failed: {results[i]}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 # --------------------------------------------------------------------------

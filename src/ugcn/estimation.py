@@ -5,10 +5,12 @@ active/reactive injection and voltage magnitude; the state is recovered by a
 damped Gauss-Newton descent on a weighted least-squares cost with a quadratic
 regularizer.  Only the metered buses and their neighbors enter the
 measurements; every other coordinate is set by the regularizer alone, in
-closed form, and decays toward 0 from the flat start.  Phasor-unit (PMU)
-buses report complex current injections and voltages; the state follows in
-closed form from a shift-regularized pseudoinverse.  Both estimators return
-the full bus-ordered phasor vector.
+closed form, and decays toward 0 from the flat start.  What depends only on
+the graph and the meters is built once per series by `ami_setup`; the hourly
+calls `measure_ami(setup, v, sigma, rng)` and `estimate_ami(setup, z)` take
+that record.  Phasor-unit (PMU) buses report complex current injections and
+voltages; the state follows in closed form from a shift-regularized
+pseudoinverse.  Both estimators return the full bus-ordered phasor vector.
 """
 
 from __future__ import annotations
@@ -77,18 +79,69 @@ def fdi_sensor_placement(graph: GridGraph, seed: int) -> tuple[int, ...]:
 # AMI scenario: nonlinear WLS via damped Gauss-Newton
 
 
+@dataclass(frozen=True, eq=False)
+class AmiSetup:
+    """What the AMI estimator needs of one series' graph and meters, built once per series.
+
+    `idx` holds the metered bus positions and `vis` the visible ones (the
+    metered buses and their neighbors), `loc` the metered buses' places in
+    `vis` and `yc_a` their conjugated admittance rows over `vis`.  `free`
+    selects the columns of [e_vis, f_vis] that Gauss-Newton moves: all but
+    the slack's imaginary part, the gauge, when the slack is visible.  `cols`
+    are the state coordinates of `free` in [e, f], and `hidden` the
+    coordinates outside `cols` and the gauge.  All arrays but the caller's
+    `y` are read-only.
+    """
+
+    n: int
+    y: np.ndarray
+    idx: np.ndarray
+    vis: np.ndarray
+    loc: np.ndarray
+    yc_a: np.ndarray
+    free: np.ndarray
+    cols: np.ndarray
+    hidden: np.ndarray
+
+
+def ami_setup(graph: GridGraph, ami_buses: tuple[int, ...],
+              y: np.ndarray | None = None) -> AmiSetup:
+    """The per-series record that `measure_ami` and `estimate_ami` take."""
+    y = build_admittance(graph) if y is None else y
+    n = graph.n
+    idx = np.array([graph.pos(b) for b in ami_buses])
+    seen = np.any(y[idx] != 0, axis=0)
+    seen[idx] = True
+    vis = np.flatnonzero(seen)
+    k = len(vis)
+    # Injections and magnitudes cannot see a global rotation; pin the angle
+    # reference by freezing the slack bus imaginary part at zero, seen or not.
+    slack = graph.pos(graph.slack_bus())
+    free = np.arange(2 * k)
+    if seen[slack]:
+        free = np.delete(free, k + int(np.searchsorted(vis, slack)))
+    cols = np.concatenate([vis, n + vis])[free]
+    hidden = np.ones(2 * n, dtype=bool)
+    hidden[cols] = False
+    hidden[n + slack] = False
+    setup = AmiSetup(n=n, y=y, idx=idx, vis=vis, loc=np.searchsorted(vis, idx),
+                     yc_a=np.conj(y[np.ix_(idx, vis)]), free=free, cols=cols,
+                     hidden=np.flatnonzero(hidden))
+    # Every hour of the series reads these; none may write them.
+    for a in (setup.idx, setup.vis, setup.loc, setup.yc_a, setup.free, setup.cols, setup.hidden):
+        a.flags.writeable = False
+    return setup
+
+
 def measure_ami(
-    graph: GridGraph,
+    setup: AmiSetup,
     v: np.ndarray,
-    ami_buses: tuple[int, ...],
-    y: np.ndarray | None = None,
     sigma: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Stacked [P_a, Q_a, |v|_a] at the metered buses, with optional Gaussian noise."""
-    y = build_admittance(graph) if y is None else y
-    idx = np.array([graph.pos(b) for b in ami_buses])
-    s = v * np.conj(y @ v)
+    idx = setup.idx
+    s = v * np.conj(setup.y @ v)
     z = np.concatenate([s[idx].real, s[idx].imag, np.abs(v[idx])])
     if sigma > 0:
         if rng is None:
@@ -137,13 +190,7 @@ def _ami_h_and_jac(yc_a: np.ndarray, v: np.ndarray, loc: np.ndarray):
     return h, jac
 
 
-def estimate_ami(
-    graph: GridGraph,
-    z: np.ndarray,
-    ami_buses: tuple[int, ...],
-    y: np.ndarray | None = None,
-    info: bool = False,
-):
+def estimate_ami(setup: AmiSetup, z: np.ndarray, info: bool = False):
     """Minimize ||z - h(v)||^2 + GN_LAMBDA * ||[e; f]||^2 from a flat start.
 
     h sees only the visible buses: the metered ones and their neighbors.  The
@@ -154,33 +201,16 @@ def estimate_ami(
     the last iterate.  With `info`, the iteration count and the residual norm
     and objective at the returned state come along.
     """
-    y = build_admittance(graph) if y is None else y
-    n = graph.n
-    idx = np.array([graph.pos(b) for b in ami_buses])
+    n, idx, vis, loc, yc_a = setup.n, setup.idx, setup.vis, setup.loc, setup.yc_a
+    free, cols, hidden = setup.free, setup.cols, setup.hidden
     if z.shape != (3 * len(idx),):
         raise DimensionMismatch(f"expected {3 * len(idx)} measurements, got {z.shape}")
-
-    vis = np.union1d(idx, np.flatnonzero(np.any(y[idx] != 0, axis=0)))
-    loc = np.searchsorted(vis, idx)
-    yc_a = np.conj(y[np.ix_(idx, vis)])
-    k = len(vis)
-    # Injections and magnitudes cannot see a global rotation; pin the angle
-    # reference by freezing the slack bus imaginary part at zero, seen or not.
-    slack = graph.pos(graph.slack_bus())
-    free = np.arange(2 * k)
-    if slack in vis:
-        free = np.delete(free, k + int(np.searchsorted(vis, slack)))
-    cols = np.concatenate([vis, n + vis])[free]        # state coordinates of `free`
-    hidden = np.ones(2 * n, dtype=bool)
-    hidden[cols] = False
-    hidden[n + slack] = False
-    diag = np.arange(len(free))
 
     v = np.ones(n, dtype=np.complex128)
 
     def cost(vec):
         split = np.concatenate([vec.real, vec.imag])
-        return float(np.sum((z - _ami_h(yc_a, vec[vis], loc)) ** 2) + GN_LAMBDA * np.sum(split ** 2))
+        return float(((z - _ami_h(yc_a, vec[vis], loc)) ** 2).sum() + GN_LAMBDA * (split ** 2).sum())
 
     current = cost(v)
     iterations = 0
@@ -192,11 +222,11 @@ def estimate_ami(
         j_free = jac[:, free]
         r = z - h
         normal = j_free.T @ j_free
-        normal[diag, diag] += GN_LAMBDA
+        normal.reshape(-1)[::len(free) + 1] += GN_LAMBDA     # its diagonal, as a strided view
         reduced = np.linalg.solve(normal, j_free.T @ r - GN_LAMBDA * split[cols])
         step = np.zeros(2 * n)
         step[hidden] = -split[hidden]
-        if not np.all(np.isfinite(reduced)):
+        if not np.isfinite(reduced).all():
             raise NoConvergence(iterations, float("inf"))
         step[cols] = reduced
         trial = v + step[:n] + 1j * step[n:]
@@ -215,7 +245,7 @@ def estimate_ami(
         if float(np.linalg.norm(step)) < GN_STEP_TOL:
             break
     if info:
-        r = z - _ami_h(np.conj(y[idx]), v, idx)
+        r = z - _ami_h(np.conj(setup.y[idx]), v, idx)
         split = np.concatenate([v.real, v.imag])
         objective = float(np.sum(r ** 2) + GN_LAMBDA * np.sum(split ** 2))
         return v, {"iterations": iterations, "residual": float(np.linalg.norm(r)),

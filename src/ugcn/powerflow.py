@@ -62,8 +62,11 @@ def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
         v_new = 1.0 + drop @ (sub @ np.conj(s_inj / v))
         step = float(np.max(np.abs(v_new - v)))
         v = v_new
-        if not np.all(np.isfinite(v.view(np.float64))) or np.max(np.abs(v)) > VOLTAGE_DIVERGED \
-                or np.min(np.abs(v)) < 1e-6:
+        # One pass over |v| serves all three tests: a NaN part makes its
+        # magnitude NaN, which fails both comparisons, and an infinite part
+        # makes it infinite.
+        mag = np.abs(v)
+        if not (mag.min() >= 1e-6 and mag.max() <= VOLTAGE_DIVERGED):
             raise NoConvergence(sweeps, float("inf"))
         if step < 1e-13:
             break
@@ -83,21 +86,26 @@ def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
     [[Re A, Re B], [Im A, Im B]] with A = diag(conj(I)) + diag(v) conj(Y) and
     B = j diag(conj(I)) - j diag(v) conj(Y), I = Y v.  Writing vy = diag(v) conj(Y)
     and c = conj(I), its blocks are vy's parts plus c's parts on the diagonals,
-    filled into one matrix in place.  The accepted trial's current and mismatch
-    carry over to the next iteration.
+    filled into one matrix in place.  The mismatch is kept at the free buses only;
+    the accepted trial's current, mismatch and worst mismatch carry over to the
+    next iteration.
     """
     n = graph.n
     slack = graph.pos(graph.slack_bus())
     free = np.delete(np.arange(n), slack)
     m = len(free)
     y_free = np.conj(y[np.ix_(free, free)])
+    s_free = s_inj[free]
     jac = np.empty((2 * m, 2 * m))
-    d = np.arange(m)
+    # The diagonals of jac's four m x m blocks run at stride 2m + 1 through its flat view.
+    flat = jac.reshape(-1)
+    diag_ee, diag_ef, diag_fe, diag_ff = (slice(o, o + m * (2 * m + 1), 2 * m + 1)
+                                          for o in (0, m, 2 * m * m, 2 * m * m + m))
     v = np.ones(n, dtype=np.complex128) if v0 is None else v0
     i_conj = np.conj(y @ v)
-    mism = v * i_conj - s_inj
+    mism = v[free] * i_conj[free] - s_free
+    worst = float(np.max(np.abs(mism)))
     for it in range(NEWTON_MAX_ITER):
-        worst = float(np.max(np.abs(mism[free])))
         if not np.isfinite(worst) or np.max(np.abs(v)) > VOLTAGE_DIVERGED:
             raise NoConvergence(it, float("inf"))
         if worst < tol:
@@ -108,11 +116,11 @@ def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
         jac[:m, m:] = vy.imag
         jac[m:, :m] = vy.imag
         np.negative(vy.real, out=jac[m:, m:])
-        jac[d, d] += c.real
-        jac[d, m + d] -= c.imag
-        jac[m + d, d] += c.imag
-        jac[m + d, m + d] += c.real
-        rhs = np.concatenate([-mism[free].real, -mism[free].imag])
+        flat[diag_ee] += c.real
+        flat[diag_ef] -= c.imag
+        flat[diag_fe] += c.imag
+        flat[diag_ff] += c.real
+        rhs = np.concatenate([-mism.real, -mism.imag])
         try:
             delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:
@@ -124,12 +132,12 @@ def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
             trial = v.copy()
             trial[free] += scale * step
             trial_conj = np.conj(y @ trial)
-            trial_mism = trial * trial_conj - s_inj
-            trial_worst = float(np.max(np.abs(trial_mism[free])))
+            trial_mism = trial[free] * trial_conj[free] - s_free
+            trial_worst = float(np.max(np.abs(trial_mism)))
             if np.isfinite(trial_worst) and trial_worst < worst:
                 break
             scale *= 0.5
         else:
             raise NoConvergence(it + 1, worst)
-        v, i_conj, mism = trial, trial_conj, trial_mism
-    raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(mism[free]))))
+        v, i_conj, mism, worst = trial, trial_conj, trial_mism, trial_worst
+    raise NoConvergence(NEWTON_MAX_ITER, worst)

@@ -26,6 +26,7 @@ from .estimation import (
     DEFAULT_MU1,
     PmuOperator,
     ami_placement,
+    ami_setup,
     estimate_ami,
     fdi_sensor_placement,
     measure_ami,
@@ -284,10 +285,10 @@ def build_scenario(
             estimates[t] = op.estimate(z)
     else:
         ami_buses = ami_placement(graph)
+        setup = ami_setup(graph, ami_buses, y)
         for t in range(cfg.t_total):
-            z = measure_ami(graph, states[t], ami_buses, y=y,
-                            sigma=cfg.noise_sigma, rng=noise_rng)
-            estimates[t] = estimate_ami(graph, z, ami_buses, y=y)
+            z = measure_ami(setup, states[t], sigma=cfg.noise_sigma, rng=noise_rng)
+            estimates[t] = estimate_ami(setup, z)
 
     attacks: tuple = ()
     if task == "fdi":

@@ -118,12 +118,25 @@ class TestGen:
 
     def test_ieee39_seed_2_failure_unchanged(self, tmp_path, capsys):
         """System 4 fails at every demand scale, from the predicted and from the
-        flat start alike, and reports the flat start's last Newton run."""
-        assert run_cli(["gen", "--task", "fdi", "--case", "ieee39", "--q", "5", "--seed", "2",
-                        "--t-total", "96", "--out", str(tmp_path / "x")]) == 3
+        flat start alike, and reports the flat start's last Newton run.  The
+        systems before it are written as a run that stops short of it writes
+        them, bit for bit apart from the echoed `q`, and the manifest names the
+        failed one; the pool gives the same."""
+        args = ["gen", "--task", "fdi", "--case", "ieee39", "--seed", "2", "--t-total", "96"]
+        out, short = tmp_path / "x", tmp_path / "q4"
+        assert run_cli(args + ["--q", "5", "--jobs", "2", "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             "generation failed: system 4 failed at demand scales 0.55, 0.4675, 0.3974, "
             "0.3378; last power flow: no convergence after 9 iterations (mismatch 3.657e-02)\n")
+        assert run_cli(args + ["--q", "4", "--out", str(short)]) == 0
+        names = [f"system_{i:03d}.ugcn.json" for i in range(4)]
+        assert sorted(os.listdir(out)) == ["manifest.json"] + names
+        for name in names:
+            want = load_dataset(str(short / name))
+            assert load_dataset(str(out / name)) == {**want, "config": {**want["config"], "q": 5}}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == [4] and manifest["systems"] == 4
+        assert json.loads((short / "manifest.json").read_text())["failed"] == []
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         code = run_cli(GEN_ARGS + ["--out", str(tmp_path / "x"), "--set", "bogus_key=1"])
@@ -190,18 +203,21 @@ class TestGen:
     def test_sanity_band_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scenarios, "SANITY_BAND", (0.999, 1.001))
         assert run_cli(GEN_ARGS + ["--out", str(tmp_path / "x")]) == 3
-        err = capsys.readouterr().err
-        assert "outside the sanity band (0.999, 1.001)" in err
-        assert len(err.strip().splitlines()) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for i, line in enumerate(lines):
+            assert line.startswith(f"generation failed: system {i}: |v| spans ")
+            assert line.endswith("outside the sanity band (0.999, 1.001)")
 
     def test_non_convergence_names_system_and_demand_scales(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert run_cli(["gen", "--case", "ieee33", "--q", "2", "--t-total", "12",
                         "--set", "demand_scale=20", "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("generation failed: system 0 failed at demand scales "
-                              "20, 17, 14.45, 12.28; last power flow: no convergence after")
-        assert err.count("\n") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for i, line in enumerate(lines):
+            assert line.startswith(f"generation failed: system {i} failed at demand scales "
+                                   "20, 17, 14.45, 12.28; last power flow: no convergence after")
         assert not any(f.endswith(".ugcn.json") for f in os.listdir(out))
 
     def test_generation_errors_survive_worker_pickling(self):

@@ -21,6 +21,7 @@ from ugcn.estimation import (
     _ami_h,
     _ami_h_and_jac,
     ami_placement,
+    ami_setup,
     estimate_ami,
     fdi_sensor_count,
     measure_ami,
@@ -100,8 +101,9 @@ def loop_sweep(graph, s_inj):
     return v
 
 
-def naive_sweep(graph, s_inj, y, tol):
-    """The path-matrix sweep with the tree and both path matrices rebuilt on every call."""
+def naive_sweep(graph, s_inj, y, tol, v0=None):
+    """The path-matrix sweep with the tree and both path matrices rebuilt on every
+    call; it starts from v0, or from the flat profile without it."""
     tree = graph.bfs()
     slack = graph.pos(graph.slack_bus())
     n = graph.n
@@ -115,7 +117,7 @@ def naive_sweep(graph, s_inj, y, tol):
         anc[p, p] = 1.0
     sub = anc.T
     drop = anc * z_to_parent
-    v = np.ones(n, dtype=np.complex128)
+    v = np.ones(n, dtype=np.complex128) if v0 is None else v0
     for it in range(SWEEP_MAX_ITER):
         v_new = 1.0 + drop @ (sub @ np.conj(s_inj / v))
         step = float(np.max(np.abs(v_new - v)))
@@ -264,6 +266,81 @@ def lstsq_estimate(graph, z, ami_buses):
     return v
 
 
+def per_call_measure_ami(graph, v, ami_buses, y, sigma=0.0, rng=None):
+    """`measure_ami` as it was before the per-series record: positions rebuilt per call."""
+    idx = np.array([graph.pos(b) for b in ami_buses])
+    s = v * np.conj(y @ v)
+    z = np.concatenate([s[idx].real, s[idx].imag, np.abs(v[idx])])
+    if sigma > 0:
+        z = z + sigma * rng.standard_normal(z.shape)
+    return z
+
+
+def per_call_estimate_ami(graph, z, ami_buses, y, info=False):
+    """`estimate_ami` as it was before the per-series record: every call derives
+    the visible columns (by union1d), the gauge and the hidden coordinates anew."""
+    n = graph.n
+    idx = np.array([graph.pos(b) for b in ami_buses])
+    vis = np.union1d(idx, np.flatnonzero(np.any(y[idx] != 0, axis=0)))
+    loc = np.searchsorted(vis, idx)
+    yc_a = np.conj(y[np.ix_(idx, vis)])
+    k = len(vis)
+    slack = graph.pos(graph.slack_bus())
+    free = np.arange(2 * k)
+    if slack in vis:
+        free = np.delete(free, k + int(np.searchsorted(vis, slack)))
+    cols = np.concatenate([vis, n + vis])[free]
+    hidden = np.ones(2 * n, dtype=bool)
+    hidden[cols] = False
+    hidden[n + slack] = False
+    diag = np.arange(len(free))
+    v = np.ones(n, dtype=np.complex128)
+
+    def cost(vec):
+        split = np.concatenate([vec.real, vec.imag])
+        return float(np.sum((z - _ami_h(yc_a, vec[vis], loc)) ** 2) + GN_LAMBDA * np.sum(split ** 2))
+
+    current = cost(v)
+    iterations = 0
+    for iterations in range(1, GN_MAX_ITER + 1):
+        h, jac = _ami_h_and_jac(yc_a, v[vis], loc)
+        split = np.concatenate([v.real, v.imag])
+        j_free = jac[:, free]
+        r = z - h
+        normal = j_free.T @ j_free
+        normal[diag, diag] += GN_LAMBDA
+        reduced = np.linalg.solve(normal, j_free.T @ r - GN_LAMBDA * split[cols])
+        step = np.zeros(2 * n)
+        step[hidden] = -split[hidden]
+        step[cols] = reduced
+        trial = v + step[:n] + 1j * step[n:]
+        trial_cost = cost(trial)
+        halvings = 0
+        while trial_cost > current and halvings < 12:
+            step *= 0.5
+            halvings += 1
+            trial = v + step[:n] + 1j * step[n:]
+            trial_cost = cost(trial)
+        if trial_cost <= current:
+            v = trial
+            current = trial_cost
+        if float(np.linalg.norm(step)) < GN_STEP_TOL:
+            break
+    if info:
+        r = z - _ami_h(np.conj(y[idx]), v, idx)
+        split = np.concatenate([v.real, v.imag])
+        objective = float(np.sum(r ** 2) + GN_LAMBDA * np.sum(split ** 2))
+        return v, {"iterations": iterations, "residual": float(np.linalg.norm(r)),
+                   "cost": objective}
+    return v
+
+
+def slack_neighbor(graph, y):
+    """The lowest-numbered bus that shares a branch with the slack."""
+    slack = graph.pos(graph.slack_bus())
+    return min(b for b in graph.bus_ids if b != graph.slack_bus() and y[slack, graph.pos(b)] != 0)
+
+
 class TestPowerFlow:
     def test_zero_load_flat_exactly(self, ieee33):
         v = solve_powerflow(ieee33, np.zeros(33, dtype=complex))
@@ -332,6 +409,33 @@ class TestPowerFlow:
                 got = solve_powerflow(g, s, y)
                 assert np.array_equal(got.view(np.float64),
                                       naive_sweep(g, s, y, MISMATCH_TOL).view(np.float64))
+
+    @pytest.mark.parametrize("name,seed,ops", [("ieee33", 0, 0), ("ieee33", 1, 1),
+                                               ("ieee69", 4, 2)])
+    def test_diverging_sweep_raises_at_the_oracle_sweep(self, name, seed, ops):
+        """Loads past the nose point drive |v| out of range or keep the sweep
+        from settling, and starts with a zero or a non-finite entry fail on
+        their first sweep: each raises after as many sweeps as the per-call
+        oracle runs, with the same mismatch."""
+        g = reconfigured(name, seed, ops) if ops else to_grid_graph(load_case(name))
+        y = build_admittance(g)
+        loaded = g.pos(slack_neighbor(g, y))
+        starts = [(feeder_injections(name, g, scale), None) for scale in (5.0, 30.0, 60.0)]
+        for bad in (0.0, np.nan, complex(np.inf, np.nan)):
+            v0 = np.ones(g.n, dtype=np.complex128)
+            v0[loaded] = bad
+            starts.append((feeder_injections(name, g), v0))
+        outcomes = []
+        for s, v0 in starts:
+            with pytest.raises(NoConvergence) as got, np.errstate(divide="ignore", invalid="ignore"):
+                _sweep(g, s, y, MISMATCH_TOL, v0)
+            with pytest.raises(NoConvergence) as want, np.errstate(divide="ignore", invalid="ignore"):
+                naive_sweep(g, s, y, MISMATCH_TOL, v0)
+            outcome = (got.value.iterations, got.value.mismatch)
+            assert outcome == (want.value.iterations, want.value.mismatch)
+            outcomes.append(outcome)
+        assert any(sweeps > 1 and mismatch == np.inf for sweeps, mismatch in outcomes[:3])
+        assert outcomes[3:] == [(1, np.inf)] * 3
 
     def test_path_matrices_built_once_and_read_only(self, ieee33):
         sub, drop = ieee33.path_matrices
@@ -578,8 +682,8 @@ class TestAmiEstimation:
         s = case_injections("ieee33", ieee33)
         v = solve_powerflow(ieee33, s)
         buses = ami_placement(ieee33, 0.4)
-        z = measure_ami(ieee33, v, buses)
-        est, info = estimate_ami(ieee33, z, buses, info=True)
+        z = measure_ami(ami_setup(ieee33, buses), v)
+        est, info = estimate_ami(ami_setup(ieee33, buses), z, info=True)
         assert ami_cost(ieee33, est, z, buses) <= ami_cost(ieee33, v, z, buses) + 1e-12
         assert info["iterations"] <= 50
 
@@ -604,8 +708,8 @@ class TestAmiEstimation:
         g = reconfigured("ieee69", seed=7, ops=4)
         v = solve_powerflow(g, feeder_injections("ieee69", g))
         buses = ami_placement(g, 0.4)
-        z = measure_ami(g, v, buses, sigma=0.002, rng=np.random.default_rng(13))
-        est, info = estimate_ami(g, z, buses, info=True)
+        z = measure_ami(ami_setup(g, buses), v, sigma=0.002, rng=np.random.default_rng(13))
+        est, info = estimate_ami(ami_setup(g, buses), z, info=True)
         oracle = ami_cost(g, lstsq_estimate(g, z, buses), z, buses)
         assert info["cost"] == ami_cost(g, est, z, buses)
         assert info["cost"] <= oracle * (1 + 1e-12)
@@ -613,11 +717,11 @@ class TestAmiEstimation:
     def test_noise_without_rng_is_config_error(self, chain4):
         v = np.ones(4, dtype=np.complex128)
         with pytest.raises(ConfigError, match="rng required"):
-            measure_ami(chain4, v, (2, 3, 4), sigma=0.01)
+            measure_ami(ami_setup(chain4, (2, 3, 4)), v, sigma=0.01)
 
     @staticmethod
     def assert_matches_full_column_oracle(g, z, buses):
-        est = estimate_ami(g, z, buses)
+        est = estimate_ami(ami_setup(g, buses), z)
         want = naive_estimate_ami(g, z, buses)
         assert np.max(np.abs(est - want)) <= 2e-8
         assert ami_cost(g, est, z, buses) <= ami_cost(g, want, z, buses) * (1 + 1e-12)
@@ -629,7 +733,7 @@ class TestAmiEstimation:
         g = reconfigured(name, seed, ops=4)
         v = solve_powerflow(g, feeder_injections(name, g))
         buses = ami_placement(g)
-        z = measure_ami(g, v, buses, sigma=0.002, rng=np.random.default_rng(seed))
+        z = measure_ami(ami_setup(g, buses), v, sigma=0.002, rng=np.random.default_rng(seed))
         self.assert_matches_full_column_oracle(g, z, buses)
 
     @pytest.mark.parametrize("slack_seen", [False, True])
@@ -642,9 +746,44 @@ class TestAmiEstimation:
         if slack_seen:
             buses = tuple(sorted(set(buses) | {min(neighbors)}))
         v = solve_powerflow(ieee33, case_injections("ieee33", ieee33))
-        z = measure_ami(ieee33, v, buses, sigma=0.002, rng=np.random.default_rng(4))
+        z = measure_ami(ami_setup(ieee33, buses), v, sigma=0.002, rng=np.random.default_rng(4))
         est = self.assert_matches_full_column_oracle(ieee33, z, buses)
         assert est[slack].imag == 0.0
+
+
+    def test_reused_record_matches_per_call_oracle_bit_for_bit(self):
+        """Records are built once per (graph, meters) and calls interleave over
+        them, three graphs with 33 buses among them, so a record or a position
+        reused from another graph or bus set would show."""
+        feeders = [("ieee33", to_grid_graph(load_case("ieee33"))),
+                   ("ieee33", reconfigured("ieee33", 0, 3)), ("ieee69", reconfigured("ieee69", 4, 2)),
+                   ("ieee33", reconfigured("ieee33", 1, 1))]
+        assert [g.n for _, g in feeders] == [33, 33, 69, 33]
+        series = []
+        for name, g in feeders:
+            y = build_admittance(g)
+            placed = ami_placement(g)
+            near_slack = tuple(sorted(set(placed) | {slack_neighbor(g, y)}))
+            assert near_slack != placed
+            for buses in (placed, near_slack):
+                series.append((name, g, y, buses, ami_setup(g, buses, y)))
+        for hour, scale in enumerate((0.5, 1.0, 1.3)):
+            for k, (name, g, y, buses, setup) in enumerate(series):
+                v = solve_powerflow(g, feeder_injections(name, g, scale), y)
+                z = measure_ami(setup, v, sigma=0.002, rng=np.random.default_rng([hour, k]))
+                want_z = per_call_measure_ami(g, v, buses, y, sigma=0.002,
+                                              rng=np.random.default_rng([hour, k]))
+                assert np.array_equal(z, want_z)
+                est, info = estimate_ami(setup, z, info=True)
+                want, want_info = per_call_estimate_ami(g, z, buses, y, info=True)
+                assert np.array_equal(est.view(np.float64), want.view(np.float64))
+                assert info == want_info
+                assert np.array_equal(estimate_ami(setup, z).view(np.float64), est.view(np.float64))
+        for setup in (record for *_, record in series):
+            for array in (setup.idx, setup.vis, setup.loc, setup.yc_a, setup.free, setup.cols,
+                          setup.hidden):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[-1]
 
 
 class TestPmuEstimation:
