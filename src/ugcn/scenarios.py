@@ -33,7 +33,7 @@ from .estimation import (
     pmu_placement,
 )
 from .grid import DISTRIBUTION, GridGraph, build_admittance
-from .powerflow import solve_powerflow
+from .powerflow import newton_setup, solve_powerflow
 
 WINDOW = 10              # historical hours per feature window (m0 channels)
 SANITY_BAND = (0.5, 1.5)  # acceptable |v| range for true states, p.u.
@@ -221,10 +221,14 @@ def _solve_series(graph: GridGraph, y: np.ndarray, z: np.ndarray,
 
     z is the inverse of Y restricted to the free (non-slack) buses.  Hour 0
     starts from the flat profile; hour t starts from the previous solution
-    plus z conj(dS / v), the first-order change of the bus currents.
+    plus z conj(dS / v), the first-order change of the bus currents.  The
+    Newton set-up and the slack-zeroed injections are built once for the
+    series.
     """
-    slack = graph.pos(graph.slack_bus())
-    free = np.delete(np.arange(graph.n), slack)
+    setup = newton_setup(graph, y)
+    free = setup.free
+    s_hours = s_inj.copy()
+    s_hours[:, setup.slack] = 0.0
     states = np.empty_like(s_inj)
     v0 = None
     for t in range(s_inj.shape[0]):
@@ -232,9 +236,7 @@ def _solve_series(graph: GridGraph, y: np.ndarray, z: np.ndarray,
             prev = states[t - 1]
             v0 = prev.copy()
             v0[free] += z @ np.conj((s_inj[t, free] - s_inj[t - 1, free]) / prev[free])
-        s_t = s_inj[t].copy()
-        s_t[slack] = 0.0
-        states[t] = solve_powerflow(graph, s_t, y, v0=v0)
+        states[t] = solve_powerflow(graph, s_hours[t], y, v0=v0, setup=setup)
     return states
 
 

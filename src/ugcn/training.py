@@ -144,10 +144,12 @@ class Adam:
 
 
 class SystemContext:
-    """Precomputed shift operator, pooling order, and attack footprints."""
+    """Precomputed shift operator, pooling order, live attacks and their footprints."""
 
     def __init__(self, system: ScenarioSet):
         self.system = system
+        # Indices of the attacks that move a state; the rest are null records.
+        self.live_attacks = tuple(i for i, a in enumerate(system.attacks) if not a.is_null)
         y = build_admittance(system.graph)
         self.s = build_gso(y)
         self.order = system.graph.bfs().order
@@ -433,8 +435,7 @@ def _stack_loss(model: Model, cfg: TrainConfig, ctx: SystemContext, picks, grads
     return val, model.backward(tape, g)
 
 
-def _pick_attack(system: ScenarioSet, rng: np.random.Generator, prob: float):
-    live = [i for i, a in enumerate(system.attacks) if not a.is_null]
+def _pick_attack(live: tuple[int, ...], rng: np.random.Generator, prob: float):
     if not live or rng.random() > prob:
         return None
     return live[int(rng.integers(0, len(live)))]
@@ -484,7 +485,7 @@ def train(
             picks = []
             for _ in range(cfg.windows_per_system):
                 t = int(train_times[rng.integers(0, len(train_times))])
-                picks.append((t, _pick_attack(ctx.system, rng, cfg.attack_prob)
+                picks.append((t, _pick_attack(ctx.live_attacks, rng, cfg.attack_prob)
                                   if cfg.task == FDI else None))
             sys_loss, sys_grads = _stack_loss(model, cfg, ctx, picks, grads=True)
             for name, g in sys_grads.items():
@@ -535,7 +536,7 @@ def _validation_loss(model: Model, cfg: TrainConfig, contexts, splits) -> float:
     for q, ctx in enumerate(contexts):
         val_times = splits[q][1]
         times = val_times if len(val_times) <= 4 else val_times[:: max(1, len(val_times) // 4)][:4]
-        live = [i for i, a in enumerate(ctx.system.attacks) if not a.is_null]
+        live = ctx.live_attacks
         picks = [(int(t), live[int(t) % len(live)] if cfg.task == FDI and live else None)
                  for t in times]
         total += _stack_loss(model, cfg, ctx, picks) * len(picks)
@@ -611,7 +612,7 @@ def eval_forecast(
     The same windows also score two predictors that need no model: the flat
     profile 1+0j and the latest estimate carried forward.
     """
-    start = time.time()
+    start = time.perf_counter()
     contexts = contexts_for(systems)
     mse = {int(h): [] for h in horizons}
     flat = {int(h): [] for h in horizons}
@@ -641,7 +642,7 @@ def eval_forecast(
         baselines={"flat": {h: float(np.mean(v)) for h, v in flat.items()},
                    "carry_forward": {h: float(np.mean(v)) for h, v in carry.items()}},
         per_system=per_system,
-        wall_clock_s=time.time() - start,
+        wall_clock_s=time.perf_counter() - start,
         config={"stride": stride, "window": WINDOW, "n_systems": len(systems)},
     )
     return report
@@ -681,7 +682,7 @@ def eval_fdi(
     all-zeros predictor (its accuracy) and the one that flags every sensor
     bus, which is where every attack lands (its rates, per omega).
     """
-    start = time.time()
+    start = time.perf_counter()
     contexts = contexts_for(systems)
     logit_cut = np.log(threshold / (1.0 - threshold))
     w_grid = np.array([float(w) for w in omegas])
@@ -692,9 +693,7 @@ def eval_fdi(
     total_labels = 0
     for ctx in contexts:
         system = ctx.system
-        live = [i for i, a in enumerate(system.attacks) if not a.is_null]
-        if max_attacks is not None:
-            live = live[:max_attacks]
+        live = ctx.live_attacks[:max_attacks]
         sys_counts = np.zeros((len(omegas), 4), dtype=np.int64)
         times = list(range(WINDOW - 1, system.t_total, stride))
         windows = np.stack([feature_window(system.estimates, t) for t in times])
@@ -723,7 +722,7 @@ def eval_fdi(
                                     for w in omegas}},
         per_system=[{"index": k, "omegas": v} for k, v in per_system.items()],
         zeros_accuracy=(zeros_correct / total_labels) if total_labels else None,
-        wall_clock_s=time.time() - start,
+        wall_clock_s=time.perf_counter() - start,
         config={"threshold": threshold, "stride": stride, "n_systems": len(systems)},
     )
     return report

@@ -894,3 +894,17 @@ class TestReportCmd:
                              env={**os.environ, "PYTHONPATH": path})
         assert out.returncode == 0
         assert "gen" in out.stdout
+
+
+def test_python_m_ugcn_exits_with_the_cli_code():
+    """`python -m ugcn` is the `ugcn` command: --help exits 0, an unknown option 2."""
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    helped = subprocess.run([sys.executable, "-m", "ugcn", "--help"],
+                            capture_output=True, text=True, env=env)
+    assert helped.returncode == 0
+    assert "gen" in helped.stdout
+    refused = subprocess.run([sys.executable, "-m", "ugcn", "gen", "--no-such-option"],
+                             capture_output=True, text=True, env=env)
+    assert refused.returncode == 2
+    assert "--no-such-option" in refused.stderr

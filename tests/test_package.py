@@ -148,3 +148,51 @@ def test_benchmark_reload_check_sees_every_float(tmp_path, monkeypatch):
         values[len(values) // 2] = np.nextafter(values[len(values) // 2], np.inf)
         parent[key] = F64Block(values)
         assert checks.digest(edited) != checks.digest(doc)
+
+
+
+def test_benchmark_system_check_passes_on_generated_systems(tmp_path, monkeypatch):
+    """The benchmark checks each system it generates against the power flows its
+    capture hook saw: one `scenarios.solve_powerflow` call per hour, ending in
+    t_total solutions.  A solver that bypassed that name, or solved several
+    hours per call, would fail every generated system.  One ieee30 FDI and one
+    ieee33 AMI system go through the calls of the benchmark's `Family.system`."""
+    import importlib
+    import pathlib
+    import sys
+
+    import ugcn.cli
+    import ugcn.estimation
+    import ugcn.fdi
+    import ugcn.powerflow
+    import ugcn.reconfig
+    import ugcn.scenarios
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+    for name in ("tracer", "checks"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    tracer = importlib.import_module("tracer")
+    checks = importlib.import_module("checks")
+
+    for overrides in ({"task": "fdi", "case": "ieee30"}, {"task": "forecast", "case": "ieee33"}):
+        cfg = {**ugcn.cli.GEN_DEFAULTS, **overrides, "q": 1, "t_total": 24, "seed": 3}
+        case = ugcn.caseio.load_case(cfg["case"])
+        kind = case.kind or ugcn.grid.DISTRIBUTION
+        base = ugcn.caseio.to_grid_graph(case, kind=kind)
+        path = str(tmp_path / f"{cfg['case']}.ugcn.json")
+        hooks = tracer.Hooks(trace=False)
+        try:
+            member = ugcn.reconfig._generate_one(base, ugcn.cli._augment_config(base.n, kind, cfg), 0)
+            scenario = ugcn.scenarios.build_scenario(
+                member.graph, ugcn.cli._scenario_config(kind, cfg), 0, case.loads_pu(),
+                task=cfg["task"], op_log=tuple(ugcn.reconfig.op_to_dict(op) for op in member.ops))
+            payload = {"task": cfg["task"], "config": cfg,
+                       "system": ugcn.scenarios.scenario_to_payload(scenario)}
+            ugcn.caseio.save_dataset(path, payload)
+            solves = list(hooks.capture.solves)
+        finally:
+            hooks.remove()
+        assert ugcn.scenarios.solve_powerflow is ugcn.powerflow.solve_powerflow
+        assert scenario.graph.kind == kind and scenario.t_total == 24
+        assert bool(scenario.attacks) == (cfg["task"] == "fdi")
+        assert checks.check_system(ugcn, scenario, solves, payload, path) == []

@@ -1,5 +1,7 @@
 """Power flow physics, estimation, profiles, and feature windows."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from ugcn.powerflow import (
     VOLTAGE_DIVERGED,
     _newton,
     _sweep,
+    newton_setup,
     nodal_mismatch,
     solve_powerflow,
 )
@@ -463,7 +466,7 @@ class TestPowerFlow:
 
         outcomes = []
 
-        def compare(graph, s_inj, y, v0):
+        def compare(graph, s_inj, y, v0, setup):
             def run(solve, start):
                 try:
                     return solve(graph, s_inj, y, MISMATCH_TOL, start)
@@ -471,7 +474,8 @@ class TestPowerFlow:
                     return exc.iterations, exc.mismatch
             assert v0 is None or v0[graph.pos(graph.slack_bus())] == 1.0
             for start in ((None,) if v0 is None else (v0, None)):
-                got, want = run(_newton, start), run(naive_newton, start)
+                got = run(functools.partial(_newton, setup=setup), start)
+                want = run(naive_newton, start)
                 if isinstance(want, tuple):
                     assert got == want
                     continue
@@ -491,6 +495,49 @@ class TestPowerFlow:
         else:
             _gen_one_system(case, "transmission", cfg, index)
             assert outcomes == [True] * 96
+
+    def test_reused_newton_record_matches_naive_newton_bit_for_bit(self):
+        """Records are built once per graph and calls interleave over them, two
+        graphs of 30 and two of 39 buses, so a record reused from another graph
+        would show.  Each load scale is solved from the flat profile, from the
+        graph's last solution and from the wrong half-plane: equal voltages, or
+        equal NoConvergence iterations and mismatch."""
+        grids = [("ieee30", to_grid_graph(load_case("ieee30"))),
+                 ("ieee39", to_grid_graph(load_case("ieee39"))),
+                 ("ieee30", reconfigured("ieee30", 0, 2)), ("ieee39", reconfigured("ieee39", 3, 2))]
+        assert [g.n for _, g in grids] == [30, 39, 30, 39]
+        series = []
+        for name, g in grids:
+            y = build_admittance(g)
+            series.append((name, g, y, newton_setup(g, y)))
+        last = {}
+        outcomes = []
+        for scale in (0.3, 0.55, 0.9):
+            for k, (name, g, y, setup) in enumerate(series):
+                s = feeder_injections(name, g, scale)
+                wrong = np.full(g.n, -1.0, dtype=complex)
+                wrong[setup.slack] = 1.0
+                for start in (None, last.get(k), wrong):
+                    try:
+                        want = naive_newton(g, s, y, MISMATCH_TOL, start)
+                    except NoConvergence as exc:
+                        with pytest.raises(NoConvergence) as got:
+                            _newton(g, s, y, MISMATCH_TOL, start, setup=setup)
+                        assert (got.value.iterations, got.value.mismatch) == \
+                            (exc.iterations, exc.mismatch)
+                        outcomes.append(False)
+                        continue
+                    got = _newton(g, s, y, MISMATCH_TOL, start, setup=setup)
+                    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+                    got = solve_powerflow(g, s, y, v0=start, setup=setup)
+                    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+                    last[k] = want
+                    outcomes.append(True)
+        assert 0 < outcomes.count(False) < len(outcomes)
+        for *_, setup in series:
+            for array in (setup.free, setup.y_free):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[-1]
 
     def test_absurd_load_diverges(self, chain4):
         s = np.array([0, 0, 0, -100.0 + 0j])
@@ -533,10 +580,10 @@ class TestWarmStart:
         worst = {"gap": 0.0, "mismatch": 0.0}
         hours = []
 
-        def both(graph, s_inj, y, v0):
+        def both(graph, s_inj, y, v0, setup):
             assert v0 is None or v0[graph.pos(graph.slack_bus())] == 1.0
-            warm = solve_powerflow(graph, s_inj, y, v0=v0)
-            flat = solve_powerflow(graph, s_inj, y)
+            warm = solve_powerflow(graph, s_inj, y, v0=v0, setup=setup)
+            flat = solve_powerflow(graph, s_inj, y, setup=setup)
             for v in (warm, flat):
                 mism = nodal_mismatch(y, v, s_inj)
                 mism[graph.pos(graph.slack_bus())] = 0
