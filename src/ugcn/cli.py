@@ -17,6 +17,7 @@ import argparse
 import csv
 import glob
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -596,8 +597,13 @@ def cmd_eval(args) -> int:
     for key in ("stride", "fdi_stride"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    for key in ("horizons", "omegas"):
+        if not cfg[key]:
+            raise ConfigError(f"{key} must not be empty")
     if not all(type(h) is int and h >= 0 for h in cfg["horizons"]):
         raise ConfigError(f"horizons must be nonnegative integers, got {cfg['horizons']}")
+    if not all(type(w) in (int, float) and math.isfinite(w) for w in cfg["omegas"]):
+        raise ConfigError(f"omegas must be finite numbers, got {cfg['omegas']}")
     if not 0 < cfg["threshold"] < 1:
         raise ConfigError(f"threshold must lie strictly between 0 and 1, got {cfg['threshold']}")
     if cfg["max_attacks"] < 0:

@@ -2,10 +2,9 @@
 and a position-broadcast decoder head, with hand-rolled reverse-mode gradients.
 
 The network runs on a stack of B feature windows of one system at once:
-[B, N, m0] in, [B, n_out] out, and backward sums the parameter gradients over
+[B, N, m0] in, [B, N] out, and backward sums the parameter gradients over
 the windows.  The windows share the system's shift operator, pooling order
-and decoder position term; the last (`head_constant`) is formed once per
-system and parameter set.
+and decoder position term, which each forward forms once for its stack.
 
 Every learnable tensor has a shape independent of the graph size, so one
 parameter set runs on any system.  A parameter set is a dict of named
@@ -358,18 +357,17 @@ def _pool_learnable_back(grad: np.ndarray, cache: dict):
 # Full model
 
 
-def decoder_positions(n_out: int, n: int, node_order: np.ndarray | None) -> np.ndarray:
+def decoder_positions(n: int, node_order: np.ndarray | None) -> np.ndarray:
     """Decoder position codes in [0, 1].
 
-    With a node ordering available (and a matching output length) each bus is
-    coded by its normalized electrical rank, which makes the decoded profile a
-    function of feeder depth rather than label order.
+    With a node ordering available each bus is coded by its normalized
+    electrical rank, which makes the decoded profile a function of feeder
+    depth rather than label order; without one, by its label order.
     """
-    if node_order is not None and n_out == n:
-        rank = np.empty(n_out, dtype=float)
-        rank[np.asarray(node_order)] = np.arange(n_out, dtype=float)
-        return rank / max(n_out - 1, 1)
-    return np.arange(n_out, dtype=float) / max(n_out - 1, 1)
+    rank = np.arange(n, dtype=float)
+    if node_order is not None:
+        rank[np.asarray(node_order)] = np.arange(n, dtype=float)
+    return rank / max(n - 1, 1)
 
 
 def model_forward(
@@ -377,18 +375,14 @@ def model_forward(
     x: np.ndarray,
     params: dict[str, np.ndarray],
     cfg: LayerConfig,
-    n_out: int | None = None,
     node_order: np.ndarray | None = None,
     record: bool = False,
-    head: tuple | None = None,
 ):
     """Run the network on a stack of one system's feature windows.
 
     x is [B, N, m0] complex: B windows, channel m0-1 the newest estimate.
-    The output is [B, n_out], per window a complex phasor prediction per bus
-    (two real heads) or a real logit per bus; n_out defaults to N.  `head` is
-    the system's decoder constant from `head_constant` for the current
-    parameters; without it the constant is formed here.
+    The output is [B, N], per window a complex phasor prediction per bus
+    (two real heads) or a real logit per bus.
     """
     s_mat = np.asarray(s, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
@@ -398,7 +392,6 @@ def model_forward(
     if s_mat.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"S {s_mat.shape} vs {x.shape[1]} nodes")
     b, n, _ = x.shape
-    n_out = n if n_out is None else int(n_out)
 
     # Each later layer drops k_temporal lags, so the first one evaluates
     # (layers - 1) * k_temporal + 1 of them and the top layer is left with lag 0.
@@ -417,10 +410,8 @@ def model_forward(
     else:
         _, pooled, pool_cache = pool_learnable(top, params["assign"])
 
-    if head is None:
-        head = head_constant(decoder_positions(n_out, n, node_order), params)
     x_vec = np.concatenate([pooled.real.reshape(b, -1), pooled.imag.reshape(b, -1)], axis=1)
-    out, head_cache = _head(x_vec, head, params)
+    out, head_cache = _head(x_vec, decoder_positions(n, node_order), params)
 
     if cfg.outputs == 2:
         y = out[..., 0] + 1j * out[..., 1]
@@ -435,30 +426,24 @@ def model_forward(
     return y, tape
 
 
-def head_constant(positions: np.ndarray, params: dict[str, np.ndarray]):
-    """The decoder's per-system constant (positions, e_pos, E = e_pos w_t + b_t);
-    valid while the parameters it was formed from are unchanged."""
-    e_pos = np.tanh(positions[:, None] * params["w_pos"][None, :] + params["b_pos"][None, :])
-    return positions, e_pos, e_pos @ params["w_t"] + params["b_t"][None, :]
-
-
-def _head(x_vec: np.ndarray, head: tuple, params: dict[str, np.ndarray]):
+def _head(x_vec: np.ndarray, positions: np.ndarray, params: dict[str, np.ndarray]):
     """The decoder: each window's encoded block h broadcast over position-coded buses,
 
         pre_t[b, n] = (h[b] + e_pos[n]) w_t + b_t,   e_pos[n] = tanh(p_n w_pos + b_pos).
 
-    e_pos depends only on the system and the parameters, so the per-system
-    constant E = e_pos w_t + b_t of `head_constant` is formed once and each
-    window adds one row: pre_t[b] = (h[b] w_t)[None, :] + E.  x_vec is the
-    [B, head_inputs] stack of flattened pooled blocks; out is [B, n_out, outputs].
+    e_pos depends only on the system and the parameters, so the stack's
+    constant E = e_pos w_t + b_t is formed once and each window adds one row:
+    pre_t[b] = (h[b] w_t)[None, :] + E.  x_vec is the [B, head_inputs] stack of
+    flattened pooled blocks; out is [B, N, outputs].
     """
+    e_pos = np.tanh(positions[:, None] * params["w_pos"][None, :] + params["b_pos"][None, :])
     pre_h = x_vec @ params["w_enc"].T + params["b_enc"]
     h = np.maximum(pre_h, 0.0)
-    pre_t = (h @ params["w_t"])[:, None, :] + head[2]
+    pre_t = (h @ params["w_t"])[:, None, :] + (e_pos @ params["w_t"] + params["b_t"][None, :])
     t_act = np.maximum(pre_t, 0.0)
     d = params["w_t"].shape[0]
     out = (t_act.reshape(-1, d) @ params["w_out"] + params["b_out"]).reshape(*pre_t.shape[:2], -1)
-    cache = {"x_vec": x_vec, "pre_h": pre_h, "h": h, "head": head,
+    cache = {"x_vec": x_vec, "pre_h": pre_h, "h": h, "positions": positions, "e_pos": e_pos,
              "pre_t": pre_t, "t_act": t_act}
     return out, cache
 
@@ -473,13 +458,13 @@ def _head_back(cache: dict, params: dict[str, np.ndarray], g_out: np.ndarray):
     and the e_pos terms of the w_t, w_pos and b_pos gradients are linear in
     g_pre_t, so they contract its sum over the windows once.
     """
-    positions, e_pos, _ = cache["head"]
+    positions, e_pos = cache["positions"], cache["e_pos"]
     pre_t, t_act = cache["pre_t"], cache["t_act"]
     d = params["w_t"].shape[0]
     g_flat = g_out.reshape(-1, g_out.shape[-1])
     g_pre_t = (g_flat @ params["w_out"].T).reshape(pre_t.shape) * (pre_t > 0)
     col = g_pre_t.sum(axis=1)                                  # [B, d]
-    g_pos = g_pre_t.sum(axis=0)                                # [n_out, d]
+    g_pos = g_pre_t.sum(axis=0)                                # [N, d]
     g_pre_e = (g_pos @ params["w_t"].T) * (1.0 - e_pos ** 2)
     g_pre_h = (col @ params["w_t"].T) * (cache["pre_h"] > 0)     # [B, d]
     grads = {
@@ -494,7 +479,7 @@ def _head_back(cache: dict, params: dict[str, np.ndarray], g_out: np.ndarray):
 def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients of a recorded forward pass, summed over its windows.
 
-    grad_out is the [B, n_out] cogradient of the loss with respect to the
+    grad_out is the [B, N] cogradient of the loss with respect to the
     model output: complex for the two-head phasor output, real for logits.
     Returns the gradients by tensor name.
     """

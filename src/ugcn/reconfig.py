@@ -247,8 +247,7 @@ _TRANS_VARIANTS = ("param_change", "line_break")
 class _OpSampler:
     """Draws applicable ops for one graph family; owns fresh-id allocation and the subtree pool."""
 
-    def __init__(self, base: GridGraph, cfg: AugmentConfig, rng: np.random.Generator):
-        self.cfg = cfg
+    def __init__(self, base: GridGraph, rng: np.random.Generator):
         self.rng = rng
         self.pool: list[SubtreePayload] = []
         self.base_impedances = [br.impedance for br in base.in_service()]
@@ -336,7 +335,7 @@ def _generate_one(base: GridGraph, cfg: AugmentConfig, index: int) -> AugmentedS
     rng = np.random.default_rng([cfg.seed, index])
     lo, hi = cfg.node_bounds
     for _ in range(RETRY_BUDGET):
-        sampler = _OpSampler(base, cfg, rng)
+        sampler = _OpSampler(base, rng)
         g = base
         ops: list[ReconfigOp] = []
         n_ops = int(rng.integers(cfg.ops_range[0], cfg.ops_range[1] + 1))

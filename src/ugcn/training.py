@@ -23,13 +23,7 @@ import numpy as np
 from .caseio import decode_array, encode_array
 from .errors import ConfigError, DimensionMismatch, DivergedLoss
 from .grid import build_admittance, build_gso
-from .model import (
-    LayerConfig,
-    decoder_positions,
-    head_constant,
-    model_backward,
-    model_forward,
-)
+from .model import LayerConfig, model_backward, model_forward
 from .scenarios import WINDOW, ScenarioSet, build_features, feature_window
 from .estimation import PmuOperator
 
@@ -194,8 +188,12 @@ class TrainConfig:
     window: ClassVar[int] = WINDOW     # the feature window is fixed, not a setting
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 < self.lr_decay < np.inf:
+            raise ConfigError(f"lr_decay must be positive and finite, got {self.lr_decay}")
+        if not 0 <= self.attack_prob <= 1:
+            raise ConfigError(f"attack_prob must lie between 0 and 1, got {self.attack_prob}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.task not in (FORECAST, FDI):
@@ -245,7 +243,9 @@ class Model:
     params
         The learnable tensors by name, shaped and ordered as the model's shape
         table gives (`model.param_shapes`, `dense_shapes`).  Gradients, the
-        optimizer moments and the checkpoint check use the same names.
+        optimizer moments and the checkpoint check use the same names.  The
+        optimizer updates them in place, so a model keeps nothing derived
+        from them between calls.
     forward(ctx, x, record=False)
         A [B, N, window] stack of raw estimate windows of the system in `ctx`
         in, the [B, N] centered per-bus outputs out: complex phasors for
@@ -253,9 +253,6 @@ class Model:
     backward(tape, g)
         The parameter gradients by name for the [B, N] output cogradient `g`,
         summed over the windows.
-    tensors()
-        `params`, for the optimizer to update in place, so a model forms
-        anything it derives from them again after this call.
     copy(), finite()
         A copy with its own tensors; whether every tensor is finite.
 
@@ -272,9 +269,6 @@ class Model:
     def uncentered(self, y: np.ndarray) -> np.ndarray:
         return y + CENTER
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return self.params
-
     def copy(self) -> "Model":
         twin = copy.copy(self)
         twin.params = {name: t.copy() for name, t in self.params.items()}
@@ -282,39 +276,22 @@ class Model:
 
     def finite(self) -> bool:
         return all(np.all(np.isfinite(np.asarray(t).view(np.float64)))
-                   for t in self.tensors().values())
+                   for t in self.params.values())
 
 
 class UgcnPredictor(Model):
-    """The graph network: one parameter set and its architecture, for any system.
-
-    It keeps the decoder constant (`model.head_constant`) of the system it ran
-    last, so consecutive windows of one system share it; `tensors()`, the
-    path of every in-place update, drops it.
-    """
+    """The graph network: one parameter set and its architecture, for any system."""
 
     def __init__(self, params: dict[str, np.ndarray], model_cfg: LayerConfig):
         self.params = params
         self.cfg = model_cfg
-        self._head: tuple[SystemContext, tuple] | None = None
-
-    def _head_constant(self, ctx: SystemContext) -> tuple:
-        if self._head is None or self._head[0] is not ctx:
-            n = ctx.system.n
-            self._head = ctx, head_constant(decoder_positions(n, n, ctx.order), self.params)
-        return self._head[1]
 
     def forward(self, ctx: SystemContext, x: np.ndarray, record: bool = False):
         return model_forward(ctx.s, self.centered(x), self.params, self.cfg,
-                             node_order=ctx.order, record=record,
-                             head=self._head_constant(ctx))
+                             node_order=ctx.order, record=record)
 
     def backward(self, tape: dict, g: np.ndarray) -> dict[str, np.ndarray]:
         return model_backward(tape, g)
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        self._head = None
-        return super().tensors()
 
 
 @dataclass
@@ -394,6 +371,10 @@ def init_dense(
     depth: int = 4,
     seed: int = 0,
 ) -> DenseModel:
+    if hidden < 1:
+        raise ConfigError(f"dense_hidden must be at least 1, got {hidden}")
+    if depth < 0:
+        raise ConfigError(f"dense_depth must be nonnegative, got {depth}")
     rng = np.random.default_rng([seed, 53])
     params = {name: rng.standard_normal(shape) / np.sqrt(shape[0]) if name[0] == "w"
               else np.zeros(shape)
@@ -499,7 +480,7 @@ def train(
         if not np.isfinite(batch_loss):
             raise DivergedLoss(epoch, best["model"])
         opt.lr = cfg.lr * cfg.lr_decay ** epoch   # function of epoch: resume-safe
-        opt.step(model.tensors(), grads)
+        opt.step(model.params, grads)
         if not model.finite():
             raise DivergedLoss(epoch, best["model"])
 

@@ -477,6 +477,18 @@ def checkpoint(dataset, tmp_path_factory):
     ("eval", ["--set", "threshold=0"], "threshold must lie strictly between 0 and 1, got 0.0"),
     ("eval", ["--set", "max_attacks=-1"],
      "max_attacks must be nonnegative (0 replays every attack), got -1"),
+    ("train", ["--model", "dense", "--set", "dense_hidden=-5"],
+     "dense_hidden must be at least 1, got -5"),
+    ("train", ["--model", "dense", "--set", "dense_depth=-2"],
+     "dense_depth must be nonnegative, got -2"),
+    ("eval", ["--set", "horizons=[]"], "horizons must not be empty"),
+    ("eval", ["--set", "omegas=[]"], "omegas must not be empty"),
+    ("eval", ["--set", 'omegas=["a"]'], "omegas must be finite numbers, got ['a']"),
+    ("train", ["--set", "lr_decay=0"], "lr_decay must be positive and finite, got 0.0"),
+    ("train", ["--set", "attack_prob=1.5"], "attack_prob must lie between 0 and 1, got 1.5"),
+    ("eval", ["--set", "omegas=[0.5, NaN]"], "omegas must be finite numbers, got [0.5, nan]"),
+    ("train", ["--set", "lr=nan"], "lr must be positive and finite, got nan"),
+    ("train", ["--set", "lr_decay=inf"], "lr_decay must be positive and finite, got inf"),
 ])
 def test_out_of_range_numbers_exit_2(dataset, checkpoint, tmp_path, capsys,
                                      command, override, message):

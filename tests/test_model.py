@@ -17,7 +17,6 @@ from ugcn.model import (
     decoder_positions,
     fdi_config,
     forecast_config,
-    head_constant,
     init_params,
     model_backward,
     model_forward,
@@ -175,7 +174,7 @@ def naive_model(s, x, params, cfg, order):
     else:
         _, pooled, pool_cache = pool_learnable(top, params["assign"])
     x_vec = np.concatenate([pooled.real.ravel(), pooled.imag.ravel()])
-    out, head_back = naive_head(x_vec, decoder_positions(n, n, order), params)
+    out, head_back = naive_head(x_vec, decoder_positions(n, order), params)
     y = out[:, 0] + 1j * out[:, 1] if cfg.outputs == 2 else out[:, 0]
 
     def backward(grad_out):
@@ -312,13 +311,14 @@ class TestPooling:
 
 class TestHeadAndModel:
     def test_output_length_follows_request(self):
+        """One parameter set gives a [B, N] complex output for every system size N."""
         cfg = forecast_config(widths=(4, 6, 6), pooled_nodes=3, hidden=16)
         params = init_params(cfg, seed=0)
-        for n, n_out in ((12, 30), (12, 39), (12, 57), (12, 1), (12, 2)):
+        for n in (12, 30, 39, 57):
             s = random_gso(n, n)
             x = np.random.default_rng(n).standard_normal((2, n, 4)) * (0.1 + 0.05j)
-            y = model_forward(s, x, params, cfg, n_out=n_out)
-            assert y.shape == (2, n_out)
+            y = model_forward(s, x, params, cfg)
+            assert y.shape == (2, n)
             assert np.iscomplexobj(y)
 
     def test_zero_input_zero_preactivations(self):
@@ -439,8 +439,8 @@ class TestModelAgainstNaive:
 
     @pytest.mark.parametrize("pooling", [CUSTOM, LEARNABLE])
     def test_deferred_head_terms_match_summed_gradients(self, pooling):
-        """Stacks that share their system's decoder constant, passed in, against
-        the sum of each window's gradients with the constant formed per window."""
+        """Stacks that share their system's decoder constant against the sum of
+        each window's gradients with the constant formed per window."""
         cfg = LayerConfig(layers=2, k_spatial=2, k_temporal=1, widths=(3, 4, 4),
                           pooled_nodes=3, hidden=6, pooling=pooling,
                           outputs=2 if pooling == LEARNABLE else 1)
@@ -450,11 +450,10 @@ class TestModelAgainstNaive:
         for n, b in ((6, 3), (9, 2), (6, 1)):
             order = rng.permutation(n)
             s = random_gso(n, 80 + n)
-            head = head_constant(decoder_positions(n, n, order), params)
             x = rng.standard_normal((b, n, 3)) + 1j * rng.standard_normal((b, n, 3))
             g = rng.standard_normal((b, n)) + (1j * rng.standard_normal((b, n))
                                                if cfg.outputs == 2 else 0)
-            _, tape = model_forward(s, x, params, cfg, node_order=order, record=True, head=head)
+            _, tape = model_forward(s, x, params, cfg, node_order=order, record=True)
             add_grads(total, model_backward(tape, g))
             for i in range(b):
                 _, tape = model_forward(s, x[i:i + 1], params, cfg, node_order=order,

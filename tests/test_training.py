@@ -154,7 +154,7 @@ def tiny_fdi_family():
 
 
 def params_digest(params):
-    blob = b"".join(np.ascontiguousarray(v).tobytes() for v in params.tensors().values())
+    blob = b"".join(np.ascontiguousarray(v).tobytes() for v in params.params.values())
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -174,10 +174,10 @@ class TestTrainLoop:
         before = model.forward(ctx, x)
         rng = np.random.default_rng(0)
         grads = {}
-        for name, t in model.tensors().items():
+        for name, t in model.params.items():
             g = rng.standard_normal(t.shape)
             grads[name] = g + 1j * rng.standard_normal(t.shape) if np.iscomplexobj(t) else g
-        Adam(lr=1e-2).step(model.tensors(), grads)
+        Adam(lr=1e-2).step(model.params, grads)
         after = model.forward(ctx, x)
         fresh = UgcnPredictor(model.params.copy(), self.CFG).forward(ctx, x)
         assert not np.array_equal(after, before)
@@ -325,8 +325,8 @@ class TestDenseBaseline:
             target = (rng.random((2, system.n)) > 0.5) * 1.0
         y, tape = model.forward(ctx, x, record=True)
         grads = model.backward(tape, loss_grad(y, target)[1])
-        assert grads.keys() == model.tensors().keys()
-        for name, tensor in model.tensors().items():
+        assert grads.keys() == model.params.keys()
+        for name, tensor in model.params.items():
             flat = tensor.reshape(-1)
             for i in rng.choice(flat.size, 3, replace=False):
                 keep = flat[i]
