@@ -457,10 +457,18 @@ def _layer_config(cfg: dict) -> LayerConfig:
         raise ConfigError(
             f"widths[0] must equal the feature window of {WINDOW} steps, got {widths[0]}"
         )
+    k_temporal = cfg["k_temporal"] if task == "forecast" else 0
+    # the first layer reads lags up to layers * k_temporal; past the window
+    # they would read only zero padding
+    if layers * k_temporal >= WINDOW:
+        raise ConfigError(
+            f"layers * k_temporal must stay below the feature window of {WINDOW} steps, "
+            f"got {layers} * {k_temporal}"
+        )
     return LayerConfig(
         layers=layers,
         k_spatial=cfg["k_spatial"],
-        k_temporal=cfg["k_temporal"] if task == "forecast" else 0,
+        k_temporal=k_temporal,
         widths=widths,
         pooled_nodes=cfg["pooled_nodes"],
         hidden=cfg["hidden"],

@@ -1,10 +1,16 @@
 """The network: complex spatio-temporal graph convolutions, adaptive pooling,
 and a position-broadcast decoder head, with hand-rolled reverse-mode gradients.
 
-The network runs on a stack of B feature windows of one system at once:
-[B, N, m0] in, [B, N] out, and backward sums the parameter gradients over
-the windows.  The windows share the system's shift operator, pooling order
-and decoder position term, which each forward forms once for its stack.
+The network runs on a batch of systems at once.  Each part of the batch is
+one system's shift operator, node order and [B, N, m0] stack of windows, and
+each part's output is [B, N].  The convolutions and pooling run part by
+part, because each system has its own shift operator; the decoder runs once
+over the [sum B, head_inputs] block of every part's pooled windows.  Backward
+sums the parameter gradients over all windows of all parts.  The recorded
+tape is kept lean.  Per part it holds layer 0's input, the top layer's ReLU
+mask as bool and the pooling cache; backward runs the layers below the top
+one again from the input.  For the batch it holds the decoder's [sum B, d]
+and [sum N, d] terms; no [B, N, d] decoder array outlives its part.
 
 Every learnable tensor has a shape independent of the graph size, so one
 parameter set runs on any system.  A parameter set is a dict of named
@@ -159,12 +165,26 @@ def split_relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z.view(np.float64), 0.0).view(np.complex128)
 
 
-def _relu_back(grad: np.ndarray, pre: np.ndarray) -> np.ndarray:
+def _relu_mask(pre: np.ndarray) -> np.ndarray:
+    """Where the split ReLU passes: a bool per real component, over the float view."""
+    return pre.view(np.float64) > 0
+
+
+def _relu_back(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
     grad = np.ascontiguousarray(grad, dtype=np.complex128)
-    return (grad.view(np.float64) * (pre.view(np.float64) > 0)).view(np.complex128)
+    return (grad.view(np.float64) * mask).view(np.complex128)
 
 
-def _conv_layer(s_mat: np.ndarray, stack: np.ndarray, taps: np.ndarray):
+def _lag_windows(stack: np.ndarray, t1: int) -> np.ndarray:
+    """The [N B R, t1 F_in] windows of t1 consecutive lags of an [N, B, J, F_in]
+    stack, R = J - t1 + 1; a view of the stack, no copy, when R is 1."""
+    n, b, j, f_in = stack.shape
+    r = j - t1 + 1
+    return sliding_window_view(stack, t1, axis=2).transpose(0, 1, 2, 4, 3).reshape(
+        n * b * r, t1 * f_in)
+
+
+def _conv_layer(s_mat: np.ndarray, stack: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Pre-activations of one layer at every output lag the stack supports.
 
     stack is [N, B, J, F_in] with lag j of window b at stack[:, b, j]; output
@@ -172,30 +192,28 @@ def _conv_layer(s_mat: np.ndarray, stack: np.ndarray, taps: np.ndarray):
     output lags.  The sum is taken as sum_k S^k (win H_k): one GEMM contracts
     (tau, F_in) for every k at once, and S then acts in Horner form on the
     [N, B R F_out] side, narrower than the [N, B J F_in] side it would act on
-    before the GEMM.  Returns ([N, B, R, F_out] pre-activations,
-    [N B R, (Kt+1) F_in] lag windows).
+    before the GEMM.  Returns the [N, B, R, F_out] pre-activations.
     """
     k1, t1, f_in, f_out = taps.shape
     n, b, j, _ = stack.shape
     r = j - t1 + 1
-    # a view of the stack, no copy, when a single output lag is left
-    win = sliding_window_view(stack, t1, axis=2).transpose(0, 1, 2, 4, 3).reshape(
-        n * b * r, t1 * f_in)
+    win = _lag_windows(stack, t1)
     y = (win @ taps.transpose(1, 2, 0, 3).reshape(t1 * f_in, k1 * f_out)).reshape(
         n, b * r, k1, f_out)
     pre = y[:, :, k1 - 1].copy()
     for k in range(k1 - 2, -1, -1):
         pre = (s_mat @ pre.reshape(n, -1)).reshape(n, b * r, f_out)
         pre += y[:, :, k]
-    return pre.reshape(n, b, r, f_out), win
+    return pre.reshape(n, b, r, f_out)
 
 
-def _conv_layer_back(s_mat: np.ndarray, win: np.ndarray, g_pre: np.ndarray, taps: np.ndarray):
+def _conv_layer_back(s_mat: np.ndarray, stack: np.ndarray, g_pre: np.ndarray, taps: np.ndarray):
     """Tap gradient of one layer and the gradient of its input stack.
 
     With U_k = (S^H)^k g_pre, the product win H_k has gradient U_k, so
     g_H = win^H [U_0 .. U_K] and g_win = [U_0 .. U_K] H^H are one GEMM each;
-    g_win then scatters back to the lags it was read from.
+    g_win then scatters back to the lags it was read from.  The lag windows
+    are formed again from the layer's input stack.
     """
     k1, t1, f_in, f_out = taps.shape
     n, b, r, _ = g_pre.shape
@@ -207,6 +225,7 @@ def _conv_layer_back(s_mat: np.ndarray, win: np.ndarray, g_pre: np.ndarray, taps
         cur = (s_h @ cur.reshape(n, -1)).reshape(n, b * r, f_out)
         u[:, :, k] = cur
     u = u.reshape(n * b * r, k1 * f_out)
+    win = _lag_windows(stack, t1)
     g_taps = (win.conj().T @ u).reshape(t1, f_in, k1, f_out).transpose(2, 0, 1, 3)
     g_win = (u @ taps.transpose(1, 2, 0, 3).reshape(t1 * f_in, k1 * f_out).conj().T).reshape(
         n, b, r, t1, f_in)
@@ -224,28 +243,32 @@ def _input_pairs(t1: int, f_in: int, lags: int):
     return [(tau, r, r + tau) for r in range(lags) for tau in range(t1) if r + tau < f_in]
 
 
-def _input_layer(s_mat: np.ndarray, x: np.ndarray, taps: np.ndarray, lags: int):
+def _shift_products(s_mat: np.ndarray, x: np.ndarray, k1: int) -> np.ndarray:
+    """[N B, k1 F_in]: the products S^k x, k < k1, of a [B, N, F_in] stack side by side."""
+    b, n, f_in = x.shape
+    prods = np.empty((n, k1, b * f_in), dtype=np.complex128)       # [:, k] = S^k x
+    prods[:, 0] = x.transpose(1, 0, 2).reshape(n, b * f_in)
+    for k in range(1, k1):
+        np.matmul(s_mat, prods[:, k - 1], out=prods[:, k])
+    return prods.reshape(n, k1, b, f_in).transpose(0, 2, 1, 3).reshape(n * b, k1 * f_in)
+
+
+def _input_layer(z: np.ndarray, taps: np.ndarray, lags: int, n: int) -> np.ndarray:
     """Pre-activations of the first layer at output lags 0 .. lags-1.
 
-    x is [N, B, F_in].  Lag r + tau of the input is x with its channels
+    z is the [N B, (K+1) F_in] block of products S^k x of a [B, N, F_in] input
+    x (`_shift_products`).  Lag r + tau of the input is x with its channels
     shifted by r + tau, and a channel shift is a linear map on the F_in side,
     so sum_tau S^k shift(x, r + tau) H[k, tau] = (S^k x) W[k, :, r] with the
     folded taps W[k, c, r] = sum_tau H[k, tau, c + r + tau].  S acts on the
     narrow x, and one GEMM contracts (k, F_in) for every output lag.  Returns
-    ([N, B, lags, F_out] pre-activations, [N B, (K+1) F_in] products).
+    the [N, B, lags, F_out] pre-activations.
     """
     k1, t1, f_in, f_out = taps.shape
-    n, b, _ = x.shape
     folded = np.zeros((k1, f_in, lags, f_out), dtype=np.complex128)
     for tau, r, d in _input_pairs(t1, f_in, lags):
         folded[:, : f_in - d, r] += taps[:, tau, d:]
-    prods = np.empty((n, k1, b * f_in), dtype=np.complex128)       # [:, k] = S^k x
-    prods[:, 0] = x.reshape(n, b * f_in)
-    for k in range(1, k1):
-        np.matmul(s_mat, prods[:, k - 1], out=prods[:, k])
-    z = prods.reshape(n, k1, b, f_in).transpose(0, 2, 1, 3).reshape(n * b, k1 * f_in)
-    pre = (z @ folded.reshape(k1 * f_in, lags * f_out)).reshape(n, b, lags, f_out)
-    return pre, z
+    return (z @ folded.reshape(k1 * f_in, lags * f_out)).reshape(n, -1, lags, f_out)
 
 
 def _input_layer_back(z: np.ndarray, g_pre: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -257,6 +280,22 @@ def _input_layer_back(z: np.ndarray, g_pre: np.ndarray, taps: np.ndarray) -> np.
     for tau, r, d in _input_pairs(t1, f_in, lags):
         g_taps[:, tau, d:] += g_folded[:, : f_in - d, r]
     return g_taps
+
+
+def _conv_pres(s_mat: np.ndarray, z: np.ndarray, params: dict[str, np.ndarray],
+               cfg: LayerConfig, depth: int) -> list[np.ndarray]:
+    """Pre-activations of conv layers 0 .. depth-1 from layer 0's S^k x
+    products z, [N, B, lags, F_out] each.  Each later layer drops k_temporal
+    lags, so the first one evaluates (layers - 1) * k_temporal + 1 of them and
+    the top layer is left with lag 0."""
+    pres = []
+    for l in range(depth):
+        if l == 0:
+            pres.append(_input_layer(z, params["conv.0"], (cfg.layers - 1) * cfg.k_temporal + 1,
+                                     len(s_mat)))
+        else:
+            pres.append(_conv_layer(s_mat, split_relu(pres[-1]), params[f"conv.{l}"]))
+    return pres
 
 
 def _cluster_sizes(n: int, n_p: int) -> np.ndarray:
@@ -370,20 +409,7 @@ def decoder_positions(n: int, node_order: np.ndarray | None) -> np.ndarray:
     return rank / max(n - 1, 1)
 
 
-def model_forward(
-    s,
-    x: np.ndarray,
-    params: dict[str, np.ndarray],
-    cfg: LayerConfig,
-    node_order: np.ndarray | None = None,
-    record: bool = False,
-):
-    """Run the network on a stack of one system's feature windows.
-
-    x is [B, N, m0] complex: B windows, channel m0-1 the newest estimate.
-    The output is [B, N], per window a complex phasor prediction per bus
-    (two real heads) or a real logit per bus.
-    """
+def _checked_part(s, x, node_order, cfg: LayerConfig):
     s_mat = np.asarray(s, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 3 or x.shape[2] != cfg.widths[0]:
@@ -391,121 +417,187 @@ def model_forward(
             f"input {x.shape} is not a [B, N, {cfg.widths[0]}] stack of windows")
     if s_mat.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"S {s_mat.shape} vs {x.shape[1]} nodes")
-    b, n, _ = x.shape
+    return s_mat, x, node_order
 
-    # Each later layer drops k_temporal lags, so the first one evaluates
-    # (layers - 1) * k_temporal + 1 of them and the top layer is left with lag 0.
-    # Inside the conv stack the node axis leads: [N, B, lags, F].
-    pre, z = _input_layer(s_mat, x.transpose(1, 0, 2), params["conv.0"],
-                          (cfg.layers - 1) * cfg.k_temporal + 1)
-    pres, stacks = [pre], [z]
-    for l in range(1, cfg.layers):
-        pre, z = _conv_layer(s_mat, split_relu(pre), params[f"conv.{l}"])
-        pres.append(pre)
-        stacks.append(z)
-    top = split_relu(pre)[:, :, 0].transpose(1, 0, 2)          # [B, N, F]
 
-    if cfg.pooling == CUSTOM:
-        pooled, pool_cache = pool_custom(top, cfg.pooled_nodes, node_order)
-    else:
-        _, pooled, pool_cache = pool_learnable(top, params["assign"])
+def model_forward(parts, params: dict[str, np.ndarray], cfg: LayerConfig, record: bool = False):
+    """Run the network on a batch of systems.
 
-    x_vec = np.concatenate([pooled.real.reshape(b, -1), pooled.imag.reshape(b, -1)], axis=1)
-    out, head_cache = _head(x_vec, decoder_positions(n, node_order), params)
+    parts is a sequence of (s, x, node_order), one per system: s its [N, N]
+    shift operator, x a [B, N, m0] complex stack of B windows (channel m0-1
+    the newest estimate), node_order its BFS order or None.  Returns one
+    [B, N] output per part, per window a complex phasor prediction per bus
+    (two real heads) or a real logit per bus; with `record`, (outputs, tape).
+    """
+    parts = [_checked_part(s, x, order, cfg) for s, x, order in parts]
+    if not parts:
+        raise DimensionMismatch("model_forward needs at least one part")
+    # each part's rows of the [sum B, ...] window block and of the [sum N, ...] bus block
+    rows = np.cumsum([0] + [x.shape[0] for _, x, _ in parts])
+    nodes = np.cumsum([0] + [x.shape[1] for _, x, _ in parts])
+    spans = [(slice(*rows[i:i + 2]), slice(*nodes[i:i + 2])) for i in range(len(parts))]
+    half = cfg.head_inputs // 2
+    x_vec = np.empty((rows[-1], cfg.head_inputs))
+    tapes = []
+    for (s_mat, x, order), (part_rows, _) in zip(parts, spans):
+        # inside the conv stack the node axis leads: [N, B, lags, F]
+        pre = _conv_pres(s_mat, _shift_products(s_mat, x, cfg.k_spatial + 1), params, cfg,
+                         cfg.layers)[-1]
+        top = split_relu(pre)[:, :, 0].transpose(1, 0, 2)          # [B, N, F]
+        if cfg.pooling == CUSTOM:
+            pooled, pool_cache = pool_custom(top, cfg.pooled_nodes, order)
+        else:
+            _, pooled, pool_cache = pool_learnable(top, params["assign"])
+        x_vec[part_rows, :half] = pooled.real.reshape(len(pooled), -1)
+        x_vec[part_rows, half:] = pooled.imag.reshape(len(pooled), -1)
+        if record:
+            tapes.append({"s": s_mat, "x": x, "mask": _relu_mask(pre), "pool_cache": pool_cache})
 
-    if cfg.outputs == 2:
-        y = out[..., 0] + 1j * out[..., 1]
-    else:
-        y = out[..., 0]
+    head = _head(x_vec, np.concatenate([decoder_positions(x.shape[1], order)
+                                        for _, x, order in parts]), params)
+    ys = []
+    for (_, x, _), span in zip(parts, spans):
+        out = np.maximum(_head_part(head, *span), 0.0).reshape(-1, cfg.hidden) @ params["w_out"]
+        out = (out + params["b_out"]).reshape(*x.shape[:2], -1)
+        ys.append(out[..., 0] + 1j * out[..., 1] if cfg.outputs == 2 else out[..., 0])
     if not record:
-        return y
-    tape = {
-        "cfg": cfg, "params": params, "s": s_mat, "pres": pres, "stacks": stacks,
-        "pool_cache": pool_cache, "pooled_shape": pooled.shape, **head_cache,
-    }
-    return y, tape
+        return ys
+    return ys, {"cfg": cfg, "params": params, "head": head, "spans": spans, "parts": tapes}
 
 
-def _head(x_vec: np.ndarray, positions: np.ndarray, params: dict[str, np.ndarray]):
-    """The decoder: each window's encoded block h broadcast over position-coded buses,
+def _head(x_vec: np.ndarray, positions: np.ndarray, params: dict[str, np.ndarray]) -> dict:
+    """The decoder terms that every part of a batch shares.
 
-        pre_t[b, n] = (h[b] + e_pos[n]) w_t + b_t,   e_pos[n] = tanh(p_n w_pos + b_pos).
+    The decoder broadcasts each window's encoded block h over its system's
+    position-coded buses,
 
-    e_pos depends only on the system and the parameters, so the stack's
-    constant E = e_pos w_t + b_t is formed once and each window adds one row:
-    pre_t[b] = (h[b] w_t)[None, :] + E.  x_vec is the [B, head_inputs] stack of
-    flattened pooled blocks; out is [B, N, outputs].
+        pre_t[b, n] = (h[b] + e_pos[n]) w_t + b_t,   e_pos[n] = tanh(p_n w_pos + b_pos),
+
+    taken as pre_t[b, n] = hw[b] + E[n] with hw = h w_t and E = e_pos w_t + b_t.
+    x_vec is the [sum B, head_inputs] block of every window's flattened pooled
+    block and positions the [sum N] codes of every part's buses, so one GEMM
+    forms each of h, hw and E for the whole batch.  e_pos is not kept:
+    backward forms it again.
     """
-    e_pos = np.tanh(positions[:, None] * params["w_pos"][None, :] + params["b_pos"][None, :])
-    pre_h = x_vec @ params["w_enc"].T + params["b_enc"]
-    h = np.maximum(pre_h, 0.0)
-    pre_t = (h @ params["w_t"])[:, None, :] + (e_pos @ params["w_t"] + params["b_t"][None, :])
-    t_act = np.maximum(pre_t, 0.0)
-    d = params["w_t"].shape[0]
-    out = (t_act.reshape(-1, d) @ params["w_out"] + params["b_out"]).reshape(*pre_t.shape[:2], -1)
-    cache = {"x_vec": x_vec, "pre_h": pre_h, "h": h, "positions": positions, "e_pos": e_pos,
-             "pre_t": pre_t, "t_act": t_act}
-    return out, cache
+    e_pos = _position_codes(positions, params)
+    h = np.maximum(x_vec @ params["w_enc"].T + params["b_enc"], 0.0)
+    return {"x_vec": x_vec, "positions": positions, "h": h,
+            "hw": h @ params["w_t"], "e": e_pos @ params["w_t"] + params["b_t"][None, :]}
 
 
-def _head_back(cache: dict, params: dict[str, np.ndarray], g_out: np.ndarray):
-    """Decoder gradients summed over the windows, and the gradient of each
-    window's flattened pooled block.
+def _position_codes(positions: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
+    """e_pos = tanh(p w_pos + b_pos), one row per bus."""
+    return np.tanh(positions[:, None] * params["w_pos"][None, :] + params["b_pos"][None, :])
 
-    With col[b] = sum_n g_pre_t[b, n], the w_t gradient is
-    sum_b outer(h[b], col[b]) + e_pos^T sum_b g_pre_t[b], and g_h[b] = w_t col[b].
-    The outer products over windows are one GEMM each (for w_t and w_enc),
-    and the e_pos terms of the w_t, w_pos and b_pos gradients are linear in
-    g_pre_t, so they contract its sum over the windows once.
+
+def _head_part(head: dict, rows: slice, nodes: slice) -> np.ndarray:
+    """One part's [B, N, d] pre_t: its windows' rows of hw over its buses' rows of E."""
+    return head["hw"][rows][:, None, :] + head["e"][nodes]
+
+
+def _head_back(head: dict, params: dict[str, np.ndarray], spans, g_outs):
+    """Decoder gradients summed over every window, and the gradient of x_vec.
+
+    spans holds each part's (rows, nodes) slices and g_outs its [B, N, outputs]
+    output gradient.  Part by part, pre_t is formed again and reduced to
+    col[b] = sum_n g_pre_t[b, n] and g_pos[n] = sum_b g_pre_t[b, n]; then the
+    w_t gradient is h^T col + e_pos^T g_pos, g_h = col w_t^T, and the e_pos
+    terms of the w_pos and b_pos gradients contract g_pos, one GEMM each over
+    the batch.  The [sum N, d] position terms are released before the w_enc
+    gradient is formed.
     """
-    positions, e_pos = cache["positions"], cache["e_pos"]
-    pre_t, t_act = cache["pre_t"], cache["t_act"]
-    d = params["w_t"].shape[0]
-    g_flat = g_out.reshape(-1, g_out.shape[-1])
-    g_pre_t = (g_flat @ params["w_out"].T).reshape(pre_t.shape) * (pre_t > 0)
-    col = g_pre_t.sum(axis=1)                                  # [B, d]
-    g_pos = g_pre_t.sum(axis=0)                                # [N, d]
+    grads, col, g_pos = _broadcast_back(head, params, spans, g_outs)
+    e_pos = _position_codes(head["positions"], params)
+    w_t_pos = e_pos.T @ g_pos
     g_pre_e = (g_pos @ params["w_t"].T) * (1.0 - e_pos ** 2)
-    g_pre_h = (col @ params["w_t"].T) * (cache["pre_h"] > 0)     # [B, d]
-    grads = {
-        "w_out": t_act.reshape(-1, d).T @ g_flat, "b_out": g_flat.sum(axis=0),
-        "w_t": cache["h"].T @ col + e_pos.T @ g_pos, "b_t": col.sum(axis=0),
-        "w_pos": positions @ g_pre_e, "b_pos": g_pre_e.sum(axis=0),
-        "w_enc": g_pre_h.T @ cache["x_vec"], "b_enc": g_pre_h.sum(axis=0),
-    }
+    del e_pos, g_pos
+    grads["w_pos"] = head["positions"] @ g_pre_e
+    grads["b_pos"] = g_pre_e.sum(axis=0)
+    del g_pre_e
+    h = head["h"]
+    grads["w_t"] = h.T @ col + w_t_pos
+    grads["b_t"] = col.sum(axis=0)
+    g_pre_h = (col @ params["w_t"].T) * (h > 0)
+    grads["w_enc"] = g_pre_h.T @ head["x_vec"]
+    grads["b_enc"] = g_pre_h.sum(axis=0)
     return grads, g_pre_h @ params["w_enc"]
 
 
-def model_backward(tape: dict, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients of a recorded forward pass, summed over its windows.
+def _broadcast_back(head: dict, params: dict[str, np.ndarray], spans, g_outs):
+    """The w_out and b_out gradients, col [sum B, d] and g_pos [sum N, d],
+    with each part's [B, N, d] arrays formed and released in turn."""
+    w_out = params["w_out"]
+    d = w_out.shape[0]
+    col = np.empty_like(head["h"])
+    g_pos = np.empty_like(head["e"])
+    grads = {"w_out": np.zeros_like(w_out), "b_out": np.zeros_like(params["b_out"])}
+    for (rows, nodes), g_out in zip(spans, g_outs):
+        pre_t = _head_part(head, rows, nodes)
+        g_flat = g_out.reshape(-1, g_out.shape[-1])
+        g_pre_t = (g_flat @ w_out.T).reshape(pre_t.shape)
+        g_pre_t *= pre_t > 0
+        grads["w_out"] += np.maximum(pre_t, 0.0, out=pre_t).reshape(-1, d).T @ g_flat
+        grads["b_out"] += g_flat.sum(axis=0)
+        col[rows] = g_pre_t.sum(axis=1)
+        g_pos[nodes] = g_pre_t.sum(axis=0)
+    return grads, col, g_pos
 
-    grad_out is the [B, N] cogradient of the loss with respect to the
-    model output: complex for the two-head phasor output, real for logits.
-    Returns the gradients by tensor name.
+
+def _add(grads: dict, name: str, g: np.ndarray) -> None:
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
+
+
+def model_backward(tape: dict, grads_out) -> dict[str, np.ndarray]:
+    """Parameter gradients of a recorded forward pass, summed over every
+    window of every part.
+
+    grads_out holds one [B, N] cogradient of the loss with respect to each
+    part's output: complex for the two-head phasor output, real for logits.
+    Returns the gradients by tensor name, in `param_shapes` order.
     """
     if not isinstance(tape, dict) or "cfg" not in tape:
         raise NoForwardRecorded("model_backward needs the tape from model_forward(record=True)")
     cfg: LayerConfig = tape["cfg"]
     params: dict[str, np.ndarray] = tape["params"]
-    grad_out = np.asarray(grad_out)
-    if cfg.outputs == 2:
-        g_out = np.stack([grad_out.real, grad_out.imag], axis=-1)
-    else:
-        g_out = grad_out.real[..., None]
-    grads, g_x_vec = _head_back(tape, params, g_out)
+    parts = tape["parts"]
+    if len(grads_out) != len(parts):
+        raise DimensionMismatch(f"{len(grads_out)} output gradients for {len(parts)} parts")
+    g_outs = []
+    for g in grads_out:
+        g = np.asarray(g)
+        g_outs.append(np.stack([g.real, g.imag], axis=-1) if cfg.outputs == 2
+                      else g.real[..., None])
+    grads, g_x_vec = _head_back(tape["head"], params, tape["spans"], g_outs)
 
-    b, n_p, width = tape["pooled_shape"]
-    half = n_p * width
-    g_pooled = (g_x_vec[:, :half] + 1j * g_x_vec[:, half:]).reshape(b, n_p, width)
+    for part, (part_rows, _) in zip(parts, tape["spans"]):
+        _part_back(part, g_x_vec[part_rows], params, cfg, grads)
+    return {name: grads[name] for name in params}
+
+
+def _part_back(part: dict, g_rows: np.ndarray, params: dict[str, np.ndarray],
+               cfg: LayerConfig, grads: dict) -> None:
+    """Add one part's pooling and convolution gradients to `grads`, given the
+    gradient of its rows of x_vec.  A function of its own, so that a part's
+    arrays are released before the next part's are formed."""
+    half = cfg.head_inputs // 2
+    g_pooled = (g_rows[:, :half] + 1j * g_rows[:, half:]).reshape(
+        len(g_rows), cfg.pooled_nodes, cfg.pooled_width)
     if cfg.pooling == CUSTOM:
-        g_top = _pool_custom_back(g_pooled, tape["pool_cache"])
+        g_top = _pool_custom_back(g_pooled, part["pool_cache"])
     else:
-        grads["assign"], g_top = _pool_learnable_back(g_pooled, tape["pool_cache"])
-
-    g_pre = _relu_back(g_top.transpose(1, 0, 2)[:, :, None, :], tape["pres"][-1])
+        g_assign, g_top = _pool_learnable_back(g_pooled, part["pool_cache"])
+        _add(grads, "assign", g_assign)
+    # the layers below the top one run again from x, as the forward ran them;
+    # an activation is positive where its pre-activation is
+    s_mat = part["s"]
+    z = _shift_products(s_mat, part["x"], cfg.k_spatial + 1)
+    stacks = [split_relu(pre) for pre in _conv_pres(s_mat, z, params, cfg, cfg.layers - 1)]
+    g_pre = _relu_back(g_top.transpose(1, 0, 2)[:, :, None, :], part["mask"])
     for l in range(cfg.layers - 1, 0, -1):
-        grads[f"conv.{l}"], g_act = _conv_layer_back(
-            tape["s"], tape["stacks"][l], g_pre, params[f"conv.{l}"])
-        g_pre = _relu_back(g_act, tape["pres"][l - 1])
-    grads["conv.0"] = _input_layer_back(tape["stacks"][0], g_pre, params["conv.0"])
-    return grads
+        g_taps, g_act = _conv_layer_back(s_mat, stacks[l - 1], g_pre, params[f"conv.{l}"])
+        _add(grads, f"conv.{l}", g_taps)
+        g_pre = _relu_back(g_act, _relu_mask(stacks[l - 1]))
+    _add(grads, "conv.0", _input_layer_back(z, g_pre, params["conv.0"]))

@@ -2,12 +2,14 @@
 
 One parameter set is optimized over a family of reconfigured systems: each
 epoch samples a batch of systems, averages their per-window losses, and takes
-an Adam step on the shared tensors.  Evaluation is zero-shot: trained
-parameters run unchanged on systems never seen in training.  The dense
-baseline is the conventional fixed-input network trained on the base topology
-only; other topologies are mapped onto its input slots by bus id.  Both
-models implement the protocol of `Model`, so one loop trains them and the
-same evaluators score them.
+an Adam step on the shared tensors.  The epoch's systems run through the
+model as one batch, in one forward and one backward, and validation is one
+forward over every system.  Evaluation is zero-shot: trained parameters run
+unchanged on systems never seen in training, one system (forecasting) or one
+attack (FDI) per forward.  The dense baseline is the conventional
+fixed-input network trained on the base topology only; other topologies are
+mapped onto its input slots by bus id.  Both models implement the protocol
+of `Model`, so one loop trains them and the same evaluators score them.
 """
 
 from __future__ import annotations
@@ -205,6 +207,9 @@ class TrainConfig:
                 f"windows_per_system must be at least 1, got {self.windows_per_system}")
         if self.horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
+        if self.early_stop_patience < 1:
+            raise ConfigError(
+                f"early_stop_patience must be at least 1, got {self.early_stop_patience}")
 
     @property
     def lead(self) -> int:
@@ -246,13 +251,14 @@ class Model:
         optimizer moments and the checkpoint check use the same names.  The
         optimizer updates them in place, so a model keeps nothing derived
         from them between calls.
-    forward(ctx, x, record=False)
-        A [B, N, window] stack of raw estimate windows of the system in `ctx`
-        in, the [B, N] centered per-bus outputs out: complex phasors for
-        forecasting, real logits for FDI.  With `record`, (output, tape).
-    backward(tape, g)
-        The parameter gradients by name for the [B, N] output cogradient `g`,
-        summed over the windows.
+    forward(batch, record=False)
+        A batch of (ctx, x) pairs in, each x a [B, N, window] stack of raw
+        estimate windows of the system in `ctx`; a list of the [B, N] centered
+        per-bus outputs out, one per pair: complex phasors for forecasting,
+        real logits for FDI.  With `record`, (outputs, tape).
+    backward(tape, gs)
+        The parameter gradients by name for the output cogradients `gs`, one
+        [B, N] array per pair, summed over every window of the batch.
     copy(), finite()
         A copy with its own tensors; whether every tensor is finite.
 
@@ -286,12 +292,12 @@ class UgcnPredictor(Model):
         self.params = params
         self.cfg = model_cfg
 
-    def forward(self, ctx: SystemContext, x: np.ndarray, record: bool = False):
-        return model_forward(ctx.s, self.centered(x), self.params, self.cfg,
-                             node_order=ctx.order, record=record)
+    def forward(self, batch, record: bool = False):
+        return model_forward([(ctx.s, self.centered(x), ctx.order) for ctx, x in batch],
+                             self.params, self.cfg, record=record)
 
-    def backward(self, tape: dict, g: np.ndarray) -> dict[str, np.ndarray]:
-        return model_backward(tape, g)
+    def backward(self, tape: dict, gs) -> dict[str, np.ndarray]:
+        return model_backward(tape, gs)
 
 
 @dataclass
@@ -302,7 +308,8 @@ class DenseModel(Model):
     whose bus the system lacks reads the flat profile; a bus without a slot
     is predicted at the flat profile (forecast) or as confidently clean
     (FDI), and passes no gradient.  Layer i is `params["w{i}"]` and
-    `params["b{i}"]`, shaped as `dense_shapes` gives.
+    `params["b{i}"]`, shaped as `dense_shapes` gives.  A batch's windows run
+    through the layers as one block of rows.
     """
 
     bus_slots: tuple[int, ...]
@@ -315,34 +322,42 @@ class DenseModel(Model):
         pairs = [(j, slot_of[b]) for j, b in enumerate(ctx.system.graph.bus_ids) if b in slot_of]
         return np.array(pairs, dtype=int).reshape(-1, 2).T
 
-    def forward(self, ctx: SystemContext, x: np.ndarray, record: bool = False):
-        buses, slots = self._shared(ctx)
+    def forward(self, batch, record: bool = False):
         n = len(self.bus_slots)
-        b = x.shape[0]
-        grid = np.zeros((b, n, WINDOW), dtype=np.complex128)
-        grid[:, slots] = self.centered(x)[:, buses]
-        h = np.concatenate([grid.real.reshape(b, -1), grid.imag.reshape(b, -1)], axis=1)
+        # per pair: its rows of the block, its shared buses and their slots
+        spans, lo = [], 0
+        for ctx, x in batch:
+            spans.append((slice(lo, lo + len(x)), *self._shared(ctx)))
+            lo += len(x)
+        grid = np.zeros((lo, n, WINDOW), dtype=np.complex128)
+        for (ctx, x), (rows, buses, slots) in zip(batch, spans):
+            grid[rows, slots] = self.centered(x)[:, buses]
+        h = np.concatenate([grid.real.reshape(lo, -1), grid.imag.reshape(lo, -1)], axis=1)
         acts = []                                  # the input of each layer
         for i in range(len(self.params) // 2):
             if acts:
                 h = np.maximum(h, 0.0)
             acts.append(h)
             h = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
-        if self.task == FORECAST:
-            y = np.zeros((b, ctx.system.n), dtype=np.complex128)
-            y[:, buses] = h[:, slots] + 1j * h[:, n + slots]
-        else:
-            y = np.full((b, ctx.system.n), -10.0)
-            y[:, buses] = h[:, slots]
-        return (y, (acts, buses, slots)) if record else y
+        ys = []
+        for (ctx, x), (rows, buses, slots) in zip(batch, spans):
+            if self.task == FORECAST:
+                y = np.zeros((len(x), ctx.system.n), dtype=np.complex128)
+                y[:, buses] = h[rows, slots] + 1j * h[rows, n + slots]
+            else:
+                y = np.full((len(x), ctx.system.n), -10.0)
+                y[:, buses] = h[rows, slots]
+            ys.append(y)
+        return (ys, (acts, spans)) if record else ys
 
-    def backward(self, tape, g: np.ndarray) -> dict[str, np.ndarray]:
-        acts, buses, slots = tape
+    def backward(self, tape, gs) -> dict[str, np.ndarray]:
+        acts, spans = tape
         n = len(self.bus_slots)
-        g_out = np.zeros((g.shape[0], 2 * n if self.task == FORECAST else n))
-        g_out[:, slots] = g[:, buses].real
-        if self.task == FORECAST:
-            g_out[:, n + slots] = g[:, buses].imag
+        g_out = np.zeros((len(acts[0]), 2 * n if self.task == FORECAST else n))
+        for g, (rows, buses, slots) in zip(gs, spans):
+            g_out[rows, slots] = g[:, buses].real
+            if self.task == FORECAST:
+                g_out[rows, n + slots] = g[:, buses].imag
         grads = {}
         for i in range(len(acts) - 1, -1, -1):
             grads[f"b{i}"] = g_out.sum(axis=0)
@@ -386,9 +401,9 @@ def init_dense(
 # Training loop
 
 
-def _stack_loss(model: Model, cfg: TrainConfig, ctx: SystemContext, picks, grads=False):
-    """Mean loss over windows of one system, picked as (t, attack index or
-    None); with `grads`, (loss, its parameter gradients)."""
+def _window_stack(model: Model, cfg: TrainConfig, ctx: SystemContext, picks):
+    """The [B, N, window] inputs and [B, N] targets of one system's windows,
+    picked as (t, attack index or None)."""
     system = ctx.system
     xs, targets = [], []
     for t, attack_idx in picks:
@@ -403,17 +418,27 @@ def _stack_loss(model: Model, cfg: TrainConfig, ctx: SystemContext, picks, grads
             x, target = feature_window(system.estimates, t), np.zeros(system.n)
         xs.append(x)
         targets.append(target)
-    x, target = np.stack(xs), np.stack(targets)
-    if cfg.task == FORECAST:
-        target = model.centered(target)
-        loss, loss_grad = loss_forecast, _loss_forecast_grad
-    else:
-        loss, loss_grad = loss_fdi, _loss_fdi_grad
+    target = np.stack(targets)
+    return np.stack(xs), model.centered(target) if cfg.task == FORECAST else target
+
+
+def _batch_losses(model: Model, cfg: TrainConfig, batch, grads=False):
+    """Each system's mean loss over its windows, for a batch of (ctx, picks)
+    pairs run through the model in one forward; with `grads`, (losses, the
+    sum over the systems of each mean loss's parameter gradients)."""
+    inputs, targets = [], []
+    for ctx, picks in batch:
+        x, target = _window_stack(model, cfg, ctx, picks)
+        inputs.append((ctx, x))
+        targets.append(target)
     if not grads:
-        return loss(model.forward(ctx, x), target)
-    y, tape = model.forward(ctx, x, record=True)
-    val, g = loss_grad(y, target)
-    return val, model.backward(tape, g)
+        loss = loss_forecast if cfg.task == FORECAST else loss_fdi
+        return [loss(y, target) for y, target in zip(model.forward(inputs), targets)]
+    loss_grad = _loss_forecast_grad if cfg.task == FORECAST else _loss_fdi_grad
+    ys, tape = model.forward(inputs, record=True)
+    del inputs                     # the tape keeps what backward needs of them
+    losses, gs = zip(*[loss_grad(y, target) for y, target in zip(ys, targets)])
+    return list(losses), model.backward(tape, gs)
 
 
 def _pick_attack(live: tuple[int, ...], rng: np.random.Generator, prob: float):
@@ -457,10 +482,8 @@ def train(
     for epoch in range(start_epoch, cfg.epochs):
         epoch_next = epoch + 1
         rng = np.random.default_rng([cfg.seed, 101, epoch])
-        batch = rng.choice(q_total, size=batch_size, replace=False)
-        grads: dict[str, np.ndarray] = {}
-        batch_loss = 0.0
-        for q in batch:
+        batch = []
+        for q in rng.choice(q_total, size=batch_size, replace=False):
             ctx = contexts[q]
             train_times = splits[q][0]
             picks = []
@@ -468,19 +491,16 @@ def train(
                 t = int(train_times[rng.integers(0, len(train_times))])
                 picks.append((t, _pick_attack(ctx.live_attacks, rng, cfg.attack_prob)
                                   if cfg.task == FDI else None))
-            sys_loss, sys_grads = _stack_loss(model, cfg, ctx, picks, grads=True)
-            for name, g in sys_grads.items():
-                if name in grads:
-                    grads[name] += g
-                else:
-                    grads[name] = g
-            batch_loss += sys_loss / batch_size
+            batch.append((ctx, picks))
+        losses, grads = _batch_losses(model, cfg, batch, grads=True)
+        batch_loss = sum(sys_loss / batch_size for sys_loss in losses)
         for g in grads.values():
             g *= 1.0 / batch_size
         if not np.isfinite(batch_loss):
             raise DivergedLoss(epoch, best["model"])
         opt.lr = cfg.lr * cfg.lr_decay ** epoch   # function of epoch: resume-safe
         opt.step(model.params, grads)
+        del grads                      # not held through the next epoch's backward
         if not model.finite():
             raise DivergedLoss(epoch, best["model"])
 
@@ -512,17 +532,17 @@ def train_dense(
 
 
 def _validation_loss(model: Model, cfg: TrainConfig, contexts, splits) -> float:
-    total = 0.0
-    count = 0
+    """Mean loss over up to 4 held-out windows per system, in one forward."""
+    batch = []
     for q, ctx in enumerate(contexts):
         val_times = splits[q][1]
         times = val_times if len(val_times) <= 4 else val_times[:: max(1, len(val_times) // 4)][:4]
         live = ctx.live_attacks
-        picks = [(int(t), live[int(t) % len(live)] if cfg.task == FDI and live else None)
-                 for t in times]
-        total += _stack_loss(model, cfg, ctx, picks) * len(picks)
-        count += len(picks)
-    return total / max(count, 1)
+        batch.append((ctx, [(int(t), live[int(t) % len(live)] if cfg.task == FDI and live
+                             else None) for t in times]))
+    losses = _batch_losses(model, cfg, batch)
+    total = sum(loss * len(picks) for loss, (_, picks) in zip(losses, batch))
+    return total / max(sum(len(picks) for _, picks in batch), 1)
 
 
 # --------------------------------------------------------------------------
@@ -606,7 +626,7 @@ def eval_forecast(
         # forward pass; the shortest horizon needs the most time steps.
         times = np.arange(WINDOW - 1, system.t_total - min(horizons, default=0), stride)
         x = np.stack([feature_window(system.estimates, int(t)) for t in times])
-        preds = predictor.uncentered(predictor.forward(ctx, x))
+        preds = predictor.uncentered(predictor.forward([(ctx, x)])[0])
         for h in horizons:
             kept = times[times < system.t_total - h]
             target = system.true_states[kept + h]
@@ -685,7 +705,7 @@ def eval_fdi(
             labels = system.attacks[ai].labels.astype(bool)
             # [omega, t, N, window], omega-major as the counts are kept
             x = windows[None] + (w_grid[:, None] * shift[None, :])[:, None, :, None]
-            logits = predictor.forward(ctx, x.reshape(-1, *windows.shape[1:]))
+            logits = predictor.forward([(ctx, x.reshape(-1, *windows.shape[1:]))])[0]
             sys_counts += _confusion(logits.reshape(len(omegas), len(times), -1) > logit_cut,
                                      labels)
             sensor_counts += _confusion(sensors[None], labels[None]) * len(times)

@@ -489,6 +489,9 @@ def checkpoint(dataset, tmp_path_factory):
     ("eval", ["--set", "omegas=[0.5, NaN]"], "omegas must be finite numbers, got [0.5, nan]"),
     ("train", ["--set", "lr=nan"], "lr must be positive and finite, got nan"),
     ("train", ["--set", "lr_decay=inf"], "lr_decay must be positive and finite, got inf"),
+    ("train", ["--set", "early_stop_patience=0"], "early_stop_patience must be at least 1, got 0"),
+    ("train", ["--set", "k_temporal=20"],
+     "layers * k_temporal must stay below the feature window of 10 steps, got 2 * 20"),
 ])
 def test_out_of_range_numbers_exit_2(dataset, checkpoint, tmp_path, capsys,
                                      command, override, message):

@@ -41,7 +41,7 @@ def setup_instance(cfg, task, seed=0, n=6):
 
 
 def loss_of(params, s, order, x, target, cfg, task):
-    y = model_forward(s, x, params, cfg, node_order=order)
+    y, = model_forward([(s, x, order)], params, cfg)
     if task == "forecast":
         d = y - target
         return float(np.mean(d.real ** 2 + d.imag ** 2))
@@ -49,12 +49,12 @@ def loss_of(params, s, order, x, target, cfg, task):
 
 
 def analytic_grads(params, s, order, x, target, cfg, task):
-    y, tape = model_forward(s, x, params, cfg, node_order=order, record=True)
+    (y,), tape = model_forward([(s, x, order)], params, cfg, record=True)
     if task == "forecast":
         _, g = _loss_forecast_grad(y, target)
     else:
         _, g = _loss_fdi_grad(y, target)
-    return model_backward(tape, g)
+    return model_backward(tape, [g])
 
 
 def check_tensor(name, tensor, grad, params, s, order, x, target, cfg, task):

@@ -12,8 +12,10 @@ from ugcn.model import (
     LayerConfig,
     _cluster_sizes,
     _conv_layer,
+    _conv_pres,
     _pool_custom_back,
     _pool_learnable_back,
+    _shift_products,
     decoder_positions,
     fdi_config,
     forecast_config,
@@ -73,8 +75,8 @@ def conv_forward(s, window, taps):
     """One graph convolution layer's output at lag 0, through the model's
     `_conv_layer`; window[tau] holds the [N, F_in] features lagged by tau."""
     stack = np.asarray(window, dtype=np.complex128).transpose(1, 0, 2)[:, None]
-    pre, _ = _conv_layer(np.asarray(s, dtype=np.complex128), stack,
-                         np.asarray(taps, dtype=np.complex128))
+    pre = _conv_layer(np.asarray(s, dtype=np.complex128), stack,
+                      np.asarray(taps, dtype=np.complex128))
     return split_relu(pre[:, 0, 0])
 
 
@@ -317,7 +319,7 @@ class TestHeadAndModel:
         for n in (12, 30, 39, 57):
             s = random_gso(n, n)
             x = np.random.default_rng(n).standard_normal((2, n, 4)) * (0.1 + 0.05j)
-            y = model_forward(s, x, params, cfg)
+            y, = model_forward([(s, x, None)], params, cfg)
             assert y.shape == (2, n)
             assert np.iscomplexobj(y)
 
@@ -326,9 +328,9 @@ class TestHeadAndModel:
         params = init_params(cfg, seed=1)
         s = random_gso(6, 5)
         x = np.zeros((2, 6, 4), dtype=complex)
-        _, tape = model_forward(s, x, params, cfg, record=True)
-        assert len(tape["pres"]) == cfg.layers
-        for l, pre in enumerate(tape["pres"], 1):
+        pres = _conv_pres(s, _shift_products(s, x, cfg.k_spatial + 1), params, cfg, cfg.layers)
+        assert len(pres) == cfg.layers
+        for l, pre in enumerate(pres, 1):
             # every output lag the layer evaluates: [N, B, lags, F_out]
             assert pre.shape == (6, 2, (cfg.layers - l) * cfg.k_temporal + 1, cfg.widths[l])
             assert np.all(pre == 0)
@@ -338,8 +340,8 @@ class TestHeadAndModel:
         params = init_params(cfg, seed=2)
         s = random_gso(9, 9)
         x = np.random.default_rng(0).standard_normal((3, 9, 5)) + 0j
-        y1 = model_forward(s, x, params, cfg)
-        y2 = model_forward(s, x, params, cfg)
+        y1, = model_forward([(s, x, None)], params, cfg)
+        y2, = model_forward([(s, x, None)], params, cfg)
         assert np.array_equal(y1, y2)
 
     def test_same_params_run_across_sizes(self):
@@ -350,7 +352,7 @@ class TestHeadAndModel:
             s = random_gso(n, 1000 + n)
             x = np.random.default_rng(n).standard_normal((2, n, 6)) * (0.2 + 0.1j)
             order = np.arange(n)
-            y = model_forward(s, x, params, cfg, node_order=order)
+            y, = model_forward([(s, x, order)], params, cfg)
             assert y.shape == (2, n)
         for k, v in params.items():
             assert np.array_equal(blobs_before[k], v)
@@ -427,8 +429,8 @@ class TestModelAgainstNaive:
                     g = rng.standard_normal((3, n)) + (1j * rng.standard_normal((3, n))
                                                        if cfg.outputs == 2 else 0)
                     case = f"K={k} Kt={kt} n={n}"
-                    y, tape = model_forward(s, x, params, cfg, node_order=order, record=True)
-                    grads, ref = model_backward(tape, g), {}
+                    (y,), tape = model_forward([(s, x, order)], params, cfg, record=True)
+                    grads, ref = model_backward(tape, [g]), {}
                     for b in range(3):
                         y_ref, backward = naive_model(s, x[b], params, cfg, order)
                         assert rel_err(y[b], y_ref) <= 1e-12, f"{case} window {b}"
@@ -453,12 +455,11 @@ class TestModelAgainstNaive:
             x = rng.standard_normal((b, n, 3)) + 1j * rng.standard_normal((b, n, 3))
             g = rng.standard_normal((b, n)) + (1j * rng.standard_normal((b, n))
                                                if cfg.outputs == 2 else 0)
-            _, tape = model_forward(s, x, params, cfg, node_order=order, record=True)
-            add_grads(total, model_backward(tape, g))
+            _, tape = model_forward([(s, x, order)], params, cfg, record=True)
+            add_grads(total, model_backward(tape, [g]))
             for i in range(b):
-                _, tape = model_forward(s, x[i:i + 1], params, cfg, node_order=order,
-                                        record=True)
-                add_grads(ref, model_backward(tape, g[i:i + 1]))
+                _, tape = model_forward([(s, x[i:i + 1], order)], params, cfg, record=True)
+                add_grads(ref, model_backward(tape, [g[i:i + 1]]))
         assert total.keys() == ref.keys() == params.keys()
         for name in ref:
             assert rel_err(total[name], ref[name]) <= 1e-12, name
@@ -474,3 +475,59 @@ class TestModelAgainstNaive:
         assert np.array_equal(pooled, pooled_ref)
         grad = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
         assert np.array_equal(_pool_custom_back(grad, cache), backward(grad))
+
+
+def tape_arrays(node):
+    """Every array held anywhere in a tape's dicts, lists and tuples."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from tape_arrays(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from tape_arrays(value)
+
+
+class TestBatchOfSystems:
+    """Several systems in one forward and one backward, against each alone."""
+
+    @pytest.mark.parametrize("pooling", [CUSTOM, LEARNABLE])
+    def test_mixed_size_parts_match_each_part_alone(self, pooling):
+        cfg = LayerConfig(layers=2, k_spatial=2, k_temporal=1, widths=(10, 6, 6),
+                          pooled_nodes=4, hidden=16, pooling=pooling,
+                          outputs=2 if pooling == LEARNABLE else 1)
+        params = init_params(cfg, seed=12)
+        rng = np.random.default_rng(12)
+        parts, gs = [], []
+        for n, b in ((30, 3), (39, 1), (30, 2)):
+            x = rng.standard_normal((b, n, 10)) + 1j * rng.standard_normal((b, n, 10))
+            parts.append((random_gso(n, 90 + n + b), x, rng.permutation(n)))
+            gs.append(rng.standard_normal((b, n)) + (1j * rng.standard_normal((b, n))
+                                                     if cfg.outputs == 2 else 0))
+        ys, tape = model_forward(parts, params, cfg, record=True)
+        grads, ref = model_backward(tape, gs), {}
+        assert len(ys) == len(parts)
+        for part, y, g in zip(parts, ys, gs):
+            (alone,), part_tape = model_forward([part], params, cfg, record=True)
+            assert y.shape == alone.shape
+            assert rel_err(y, alone) <= 1e-12
+            add_grads(ref, model_backward(part_tape, [g]))
+        assert list(grads) == list(ref) == list(params)
+        for name in ref:
+            assert rel_err(grads[name], ref[name]) <= 1e-12, name
+        for y, untaped in zip(ys, model_forward(parts, params, cfg)):
+            assert np.array_equal(y, untaped)
+
+    def test_fdi_tape_keeps_no_decoder_sized_array(self):
+        """A recorded tape at B=8, N=39, hidden=256 holds no array as large as
+        one [B, N, hidden] decoder activation; backward forms those part by part."""
+        b, n = 8, 39
+        cfg = fdi_config(widths=(10, 32), k_spatial=3, pooled_nodes=12, hidden=256)
+        params = init_params(cfg, seed=0)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((b, n, 10)) + 1j * rng.standard_normal((b, n, 10))
+        _, tape = model_forward([(random_gso(n, 5), x, rng.permutation(n))], params, cfg,
+                                record=True)
+        sizes = [a.size for a in tape_arrays({k: v for k, v in tape.items() if k != "params"})]
+        assert sizes and max(sizes) < b * n * cfg.hidden

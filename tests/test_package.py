@@ -51,6 +51,17 @@ def test_settable_values_are_pinned():
     }
 
 
+def test_readme_library_example_runs():
+    """The python block under "Library entry points" in README.md runs as written."""
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_numpy_is_the_only_runtime_dependency():
     """Every import in src/ugcn is the standard library, numpy or ugcn itself."""
     import ast

@@ -171,15 +171,15 @@ class TestTrainLoop:
         model = self.model(0)
         ctx = contexts_for(tiny_family)[0]
         x = feature_window(ctx.system.estimates, 12)[None]
-        before = model.forward(ctx, x)
+        before, = model.forward([(ctx, x)])
         rng = np.random.default_rng(0)
         grads = {}
         for name, t in model.params.items():
             g = rng.standard_normal(t.shape)
             grads[name] = g + 1j * rng.standard_normal(t.shape) if np.iscomplexobj(t) else g
         Adam(lr=1e-2).step(model.params, grads)
-        after = model.forward(ctx, x)
-        fresh = UgcnPredictor(model.params.copy(), self.CFG).forward(ctx, x)
+        after, = model.forward([(ctx, x)])
+        fresh, = UgcnPredictor(model.params.copy(), self.CFG).forward([(ctx, x)])
         assert not np.array_equal(after, before)
         assert np.array_equal(after, fresh)
 
@@ -227,7 +227,7 @@ class TestTrainLoop:
                                    hidden=8, depth=1)
         forward = predictor.forward
         monkeypatch.setattr(predictor, "forward",
-                            lambda ctx, x, record=False: calls.append(1) or forward(ctx, x, record))
+                            lambda batch, record=False: calls.append(1) or forward(batch, record))
         calls = []
         horizons, stride = (2, 0, 5), 4
         rep = eval_forecast(predictor, tiny_family, horizons=horizons, stride=stride)
@@ -240,7 +240,7 @@ class TestTrainLoop:
                 for t in range(9, system.t_total - h, stride):
                     x = feature_window(system.estimates, t)
                     target = system.true_states[t + h]
-                    preds = {"ugcn": forward(ctx, x[None])[0] + CENTER,
+                    preds = {"ugcn": forward([(ctx, x[None])])[0][0] + CENTER,
                              "flat": np.full(system.n, 1.0 + 0.0j), "carry": x[:, -1]}
                     for name, pred in preds.items():
                         errs[name].append(float(np.mean(np.abs(pred - target) ** 2)))
@@ -257,7 +257,7 @@ class TestTrainLoop:
     def test_batch_loss_is_mean_of_system_losses(self, tiny_family):
         # one window per system, full batch: the epoch loss must equal the
         # mean of independently computed per-system losses
-        from ugcn.training import _split_times, _stack_loss
+        from ugcn.training import _batch_losses, _split_times
 
         tcfg = TrainConfig(task="forecast", epochs=1, batch_systems=3,
                            windows_per_system=1, seed=5)
@@ -270,7 +270,7 @@ class TestTrainLoop:
             ctx = SystemContext(tiny_family[q])
             times = _split_times(tiny_family[q], tcfg)[0]
             t = int(times[rng.integers(0, len(times))])
-            total += _stack_loss(model, tcfg, ctx, [(t, None)])
+            total += _batch_losses(model, tcfg, [(ctx, [(t, None)])])[0]
         assert history[0][1] == pytest.approx(total / 3, rel=1e-10)
 
 
@@ -301,7 +301,7 @@ class TestDenseBaseline:
 
         for system in tiny_family:
             x = feature_window(system.estimates, 12)[None]
-            pred = model.uncentered(model.forward(SystemContext(system), x))
+            pred = model.uncentered(model.forward([(SystemContext(system), x)])[0])
             assert pred.shape == (1, system.n)
 
     @pytest.mark.parametrize("task", ["forecast", "fdi"])
@@ -323,20 +323,50 @@ class TestDenseBaseline:
         else:
             loss, loss_grad = loss_fdi, _loss_fdi_grad
             target = (rng.random((2, system.n)) > 0.5) * 1.0
-        y, tape = model.forward(ctx, x, record=True)
-        grads = model.backward(tape, loss_grad(y, target)[1])
+        (y,), tape = model.forward([(ctx, x)], record=True)
+        grads = model.backward(tape, [loss_grad(y, target)[1]])
         assert grads.keys() == model.params.keys()
         for name, tensor in model.params.items():
             flat = tensor.reshape(-1)
             for i in rng.choice(flat.size, 3, replace=False):
                 keep = flat[i]
                 flat[i] = keep + 1e-6
-                up = loss(model.forward(ctx, x), target)
+                up = loss(model.forward([(ctx, x)])[0], target)
                 flat[i] = keep - 1e-6
-                down = loss(model.forward(ctx, x), target)
+                down = loss(model.forward([(ctx, x)])[0], target)
                 flat[i] = keep
                 assert grads[name].reshape(-1)[i] == pytest.approx((up - down) / 2e-6,
                                                                    rel=1e-5, abs=1e-9), name
+
+    @pytest.mark.parametrize("task", ["forecast", "fdi"])
+    def test_batch_matches_each_system_alone(self, tiny_family, task):
+        """Systems that lack different base buses, in one forward and one
+        backward, against each system alone: the outputs, and the gradients
+        against their sum."""
+        from ugcn.scenarios import feature_window
+
+        slots = sorted(set().union(*(s.graph.bus_ids for s in tiny_family)) | {9999})
+        missing = [frozenset(slots) - set(s.graph.bus_ids) for s in tiny_family]
+        assert len(set(missing)) == len(tiny_family)
+        model = init_dense(tuple(slots), task=task, seed=2, hidden=8, depth=2)
+        rng = np.random.default_rng(1)
+        batch, gs = [], []
+        for system, times in zip(tiny_family, ((12,), (14, 20), (16, 22, 30))):
+            batch.append((SystemContext(system),
+                          np.stack([feature_window(system.estimates, t) for t in times])))
+            g = rng.standard_normal((len(times), system.n))
+            gs.append(g + 1j * rng.standard_normal(g.shape) if task == "forecast" else g)
+        ys, tape = model.forward(batch, record=True)
+        grads, ref = model.backward(tape, gs), {}
+        for pair, y, g in zip(batch, ys, gs):
+            (alone,), pair_tape = model.forward([pair], record=True)
+            assert y.shape == alone.shape
+            assert np.max(np.abs(y - alone)) <= 1e-12 * np.max(np.abs(alone))
+            for name, arr in model.backward(pair_tape, [g]).items():
+                ref[name] = ref[name] + arr if name in ref else arr
+        assert grads.keys() == ref.keys() == model.params.keys()
+        for name in ref:
+            assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * np.max(np.abs(ref[name]))
 
     def test_history_val_loss_is_held_out_loss(self, tiny_family):
         from ugcn.training import _split_times, _validation_loss, contexts_for
@@ -369,7 +399,7 @@ class TestDenseBaseline:
         from ugcn.scenarios import feature_window
 
         x = feature_window(base.estimates, 12)[None]
-        pred = model.uncentered(model.forward(SystemContext(base), x))
+        pred = model.uncentered(model.forward([(SystemContext(base), x)])[0])
         assert np.allclose(pred, 1.0 + 0.0j)
 
     def test_unmapped_buses_get_clean_logit(self, tiny_fdi_family):
@@ -378,7 +408,7 @@ class TestDenseBaseline:
         system = tiny_fdi_family[0]
         model = init_dense((9991, system.graph.bus_ids[0]), task="fdi", seed=0,
                            hidden=8, depth=1)
-        logits = model.forward(SystemContext(system), feature_window(system.estimates, 12)[None])
+        logits, = model.forward([(SystemContext(system), feature_window(system.estimates, 12)[None])])
         assert logits.shape == (1, system.n)
         assert np.all(logits[0, 1:] == -10.0) and logits[0, 0] != -10.0
 
@@ -422,8 +452,8 @@ class TestMetricsReport:
         cfg = fdi_config(widths=(10, 8), pooled_nodes=6, hidden=16)
         predictor = UgcnPredictor(init_params(cfg, 5), cfg)
         forward = predictor.forward
-        monkeypatch.setattr(predictor, "forward", lambda ctx, x, record=False:
-                            calls.append(len(x)) or forward(ctx, x, record))
+        monkeypatch.setattr(predictor, "forward", lambda batch, record=False:
+                            calls.append(len(batch[0][1])) or forward(batch, record))
         calls = []
         omegas, stride, threshold = (0.1, 0.5, 0.9), 8, 0.4
         rep = eval_fdi(predictor, tiny_fdi_family, omegas=omegas, stride=stride,
@@ -443,7 +473,7 @@ class TestMetricsReport:
                 for w in omegas:
                     for t in times:
                         x = feature_window(system.estimates, t) + w * ctx.attack_shift(ai)[:, None]
-                        flags = forward(ctx, x[None])[0] > cut
+                        flags = forward([(ctx, x[None])])[0][0] > cut
                         for i in range(system.n):
                             for counts, flag in ((model, flags[i]), (sensor, i in sensors)):
                                 key = ("t" if bool(flag) == bool(labels[i]) else "f") + \
@@ -464,7 +494,7 @@ class TestMetricsReport:
 
         ctx = contexts_for(tiny_fdi_family)[0]
         x = feature_window(ctx.system.estimates, 12)[None]
-        logits = predictor.forward(ctx, x)
+        logits, = predictor.forward([(ctx, x)])
         pred = logits > 0
         tn = int(np.sum(~pred))
         assert tn / ctx.system.n == pytest.approx(1.0 - pred.mean())
