@@ -370,6 +370,7 @@ def cmd_gen(args) -> int:
         caseio.to_grid_graph(case, kind=kind)
     except UgcnError as exc:
         raise ConfigError(f"case {cfg['case']!r} does not make a {kind} graph: {exc}") from exc
+    _scenario_config(kind, cfg)     # refuses bad scenario numbers before any output exists
     os.makedirs(cfg["out"], exist_ok=True)
 
     # The pool starts all its workers at once, so never more than can be busy.

@@ -6,9 +6,12 @@ damped Gauss-Newton descent on a weighted least-squares cost with a quadratic
 regularizer.  Only the metered buses and their neighbors enter the
 measurements; every other coordinate is set by the regularizer alone, in
 closed form, and decays toward 0 from the flat start.  What depends only on
-the graph and the meters is built once per series by `ami_setup`; the hourly
-calls `measure_ami(setup, v, sigma, rng)` and `estimate_ami(setup, z)` take
-that record.  Phasor-unit (PMU) buses report complex current injections and
+the graph and the meters is built once per series by `ami_setup`;
+`measure_ami(setup, v, sigma, rng)` takes that record for one hour, and
+`estimate_ami(setup, z)` for a whole series of hours, z [T, 3m] -> [T, n].
+Each hour is estimated on its own, but blocks of hours share every numpy
+call of an iteration, with each hour's result bit for bit that of a
+single-hour run.  Phasor-unit (PMU) buses report complex current injections and
 voltages; the state follows in closed form from a shift-regularized
 pseudoinverse.  Both estimators return the full bus-ordered phasor vector.
 """
@@ -25,6 +28,7 @@ from .grid import DISTRIBUTION, GridGraph, build_admittance, build_gso
 GN_MAX_ITER = 50
 GN_STEP_TOL = 1e-9
 GN_LAMBDA = 1e-3
+AMI_BLOCK = 6            # hours per stacked Gauss-Newton: faster when larger, but more memory
 DEFAULT_MU1 = 1e-3
 FDI_SENSOR_COUNTS = {30: 15, 39: 20, 57: 25}
 
@@ -87,10 +91,12 @@ class AmiSetup:
     metered buses and their neighbors), `loc` the metered buses' places in
     `vis` and `yc_a` their conjugated admittance rows over `vis`.  `free`
     selects the columns of [e_vis, f_vis] that Gauss-Newton moves: all but
-    the slack's imaginary part, the gauge, when the slack is visible.  `cols`
-    are the state coordinates of `free` in [e, f], and `hidden` the
-    coordinates outside `cols` and the gauge.  All arrays but the caller's
-    `y` are read-only.
+    the slack's imaginary part, the gauge, when the slack is visible.
+    `gauge` is the slack's place in `vis`, or len(vis) when it is unseen.
+    `cols` are the state coordinates of `free` in [e, f], and `hidden` the
+    coordinates outside `cols` and the gauge.  The metered rows `f_rows`
+    (all but a metered slack) have their d|v|/df entry at column `f_cols` of
+    the free Jacobian.  All arrays but the caller's `y` are read-only.
     """
 
     n: int
@@ -100,8 +106,11 @@ class AmiSetup:
     loc: np.ndarray
     yc_a: np.ndarray
     free: np.ndarray
+    gauge: int
     cols: np.ndarray
     hidden: np.ndarray
+    f_rows: np.ndarray
+    f_cols: np.ndarray
 
 
 def ami_setup(graph: GridGraph, ami_buses: tuple[int, ...],
@@ -117,18 +126,21 @@ def ami_setup(graph: GridGraph, ami_buses: tuple[int, ...],
     # Injections and magnitudes cannot see a global rotation; pin the angle
     # reference by freezing the slack bus imaginary part at zero, seen or not.
     slack = graph.pos(graph.slack_bus())
-    free = np.arange(2 * k)
-    if seen[slack]:
-        free = np.delete(free, k + int(np.searchsorted(vis, slack)))
+    gauge = int(np.searchsorted(vis, slack)) if seen[slack] else k
+    free = np.delete(np.arange(2 * k), k + gauge) if seen[slack] else np.arange(2 * k)
     cols = np.concatenate([vis, n + vis])[free]
     hidden = np.ones(2 * n, dtype=bool)
     hidden[cols] = False
     hidden[n + slack] = False
-    setup = AmiSetup(n=n, y=y, idx=idx, vis=vis, loc=np.searchsorted(vis, idx),
-                     yc_a=np.conj(y[np.ix_(idx, vis)]), free=free, cols=cols,
-                     hidden=np.flatnonzero(hidden))
+    loc = np.searchsorted(vis, idx)
+    f_rows = np.flatnonzero(loc != gauge)
+    setup = AmiSetup(n=n, y=y, idx=idx, vis=vis, loc=loc,
+                     yc_a=np.conj(y[np.ix_(idx, vis)]), free=free, gauge=gauge, cols=cols,
+                     hidden=np.flatnonzero(hidden), f_rows=f_rows,
+                     f_cols=k + loc[f_rows] - (loc[f_rows] > gauge))
     # Every hour of the series reads these; none may write them.
-    for a in (setup.idx, setup.vis, setup.loc, setup.yc_a, setup.free, setup.cols, setup.hidden):
+    for a in (setup.idx, setup.vis, setup.loc, setup.yc_a, setup.free, setup.cols, setup.hidden,
+              setup.f_rows, setup.f_cols):
         a.flags.writeable = False
     return setup
 
@@ -151,106 +163,149 @@ def measure_ami(
 
 
 def _ami_h(yc_a: np.ndarray, v: np.ndarray, loc: np.ndarray) -> np.ndarray:
-    """Stacked [P_a, Q_a, |v|_a] the state v implies at the metered buses.
+    """Stacked [P_a, Q_a, |v|_a] the states v [..., k] imply at the metered buses.
 
     yc_a holds the conjugated admittance rows of the metered buses over v's
-    buses, and loc the metered buses' own positions in v.
+    buses, and loc the metered buses' own positions in v.  The currents are
+    one matrix-vector product per state, as for a single state.
     """
-    v_a = v[loc]
-    s = v_a * (yc_a @ np.conj(v))
-    return np.concatenate([s.real, s.imag, np.abs(v_a)])
+    v_a = v[..., loc]
+    s = v_a * (yc_a @ np.conj(v)[..., None])[..., 0]
+    return np.concatenate([s.real, s.imag, np.abs(v_a)], axis=-1)
 
 
-def _ami_h_and_jac(yc_a: np.ndarray, v: np.ndarray, loc: np.ndarray):
-    """h and its Jacobian in (e, f) = (Re v, Im v) over v's buses; arguments as in `_ami_h`."""
-    k = len(v)
-    m = len(loc)
-    v_a = v[loc]
-    i_conj = yc_a @ np.conj(v)
+def _ami_cost(setup: AmiSetup, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The objective of `estimate_ami` at states v [..., n] against measurements z [..., 3m]."""
+    split = np.concatenate([v.real, v.imag], axis=-1)
+    h = _ami_h(setup.yc_a, v[..., setup.vis], setup.loc)
+    return ((z - h) ** 2).sum(axis=-1) + GN_LAMBDA * (split ** 2).sum(axis=-1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's 2-norm as `np.linalg.norm` takes a vector's: the root of one BLAS dot."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _ami_h_and_jac(setup: AmiSetup, v: np.ndarray):
+    """h and its Jacobian on the free columns at states v [b, k] of the visible buses.
+
+    The Jacobian [b, 3m, len(setup.free)] is a view of its transpose, which
+    is C-ordered: each hour's Jacobian is column-major, so J^T J and J^T r
+    take the BLAS calls, and round as, a single hour's column-major Jacobian
+    does.  Its blocks are written in place; no full-width Jacobian is formed.
+    dS_a/de = diag(conj i_a) + v_a conj(Y_a) and dS_a/df = j diag(conj i_a)
+    - j v_a conj(Y_a); the diagonal terms sit at (row r, column loc[r]).
+    """
+    yc_a, loc, g = setup.yc_a, setup.loc, setup.gauge
+    m, k = yc_a.shape
+    v_a = v[:, loc]
+    i_conj = (yc_a @ np.conj(v)[:, :, None])[:, :, 0]
     s = v_a * i_conj
     vmag = np.abs(v_a)
-    h = np.concatenate([s.real, s.imag, vmag])
+    h = np.concatenate([s.real, s.imag, vmag], axis=1)
 
-    # dS_a/de = diag(conj i_a) + v_a conj(Y_a), dS_a/df = j diag(conj i_a) - j v_a conj(Y_a);
-    # the diagonal terms sit at (row r, column loc[r]).
     rows = np.arange(m)
-    vy = v_a[:, None] * yc_a
-    ds_de = vy.copy()
-    ds_de[rows, loc] += i_conj
-    ds_df = -1j * vy
-    ds_df[rows, loc] += 1j * i_conj
-    jac = np.zeros((3 * m, 2 * k))
-    jac[:m, :k] = ds_de.real
-    jac[:m, k:] = ds_df.real
-    jac[m:2 * m, :k] = ds_de.imag
-    jac[m:2 * m, k:] = ds_df.imag
+    ds = v_a[:, :, None] * yc_a
+    ds_df = -1j * ds
+    ds_df[:, rows, loc] += 1j * i_conj
+    ds[:, rows, loc] += i_conj              # now dS_a/de
+    jac = np.zeros((len(v), len(setup.free), 3 * m)).transpose(0, 2, 1)
+    jac[:, :m, :k] = ds.real
+    jac[:, m:2 * m, :k] = ds.imag
+    # The f columns skip the gauge, vis position g (g = k when the slack is unseen).
+    jac[:, :m, k:k + g] = ds_df.real[:, :, :g]
+    jac[:, :m, k + g:] = ds_df.real[:, :, g + 1:]
+    jac[:, m:2 * m, k:k + g] = ds_df.imag[:, :, :g]
+    jac[:, m:2 * m, k + g:] = ds_df.imag[:, :, g + 1:]
     safe = np.where(vmag > 1e-12, vmag, 1.0)
-    jac[rows + 2 * m, loc] = v_a.real / safe
-    jac[rows + 2 * m, k + loc] = v_a.imag / safe
+    jac[:, rows + 2 * m, loc] = v_a.real / safe
+    jac[:, setup.f_rows + 2 * m, setup.f_cols] = (v_a.imag / safe)[:, setup.f_rows]
     return h, jac
 
 
 def estimate_ami(setup: AmiSetup, z: np.ndarray, info: bool = False):
-    """Minimize ||z - h(v)||^2 + GN_LAMBDA * ||[e; f]||^2 from a flat start.
+    """Per hour of z [T, 3m], minimize ||z_t - h(v)||^2 + GN_LAMBDA * ||[e; f]||^2 from a flat start.
 
     h sees only the visible buses: the metered ones and their neighbors.  The
     Gauss-Newton normal equations are solved on their columns alone.  Every
     other coordinate sees only GN_LAMBDA * x^2, so its step is exactly -x; it
-    is set in closed form.  Steps halve on cost increase; iteration stops when
-    the step norm drops below GN_STEP_TOL or the budget runs out, returning
-    the last iterate.  With `info`, the iteration count and the residual norm
-    and objective at the returned state come along.
+    is set in closed form.  Steps halve on cost increase, up to 12 times;
+    iteration stops when the step norm drops below GN_STEP_TOL or the budget
+    runs out, returning the last iterate.  Hours share nothing, so they run
+    AMI_BLOCK at a time: each iteration stacks the block's unfinished hours
+    into one Jacobian, one normal-equation product and one solve, and costs
+    every halving of the rejected steps at once (step * 0.5**k is exactly k
+    halvings).  An hour leaves the stack when its step norm is below
+    GN_STEP_TOL.  Every hour's estimate is bit for bit that of a loop over
+    hours.  A non-finite step or cost raises NoConvergence for the earliest
+    such hour, after the other hours of its block are finished.  Returns
+    [T, n]; with `info`, the per-hour iteration counts, and residual norms
+    and objectives at the returned states, come along as arrays.
     """
-    n, idx, vis, loc, yc_a = setup.n, setup.idx, setup.vis, setup.loc, setup.yc_a
-    free, cols, hidden = setup.free, setup.cols, setup.hidden
-    if z.shape != (3 * len(idx),):
-        raise DimensionMismatch(f"expected {3 * len(idx)} measurements, got {z.shape}")
-
-    v = np.ones(n, dtype=np.complex128)
-
-    def cost(vec):
-        split = np.concatenate([vec.real, vec.imag])
-        return float(((z - _ami_h(yc_a, vec[vis], loc)) ** 2).sum() + GN_LAMBDA * (split ** 2).sum())
-
-    current = cost(v)
-    iterations = 0
-    for iterations in range(1, GN_MAX_ITER + 1):
-        h, jac = _ami_h_and_jac(yc_a, v[vis], loc)
-        split = np.concatenate([v.real, v.imag])
-        # Normal equations of the stacked system [J; sqrt(GN_LAMBDA) I] on the
-        # free visible columns: J^T J + GN_LAMBDA I.
-        j_free = jac[:, free]
-        r = z - h
-        normal = j_free.T @ j_free
-        normal.reshape(-1)[::len(free) + 1] += GN_LAMBDA     # its diagonal, as a strided view
-        reduced = np.linalg.solve(normal, j_free.T @ r - GN_LAMBDA * split[cols])
-        step = np.zeros(2 * n)
-        step[hidden] = -split[hidden]
-        if not np.isfinite(reduced).all():
-            raise NoConvergence(iterations, float("inf"))
-        step[cols] = reduced
-        trial = v + step[:n] + 1j * step[n:]
-        trial_cost = cost(trial)
-        halvings = 0
-        while trial_cost > current and halvings < 12:
-            step *= 0.5
-            halvings += 1
-            trial = v + step[:n] + 1j * step[n:]
-            trial_cost = cost(trial)
-        if not np.isfinite(trial_cost):
-            raise NoConvergence(iterations, float("inf"))
-        if trial_cost <= current:
-            v = trial
-            current = trial_cost
-        if float(np.linalg.norm(step)) < GN_STEP_TOL:
-            break
+    n, vis, cols, hidden = setup.n, setup.vis, setup.cols, setup.hidden
+    m = len(setup.idx)
+    p = len(setup.free)
+    if z.ndim != 2 or z.shape[1] != 3 * m:
+        raise DimensionMismatch(f"expected [T, {3 * m}] measurements, got {z.shape}")
+    t_total = len(z)
+    states = np.ones((t_total, n), dtype=np.complex128)
+    iterations = np.zeros(t_total, dtype=np.int64)
+    halve = 0.5 ** np.arange(1, 13)
+    for t0 in range(0, t_total, AMI_BLOCK):
+        v = states[t0:t0 + AMI_BLOCK]               # the block's rows, updated in place
+        zb = z[t0:t0 + AMI_BLOCK]
+        current = _ami_cost(setup, zb, v)
+        active = np.arange(len(v))
+        failed = np.zeros(len(v), dtype=np.int64)     # the iteration an hour failed at
+        for it in range(1, GN_MAX_ITER + 1):
+            if not len(active):
+                break
+            iterations[t0 + active] = it
+            va, za = v[active], zb[active]
+            h, jac = _ami_h_and_jac(setup, va[:, vis])
+            split = np.concatenate([va.real, va.imag], axis=1)
+            # Normal equations of the stacked system [J; sqrt(GN_LAMBDA) I] on the
+            # free visible columns: J^T J + GN_LAMBDA I.
+            jt = jac.transpose(0, 2, 1)
+            normal = jt @ jac
+            normal.reshape(len(active), -1)[:, ::p + 1] += GN_LAMBDA   # the diagonals
+            rhs = (jt @ (za - h)[:, :, None])[:, :, 0] - GN_LAMBDA * split[:, cols]
+            reduced = np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+            del jac, jt, normal, rhs       # not held through the halvings below
+            step = np.zeros((len(active), 2 * n))
+            step[:, hidden] = -split[:, hidden]
+            step[:, cols] = reduced
+            trial = va + step[:, :n] + 1j * step[:, n:]
+            trial_cost = _ami_cost(setup, za, trial)
+            up = np.flatnonzero(trial_cost > current[active])
+            if len(up):
+                # Every halving of every rejected step; the first that does not
+                # raise the cost is taken, the 12th if all do.
+                tries = step[up, None, :] * halve[:, None]
+                moves = va[up, None] + tries[:, :, :n] + 1j * tries[:, :, n:]
+                costs = _ami_cost(setup, za[up, None], moves)
+                stop = ~(costs > current[active[up], None])
+                stop[:, -1] = True
+                pick = stop.argmax(axis=1)
+                step[up] = tries[np.arange(len(up)), pick]
+                trial[up] = moves[np.arange(len(up)), pick]
+                trial_cost[up] = costs[np.arange(len(up)), pick]
+                del tries, moves, costs
+            bad = ~np.isfinite(reduced).all(axis=1) | ~np.isfinite(trial_cost)
+            failed[active[bad]] = it
+            take = ~bad & (trial_cost <= current[active])
+            v[active[take]] = trial[take]
+            current[active[take]] = trial_cost[take]
+            active = active[~bad & ~(_row_norms(step) < GN_STEP_TOL)]
+        if failed.any():
+            raise NoConvergence(int(failed[failed > 0][0]), float("inf"))
     if info:
-        r = z - _ami_h(np.conj(setup.y[idx]), v, idx)
-        split = np.concatenate([v.real, v.imag])
-        objective = float(np.sum(r ** 2) + GN_LAMBDA * np.sum(split ** 2))
-        return v, {"iterations": iterations, "residual": float(np.linalg.norm(r)),
-                   "cost": objective}
-    return v
+        r = z - _ami_h(np.conj(setup.y[setup.idx]), states, setup.idx)
+        split = np.concatenate([states.real, states.imag], axis=1)
+        objective = (r ** 2).sum(axis=1) + GN_LAMBDA * (split ** 2).sum(axis=1)
+        return states, {"iterations": iterations, "residual": _row_norms(r),
+                        "cost": objective}
+    return states
 
 
 # --------------------------------------------------------------------------

@@ -188,6 +188,15 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not np.isfinite(self.noise_sigma):
+            raise ConfigError(f"noise_sigma must be finite, got {self.noise_sigma}")
+        if not 0 < self.demand_scale < np.inf:
+            raise ConfigError(f"demand_scale must be positive and finite, got {self.demand_scale}")
+        if not 0 < self.pmu_fraction <= 1:
+            raise ConfigError(f"pmu_fraction must lie in (0, 1], got {self.pmu_fraction}")
+        if self.attacks_per_system < 0:
+            raise ConfigError(
+                f"attacks_per_system must be nonnegative, got {self.attacks_per_system}")
 
 
 def _series_profiles(graph: GridGraph, cfg: ScenarioConfig, index: int,
@@ -248,7 +257,12 @@ def build_scenario(
     task: str = "forecast",
     op_log: tuple = (),
 ) -> ScenarioSet:
-    """Profiles -> power flow -> measurements -> estimates for one system."""
+    """Profiles -> power flow -> measurements -> estimates for one system.
+
+    Measurements are taken hour by hour.  PMU estimates follow per hour; the
+    AMI series goes to `estimate_ami` in one call, looked up in this module
+    so that the name can be wrapped for timing.
+    """
     y = build_admittance(graph)
     free = np.delete(np.arange(graph.n), graph.pos(graph.slack_bus()))
     z = np.linalg.inv(y[np.ix_(free, free)])
@@ -257,9 +271,10 @@ def build_scenario(
     states = None
     for _ in range(4):
         tried.append(scale)
-        profiles = _series_profiles(graph, cfg, index, base_loads, scale)
         try:
-            states = _solve_series(graph, y, z, profiles.injections())
+            # The profiles are not held past the power flow.
+            states = _solve_series(
+                graph, y, z, _series_profiles(graph, cfg, index, base_loads, scale).injections())
             break
         except NoConvergence as exc:
             last = exc
@@ -271,26 +286,28 @@ def build_scenario(
     mags = np.abs(states)
     if mags.min() <= SANITY_BAND[0] or mags.max() >= SANITY_BAND[1]:
         raise OutsideSanityBand(SANITY_BAND, float(mags.min()), float(mags.max()))
+    del mags                       # not held through the estimation
 
     noise_rng = np.random.default_rng([cfg.seed, index, 23])
     ami_buses: tuple[int, ...] = ()
     pmu_buses: tuple[int, ...] = ()
-    estimates = np.empty_like(states)
     if task == "fdi":
         pmu_buses = fdi_sensor_placement(graph, seed=cfg.seed)
     elif cfg.scenario == PMU:
         pmu_buses = pmu_placement(graph, cfg.pmu_fraction, seed=cfg.seed)
     if pmu_buses:
         op = PmuOperator.build(graph, pmu_buses, y=y)
+        estimates = np.empty_like(states)
         for t in range(cfg.t_total):
             z = op.measure(states[t], sigma=cfg.noise_sigma, rng=noise_rng)
             estimates[t] = op.estimate(z)
     else:
         ami_buses = ami_placement(graph)
         setup = ami_setup(graph, ami_buses, y)
+        z = np.empty((cfg.t_total, 3 * len(ami_buses)))
         for t in range(cfg.t_total):
-            z = measure_ami(setup, states[t], sigma=cfg.noise_sigma, rng=noise_rng)
-            estimates[t] = estimate_ami(setup, z)
+            z[t] = measure_ami(setup, states[t], sigma=cfg.noise_sigma, rng=noise_rng)
+        estimates = estimate_ami(setup, z)
 
     attacks: tuple = ()
     if task == "fdi":

@@ -492,12 +492,23 @@ def checkpoint(dataset, tmp_path_factory):
     ("train", ["--set", "early_stop_patience=0"], "early_stop_patience must be at least 1, got 0"),
     ("train", ["--set", "k_temporal=20"],
      "layers * k_temporal must stay below the feature window of 10 steps, got 2 * 20"),
+    ("gen", ["--set", "noise_sigma=nan"], "noise_sigma must be finite, got nan"),
+    ("gen", ["--set", "noise_sigma=inf"], "noise_sigma must be finite, got inf"),
+    ("gen", ["--set", "demand_scale=-1"], "demand_scale must be positive and finite, got -1.0"),
+    ("gen", ["--set", "demand_scale=nan"], "demand_scale must be positive and finite, got nan"),
+    ("gen", ["--scenario", "pmu", "--set", "pmu_fraction=2"],
+     "pmu_fraction must lie in (0, 1], got 2.0"),
+    ("gen", ["--set", "pmu_fraction=-0.5"], "pmu_fraction must lie in (0, 1], got -0.5"),
+    ("gen", ["--task", "fdi", "--case", "ieee30", "--set", "attacks_per_system=-2"],
+     "attacks_per_system must be nonnegative, got -2"),
 ])
 def test_out_of_range_numbers_exit_2(dataset, checkpoint, tmp_path, capsys,
                                      command, override, message):
     out = tmp_path / "out.json"
     if command == "train":
         args = ["train", "--task", "forecast", "--data", dataset, "--out", str(out)] + TRAIN_SETS
+    elif command == "gen":
+        args = ["gen", "--q", "1", "--t-total", "12", "--out", str(tmp_path / "out")]
     else:
         args = ["eval", "--checkpoint", checkpoint, "--data", dataset, "--out", str(out)]
     capsys.readouterr()

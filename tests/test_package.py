@@ -207,3 +207,58 @@ def test_benchmark_system_check_passes_on_generated_systems(tmp_path, monkeypatc
         assert scenario.graph.kind == kind and scenario.t_total == 24
         assert bool(scenario.attacks) == (cfg["task"] == "fdi")
         assert checks.check_system(ugcn, scenario, solves, payload, path) == []
+
+
+def test_ami_series_estimate_stays_within_its_memory_bound():
+    """One 240-hour ieee69 `estimate_ami` call, the result included, peaks at
+    1.0 MB of traced allocations: the blocks of hours stay small."""
+    import tracemalloc
+
+    import numpy as np
+
+    from ugcn.caseio import load_case, to_grid_graph
+    from ugcn.estimation import ami_placement, ami_setup, estimate_ami, measure_ami
+    from ugcn.scenarios import ScenarioConfig, build_scenario
+
+    graph = to_grid_graph(load_case("ieee69"))
+    states = build_scenario(graph, ScenarioConfig(t_total=240, seed=0), 0,
+                            load_case("ieee69").loads_pu()).true_states
+    setup = ami_setup(graph, ami_placement(graph))
+    rng = np.random.default_rng(0)
+    z = np.stack([measure_ami(setup, v, sigma=0.002, rng=rng) for v in states])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimates = estimate_ami(setup, z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert estimates.shape == (240, 69)
+    assert peak <= 1.0e6, f"{peak / 1e6:.2f} MB"
+
+
+def test_benchmark_spans_count_one_ami_estimate_per_system(monkeypatch):
+    """The benchmark times AMI estimation through `ugcn.scenarios.estimate_ami`:
+    one call per system, next to one `measure_ami` call per hour.  A call that
+    bypassed that name would leave the span empty."""
+    import importlib
+    import pathlib
+    import sys
+
+    from ugcn.caseio import load_case, to_grid_graph
+    from ugcn.scenarios import ScenarioConfig, build_scenario
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+    graph = to_grid_graph(load_case("ieee33"))
+    hooks = tracer.Hooks(trace=True)
+    hooks.tracer.enabled = True
+    try:
+        scenario = build_scenario(graph, ScenarioConfig(t_total=24, seed=3), 0,
+                                  load_case("ieee33").loads_pu())
+    finally:
+        hooks.remove()
+    assert scenario.scenario == "ami" and scenario.estimates.shape == (24, 33)
+    assert hooks.tracer.calls["estimation.ami_estimate"] == 1
+    assert hooks.tracer.calls["estimation.measure"] == 24

@@ -11,11 +11,13 @@ from conftest import random_tree
 from ugcn.caseio import load_case, to_grid_graph
 from ugcn.errors import (
     ConfigError,
+    DimensionMismatch,
     MissingCell,
     NoConvergence,
     WindowOutOfRange,
 )
 from ugcn.estimation import (
+    AMI_BLOCK,
     GN_LAMBDA,
     GN_MAX_ITER,
     GN_STEP_TOL,
@@ -184,6 +186,40 @@ def naive_newton(graph, s_inj, y, tol, v0=None):
     raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(mism[free]))))
 
 
+def loop_ami_h(yc_a, v, loc):
+    """h of a single state v, as the per-hour estimator formed it."""
+    v_a = v[loc]
+    s = v_a * (yc_a @ np.conj(v))
+    return np.concatenate([s.real, s.imag, np.abs(v_a)])
+
+
+def loop_ami_h_and_jac(yc_a, v, loc):
+    """h and its Jacobian on all 2k columns (e, f) of a single state v, as the
+    per-hour estimator formed them."""
+    k = len(v)
+    m = len(loc)
+    v_a = v[loc]
+    i_conj = yc_a @ np.conj(v)
+    s = v_a * i_conj
+    vmag = np.abs(v_a)
+    h = np.concatenate([s.real, s.imag, vmag])
+    rows = np.arange(m)
+    vy = v_a[:, None] * yc_a
+    ds_de = vy.copy()
+    ds_de[rows, loc] += i_conj
+    ds_df = -1j * vy
+    ds_df[rows, loc] += 1j * i_conj
+    jac = np.zeros((3 * m, 2 * k))
+    jac[:m, :k] = ds_de.real
+    jac[:m, k:] = ds_df.real
+    jac[m:2 * m, :k] = ds_de.imag
+    jac[m:2 * m, k:] = ds_df.imag
+    safe = np.where(vmag > 1e-12, vmag, 1.0)
+    jac[rows + 2 * m, loc] = v_a.real / safe
+    jac[rows + 2 * m, k + loc] = v_a.imag / safe
+    return h, jac
+
+
 def ami_cost(
     graph: GridGraph,
     v: np.ndarray,
@@ -215,7 +251,7 @@ def naive_estimate_ami(graph, z, ami_buses):
 
     current = cost(v)
     for _ in range(GN_MAX_ITER):
-        h, jac = _ami_h_and_jac(yc_a, v, idx)
+        h, jac = loop_ami_h_and_jac(yc_a, v, idx)
         split = np.concatenate([v.real, v.imag])
         j_free = jac[:, free]
         r = z - h
@@ -248,7 +284,7 @@ def lstsq_estimate(graph, z, ami_buses):
     v = np.ones(n, dtype=np.complex128)
     current = ami_cost(graph, v, z, ami_buses, y=y)
     for _ in range(GN_MAX_ITER):
-        h, jac = _ami_h_and_jac(np.conj(y[idx]), v, idx)
+        h, jac = loop_ami_h_and_jac(np.conj(y[idx]), v, idx)
         split = np.concatenate([v.real, v.imag])
         a = np.vstack([jac, np.sqrt(GN_LAMBDA) * np.eye(2 * n)])[:, free]
         b = np.concatenate([z - h, -np.sqrt(GN_LAMBDA) * split])
@@ -279,9 +315,11 @@ def per_call_measure_ami(graph, v, ami_buses, y, sigma=0.0, rng=None):
     return z
 
 
-def per_call_estimate_ami(graph, z, ami_buses, y, info=False):
+def per_call_estimate_ami(graph, z, ami_buses, y, info=False, halvings_log=None):
     """`estimate_ami` as it was before the per-series record: every call derives
-    the visible columns (by union1d), the gauge and the hidden coordinates anew."""
+    the visible columns (by union1d), the gauge and the hidden coordinates anew.
+    With a list for `halvings_log`, the number of halvings of every iteration is
+    appended to it."""
     n = graph.n
     idx = np.array([graph.pos(b) for b in ami_buses])
     vis = np.union1d(idx, np.flatnonzero(np.any(y[idx] != 0, axis=0)))
@@ -301,18 +339,20 @@ def per_call_estimate_ami(graph, z, ami_buses, y, info=False):
 
     def cost(vec):
         split = np.concatenate([vec.real, vec.imag])
-        return float(np.sum((z - _ami_h(yc_a, vec[vis], loc)) ** 2) + GN_LAMBDA * np.sum(split ** 2))
+        return float(np.sum((z - loop_ami_h(yc_a, vec[vis], loc)) ** 2) + GN_LAMBDA * np.sum(split ** 2))
 
     current = cost(v)
     iterations = 0
     for iterations in range(1, GN_MAX_ITER + 1):
-        h, jac = _ami_h_and_jac(yc_a, v[vis], loc)
+        h, jac = loop_ami_h_and_jac(yc_a, v[vis], loc)
         split = np.concatenate([v.real, v.imag])
         j_free = jac[:, free]
         r = z - h
         normal = j_free.T @ j_free
         normal[diag, diag] += GN_LAMBDA
         reduced = np.linalg.solve(normal, j_free.T @ r - GN_LAMBDA * split[cols])
+        if not np.isfinite(reduced).all():
+            raise NoConvergence(iterations, float("inf"))
         step = np.zeros(2 * n)
         step[hidden] = -split[hidden]
         step[cols] = reduced
@@ -324,13 +364,17 @@ def per_call_estimate_ami(graph, z, ami_buses, y, info=False):
             halvings += 1
             trial = v + step[:n] + 1j * step[n:]
             trial_cost = cost(trial)
+        if halvings_log is not None:
+            halvings_log.append(halvings)
+        if not np.isfinite(trial_cost):
+            raise NoConvergence(iterations, float("inf"))
         if trial_cost <= current:
             v = trial
             current = trial_cost
         if float(np.linalg.norm(step)) < GN_STEP_TOL:
             break
     if info:
-        r = z - _ami_h(np.conj(y[idx]), v, idx)
+        r = z - loop_ami_h(np.conj(y[idx]), v, idx)
         split = np.concatenate([v.real, v.imag])
         objective = float(np.sum(r ** 2) + GN_LAMBDA * np.sum(split ** 2))
         return v, {"iterations": iterations, "residual": float(np.linalg.norm(r)),
@@ -730,25 +774,48 @@ class TestAmiEstimation:
         v = solve_powerflow(ieee33, s)
         buses = ami_placement(ieee33, 0.4)
         z = measure_ami(ami_setup(ieee33, buses), v)
-        est, info = estimate_ami(ami_setup(ieee33, buses), z, info=True)
+        est, info = estimate_ami(ami_setup(ieee33, buses), z[None], info=True)
+        est = est[0]
         assert ami_cost(ieee33, est, z, buses) <= ami_cost(ieee33, v, z, buses) + 1e-12
-        assert info["iterations"] <= 50
+        assert info["iterations"][0] <= 50
 
     def test_jacobian_matches_central_differences(self):
+        """The free-column Jacobian against central differences of h and,
+        exactly, against the per-hour full Jacobian's free columns; no meter
+        sees the slack."""
+        self.check_jacobian("placed")
+
+    @pytest.mark.parametrize("meters", ["near_slack", "slack_metered"])
+    def test_jacobian_with_the_slack_seen_or_metered(self, meters):
+        """As above, with the slack's f column dropped, and with the slack
+        metered, its d|v|/df entry dropped too."""
+        self.check_jacobian(meters)
+
+    @staticmethod
+    def check_jacobian(meters):
         g = reconfigured("ieee69", seed=3, ops=4)
         y = build_admittance(g)
-        idx = np.array([g.pos(b) for b in ami_placement(g, 0.4)])
+        buses = set(ami_placement(g, 0.4))
+        if meters != "placed":
+            buses.add(slack_neighbor(g, y) if meters == "near_slack" else g.slack_bus())
+        setup = ami_setup(g, tuple(sorted(buses)), y)
+        assert (setup.gauge < len(setup.vis)) == (meters != "placed")
+        assert (len(setup.f_rows) < len(setup.idx)) == (meters == "slack_metered")
+        vis, loc, yc_a = setup.vis, setup.loc, setup.yc_a
         rng = np.random.default_rng(5)
         v = (1 + 0.05 * rng.standard_normal(g.n)) * np.exp(0.05j * rng.standard_normal(g.n))
-        yc_a = np.conj(y[idx])
-        h, jac = _ami_h_and_jac(yc_a, v, idx)
-        assert np.array_equal(h, _ami_h(yc_a, v, idx))
+        h, jac = _ami_h_and_jac(setup, v[None, vis])
+        h, jac = h[0], jac[0]
+        assert np.array_equal(h, _ami_h(yc_a, v[vis], loc))
+        want_h, want_jac = loop_ami_h_and_jac(yc_a, v[vis], loc)
+        assert np.array_equal(h, want_h) and np.array_equal(jac, want_jac[:, setup.free])
+        k = len(vis)
         eps = 1e-6
         fd = np.empty_like(jac)
-        for k in range(2 * g.n):
-            dv = np.zeros(g.n, dtype=np.complex128)
-            dv[k % g.n] = eps if k < g.n else 1j * eps
-            fd[:, k] = (_ami_h(yc_a, v + dv, idx) - _ami_h(yc_a, v - dv, idx)) / (2 * eps)
+        for c, col in enumerate(setup.free):
+            dv = np.zeros(k, dtype=np.complex128)
+            dv[col % k] = eps if col < k else 1j * eps
+            fd[:, c] = (_ami_h(yc_a, v[vis] + dv, loc) - _ami_h(yc_a, v[vis] - dv, loc)) / (2 * eps)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
 
     def test_objective_matches_lstsq_step_oracle(self):
@@ -756,10 +823,11 @@ class TestAmiEstimation:
         v = solve_powerflow(g, feeder_injections("ieee69", g))
         buses = ami_placement(g, 0.4)
         z = measure_ami(ami_setup(g, buses), v, sigma=0.002, rng=np.random.default_rng(13))
-        est, info = estimate_ami(ami_setup(g, buses), z, info=True)
+        est, info = estimate_ami(ami_setup(g, buses), z[None], info=True)
+        est = est[0]
         oracle = ami_cost(g, lstsq_estimate(g, z, buses), z, buses)
-        assert info["cost"] == ami_cost(g, est, z, buses)
-        assert info["cost"] <= oracle * (1 + 1e-12)
+        assert info["cost"][0] == ami_cost(g, est, z, buses)
+        assert info["cost"][0] <= oracle * (1 + 1e-12)
 
     def test_noise_without_rng_is_config_error(self, chain4):
         v = np.ones(4, dtype=np.complex128)
@@ -768,7 +836,7 @@ class TestAmiEstimation:
 
     @staticmethod
     def assert_matches_full_column_oracle(g, z, buses):
-        est = estimate_ami(ami_setup(g, buses), z)
+        est = estimate_ami(ami_setup(g, buses), z[None])[0]
         want = naive_estimate_ami(g, z, buses)
         assert np.max(np.abs(est - want)) <= 2e-8
         assert ami_cost(g, est, z, buses) <= ami_cost(g, want, z, buses) * (1 + 1e-12)
@@ -821,16 +889,92 @@ class TestAmiEstimation:
                 want_z = per_call_measure_ami(g, v, buses, y, sigma=0.002,
                                               rng=np.random.default_rng([hour, k]))
                 assert np.array_equal(z, want_z)
-                est, info = estimate_ami(setup, z, info=True)
+                est, info = estimate_ami(setup, z[None], info=True)
+                est, info = est[0], {key: value[0] for key, value in info.items()}
                 want, want_info = per_call_estimate_ami(g, z, buses, y, info=True)
                 assert np.array_equal(est.view(np.float64), want.view(np.float64))
                 assert info == want_info
-                assert np.array_equal(estimate_ami(setup, z).view(np.float64), est.view(np.float64))
+                assert np.array_equal(estimate_ami(setup, z[None])[0].view(np.float64),
+                                      est.view(np.float64))
         for setup in (record for *_, record in series):
             for array in (setup.idx, setup.vis, setup.loc, setup.yc_a, setup.free, setup.cols,
                           setup.hidden):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[-1]
+
+
+class TestAmiSeries:
+    """`estimate_ami` over a series against a loop of the per-hour oracle."""
+
+    @staticmethod
+    def series(name, seed, t_total):
+        g = reconfigured(name, seed, ops=4)
+        cfg = ScenarioConfig(t_total=t_total, seed=seed)
+        states = build_scenario(g, cfg, 0, load_case(name).loads_pu()).true_states
+        return g, build_admittance(g), states
+
+    @staticmethod
+    def layouts(g, y):
+        """The placed meters, with one more bus, and each again with a meter
+        next to the slack: meter counts of both parities, the slack seen and not."""
+        placed = ami_placement(g)
+        near = slack_neighbor(g, y)
+        extra = min(b for b in g.bus_ids if b not in placed and b not in (g.slack_bus(), near))
+        return [tuple(sorted(set(placed) | set(more)))
+                for more in ((), (extra,), (near,), (near, extra))]
+
+    @pytest.mark.parametrize("name,seed", [("ieee33", 2), ("ieee69", 3)])
+    @pytest.mark.parametrize("t_total", [1, 2 * AMI_BLOCK + 1, 240])
+    def test_matches_per_hour_oracle_bit_for_bit(self, name, seed, t_total):
+        g, y, states = self.series(name, seed, t_total)
+        layouts = self.layouts(g, y)
+        if t_total == 240:
+            layouts = layouts[::2]      # still both parities, the slack seen and not
+        halvings, seen = [], set()
+        for k, buses in enumerate(layouts):
+            setup = ami_setup(g, buses, y)
+            seen.add(setup.gauge < len(setup.vis))
+            rng = np.random.default_rng([seed, k])
+            z = np.stack([measure_ami(setup, v, sigma=0.002, rng=rng) for v in states])
+            est, info = estimate_ami(setup, z, info=True)
+            assert est.shape == (t_total, g.n)
+            for t in range(t_total):
+                log = []
+                want, want_info = per_call_estimate_ami(g, z[t], buses, y, info=True,
+                                                        halvings_log=log)
+                assert np.array_equal(est[t].view(np.float64), want.view(np.float64))
+                assert {key: value[t] for key, value in info.items()} == want_info
+                halvings.append(max(log))
+            assert np.array_equal(estimate_ami(setup, z).view(np.float64), est.view(np.float64))
+        assert {len(buses) % 2 for buses in layouts} == {0, 1}
+        assert seen == {False, True}
+        if t_total == 240:
+            assert any(0 < h < 12 for h in halvings) and 12 in halvings
+
+    @pytest.mark.parametrize("hours", [(AMI_BLOCK - 1, 1), (AMI_BLOCK + 4, AMI_BLOCK + 1),
+                                       (2 * AMI_BLOCK + 1, AMI_BLOCK - 2)])
+    def test_non_finite_hours_raise_as_the_hour_loop(self, hours):
+        """A NaN and an inf measurement, in one block or in two: the series raises
+        what the per-hour loop raises at the earlier of the two hours."""
+        g, y, states = self.series("ieee33", 9, 3 * AMI_BLOCK)
+        buses = ami_placement(g)
+        setup = ami_setup(g, buses, y)
+        z = np.stack([measure_ami(setup, v) for v in states])
+        z[hours[0], 0] = np.nan
+        z[hours[1], -1] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NoConvergence) as want:
+                for t in range(len(z)):
+                    per_call_estimate_ami(g, z[t], buses, y)
+            with pytest.raises(NoConvergence) as got:
+                estimate_ami(setup, z)
+        assert (got.value.iterations, got.value.mismatch, str(got.value)) == (
+            want.value.iterations, want.value.mismatch, str(want.value))
+
+    def test_measurement_shape_is_checked(self, ieee33):
+        setup = ami_setup(ieee33, ami_placement(ieee33))
+        with pytest.raises(DimensionMismatch, match="expected \\[T, 42\\] measurements"):
+            estimate_ami(setup, np.zeros(42))
 
 
 class TestPmuEstimation:
