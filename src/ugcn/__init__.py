@@ -34,6 +34,7 @@ from .training import (
     Adam,
     MetricsReport,
     TrainConfig,
+    TrainState,
     UgcnPredictor,
     eval_fdi,
     eval_forecast,
@@ -47,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackScenario", "AugmentConfig", "Adam", "Branch", "CaseFile", "GridGraph",
     "LayerConfig", "MetricsReport", "ProfileSet", "ScenarioConfig",
-    "ScenarioSet", "TrainConfig", "UgcnError", "UgcnPredictor",
+    "ScenarioSet", "TrainConfig", "TrainState", "UgcnError", "UgcnPredictor",
     "apply_op", "augment", "build_admittance", "build_features", "build_gso",
     "build_scenario", "build_stealth_attack", "eval_fdi",
     "eval_forecast", "fdi_config", "forecast_config",

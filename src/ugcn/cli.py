@@ -36,6 +36,7 @@ from .errors import (
 )
 from .grid import DISTRIBUTION, TRANSMISSION
 from .model import (
+    CUSTOM,
     LayerConfig,
     fdi_config,
     forecast_config,
@@ -56,6 +57,7 @@ from .training import (
     DenseModel,
     MetricsReport,
     TrainConfig,
+    TrainState,
     UgcnPredictor,
     check_series_lengths,
     dense_shapes,
@@ -367,10 +369,12 @@ def cmd_gen(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     kind = cfg["kind"] or case.kind or DISTRIBUTION
     try:
-        caseio.to_grid_graph(case, kind=kind)
+        base = caseio.to_grid_graph(case, kind=kind)
     except UgcnError as exc:
         raise ConfigError(f"case {cfg['case']!r} does not make a {kind} graph: {exc}") from exc
-    _scenario_config(kind, cfg)     # refuses bad scenario numbers before any output exists
+    # refuse bad augment and scenario numbers before any output exists
+    _augment_config(base.n, kind, cfg)
+    _scenario_config(kind, cfg)
     os.makedirs(cfg["out"], exist_ok=True)
 
     # The pool starts all its workers at once, so never more than can be busy.
@@ -487,6 +491,44 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
+def _read_resume(path: str) -> TrainState:
+    """The run record that a checkpoint's `resume_state` continues."""
+    ck = _read_checkpoint(path)
+    if "resume_state" not in ck:
+        raise ConfigError(f"checkpoint {path!r} has no resume state to continue from")
+    resume = ck["resume_state"]
+    mcfg = _checkpoint_layers(path, ck)
+    model = UgcnPredictor(_checkpoint_params(path, mcfg, resume["last_params"]), mcfg)
+    try:
+        optimizer = Adam.from_state(resume["optimizer"])
+    except (KeyError, TypeError, CorruptFile) as exc:
+        raise ConfigError(f"checkpoint {path!r}: unreadable optimizer state: {exc}") from exc
+    views = {name: Adam._view(t).shape for name, t in model.params.items()}
+    for key in ("m", "v"):
+        _checked(path, getattr(optimizer, key), views, f"parameters (optimizer moment {key})")
+    # the best parameters are the top-level ones; older checkpoints also
+    # carry a copy in resume_state.best.params, which is ignored
+    return TrainState(
+        model, optimizer, UgcnPredictor(_checkpoint_params(path, mcfg, ck["params"]), mcfg),
+        best_val=resume["best"]["val"], bad=resume["best"]["bad"],
+        epoch=resume["epoch_next"], history=[tuple(r) for r in ck["history"]],
+    )
+
+
+def _check_pooling(mcfg: LayerConfig, systems: list[ScenarioSet]) -> None:
+    """Refuse clustered pooling into more clusters than the smallest system has buses."""
+    smallest = min(systems, key=lambda s: s.n)
+    if mcfg.pooling == CUSTOM and smallest.n < mcfg.pooled_nodes:
+        raise ConfigError(
+            f"pooled_nodes {mcfg.pooled_nodes} is more than the {smallest.n} buses "
+            f"of system {smallest.index}, the smallest"
+        )
+
+
+def _ugcn_tensors(model: UgcnPredictor) -> dict:
+    return {"layer_config": model.cfg.to_dict(), "params": params_to_payload(model.params)}
+
+
 def cmd_train(args) -> int:
     cfg = build_config(TRAIN_DEFAULTS, args)
     if cfg["task"] not in ("forecast", "fdi"):
@@ -508,92 +550,47 @@ def cmd_train(args) -> int:
         f"one training and one validation window of {WINDOW} steps with lead {tcfg.lead}",
     )
     echo = {k: v for k, v in cfg.items() if k not in ("out", "data", "resume")}
+    head = {"model": cfg["model"], "task": cfg["task"], "train_config": echo}
 
-    history_rows: list = []
+    if cfg["model"] == "dense":
+        state = TrainState.start(init_dense(
+            systems[0].graph.bus_ids, task=cfg["task"], seed=cfg["seed"],
+            hidden=cfg["dense_hidden"], depth=cfg["dense_depth"],
+        ), tcfg)
+        run, systems = train_dense, systems[:1]
+    else:
+        mcfg = _layer_config(cfg)      # checked on --resume too, which takes the checkpoint's
+        state = (_read_resume(cfg["resume"]) if cfg["resume"] else
+                 TrainState.start(UgcnPredictor(init_params(mcfg, seed=cfg["seed"]), mcfg), tcfg))
+        _check_pooling(state.model.cfg, systems)
+        run = train
     try:
-        if cfg["model"] == "dense":
-            model = init_dense(
-                systems[0].graph.bus_ids, task=cfg["task"], seed=cfg["seed"],
-                hidden=cfg["dense_hidden"], depth=cfg["dense_depth"],
-            )
-            model, history_rows = train_dense(model, systems[:1], tcfg)
-            payload = {
-                "model": "dense", "task": cfg["task"], "train_config": echo,
-                "dense": dense_to_payload(model), "history": history_rows,
-            }
-        else:
-            mcfg = _layer_config(cfg)
-            start_epoch = 0
-            optimizer = None
-            best = None
-            if cfg["resume"]:
-                ck = _read_checkpoint(cfg["resume"])
-                if "resume_state" not in ck:
-                    raise ConfigError(
-                        f"checkpoint {cfg['resume']!r} has no resume state to continue from"
-                    )
-                resume = ck["resume_state"]
-                mcfg = _checkpoint_layers(cfg["resume"], ck)
-                model = UgcnPredictor(
-                    _checkpoint_params(cfg["resume"], mcfg, resume["last_params"]), mcfg)
-                try:
-                    optimizer = Adam.from_state(resume["optimizer"])
-                except (KeyError, TypeError, CorruptFile) as exc:
-                    raise ConfigError(
-                        f"checkpoint {cfg['resume']!r}: unreadable optimizer state: {exc}") from exc
-                views = {name: Adam._view(t).shape for name, t in model.params.items()}
-                for key in ("m", "v"):
-                    _checked(cfg["resume"], getattr(optimizer, key), views,
-                             f"parameters (optimizer moment {key})")
-                start_epoch = resume["epoch_next"]
-                history_rows = [tuple(r) for r in ck["history"]]
-                # the best parameters are the top-level ones; older checkpoints
-                # also carry a copy in resume_state.best.params, which is ignored
-                best = {
-                    "val": resume["best"]["val"],
-                    "model": UgcnPredictor(
-                        _checkpoint_params(cfg["resume"], mcfg, ck["params"]), mcfg),
-                    "bad": resume["best"]["bad"],
-                }
-                del ck, resume   # its tensors are views of the whole file's bytes
-            else:
-                model = UgcnPredictor(init_params(mcfg, seed=cfg["seed"]), mcfg)
-            state: dict = {}
-            model, history_rows = train(
-                model, systems, tcfg,
-                optimizer=optimizer, start_epoch=start_epoch,
-                history=history_rows, best=best, state_out=state,
-            )
-            payload = {
-                "model": "ugcn", "task": cfg["task"], "train_config": echo,
-                "layer_config": mcfg.to_dict(), "params": params_to_payload(model.params),
-                "history": history_rows,
-                "resume_state": {
-                    "last_params": params_to_payload(state["last"].params),
-                    "optimizer": state["optimizer"].state(),
-                    "epoch_next": state["epoch_next"],
-                    "best": {"val": state["best"]["val"], "bad": state["best"]["bad"]},
-                },
-            }
+        run(state, systems, tcfg)
     except DivergedLoss as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
-        if exc.model is not None and cfg["model"] == "ugcn":
-            caseio.save_checkpoint(cfg["out"], {
-                "model": "ugcn", "task": cfg["task"], "train_config": echo,
-                "layer_config": exc.model.cfg.to_dict(),
-                "params": params_to_payload(exc.model.params),
-                "history": history_rows, "diverged_at": exc.epoch,
-            })
+        if cfg["model"] == "ugcn":
+            caseio.save_checkpoint(cfg["out"], {**head, **_ugcn_tensors(state.best),
+                                                "history": state.history,
+                                                "diverged_at": exc.epoch})
         return 4
 
-    caseio.save_checkpoint(cfg["out"], payload)
+    if cfg["model"] == "dense":
+        payload = {**head, "dense": dense_to_payload(state.result())}
+    else:
+        payload = {**head, **_ugcn_tensors(state.result()), "resume_state": {
+            "last_params": params_to_payload(state.model.params),
+            "optimizer": state.optimizer.state(),
+            "epoch_next": state.epoch,
+            "best": {"val": state.best_val, "bad": state.bad},
+        }}
+    caseio.save_checkpoint(cfg["out"], {**payload, "history": state.history})
     hist_path = os.path.splitext(cfg["out"])[0] + ".history.csv"
     with caseio.atomic_write(hist_path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss", "val_loss"])
-        for row in history_rows:
+        for row in state.history:
             writer.writerow([row[0], repr(float(row[1])), repr(float(row[2]))])
-    print(f"checkpoint: {cfg['out']}  history: {hist_path}  epochs: {len(history_rows)}")
+    print(f"checkpoint: {cfg['out']}  history: {hist_path}  epochs: {len(state.history)}")
     return 0
 
 
@@ -657,6 +654,8 @@ def cmd_eval(args) -> int:
     except DimensionMismatch as exc:
         print(f"checkpoint incompatible with dataset: {exc}", file=sys.stderr)
         return 5
+    if task == "forecast" and "horizon" in ck.get("train_config", {}):
+        report.config["trained_horizon"] = ck["train_config"]["horizon"]
     with caseio.atomic_write(cfg["out"], encoding="utf-8") as fh:
         fh.write(report.to_json())
         fh.write("\n")
@@ -673,6 +672,8 @@ def _report_lines(report: MetricsReport) -> list[str]:
     tables = [(report.model, report.horizons if report.task == "forecast" else report.omegas)]
     tables += [(f"baseline {name}", table) for name, table in sorted(report.baselines.items())]
     lines = []
+    if "trained_horizon" in report.config:
+        lines.append(f"  {report.model} trained at H={report.config['trained_horizon']}")
     for label, table in tables:
         for key in sorted(table):
             if report.task == "forecast":

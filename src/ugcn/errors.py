@@ -132,7 +132,7 @@ class InfeasibleAttack(UgcnError):
     """Stealth condition admits only the zero perturbation for the chosen sensors."""
 
 
-class TooFewNodes(UgcnError):
+class TooFewNodes(DimensionMismatch):
     """Pooling requested more clusters than there are nodes."""
 
 
@@ -141,12 +141,11 @@ class NoForwardRecorded(UgcnError):
 
 
 class DivergedLoss(UgcnError):
-    """Training loss became non-finite; carries the best finite model reached."""
+    """Training loss became non-finite at `epoch`."""
 
-    def __init__(self, epoch, model=None):
+    def __init__(self, epoch):
         super().__init__(f"loss diverged at epoch {epoch}")
         self.epoch = epoch
-        self.model = model
 
 
 class ConfigError(UgcnError):

@@ -95,31 +95,12 @@ class GridGraph:
             if self.root not in self._pos:
                 raise DanglingBranch(self.root)
             live = self.in_service()
-            if len(live) != self.n - 1 or not self._connected(live):
+            if len(live) != self.n - 1 or len(self.reach(self.root)) < self.n:
                 raise NotRadial(
                     f"{self.n} buses with {len(live)} in-service branches do not form a spanning tree"
                 )
-        else:
-            if not self._connected(self.in_service()):
-                raise Disconnected("transmission graph is not connected")
-
-    def _connected(self, live: list[Branch]) -> bool:
-        if self.n == 0:
-            return False
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for br in live:
-            ra, rb = find(self._pos[br.from_bus]), find(self._pos[br.to_bus])
-            if ra != rb:
-                parent[ra] = rb
-        root = find(0)
-        return all(find(i) == root for i in range(self.n))
+        elif self.n == 0 or len(self.reach(self.bus_ids[0])) < self.n:
+            raise Disconnected("transmission graph is not connected")
 
     @property
     def n(self) -> int:
@@ -141,6 +122,19 @@ class GridGraph:
             adj[i].append((j, idx))
             adj[j].append((i, idx))
         return adj
+
+    def reach(self, start: int, skip_branch: int = -1) -> set[int]:
+        """Bus ids reachable from bus `start` over in-service branches, the
+        branch of index `skip_branch` left out."""
+        adj = self.adjacency()
+        seen = {self._pos[start]}
+        frontier = list(seen)
+        for u in frontier:                 # grows while it is walked: breadth first
+            for v, idx in adj[u]:
+                if idx != skip_branch and v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return {self.bus_ids[i] for i in seen}
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=int)

@@ -107,24 +107,6 @@ def _find_branch(g: GridGraph, a: int, b: int) -> int:
     raise UnknownElement(f"no in-service branch {a}-{b}")
 
 
-def _component(g: GridGraph, start: int, skip_branch: int) -> set[int]:
-    """Bus ids reachable from start over in-service branches, ignoring one branch."""
-    adj: dict[int, list[int]] = {b: [] for b in g.bus_ids}
-    for idx, br in enumerate(g.branches):
-        if br.in_service and idx != skip_branch:
-            adj[br.from_bus].append(br.to_bus)
-            adj[br.to_bus].append(br.from_bus)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def apply_op(g: GridGraph, op: ReconfigOp) -> GridGraph:
     """Apply one reconfiguration and return the new graph."""
     return _apply(g, op)[0]
@@ -149,14 +131,8 @@ def _disconnect(g: GridGraph, op: FeederDisconnect) -> GridGraph:
         raise UnknownElement(f"no bus {op.node}")
     if op.node == g.root:
         raise WouldDisconnectRoot("cannot disconnect the root bus")
-    if g.kind == DISTRIBUTION:
-        deg = sum(
-            1 for br in g.in_service() if op.node in (br.from_bus, br.to_bus)
-        )
-        if deg > 1:
-            raise WouldDisconnectRoot(
-                f"disconnecting non-leaf bus {op.node} would strand its subtree"
-            )
+    if g.kind == DISTRIBUTION and g.degrees()[g.pos(op.node)] > 1:
+        raise WouldDisconnectRoot(f"disconnecting non-leaf bus {op.node} would strand its subtree")
     return GridGraph(
         bus_ids=tuple(b for b in g.bus_ids if b != op.node),
         branches=tuple(br for br in g.branches if op.node not in (br.from_bus, br.to_bus)),
@@ -194,7 +170,7 @@ def _param_change(g: GridGraph, op: ParamChange) -> GridGraph:
 def _line_break(g: GridGraph, op: LineBreak) -> tuple[GridGraph, SubtreePayload | None]:
     idx = _find_branch(g, op.from_bus, op.to_bus)
     if g.kind == TRANSMISSION:
-        reachable = _component(g, g.slack_bus(), skip_branch=idx)
+        reachable = g.reach(g.slack_bus(), skip_branch=idx)
         if len(reachable) != g.n:
             raise Disconnected(
                 f"breaking {op.from_bus}-{op.to_bus} would disconnect the network"
@@ -202,7 +178,7 @@ def _line_break(g: GridGraph, op: LineBreak) -> tuple[GridGraph, SubtreePayload 
         branches = tuple(br for i, br in enumerate(g.branches) if i != idx)
         return GridGraph(g.bus_ids, branches, kind=g.kind, root=g.root), None
     # Distribution: the side without the root is stranded and removed whole.
-    kept = _component(g, g.root, skip_branch=idx)
+    kept = g.reach(g.root, skip_branch=idx)
     removed = [b for b in g.bus_ids if b not in kept]
     sub_root = op.from_bus if op.from_bus in removed else op.to_bus
     payload = SubtreePayload(
@@ -304,7 +280,7 @@ class _OpSampler:
             for _ in range(10):
                 br = self._pick(live)
                 idx = _find_branch(g, br.from_bus, br.to_bus)
-                if len(_component(g, g.slack_bus(), skip_branch=idx)) == g.n:
+                if len(g.reach(g.slack_bus(), skip_branch=idx)) == g.n:
                     return LineBreak(br.from_bus, br.to_bus)
             return None
         if g.n <= 2:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import json
-import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -447,40 +446,49 @@ def _pick_attack(live: tuple[int, ...], rng: np.random.Generator, prob: float):
     return live[int(rng.integers(0, len(live)))]
 
 
-def train(
-    model: Model,
-    systems: list[ScenarioSet],
-    cfg: TrainConfig,
-    optimizer: Adam | None = None,
-    start_epoch: int = 0,
-    history: list | None = None,
-    best: dict | None = None,
-    state_out: dict | None = None,
-):
-    """Optimize a model's shared tensors over the system family; returns
-    (model, history), the model a copy holding the tensors of the epoch with
-    the lowest validation loss.
+@dataclass
+class TrainState:
+    """One training run: the live model and its optimizer, the best model so
+    far with its validation loss and the epochs since that loss last fell,
+    and the next epoch with the history rows (epoch, loss, val_loss) before it."""
+
+    model: Model
+    optimizer: Adam
+    best: Model
+    best_val: float = float("inf")
+    bad: int = 0
+    epoch: int = 0
+    history: list = field(default_factory=list)
+
+    @classmethod
+    def start(cls, model: Model, cfg: TrainConfig) -> "TrainState":
+        """A run from epoch 0 on a copy of `model`."""
+        model = model.copy()
+        return cls(model, Adam(cfg.lr), model.copy())
+
+    def result(self) -> Model:
+        """The model of the lowest validation loss, or the live one before any."""
+        return self.best if self.best_val < float("inf") else self.model
+
+
+def train(state: TrainState, systems: list[ScenarioSet], cfg: TrainConfig) -> TrainState:
+    """Optimize the run's model over the system family from `state.epoch` on,
+    updating `state` in place; returns it.
 
     Deterministic in cfg.seed: epoch e always draws from the stream
-    (seed, 101, e), so a resumed run continues exactly where it left off;
-    pass state_out to capture the live model, optimizer, and early-stopping
-    state for checkpointing.  Raises DivergedLoss (carrying the best finite
-    model) on NaN/Inf.
+    (seed, 101, e), so a run continued from its saved record ends exactly
+    where the uninterrupted run does.  Raises DivergedLoss on NaN/Inf; the
+    record then holds the epochs before it.
     """
     if not systems:
         raise DimensionMismatch("need at least one training system")
-    model = model.copy()
     contexts = contexts_for(systems)
     splits = [_split_times(s, cfg) for s in systems]
-    opt = optimizer if optimizer is not None else Adam(cfg.lr)
-    history = [] if history is None else list(history)
-    best = dict(best) if best else {"val": float("inf"), "model": model.copy(), "bad": 0}
+    model, opt = state.model, state.optimizer
 
     q_total = len(systems)
     batch_size = min(cfg.batch_systems, q_total)
-    epoch_next = start_epoch
-    for epoch in range(start_epoch, cfg.epochs):
-        epoch_next = epoch + 1
+    for epoch in range(state.epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, 101, epoch])
         batch = []
         for q in rng.choice(q_total, size=batch_size, replace=False):
@@ -497,38 +505,33 @@ def train(
         for g in grads.values():
             g *= 1.0 / batch_size
         if not np.isfinite(batch_loss):
-            raise DivergedLoss(epoch, best["model"])
+            raise DivergedLoss(epoch)
         opt.lr = cfg.lr * cfg.lr_decay ** epoch   # function of epoch: resume-safe
         opt.step(model.params, grads)
         del grads                      # not held through the next epoch's backward
         if not model.finite():
-            raise DivergedLoss(epoch, best["model"])
+            raise DivergedLoss(epoch)
 
         val_loss = _validation_loss(model, cfg, contexts, splits)
-        history.append((epoch, batch_loss, val_loss))
-        if val_loss < best["val"] - 1e-12:
-            best.update(val=val_loss, model=model.copy(), bad=0)
+        state.history.append((epoch, batch_loss, val_loss))
+        state.epoch = epoch + 1
+        if val_loss < state.best_val - 1e-12:
+            state.best, state.best_val, state.bad = model.copy(), val_loss, 0
         else:
-            best["bad"] += 1
-            if best["bad"] >= cfg.early_stop_patience:
+            state.bad += 1
+            if state.bad >= cfg.early_stop_patience:
                 break
-    if state_out is not None:
-        state_out.update(last=model, best=best, epoch_next=epoch_next, optimizer=opt)
-    return best["model"] if best["val"] < float("inf") else model, history
+    return state
 
 
-def train_dense(
-    model: DenseModel,
-    systems: list[ScenarioSet],
-    cfg: TrainConfig,
-) -> tuple[DenseModel, list]:
+def train_dense(state: TrainState, systems: list[ScenarioSet], cfg: TrainConfig) -> TrainState:
     """Train the baseline on its own (base-topology) systems.
 
     `ugcn train --model dense` enters here rather than at `train`, so a trace
     that wraps entry points by name (benchmarks/tracer.py) can time the two
     models apart.
     """
-    return train(model, systems, cfg)
+    return train(state, systems, cfg)
 
 
 def _validation_loss(model: Model, cfg: TrainConfig, contexts, splits) -> float:
@@ -557,7 +560,6 @@ class MetricsReport:
     omegas: dict = field(default_factory=dict)         # {omega: {...rates}}
     per_system: list = field(default_factory=list)
     zeros_accuracy: float | None = None
-    wall_clock_s: float = 0.0
     config: dict = field(default_factory=dict)
     # {name: {H or omega: mse or rates}} of the predictors that need no model
     baselines: dict = field(default_factory=dict)
@@ -571,13 +573,13 @@ class MetricsReport:
                           for name, table in self.baselines.items()},
             "per_system": self.per_system,
             "zeros_accuracy": self.zeros_accuracy,
-            "wall_clock_s": self.wall_clock_s,
             "config": self.config,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
-        """Reports written before the baselines were added load without them."""
+        """Reports written before the baselines were added load without them;
+        the `wall_clock_s` that older reports carry is dropped."""
         key = int if doc["task"] == FORECAST else float
         return cls(
             model=doc["model"], task=doc["task"],
@@ -587,7 +589,6 @@ class MetricsReport:
                        for name, table in doc.get("baselines", {}).items()},
             per_system=doc.get("per_system", []),
             zeros_accuracy=doc.get("zeros_accuracy"),
-            wall_clock_s=doc.get("wall_clock_s", 0.0),
             config=doc.get("config", {}),
         )
 
@@ -613,7 +614,6 @@ def eval_forecast(
     The same windows also score two predictors that need no model: the flat
     profile 1+0j and the latest estimate carried forward.
     """
-    start = time.perf_counter()
     contexts = contexts_for(systems)
     mse = {int(h): [] for h in horizons}
     flat = {int(h): [] for h in horizons}
@@ -643,7 +643,6 @@ def eval_forecast(
         baselines={"flat": {h: float(np.mean(v)) for h, v in flat.items()},
                    "carry_forward": {h: float(np.mean(v)) for h, v in carry.items()}},
         per_system=per_system,
-        wall_clock_s=time.perf_counter() - start,
         config={"stride": stride, "window": WINDOW, "n_systems": len(systems)},
     )
     return report
@@ -683,7 +682,6 @@ def eval_fdi(
     all-zeros predictor (its accuracy) and the one that flags every sensor
     bus, which is where every attack lands (its rates, per omega).
     """
-    start = time.perf_counter()
     contexts = contexts_for(systems)
     logit_cut = np.log(threshold / (1.0 - threshold))
     w_grid = np.array([float(w) for w in omegas])
@@ -723,7 +721,6 @@ def eval_fdi(
                                     for w in omegas}},
         per_system=[{"index": k, "omegas": v} for k, v in per_system.items()],
         zeros_accuracy=(zeros_correct / total_labels) if total_labels else None,
-        wall_clock_s=time.perf_counter() - start,
         config={"threshold": threshold, "stride": stride, "n_systems": len(systems)},
     )
     return report

@@ -395,6 +395,38 @@ class TestTrainEval:
         if model == "ugcn":
             assert "diverged_at" in load_checkpoint(str(ckpt))
 
+    def test_diverged_checkpoint_keeps_the_epochs_that_ran(self, dataset, tmp_path):
+        """A run that diverges at epoch k saves k history rows: those of the
+        same run stopped after k epochs."""
+        args = (["train", "--task", "forecast", "--data", dataset, "--seed", "1"] + TRAIN_SETS
+                + ["--set", "lr=1e60", "--set", "lr_decay=1.0"])
+        ckpt, short = str(tmp_path / "div.ckpt.json"), str(tmp_path / "short.ckpt.json")
+        with np.errstate(all="ignore"):
+            assert run_cli(args + ["--out", ckpt]) == 4
+            ck = load_checkpoint(ckpt)
+            k = ck["diverged_at"]
+            assert k >= 1 and len(ck["history"]) == k
+            assert run_cli(args + ["--out", short, "--epochs", str(k)]) == 0
+        ref = load_checkpoint(short)
+        assert ck["history"] == ref["history"]
+        assert ck["layer_config"] == ref["layer_config"]
+        assert "resume_state" not in ck
+
+    def test_forecast_report_records_the_trained_horizon(self, dataset, tmp_path, capsys):
+        """eval and report print the horizon the checkpoint was trained for,
+        and eval still scores every horizon asked for."""
+        ckpt, report = str(tmp_path / "m.ckpt.json"), str(tmp_path / "r.json")
+        assert run_cli(["train", "--task", "forecast", "--data", dataset, "--out", ckpt,
+                        "--seed", "1", "--horizon", "2"] + TRAIN_SETS) == 0
+        capsys.readouterr()
+        assert run_cli(eval_args(ckpt, dataset, report)) == 0
+        doc = json.loads(open(report).read())
+        assert doc["config"]["trained_horizon"] == 2
+        assert set(doc["horizons"]) == {"0", "1"}
+        assert capsys.readouterr().out.splitlines()[1] == "  ugcn trained at H=2"
+        assert run_cli(["report", report]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "  ugcn trained at H=2"
+
     @pytest.mark.parametrize("override", [
         ["--epochs", "0"], ["--set", "lr=0"], ["--set", "widths=[10,48]"],
         ["--set", "pooling=foo"], ["--set", "pooled_nodes=0"], ["--set", "k_spatial=-1"],
@@ -501,6 +533,10 @@ def checkpoint(dataset, tmp_path_factory):
     ("gen", ["--set", "pmu_fraction=-0.5"], "pmu_fraction must lie in (0, 1], got -0.5"),
     ("gen", ["--task", "fdi", "--case", "ieee30", "--set", "attacks_per_system=-2"],
      "attacks_per_system must be nonnegative, got -2"),
+    ("gen", ["--set", "node_min=200"],
+     "bad node_bounds (200, 38): need node_min <= node_max"),
+    ("gen", ["--set", "ops_min=5", "--set", "ops_max=2"],
+     "bad ops_range (5, 2): need 0 <= ops_min <= ops_max"),
 ])
 def test_out_of_range_numbers_exit_2(dataset, checkpoint, tmp_path, capsys,
                                      command, override, message):
@@ -603,6 +639,40 @@ class TestInputChecks:
             one_line_error(capsys, "config error: checkpoint")
             assert not out.exists()
 
+    def test_more_clusters_than_buses(self, dataset, tmp_path, capsys):
+        """Clustered pooling into more clusters than the smallest system has
+        buses: train refuses it, fresh or resumed, before any epoch, and eval
+        of a checkpoint trained on larger systems exits 5."""
+        systems, _ = cli.load_dataset_dir(dataset)
+        small, big = min(systems, key=lambda s: s.n), max(systems, key=lambda s: s.n)
+        k = small.n + 1
+        args = (["train", "--task", "forecast", "--seed", "1"] + TRAIN_SETS
+                + ["--set", "pooling=custom", "--set", f"pooled_nodes={k}"])
+        refused = (f"config error: pooled_nodes {k} is more than the {small.n} buses "
+                   f"of system {small.index}, the smallest\n")
+        out = tmp_path / "m.ckpt.json"
+        capsys.readouterr()
+        assert run_cli(args + ["--data", dataset, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == refused
+        assert not out.exists()
+
+        one = tmp_path / "one"
+        os.makedirs(one)
+        name = f"system_{big.index:03d}.ugcn.json"
+        (one / name).write_bytes(open(os.path.join(dataset, name), "rb").read())
+        ckpt = str(tmp_path / "one.ckpt.json")
+        assert run_cli(args + ["--data", str(one), "--out", ckpt]) == 0
+        capsys.readouterr()
+        assert run_cli(args + ["--data", dataset, "--out", str(out), "--epochs", "5",
+                               "--resume", ckpt]) == 2
+        assert capsys.readouterr().err == refused
+        assert not out.exists()
+        report = tmp_path / "r.json"
+        assert run_cli(eval_args(ckpt, dataset, str(report))) == 5
+        one_line_error(capsys, "checkpoint incompatible with dataset: "
+                               f"cannot pool {small.n} nodes into {k} clusters")
+        assert not report.exists()
+
     @pytest.mark.parametrize("model", ["ugcn", "dense"])
     def test_checkpoint_in_older_layout_evaluates_the_same(
             self, dataset, checkpoint, dense_checkpoint, tmp_path, model):
@@ -621,9 +691,7 @@ class TestInputChecks:
         for i, ckpt in enumerate((path, old)):
             out = str(tmp_path / f"r{i}.json")
             assert run_cli(eval_args(ckpt, dataset, out)) == 0
-            doc = json.loads(open(out).read())
-            doc.pop("wall_clock_s")
-            reports.append(doc)
+            reports.append(json.loads(open(out).read()))
         assert reports[0] == reports[1]
 
 
@@ -648,7 +716,6 @@ class TestInputChecks:
             assert run_cli(eval_args(ckpt, data, out)) == 0
             ckpts.append(open(ckpt, "rb").read())
             reports.append(json.loads(open(out).read()))
-            reports[-1].pop("wall_clock_s")
         assert ckpts[0] == ckpts[1]
         assert reports[0] == reports[1]
 
@@ -798,9 +865,7 @@ class TestInputChecks:
         for i, ckpt in enumerate((checkpoint, old)):
             out = str(tmp_path / f"r{i}.json")
             assert run_cli(eval_args(ckpt, dataset, out)) == 0
-            doc = json.loads(open(out).read())
-            doc.pop("wall_clock_s")
-            reports.append(doc)
+            reports.append(json.loads(open(out).read()))
         assert reports[0] == reports[1]
         assert set(reports[0]["baselines"]) == {"flat", "carry_forward"}
         for table in reports[0]["baselines"].values():

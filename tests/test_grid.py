@@ -97,6 +97,29 @@ class TestGraphInvariants:
                       branches=(Branch(1, 2, 1j), Branch(3, 4, 1j)),
                       kind="transmission")
 
+    @pytest.mark.parametrize("case", ["ieee33", "ieee30"])
+    def test_reach_matches_union_find_oracle(self, case, request):
+        """Every branch skipped in turn, and none: the buses `reach` finds are
+        those a union-find over the other in-service branches joins to the start."""
+        g = request.getfixturevalue(case)
+        start = g.bus_ids[len(g.bus_ids) // 2]
+        for skip in (-1, *range(len(g.branches))):
+            parent = {b: b for b in g.bus_ids}
+
+            def find(a):
+                while parent[a] != a:
+                    a = parent[a]
+                return a
+
+            for idx, br in enumerate(g.branches):
+                if br.in_service and idx != skip:
+                    parent[find(br.from_bus)] = find(br.to_bus)
+            oracle = {b for b in g.bus_ids if find(b) == find(start)}
+            assert g.reach(start, skip_branch=skip) == oracle, skip
+        # a graph without buses has nothing to reach from, and is refused
+        with pytest.raises(Disconnected):
+            GridGraph(bus_ids=(), branches=(), kind="transmission")
+
     def test_transmission_allows_cycles(self, ieee30):
         assert len(ieee30.in_service()) > ieee30.n - 1
 

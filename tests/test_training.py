@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ugcn.caseio import load_case, load_container, save_container, to_grid_graph
-from ugcn.errors import DimensionMismatch
+from ugcn.errors import DimensionMismatch, DivergedLoss
 from ugcn.model import fdi_config, forecast_config, init_params
 from ugcn.reconfig import AugmentConfig, augment
 from ugcn.scenarios import ScenarioConfig, build_scenario
@@ -17,6 +17,7 @@ from ugcn.training import (
     MetricsReport,
     SystemContext,
     TrainConfig,
+    TrainState,
     UgcnPredictor,
     eval_fdi,
     eval_forecast,
@@ -26,6 +27,12 @@ from ugcn.training import (
     train,
     train_dense,
 )
+
+
+def fit(model, systems, tcfg, run=train):
+    """(best model, history) of a fresh run of `run` from `model`."""
+    state = run(TrainState.start(model, tcfg), systems, tcfg)
+    return state.result(), state.history
 
 
 class TestLosses:
@@ -186,14 +193,14 @@ class TestTrainLoop:
     def test_single_system_reduces_to_plain_training(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=3, batch_systems=4,
                            windows_per_system=2, seed=0)
-        _, history = train(self.model(0), tiny_family[:1], tcfg)
+        _, history = fit(self.model(0), tiny_family[:1], tcfg)
         assert len(history) == 3
         assert all(np.isfinite(row[1]) for row in history)
 
     def test_loss_decreases_on_smoke_run(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=12, batch_systems=3,
                            windows_per_system=4, seed=0, lr=2e-3)
-        _, history = train(self.model(0), tiny_family, tcfg)
+        _, history = fit(self.model(0), tiny_family, tcfg)
         losses = [row[1] for row in history]
         smooth = np.convolve(losses, np.ones(3) / 3, mode="valid")
         assert smooth[-1] < smooth[0]
@@ -201,15 +208,15 @@ class TestTrainLoop:
     def test_training_deterministic_in_seed(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=4, batch_systems=2,
                            windows_per_system=3, seed=9)
-        p1, h1 = train(self.model(1), tiny_family, tcfg)
-        p2, h2 = train(self.model(1), tiny_family, tcfg)
+        p1, h1 = fit(self.model(1), tiny_family, tcfg)
+        p2, h2 = fit(self.model(1), tiny_family, tcfg)
         assert params_digest(p1) == params_digest(p2)
         assert h1 == h2
 
     def test_eval_never_mutates_params(self, tiny_family):
         tcfg = TrainConfig(task="forecast", epochs=2, batch_systems=2,
                            windows_per_system=2, seed=0)
-        model, _ = train(self.model(0), tiny_family, tcfg)
+        model, _ = fit(self.model(0), tiny_family, tcfg)
         digest = params_digest(model)
         eval_forecast(model, tiny_family, horizons=(0, 1), stride=8)
         assert params_digest(model) == digest
@@ -262,7 +269,7 @@ class TestTrainLoop:
         tcfg = TrainConfig(task="forecast", epochs=1, batch_systems=3,
                            windows_per_system=1, seed=5)
         model = self.model(2)
-        _, history = train(model, tiny_family, tcfg)
+        _, history = fit(model, tiny_family, tcfg)
         rng = np.random.default_rng([tcfg.seed, 101, 0])
         batch = rng.choice(3, size=3, replace=False)
         total = 0.0
@@ -274,14 +281,60 @@ class TestTrainLoop:
         assert history[0][1] == pytest.approx(total / 3, rel=1e-10)
 
 
+class TestTrainState:
+    CFG = forecast_config(widths=(10, 8, 8), pooled_nodes=4, hidden=16)
+
+    def model(self):
+        return UgcnPredictor(init_params(self.CFG, 3), self.CFG)
+
+    @staticmethod
+    def tcfg(epochs, **overrides):
+        return TrainConfig(task="forecast", epochs=epochs, batch_systems=2,
+                           windows_per_system=3, seed=4, **overrides)
+
+    def test_record_trained_in_two_calls_equals_one_run(self, tiny_family):
+        whole = train(TrainState.start(self.model(), self.tcfg(7)), tiny_family, self.tcfg(7))
+        half = train(TrainState.start(self.model(), self.tcfg(4)), tiny_family, self.tcfg(4))
+        assert (half.epoch, len(half.history)) == (4, 4)
+        assert train(half, tiny_family, self.tcfg(7)) is half
+        assert half.history == whole.history
+        assert (half.epoch, half.best_val, half.bad) == (whole.epoch, whole.best_val, whole.bad)
+        assert params_digest(half.model) == params_digest(whole.model)
+        assert params_digest(half.best) == params_digest(whole.best)
+        assert half.optimizer.t == whole.optimizer.t == 7
+        for moments in ("m", "v"):
+            a, b = getattr(half.optimizer, moments), getattr(whole.optimizer, moments)
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_start_copies_and_result_is_live_model_before_validation(self):
+        model = self.model()
+        state = TrainState.start(model, self.tcfg(1))
+        assert state.model is not model and state.best is not state.model
+        assert (state.epoch, state.history, state.best_val) == (0, [], float("inf"))
+        assert state.result() is state.model
+        state.model.params["w_out"] += 1.0
+        assert params_digest(model) == params_digest(self.model())
+
+    def test_divergence_keeps_the_epochs_before_it(self, tiny_family):
+        tcfg = self.tcfg(5, lr=1e60, lr_decay=1.0)
+        state = TrainState.start(self.model(), tcfg)
+        with np.errstate(all="ignore"), pytest.raises(DivergedLoss) as exc:
+            train(state, tiny_family, tcfg)
+        k = exc.value.epoch
+        assert k >= 1
+        assert [row[0] for row in state.history] == list(range(k)) and state.epoch == k
+        assert state.best.finite()
+
+
 class TestFdiTraining:
     CFG = fdi_config(widths=(10, 8), pooled_nodes=6, hidden=16)
 
     def test_fdi_smoke(self, tiny_fdi_family):
         tcfg = TrainConfig(task="fdi", epochs=4, batch_systems=2, windows_per_system=3,
                            seed=0)
-        model, history = train(UgcnPredictor(init_params(self.CFG, 0), self.CFG),
-                               tiny_fdi_family, tcfg)
+        model, history = fit(UgcnPredictor(init_params(self.CFG, 0), self.CFG),
+                             tiny_fdi_family, tcfg)
         assert len(history) == 4
         rep = eval_fdi(model, tiny_fdi_family, omegas=(0.5,), stride=12, max_attacks=2)
         assert 0.0 <= rep.omegas[0.5]["accuracy"] <= 1.0
@@ -295,7 +348,7 @@ class TestDenseBaseline:
                            hidden=32, depth=2)
         tcfg = TrainConfig(task="forecast", epochs=5, batch_systems=1,
                            windows_per_system=4, seed=0)
-        model, history = train_dense(model, [base], tcfg)
+        model, history = fit(model, [base], tcfg, train_dense)
         assert history[-1][1] < history[0][1] * 1.5
         from ugcn.scenarios import feature_window
 
@@ -375,7 +428,7 @@ class TestDenseBaseline:
         model = init_dense(base.graph.bus_ids, task="forecast", seed=0, hidden=32, depth=2)
         tcfg = TrainConfig(task="forecast", epochs=12, batch_systems=1,
                            windows_per_system=4, seed=0, lr=1e-2)
-        model, history = train_dense(model, [base], tcfg)
+        model, history = fit(model, [base], tcfg, train_dense)
         assert len(history) == 12
         assert all(row[1] != row[2] for row in history)
         val = [row[2] for row in history]
@@ -388,10 +441,9 @@ class TestDenseBaseline:
         model = init_dense(base.graph.bus_ids, task="forecast", seed=0, hidden=8, depth=1)
         tcfg = TrainConfig(task="forecast", epochs=3, batch_systems=1, windows_per_system=2,
                            seed=0, lr=1e-3, lr_decay=0.5)
-        state = {}
-        train(model, [base], tcfg, state_out=state)
-        assert state["epoch_next"] == 3
-        assert state["optimizer"].lr == 1e-3 * 0.5 ** 2
+        state = train(TrainState.start(model, tcfg), [base], tcfg)
+        assert state.epoch == 3
+        assert state.optimizer.lr == 1e-3 * 0.5 ** 2
 
     def test_unmapped_buses_get_flat_prediction(self, tiny_family):
         base = tiny_family[0]
@@ -418,7 +470,7 @@ class TestDenseBaseline:
                            hidden=64, depth=2)
         tcfg = TrainConfig(task="forecast", epochs=40, batch_systems=1,
                            windows_per_system=8, seed=0, lr=2e-3)
-        model, _ = train_dense(model, [base], tcfg)
+        model, _ = fit(model, [base], tcfg, train_dense)
         rep = eval_forecast(model, [base], horizons=(1,), stride=4, model_name="dense")
         variance = float(np.mean(np.abs(base.true_states - base.true_states.mean(0)) ** 2))
         flat = float(np.mean(np.abs(base.true_states - 1.0) ** 2))
@@ -430,10 +482,17 @@ class TestMetricsReport:
         rep = MetricsReport(model="ugcn", task="forecast",
                             horizons={0: 1e-4, 5: 2e-4},
                             per_system=[{"index": 0, "mse": {"0": 1e-4}}],
-                            wall_clock_s=1.5, config={"stride": 4})
+                            config={"stride": 4})
         back = MetricsReport.from_dict(json.loads(rep.to_json()))
         assert back.horizons == rep.horizons
         assert back.model == rep.model
+
+    def test_older_report_with_wall_clock_loads_without_it(self):
+        rep = MetricsReport(model="ugcn", task="forecast", horizons={1: 1e-4},
+                            config={"stride": 4, "trained_horizon": 1})
+        back = MetricsReport.from_dict({**rep.to_dict(), "wall_clock_s": 1.5})
+        assert back.to_json() == rep.to_json()
+        assert "wall_clock_s" not in back.to_dict()
 
     def test_rates_in_valid_ranges(self, tiny_fdi_family):
         cfg = fdi_config(widths=(10, 8), pooled_nodes=6, hidden=16)
