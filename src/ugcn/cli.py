@@ -504,8 +504,9 @@ def _read_resume(path: str) -> TrainState:
     except (KeyError, TypeError, CorruptFile) as exc:
         raise ConfigError(f"checkpoint {path!r}: unreadable optimizer state: {exc}") from exc
     views = {name: Adam._view(t).shape for name, t in model.params.items()}
-    for key in ("m", "v"):
-        _checked(path, getattr(optimizer, key), views, f"parameters (optimizer moment {key})")
+    for key in ("m", "v"):        # in parameter order, as a fresh run makes them
+        setattr(optimizer, key, _checked(path, getattr(optimizer, key), views,
+                                         f"parameters (optimizer moment {key})"))
     # the best parameters are the top-level ones; older checkpoints also
     # carry a copy in resume_state.best.params, which is ignored
     return TrainState(

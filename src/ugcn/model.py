@@ -6,7 +6,8 @@ one system's shift operator, node order and [B, N, m0] stack of windows, and
 each part's output is [B, N].  The convolutions and pooling run part by
 part, because each system has its own shift operator; the decoder runs once
 over the [sum B, head_inputs] block of every part's pooled windows.  Backward
-sums the parameter gradients over all windows of all parts.  The recorded
+sums the parameter gradients over all windows of all parts and hands each
+tensor's gradient to its caller as soon as it is final.  The recorded
 tape is kept lean.  Per part it holds layer 0's input, the top layer's ReLU
 mask as bool and the pooling cache; backward runs the layers below the top
 one again from the input.  For the batch it holds the decoder's [sum B, d]
@@ -550,18 +551,32 @@ def _add(grads: dict, name: str, g: np.ndarray) -> None:
         grads[name] = g
 
 
-def model_backward(tape: dict, grads_out) -> dict[str, np.ndarray]:
+def _hand_over(grads: dict, take) -> None:
+    """Pass every gradient of `grads` to take(name, gradient), each released once taken."""
+    while grads:
+        take(*grads.popitem())
+
+
+def model_backward(tape: dict, grads_out, take=None):
     """Parameter gradients of a recorded forward pass, summed over every
     window of every part.
 
     grads_out holds one [B, N] cogradient of the loss with respect to each
     part's output: complex for the two-head phasor output, real for logits.
-    Returns the gradients by tensor name, in `param_shapes` order.
+    Each tensor's gradient goes to take(name, gradient) as soon as it is
+    final and backward reads the tensor no more, so `take` may update both in
+    place: the decoder's tensors once the decoder is done, the convolution
+    taps and `assign` after the last part.  Without `take`, returns the
+    gradients by tensor name, in `param_shapes` order.
     """
     if not isinstance(tape, dict) or "cfg" not in tape:
         raise NoForwardRecorded("model_backward needs the tape from model_forward(record=True)")
     cfg: LayerConfig = tape["cfg"]
     params: dict[str, np.ndarray] = tape["params"]
+    if take is None:
+        grads = {}
+        model_backward(tape, grads_out, grads.__setitem__)
+        return {name: grads[name] for name in params}
     parts = tape["parts"]
     if len(grads_out) != len(parts):
         raise DimensionMismatch(f"{len(grads_out)} output gradients for {len(parts)} parts")
@@ -571,10 +586,11 @@ def model_backward(tape: dict, grads_out) -> dict[str, np.ndarray]:
         g_outs.append(np.stack([g.real, g.imag], axis=-1) if cfg.outputs == 2
                       else g.real[..., None])
     grads, g_x_vec = _head_back(tape["head"], params, tape["spans"], g_outs)
+    _hand_over(grads, take)
 
     for part, (part_rows, _) in zip(parts, tape["spans"]):
         _part_back(part, g_x_vec[part_rows], params, cfg, grads)
-    return {name: grads[name] for name in params}
+    _hand_over(grads, take)
 
 
 def _part_back(part: dict, g_rows: np.ndarray, params: dict[str, np.ndarray],

@@ -4,12 +4,25 @@ One parameter set is optimized over a family of reconfigured systems: each
 epoch samples a batch of systems, averages their per-window losses, and takes
 an Adam step on the shared tensors.  The epoch's systems run through the
 model as one batch, in one forward and one backward, and validation is one
-forward over every system.  Evaluation is zero-shot: trained parameters run
-unchanged on systems never seen in training, one system (forecasting) or one
-attack (FDI) per forward.  The dense baseline is the conventional
-fixed-input network trained on the base topology only; other topologies are
-mapped onto its input slots by bus id.  Both models implement the protocol
-of `Model`, so one loop trains them and the same evaluators score them.
+forward over every system.
+
+The Adam step is fused into backward.  Once the batch loss is known to be
+finite, backward hands each tensor's gradient to the step as soon as the
+gradient is final, and the tensor is updated at once, in chunks through two
+chunk-sized buffers; a new best model is copied into the best arrays in
+place.  A training run thus holds four parameter-sized sets (live, best and
+Adam's two moments) and, beyond them, at most the gradients of the tensors
+that backward has finished and not yet handed over: one layer's of the
+dense baseline, the decoder's of the graph network.  The step makes no
+whole gradient set, no tensor-sized Adam temporary and no fresh best copy,
+which would otherwise set the peak memory of training the dense baseline.
+
+Evaluation is zero-shot: trained parameters run unchanged on systems never
+seen in training, one system (forecasting) or one attack (FDI) per forward.
+The dense baseline is the conventional fixed-input network trained on the
+base topology only; other topologies are mapped onto its input slots by bus
+id.  Both models implement the protocol of `Model`, so one loop trains them
+and the same evaluators score them.
 """
 
 from __future__ import annotations
@@ -73,49 +86,67 @@ def _loss_fdi_grad(logits: np.ndarray, labels: np.ndarray):
 
 
 class Adam:
-    """Elementwise Adam over a named tensor dict; complex tensors update via
-    their interleaved float view, i.e. real and imaginary parts independently."""
+    """Elementwise Adam over named tensors; complex tensors update via their
+    interleaved float view, i.e. real and imaginary parts independently.
+
+    One optimizer step is `begin(params)` and then `step(name, p, g)` once
+    per tensor, in any order, so that backward can hand each gradient over
+    as soon as it is final.  `step` works through a tensor CHUNK values at a
+    time in two chunk-sized scratch buffers: no temporary is tensor-sized.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
+    CHUNK = 16384
 
     def __init__(self, lr=1e-3):
         self.lr = lr
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._scratch = np.empty((2, self.CHUNK))
 
     @staticmethod
     def _view(a: np.ndarray) -> np.ndarray:
         return a.view(np.float64) if np.iscomplexobj(a) else a
 
-    def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def begin(self, params: dict[str, np.ndarray]) -> None:
+        """Open the next step; the first makes the moments of every tensor of
+        `params`, in their order, which is the order the checkpoint keeps."""
         self.t += 1
+        for name, p in params.items():
+            if name not in self.m:
+                self.m[name] = np.zeros_like(self._view(p))
+                self.v[name] = np.zeros_like(self._view(p))
+
+    def step(self, name: str, p: np.ndarray, g: np.ndarray) -> None:
+        """Update the C-contiguous tensor `p` of `name` in place with its
+        gradient `g`, in the step that `begin` opened."""
         c1 = 1.0 - self.BETA1 ** self.t
         c2 = 1.0 - self.BETA2 ** self.t
-        for name in tensors:
-            p = self._view(tensors[name])
-            g = self._view(np.ascontiguousarray(grads[name]))
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            m, v = self.m[name], self.v[name]
-            # p -= lr * (m / c1) / (sqrt(v / c2) + EPS) in place, in two scratch buffers
-            s = np.multiply(g, 1 - self.BETA1)
-            m *= self.BETA1
-            m += s
-            np.multiply(g, 1 - self.BETA2, out=s)
-            s *= g
-            v *= self.BETA2
-            v += s
-            den = np.divide(v, c2)
+        p = self._view(p).reshape(-1)
+        g = self._view(np.ascontiguousarray(g)).reshape(-1)
+        m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
+        for lo in range(0, len(p), self.CHUNK):
+            hi = min(lo + self.CHUNK, len(p))
+            s, den = self._scratch[:, : hi - lo]
+            gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
+            # p -= lr * (m / c1) / (sqrt(v / c2) + EPS), chunk by chunk
+            np.multiply(gc, 1 - self.BETA1, out=s)
+            mc *= self.BETA1
+            mc += s
+            np.multiply(gc, 1 - self.BETA2, out=s)
+            s *= gc
+            vc *= self.BETA2
+            vc += s
+            np.divide(vc, c2, out=den)
             np.sqrt(den, out=den)
             den += self.EPS
-            np.divide(m, c1, out=s)
+            np.divide(mc, c1, out=s)
             s *= self.lr
             s /= den
-            p -= s
+            p[lo:hi] -= s
 
     def state(self) -> dict:
         return {
@@ -255,9 +286,12 @@ class Model:
         estimate windows of the system in `ctx`; a list of the [B, N] centered
         per-bus outputs out, one per pair: complex phasors for forecasting,
         real logits for FDI.  With `record`, (outputs, tape).
-    backward(tape, gs)
-        The parameter gradients by name for the output cogradients `gs`, one
-        [B, N] array per pair, summed over every window of the batch.
+    backward(tape, gs, take=None)
+        The parameter gradients for the output cogradients `gs`, one [B, N]
+        array per pair, summed over every window of the batch.  Each goes to
+        `take(name, gradient)` as soon as it is final and backward reads its
+        tensor no more, so `take` may update the tensor, and scale the
+        gradient, in place.  Without `take`, the gradients by name.
     copy(), finite()
         A copy with its own tensors; whether every tensor is finite.
 
@@ -295,8 +329,8 @@ class UgcnPredictor(Model):
         return model_forward([(ctx.s, self.centered(x), ctx.order) for ctx, x in batch],
                              self.params, self.cfg, record=record)
 
-    def backward(self, tape: dict, gs) -> dict[str, np.ndarray]:
-        return model_backward(tape, gs)
+    def backward(self, tape: dict, gs, take=None):
+        return model_backward(tape, gs, take)
 
 
 @dataclass
@@ -349,7 +383,13 @@ class DenseModel(Model):
             ys.append(y)
         return (ys, (acts, spans)) if record else ys
 
-    def backward(self, tape, gs) -> dict[str, np.ndarray]:
+    def backward(self, tape, gs, take=None):
+        """Layer by layer from the top; a layer's tensors are handed over once
+        the output gradient has passed through them."""
+        if take is None:
+            grads = {}
+            self.backward(tape, gs, grads.__setitem__)
+            return {name: grads[name] for name in self.params}
         acts, spans = tape
         n = len(self.bus_slots)
         g_out = np.zeros((len(acts[0]), 2 * n if self.task == FORECAST else n))
@@ -357,13 +397,11 @@ class DenseModel(Model):
             g_out[rows, slots] = g[:, buses].real
             if self.task == FORECAST:
                 g_out[rows, n + slots] = g[:, buses].imag
-        grads = {}
         for i in range(len(acts) - 1, -1, -1):
-            grads[f"b{i}"] = g_out.sum(axis=0)
-            grads[f"w{i}"] = acts[i].T @ g_out     # the windows' outer products, summed
-            if i:
-                g_out = (g_out @ self.params[f"w{i}"].T) * (acts[i] > 0)
-        return grads
+            g_in = (g_out @ self.params[f"w{i}"].T) * (acts[i] > 0) if i else None
+            take(f"w{i}", acts[i].T @ g_out)      # the windows' outer products, summed
+            take(f"b{i}", g_out.sum(axis=0))
+            g_out = g_in
 
 
 def dense_shapes(n_slots: int, task: str, hidden: int, depth: int) -> dict[str, tuple[int, ...]]:
@@ -421,23 +459,24 @@ def _window_stack(model: Model, cfg: TrainConfig, ctx: SystemContext, picks):
     return np.stack(xs), model.centered(target) if cfg.task == FORECAST else target
 
 
-def _batch_losses(model: Model, cfg: TrainConfig, batch, grads=False):
+def _batch_losses(model: Model, cfg: TrainConfig, batch, record=False):
     """Each system's mean loss over its windows, for a batch of (ctx, picks)
-    pairs run through the model in one forward; with `grads`, (losses, the
-    sum over the systems of each mean loss's parameter gradients)."""
+    pairs run through the model in one forward; with `record`, (losses, tape,
+    cogradients): `model.backward(tape, cogradients)` gives the sum over the
+    systems of each mean loss's parameter gradients."""
     inputs, targets = [], []
     for ctx, picks in batch:
         x, target = _window_stack(model, cfg, ctx, picks)
         inputs.append((ctx, x))
         targets.append(target)
-    if not grads:
+    if not record:
         loss = loss_forecast if cfg.task == FORECAST else loss_fdi
         return [loss(y, target) for y, target in zip(model.forward(inputs), targets)]
     loss_grad = _loss_forecast_grad if cfg.task == FORECAST else _loss_fdi_grad
     ys, tape = model.forward(inputs, record=True)
     del inputs                     # the tape keeps what backward needs of them
     losses, gs = zip(*[loss_grad(y, target) for y, target in zip(ys, targets)])
-    return list(losses), model.backward(tape, gs)
+    return list(losses), tape, gs
 
 
 def _pick_attack(live: tuple[int, ...], rng: np.random.Generator, prob: float):
@@ -477,8 +516,9 @@ def train(state: TrainState, systems: list[ScenarioSet], cfg: TrainConfig) -> Tr
 
     Deterministic in cfg.seed: epoch e always draws from the stream
     (seed, 101, e), so a run continued from its saved record ends exactly
-    where the uninterrupted run does.  Raises DivergedLoss on NaN/Inf; the
-    record then holds the epochs before it.
+    where the uninterrupted run does.  A new best is copied into the arrays
+    of `state.best`.  Raises DivergedLoss on NaN/Inf; the record then holds
+    the epochs before it.
     """
     if not systems:
         raise DimensionMismatch("need at least one training system")
@@ -488,6 +528,12 @@ def train(state: TrainState, systems: list[ScenarioSet], cfg: TrainConfig) -> Tr
 
     q_total = len(systems)
     batch_size = min(cfg.batch_systems, q_total)
+
+    def update(name: str, g: np.ndarray) -> None:
+        """Scale a gradient of the summed system losses to their mean and step its tensor."""
+        g *= 1.0 / batch_size
+        opt.step(name, model.params[name], g)
+
     for epoch in range(state.epoch, cfg.epochs):
         rng = np.random.default_rng([cfg.seed, 101, epoch])
         batch = []
@@ -500,15 +546,14 @@ def train(state: TrainState, systems: list[ScenarioSet], cfg: TrainConfig) -> Tr
                 picks.append((t, _pick_attack(ctx.live_attacks, rng, cfg.attack_prob)
                                   if cfg.task == FDI else None))
             batch.append((ctx, picks))
-        losses, grads = _batch_losses(model, cfg, batch, grads=True)
+        losses, tape, gs = _batch_losses(model, cfg, batch, record=True)
         batch_loss = sum(sys_loss / batch_size for sys_loss in losses)
-        for g in grads.values():
-            g *= 1.0 / batch_size
         if not np.isfinite(batch_loss):
             raise DivergedLoss(epoch)
         opt.lr = cfg.lr * cfg.lr_decay ** epoch   # function of epoch: resume-safe
-        opt.step(model.params, grads)
-        del grads                      # not held through the next epoch's backward
+        opt.begin(model.params)
+        model.backward(tape, gs, update)
+        del tape, gs                   # not held through validation
         if not model.finite():
             raise DivergedLoss(epoch)
 
@@ -516,7 +561,9 @@ def train(state: TrainState, systems: list[ScenarioSet], cfg: TrainConfig) -> Tr
         state.history.append((epoch, batch_loss, val_loss))
         state.epoch = epoch + 1
         if val_loss < state.best_val - 1e-12:
-            state.best, state.best_val, state.bad = model.copy(), val_loss, 0
+            for name, t in model.params.items():
+                np.copyto(state.best.params[name], t)
+            state.best_val, state.bad = val_loss, 0
         else:
             state.bad += 1
             if state.bad >= cfg.early_stop_patience:

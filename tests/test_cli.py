@@ -300,6 +300,17 @@ class TestTrainEval:
         b = load_checkpoint(resumed)["params"]
         assert a == b
 
+    def test_resumed_checkpoint_is_byte_identical(self, dataset, tmp_path):
+        """A 4 -> 7 resumed run writes the file of the 7-epoch run: the
+        optimizer moments come back in parameter order, as a fresh run makes them."""
+        args = ["train", "--task", "forecast", "--data", dataset, "--seed", "5"] + TRAIN_SETS[2:]
+        full, part, resumed = (str(tmp_path / f"{name}.ckpt.json")
+                               for name in ("full", "part", "resumed"))
+        assert run_cli(args + ["--out", full, "--epochs", "7"]) == 0
+        assert run_cli(args + ["--out", part, "--epochs", "4"]) == 0
+        assert run_cli(args + ["--out", resumed, "--epochs", "7", "--resume", part]) == 0
+        assert sha(resumed) == sha(full)
+
     def test_resume_reads_checkpoint_with_best_params_copy(self, dataset, tmp_path):
         """Checkpoints in older layouts resume as before: they may store
         resume_state.best.params, train_config.center and Adam's betas and eps."""

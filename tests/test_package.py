@@ -133,7 +133,9 @@ def test_benchmark_reload_check_sees_every_float(tmp_path, monkeypatch):
     params = init_params(forecast_config(), seed=0)
     optimizer = Adam()
     tensors = params
-    optimizer.step(tensors, {name: np.full_like(t, 0.5) for name, t in tensors.items()})
+    optimizer.begin(tensors)
+    for name, t in tensors.items():
+        optimizer.step(name, t, np.full_like(t, 0.5))
     payload = {"params": params_to_payload(params), "optimizer": optimizer.state()}
     path = str(tmp_path / "m.ckpt.json")
     save_checkpoint(path, payload)
