@@ -11,9 +11,11 @@ the graph and the meters is built once per series by `ami_setup`;
 `estimate_ami(setup, z)` for a whole series of hours, z [T, 3m] -> [T, n].
 Each hour is estimated on its own, but blocks of hours share every numpy
 call of an iteration, with each hour's result bit for bit that of a
-single-hour run.  Phasor-unit (PMU) buses report complex current injections and
-voltages; the state follows in closed form from a shift-regularized
-pseudoinverse.  Both estimators return the full bus-ordered phasor vector.
+single-hour run.  Every hour starts from the flat profile, so the first
+step's h, Jacobian and normal matrix are built once per series and shared
+by every hour; each hour still solves for its own step.  Phasor-unit (PMU)
+buses report complex current injections and voltages; the state follows in
+closed form from a shift-regularized pseudoinverse.  Both estimators return the full bus-ordered phasor vector.
 """
 
 from __future__ import annotations
@@ -223,6 +225,17 @@ def _ami_h_and_jac(setup: AmiSetup, v: np.ndarray):
     return h, jac
 
 
+def _ami_normal(setup: AmiSetup, v: np.ndarray):
+    """h, J^T and J^T J + GN_LAMBDA I at states v [b, k] of the visible buses:
+    the normal equations of the stacked system [J; sqrt(GN_LAMBDA) I] on the
+    free visible columns."""
+    h, jac = _ami_h_and_jac(setup, v)
+    jt = jac.transpose(0, 2, 1)
+    normal = jt @ jac
+    normal.reshape(len(v), -1)[:, ::len(setup.free) + 1] += GN_LAMBDA   # the diagonals
+    return h, jt, normal
+
+
 def estimate_ami(setup: AmiSetup, z: np.ndarray, info: bool = False):
     """Per hour of z [T, 3m], minimize ||z_t - h(v)||^2 + GN_LAMBDA * ||[e; f]||^2 from a flat start.
 
@@ -231,26 +244,30 @@ def estimate_ami(setup: AmiSetup, z: np.ndarray, info: bool = False):
     other coordinate sees only GN_LAMBDA * x^2, so its step is exactly -x; it
     is set in closed form.  Steps halve on cost increase, up to 12 times;
     iteration stops when the step norm drops below GN_STEP_TOL or the budget
-    runs out, returning the last iterate.  Hours share nothing, so they run
+    runs out, returning the last iterate.  No hour depends on another, so they run
     AMI_BLOCK at a time: each iteration stacks the block's unfinished hours
     into one Jacobian, one normal-equation product and one solve, and costs
     every halving of the rejected steps at once (step * 0.5**k is exactly k
-    halvings).  An hour leaves the stack when its step norm is below
-    GN_STEP_TOL.  Every hour's estimate is bit for bit that of a loop over
-    hours.  A non-finite step or cost raises NoConvergence for the earliest
-    such hour, after the other hours of its block are finished.  Returns
-    [T, n]; with `info`, the per-hour iteration counts, and residual norms
-    and objectives at the returned states, come along as arrays.
+    halvings).  Every hour's first iteration is at the flat start, all ones,
+    so its h, Jacobian and normal matrix are built once per series, before
+    the first block, and broadcast over each block's hours; each hour's step
+    is still its own solve.  An hour leaves the stack when its step norm is
+    below GN_STEP_TOL.  Every hour's estimate is bit for bit that of a loop
+    over hours.  A non-finite step or cost raises NoConvergence for the
+    earliest such hour, after the other hours of its block are finished.
+    Returns [T, n]; with `info`, the per-hour iteration counts, and residual
+    norms and objectives at the returned states, come along as arrays.
     """
     n, vis, cols, hidden = setup.n, setup.vis, setup.cols, setup.hidden
     m = len(setup.idx)
-    p = len(setup.free)
     if z.ndim != 2 or z.shape[1] != 3 * m:
         raise DimensionMismatch(f"expected [T, {3 * m}] measurements, got {z.shape}")
     t_total = len(z)
     states = np.ones((t_total, n), dtype=np.complex128)
     iterations = np.zeros(t_total, dtype=np.int64)
     halve = 0.5 ** np.arange(1, 13)
+    # the first iteration's terms at the flat start, shared by every hour
+    flat = _ami_normal(setup, np.ones((1, len(vis)), dtype=np.complex128))
     for t0 in range(0, t_total, AMI_BLOCK):
         v = states[t0:t0 + AMI_BLOCK]               # the block's rows, updated in place
         zb = z[t0:t0 + AMI_BLOCK]
@@ -262,16 +279,11 @@ def estimate_ami(setup: AmiSetup, z: np.ndarray, info: bool = False):
                 break
             iterations[t0 + active] = it
             va, za = v[active], zb[active]
-            h, jac = _ami_h_and_jac(setup, va[:, vis])
+            h, jt, normal = flat if it == 1 else _ami_normal(setup, va[:, vis])
             split = np.concatenate([va.real, va.imag], axis=1)
-            # Normal equations of the stacked system [J; sqrt(GN_LAMBDA) I] on the
-            # free visible columns: J^T J + GN_LAMBDA I.
-            jt = jac.transpose(0, 2, 1)
-            normal = jt @ jac
-            normal.reshape(len(active), -1)[:, ::p + 1] += GN_LAMBDA   # the diagonals
             rhs = (jt @ (za - h)[:, :, None])[:, :, 0] - GN_LAMBDA * split[:, cols]
             reduced = np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
-            del jac, jt, normal, rhs       # not held through the halvings below
+            del jt, normal, rhs       # not held through the halvings below
             step = np.zeros((len(active), 2 * n))
             step[:, hidden] = -split[:, hidden]
             step[:, cols] = reduced

@@ -496,8 +496,10 @@ def _head_part(head: dict, rows: slice, nodes: slice) -> np.ndarray:
     return head["hw"][rows][:, None, :] + head["e"][nodes]
 
 
-def _head_back(head: dict, params: dict[str, np.ndarray], spans, g_outs):
-    """Decoder gradients summed over every window, and the gradient of x_vec.
+def _head_back(head: dict, params: dict[str, np.ndarray], spans, g_outs, take):
+    """Hand each decoder gradient, summed over every window, to take(name,
+    gradient) once backward has read its tensor for the last time, and
+    return the gradient of x_vec.
 
     spans holds each part's (rows, nodes) slices and g_outs its [B, N, outputs]
     output gradient.  Part by part, pre_t is formed again and reduced to
@@ -505,23 +507,27 @@ def _head_back(head: dict, params: dict[str, np.ndarray], spans, g_outs):
     w_t gradient is h^T col + e_pos^T g_pos, g_h = col w_t^T, and the e_pos
     terms of the w_pos and b_pos gradients contract g_pos, one GEMM each over
     the batch.  The [sum N, d] position terms are released before the w_enc
-    gradient is formed.
+    gradient is formed, and each gradient once it is taken.
     """
     grads, col, g_pos = _broadcast_back(head, params, spans, g_outs)
+    _hand_over(grads, take)
     e_pos = _position_codes(head["positions"], params)
-    w_t_pos = e_pos.T @ g_pos
+    g_w_t = e_pos.T @ g_pos
     g_pre_e = (g_pos @ params["w_t"].T) * (1.0 - e_pos ** 2)
     del e_pos, g_pos
-    grads["w_pos"] = head["positions"] @ g_pre_e
-    grads["b_pos"] = g_pre_e.sum(axis=0)
+    take("w_pos", head["positions"] @ g_pre_e)
+    take("b_pos", g_pre_e.sum(axis=0))
     del g_pre_e
     h = head["h"]
-    grads["w_t"] = h.T @ col + w_t_pos
-    grads["b_t"] = col.sum(axis=0)
+    g_w_t += h.T @ col
     g_pre_h = (col @ params["w_t"].T) * (h > 0)
-    grads["w_enc"] = g_pre_h.T @ head["x_vec"]
-    grads["b_enc"] = g_pre_h.sum(axis=0)
-    return grads, g_pre_h @ params["w_enc"]
+    take("w_t", g_w_t)
+    take("b_t", col.sum(axis=0))
+    del g_w_t, col
+    g_x_vec = g_pre_h @ params["w_enc"]
+    take("w_enc", g_pre_h.T @ head["x_vec"])
+    take("b_enc", g_pre_h.sum(axis=0))
+    return g_x_vec
 
 
 def _broadcast_back(head: dict, params: dict[str, np.ndarray], spans, g_outs):
@@ -565,9 +571,9 @@ def model_backward(tape: dict, grads_out, take=None):
     part's output: complex for the two-head phasor output, real for logits.
     Each tensor's gradient goes to take(name, gradient) as soon as it is
     final and backward reads the tensor no more, so `take` may update both in
-    place: the decoder's tensors once the decoder is done, the convolution
-    taps and `assign` after the last part.  Without `take`, returns the
-    gradients by tensor name, in `param_shapes` order.
+    place: each decoder tensor once the decoder has read it for the last
+    time, the convolution taps and `assign` after the last part.  Without
+    `take`, returns the gradients by tensor name, in `param_shapes` order.
     """
     if not isinstance(tape, dict) or "cfg" not in tape:
         raise NoForwardRecorded("model_backward needs the tape from model_forward(record=True)")
@@ -585,9 +591,8 @@ def model_backward(tape: dict, grads_out, take=None):
         g = np.asarray(g)
         g_outs.append(np.stack([g.real, g.imag], axis=-1) if cfg.outputs == 2
                       else g.real[..., None])
-    grads, g_x_vec = _head_back(tape["head"], params, tape["spans"], g_outs)
-    _hand_over(grads, take)
-
+    g_x_vec = _head_back(tape["head"], params, tape["spans"], g_outs, take)
+    grads = {}
     for part, (part_rows, _) in zip(parts, tape["spans"]):
         _part_back(part, g_x_vec[part_rows], params, cfg, grads)
     _hand_over(grads, take)

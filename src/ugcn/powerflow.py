@@ -72,8 +72,9 @@ def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
     sub, drop = graph.path_matrices
     v = np.ones(graph.n, dtype=np.complex128) if v0 is None else v0
     for sweeps in range(1, SWEEP_MAX_ITER + 1):
-        v_new = 1.0 + drop @ (sub @ np.conj(s_inj / v))
-        step = float(np.max(np.abs(v_new - v)))
+        v_new = drop @ (sub @ np.conj(s_inj / v))
+        v_new += 1.0
+        step = float(np.abs(v_new - v).max())
         v = v_new
         # One pass over |v| serves all three tests: a NaN part makes its
         # magnitude NaN, which fails both comparisons, and an infinite part

@@ -971,6 +971,26 @@ class TestAmiSeries:
         assert (got.value.iterations, got.value.mismatch, str(got.value)) == (
             want.value.iterations, want.value.mismatch, str(want.value))
 
+    def test_flat_start_step_is_built_once_per_series(self, monkeypatch):
+        """Every hour starts at the flat profile: a series of three blocks forms
+        h and the Jacobian there once."""
+        import ugcn.estimation
+
+        g, y, states = self.series("ieee33", 4, 2 * AMI_BLOCK + 1)
+        setup = ami_setup(g, ami_placement(g), y)
+        z = np.stack([measure_ami(setup, v, sigma=0.002, rng=np.random.default_rng(4))
+                      for v in states])
+        flat_calls = []
+
+        def counted(setup, v):
+            if np.array_equal(v, np.ones_like(v)):
+                flat_calls.append(len(v))
+            return _ami_h_and_jac(setup, v)
+
+        monkeypatch.setattr(ugcn.estimation, "_ami_h_and_jac", counted)
+        estimate_ami(setup, z)
+        assert flat_calls == [1]
+
     def test_measurement_shape_is_checked(self, ieee33):
         setup = ami_setup(ieee33, ami_placement(ieee33))
         with pytest.raises(DimensionMismatch, match="expected \\[T, 42\\] measurements"):
