@@ -208,13 +208,15 @@ def _conv_layer(s_mat: np.ndarray, stack: np.ndarray, taps: np.ndarray) -> np.nd
     return pre.reshape(n, b, r, f_out)
 
 
-def _conv_layer_back(s_mat: np.ndarray, stack: np.ndarray, g_pre: np.ndarray, taps: np.ndarray):
+def _conv_layer_back(s_mat: np.ndarray, stack_conj: np.ndarray, g_pre: np.ndarray,
+                     taps: np.ndarray):
     """Tap gradient of one layer and the gradient of its input stack.
 
     With U_k = (S^H)^k g_pre, the product win H_k has gradient U_k, so
     g_H = win^H [U_0 .. U_K] and g_win = [U_0 .. U_K] H^H are one GEMM each;
-    g_win then scatters back to the lags it was read from.  The lag windows
-    are formed again from the layer's input stack.
+    g_win then scatters back to the lags it was read from.  The conjugated
+    lag windows are formed again from `stack_conj`, the conjugate of the
+    layer's input stack, so that win^H is a transposed view.
     """
     k1, t1, f_in, f_out = taps.shape
     n, b, r, _ = g_pre.shape
@@ -226,8 +228,7 @@ def _conv_layer_back(s_mat: np.ndarray, stack: np.ndarray, g_pre: np.ndarray, ta
         cur = (s_h @ cur.reshape(n, -1)).reshape(n, b * r, f_out)
         u[:, :, k] = cur
     u = u.reshape(n * b * r, k1 * f_out)
-    win = _lag_windows(stack, t1)
-    g_taps = (win.conj().T @ u).reshape(t1, f_in, k1, f_out).transpose(2, 0, 1, 3)
+    g_taps = (_lag_windows(stack_conj, t1).T @ u).reshape(t1, f_in, k1, f_out).transpose(2, 0, 1, 3)
     g_win = (u @ taps.transpose(1, 2, 0, 3).reshape(t1 * f_in, k1 * f_out).conj().T).reshape(
         n, b, r, t1, f_in)
     if r == 1:
@@ -618,7 +619,10 @@ def _part_back(part: dict, g_rows: np.ndarray, params: dict[str, np.ndarray],
     stacks = [split_relu(pre) for pre in _conv_pres(s_mat, z, params, cfg, cfg.layers - 1)]
     g_pre = _relu_back(g_top.transpose(1, 0, 2)[:, :, None, :], part["mask"])
     for l in range(cfg.layers - 1, 0, -1):
-        g_taps, g_act = _conv_layer_back(s_mat, stacks[l - 1], g_pre, params[f"conv.{l}"])
+        # the mask reads the stack before it is conjugated in place
+        mask = _relu_mask(stacks[l - 1])
+        g_taps, g_act = _conv_layer_back(s_mat, np.conjugate(stacks[l - 1], out=stacks[l - 1]),
+                                         g_pre, params[f"conv.{l}"])
         _add(grads, f"conv.{l}", g_taps)
-        g_pre = _relu_back(g_act, _relu_mask(stacks[l - 1]))
+        g_pre = _relu_back(g_act, mask)
     _add(grads, "conv.0", _input_layer_back(z, g_pre, params["conv.0"]))

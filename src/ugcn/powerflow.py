@@ -8,7 +8,10 @@ Both solvers start from a given state, or from the flat profile 1+0j; a start
 that fails is retried once from the flat profile.  What Newton needs of the
 graph alone (free buses, conjugated admittance block, Jacobian diagonals) is
 built once per series by `newton_setup` and passed as `setup=`; the sweep's
-path matrices are cached on the graph.
+path matrices are cached on the graph.  The sweep runs on a [T, n] block of
+hours (`sweep_hours`), one product over the block per sweep; a single hour is
+the block of one, so a series can be swept at once and each hour then
+certified by `solve_powerflow` from the block's state in one sweep.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .grid import DISTRIBUTION, GridGraph, build_admittance
 
 MISMATCH_TOL = 1e-10
 SWEEP_MAX_ITER = 300
+SWEEP_STEP_TOL = 1e-13      # an hour has settled once no voltage moves this much in a sweep
 NEWTON_MAX_ITER = 40
 VOLTAGE_DIVERGED = 5.0
 
@@ -68,28 +72,76 @@ def solve_powerflow(
 
 def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
            v0: np.ndarray | None = None) -> np.ndarray:
-    """Backward/forward sweep with the graph's path matrices (see GridGraph.path_matrices)."""
-    sub, drop = graph.path_matrices
-    v = np.ones(graph.n, dtype=np.complex128) if v0 is None else v0
-    for sweeps in range(1, SWEEP_MAX_ITER + 1):
-        v_new = drop @ (sub @ np.conj(s_inj / v))
-        v_new += 1.0
-        step = float(np.abs(v_new - v).max())
-        v = v_new
-        # One pass over |v| serves all three tests: a NaN part makes its
-        # magnitude NaN, which fails both comparisons, and an infinite part
-        # makes it infinite.
-        mag = np.abs(v)
-        if not (mag.min() >= 1e-6 and mag.max() <= VOLTAGE_DIVERGED):
-            raise NoConvergence(sweeps, float("inf"))
-        if step < 1e-13:
-            break
+    """One hour: the T = 1 case of `sweep_hours`, then the hour's mismatch check."""
+    v, sweeps, step = sweep_hours(graph, s_inj[None], None if v0 is None else v0[None])
+    if step[0] == np.inf:
+        raise NoConvergence(int(sweeps[0]), float("inf"))
+    v = v[0]
     mism = nodal_mismatch(y, v, s_inj)
     mism[graph.pos(graph.slack_bus())] = 0.0
-    worst = float(np.max(np.abs(mism)))
+    worst = float(np.abs(mism).max())
     if worst > tol:
-        raise NoConvergence(sweeps, worst)
+        raise NoConvergence(int(sweeps[0]), worst)
     return v
+
+
+def sweep_hours(graph: GridGraph, s: np.ndarray, v0: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward/forward sweeps over a [T, n] block of hours, one row per hour.
+
+    Each sweep is one `drop @ (sub @ conj(S / V))` over the whole block with the
+    graph's path matrices (see GridGraph.path_matrices), taken as its transpose
+    `conj(S / V) @ sub.T @ drop.T` so that hours stay rows.  The slack's column
+    of S is ignored, since the slack has no branch to drop a voltage over.  A
+    sweep runs in three complex and one real [T, n] buffers allocated once.
+    The block starts from v0, which is not written, or from the flat profile.
+    Sweeping stops once no voltage of a live hour moved by SWEEP_STEP_TOL, or
+    after SWEEP_MAX_ITER sweeps.  An hour diverges when one of its voltages
+    leaves [1e-6, VOLTAGE_DIVERGED] or is not finite: it is reset to the flat
+    profile and its currents to zero, so it stays there and drops out of the
+    stop test.
+
+    Returns the voltages [T, n], and per hour the sweeps run (up to the one it
+    diverged in) and the last sweep's largest change, infinite for an hour
+    that diverged.
+    """
+    sub, drop = graph.path_matrices
+    sub_t, drop_t = sub.T, drop.T
+    v = np.ones(s.shape, dtype=np.complex128) if v0 is None else np.array(v0, dtype=np.complex128)
+    cur = np.empty_like(v)
+    nxt = np.empty_like(v)
+    mag = np.empty(v.shape)
+    diverged = np.zeros(len(s), dtype=bool)
+    sweeps = np.zeros(len(s), dtype=np.int64)
+    lost = False
+    for k in range(1, SWEEP_MAX_ITER + 1):
+        np.divide(s, v, out=cur)
+        np.conjugate(cur, out=cur)
+        if lost:
+            cur[diverged] = 0.0
+        np.matmul(cur, sub_t, out=nxt)
+        np.matmul(nxt, drop_t, out=cur)
+        cur += 1.0
+        # One pass over |v| serves all three tests: a NaN part makes its
+        # magnitude NaN, which fails both comparisons, and an infinite part
+        # makes it infinite.  Hours are told apart only when one fails.
+        np.abs(cur, out=mag)
+        if not (mag.min() >= 1e-6 and mag.max() <= VOLTAGE_DIVERGED):
+            fresh = mag.min(axis=1) >= 1e-6
+            fresh &= mag.max(axis=1) <= VOLTAGE_DIVERGED
+            np.logical_not(fresh, out=fresh)
+            cur[fresh] = v[fresh] = 1.0
+            sweeps[fresh] = k
+            diverged |= fresh
+            lost = True
+        np.abs(np.subtract(cur, v, out=nxt), out=mag)
+        v, cur = cur, v
+        if mag.max() < SWEEP_STEP_TOL:
+            break
+    step = mag.max(axis=1)
+    step[diverged] = np.inf
+    sweeps[~diverged] = k
+    return v, sweeps, step
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ from .estimation import (
     pmu_placement,
 )
 from .grid import DISTRIBUTION, GridGraph, build_admittance
-from .powerflow import newton_setup, solve_powerflow
+from .powerflow import SWEEP_STEP_TOL, newton_setup, solve_powerflow, sweep_hours
 
 WINDOW = 10              # historical hours per feature window (m0 channels)
 SANITY_BAND = (0.5, 1.5)  # acceptable |v| range for true states, p.u.
@@ -224,28 +224,35 @@ def _series_profiles(graph: GridGraph, cfg: ScenarioConfig, index: int,
     )
 
 
-def _solve_series(graph: GridGraph, y: np.ndarray, z: np.ndarray,
-                  s_inj: np.ndarray) -> np.ndarray:
-    """One power flow per hour; after hour 0, each starts from a linear prediction.
+def _solve_series(graph: GridGraph, y: np.ndarray, s_inj: np.ndarray) -> np.ndarray:
+    """One `solve_powerflow` per hour of the [T, N] injections, each from a start.
 
-    z is the inverse of Y restricted to the free (non-slack) buses.  Hour 0
-    starts from the flat profile; hour t starts from the previous solution
-    plus z conj(dS / v), the first-order change of the bus currents.  The
-    Newton set-up and the slack-zeroed injections are built once for the
-    series.
+    A radial feeder's hours are swept together from the flat profile by
+    `sweep_hours`, in the array that then receives the states.  Each settled
+    hour starts its own solve there, which takes one sweep and the mismatch
+    check; an hour that diverged or did not settle starts from the flat
+    profile.  A meshed grid's hour 0 starts from the flat profile and hour t
+    from the previous solution plus z conj(dS / v), the first-order change of
+    the bus currents, where z is the inverse of Y restricted to the free
+    (non-slack) buses; its Newton set-up is built once for the series.
     """
-    setup = newton_setup(graph, y)
-    free = setup.free
-    s_hours = s_inj.copy()
-    s_hours[:, setup.slack] = 0.0
-    states = np.empty_like(s_inj)
+    setup = None
+    if graph.kind == DISTRIBUTION:
+        states, _, step = sweep_hours(graph, s_inj)
+    else:
+        states = np.empty_like(s_inj)
+        setup = newton_setup(graph, y)
+        free = setup.free
+        z = np.linalg.inv(y[np.ix_(free, free)])
     v0 = None
-    for t in range(s_inj.shape[0]):
-        if t:
+    for t in range(len(s_inj)):
+        if setup is None:
+            v0 = states[t] if step[t] < SWEEP_STEP_TOL else None
+        elif t:
             prev = states[t - 1]
             v0 = prev.copy()
             v0[free] += z @ np.conj((s_inj[t, free] - s_inj[t - 1, free]) / prev[free])
-        states[t] = solve_powerflow(graph, s_hours[t], y, v0=v0, setup=setup)
+        states[t] = solve_powerflow(graph, s_inj[t], y, v0=v0, setup=setup)
     return states
 
 
@@ -264,8 +271,6 @@ def build_scenario(
     so that the name can be wrapped for timing.
     """
     y = build_admittance(graph)
-    free = np.delete(np.arange(graph.n), graph.pos(graph.slack_bus()))
-    z = np.linalg.inv(y[np.ix_(free, free)])
     scale = cfg.demand_scale
     tried = []
     states = None
@@ -274,7 +279,7 @@ def build_scenario(
         try:
             # The profiles are not held past the power flow.
             states = _solve_series(
-                graph, y, z, _series_profiles(graph, cfg, index, base_loads, scale).injections())
+                graph, y, _series_profiles(graph, cfg, index, base_loads, scale).injections())
             break
         except NoConvergence as exc:
             last = exc

@@ -239,6 +239,33 @@ def test_ami_series_estimate_stays_within_its_memory_bound():
     assert peak <= 1.0e6, f"{peak / 1e6:.2f} MB"
 
 
+def test_feeder_series_power_flow_stays_within_its_memory_bound():
+    """One 240-hour ieee69 `_solve_series` call, the states included, peaks at
+    1.1 MB of traced allocations: the block sweep runs in buffers allocated
+    once, and the states are swept in place.  Measured with numpy 2.4: 0.93 MB,
+    the states and the sweep's two complex and one real [240, 69] buffers."""
+    import tracemalloc
+
+    from ugcn.caseio import load_case, to_grid_graph
+    from ugcn.grid import build_admittance
+    from ugcn.scenarios import ScenarioConfig, _series_profiles, _solve_series
+
+    case = load_case("ieee69")
+    graph = to_grid_graph(case)
+    y = build_admittance(graph)
+    s_inj = _series_profiles(graph, ScenarioConfig(t_total=240, seed=0), 0, case.loads_pu(),
+                             1.0).injections()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        states = _solve_series(graph, y, s_inj)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (240, 69)
+    assert peak <= 1.1e6, f"{peak / 1e6:.2f} MB"
+
+
 def test_benchmark_spans_count_one_ami_estimate_per_system(monkeypatch):
     """The benchmark times AMI estimation through `ugcn.scenarios.estimate_ami`:
     one call per system, next to one `measure_ami` call per hour.  A call that

@@ -36,12 +36,14 @@ from ugcn.powerflow import (
     MISMATCH_TOL,
     NEWTON_MAX_ITER,
     SWEEP_MAX_ITER,
+    SWEEP_STEP_TOL,
     VOLTAGE_DIVERGED,
     _newton,
     _sweep,
     newton_setup,
     nodal_mismatch,
     solve_powerflow,
+    sweep_hours,
 )
 from ugcn.reconfig import AugmentConfig, augment
 from ugcn.scenarios import (
@@ -589,7 +591,7 @@ class TestPowerFlow:
             solve_powerflow(chain4, s)
 
 
-def fdi_series(case, seed, index, t_total=96):
+def generated_series(case, seed, index, t_total=96, task="fdi"):
     """Graph, admittance and hourly injections of one generated system, at the
     first demand scale that `build_scenario` tries."""
     from ugcn.cli import GEN_DEFAULTS, _augment_config, _scenario_config
@@ -598,7 +600,7 @@ def fdi_series(case, seed, index, t_total=96):
 
     loaded = load_case(case)
     base = to_grid_graph(loaded)
-    cfg = {**GEN_DEFAULTS, "task": "fdi", "case": case, "q": index + 1, "seed": seed,
+    cfg = {**GEN_DEFAULTS, "task": task, "case": case, "q": index + 1, "seed": seed,
            "t_total": t_total}
     graph = _generate_one(base, _augment_config(base.n, base.kind, cfg), index).graph
     scfg = _scenario_config(base.kind, cfg)
@@ -616,8 +618,10 @@ class TestWarmStart:
                                                 ("ieee33", "forecast", 1),
                                                 ("ieee69", "forecast", 5)])
     def test_series_matches_flat_start_solves(self, case, task, seed, monkeypatch):
-        """Each hour of a generated system, solved from the predicted start and
-        from the flat profile: both balance to MISMATCH_TOL and agree."""
+        """Each hour of a generated system, solved from the start the series
+        gives it (a prediction on meshed grids, the block sweep's state on
+        feeders) and from the flat profile: both balance to MISMATCH_TOL and
+        agree."""
         import ugcn.scenarios
         from ugcn.cli import GEN_DEFAULTS, _gen_one_system
 
@@ -687,10 +691,8 @@ class TestWarmStart:
         the flat profile (measured: 297 against 504)."""
         from ugcn.scenarios import _solve_series
 
-        graph, y, s_inj = fdi_series("ieee39", 2, 0)
+        graph, y, s_inj = generated_series("ieee39", 2, 0)
         slack = graph.pos(graph.slack_bus())
-        free = np.delete(np.arange(graph.n), slack)
-        z = np.linalg.inv(y[np.ix_(free, free)])
         solves = [0]
         real = np.linalg.solve
 
@@ -699,7 +701,7 @@ class TestWarmStart:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        states = _solve_series(graph, y, z, s_inj)
+        states = _solve_series(graph, y, s_inj)
         warm, solves[0] = solves[0], 0
         for t in range(s_inj.shape[0]):
             s_t = s_inj[t].copy()
@@ -708,6 +710,77 @@ class TestWarmStart:
         assert warm <= 3.2 * s_inj.shape[0]
         assert warm <= 0.65 * solves[0]
         assert states.shape == (96, graph.n)
+
+
+class TestSeriesSweep:
+    """A feeder series is swept as one block of hours from the flat profile;
+    each hour's `solve_powerflow` then starts from the block's state."""
+
+    @pytest.mark.parametrize("case,seed,index", [("ieee33", 1, 0), ("ieee69", 5, 1)])
+    def test_every_hour_balances_and_matches_its_flat_solve(self, case, seed, index,
+                                                            monkeypatch):
+        """240 hours: each balances within MISMATCH_TOL and lies within the
+        warm-start bound of its flat-start hourly solve.  Each certifying solve
+        starts from the block's state and takes one sweep, whose result is the
+        hour's state."""
+        import ugcn.scenarios
+        from ugcn.scenarios import _solve_series
+
+        graph, y, s_inj = generated_series(case, seed, index, t_total=240, task="forecast")
+        starts = []
+
+        def certify(graph, s_t, y, v0, setup):
+            assert v0 is not None and setup is None
+            starts.append(v0.copy())
+            return solve_powerflow(graph, s_t, y, v0=v0, setup=setup)
+
+        monkeypatch.setattr(ugcn.scenarios, "solve_powerflow", certify)
+        states = _solve_series(graph, y, s_inj)
+        assert len(starts) == 240
+        slack = graph.pos(graph.slack_bus())
+        for t, start in enumerate(starts):
+            mism = nodal_mismatch(y, states[t], s_inj[t])
+            mism[slack] = 0
+            assert np.max(np.abs(mism)) < MISMATCH_TOL
+            flat = solve_powerflow(graph, s_inj[t], y)
+            assert np.max(np.abs(states[t] - flat)) <= TestWarmStart.BOUND["distribution"]
+            v, sweeps, step = sweep_hours(graph, s_inj[t][None], start[None])
+            assert sweeps[0] == 1 and step[0] < SWEEP_STEP_TOL
+            assert np.array_equal(v[0].view(np.float64), states[t].view(np.float64))
+
+    # ieee33 at 4 times its case loads runs out of sweeps from the flat
+    # profile, at 5 and 30 times it diverges.
+    @pytest.mark.parametrize("scales,first", [((0.5, 1.0, 5.0, 1.2, 30.0), 2),
+                                              ((0.5, 4.0, 1.0, 5.0), 1)])
+    def test_earliest_failing_hour_raises_its_flat_start_failure(self, ieee33, scales, first,
+                                                                 monkeypatch):
+        """The block leaves the failing hours without a start; the hours before
+        the first of them are certified, and it raises what its flat-start
+        hourly solve raises."""
+        import ugcn.scenarios
+        from ugcn.scenarios import _solve_series
+
+        y = build_admittance(ieee33)
+        s_inj = np.stack([case_injections("ieee33", ieee33) * scale for scale in scales])
+        _, _, step = sweep_hours(ieee33, s_inj)
+        failing = [t for t, scale in enumerate(scales) if scale >= 4.0]
+        assert [t for t in range(len(scales)) if not step[t] < SWEEP_STEP_TOL] == failing
+        assert [step[t] == np.inf for t in failing] == [scales[t] > 4.0 for t in failing]
+        with pytest.raises(NoConvergence) as flat:
+            solve_powerflow(ieee33, s_inj[first], y)
+        started = []
+
+        def record(graph, s_t, y, v0, setup):
+            started.append(v0 is not None)
+            return solve_powerflow(graph, s_t, y, v0=v0, setup=setup)
+
+        monkeypatch.setattr(ugcn.scenarios, "solve_powerflow", record)
+        with pytest.raises(NoConvergence) as got:
+            _solve_series(ieee33, y, s_inj)
+        assert started == [True] * first + [False]
+        assert str(got.value) == str(flat.value)
+        assert (got.value.iterations, got.value.mismatch) == \
+            (flat.value.iterations, flat.value.mismatch)
 
 
 class TestProfiles:
