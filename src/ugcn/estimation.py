@@ -1,21 +1,19 @@
 """State estimation feeding the learning pipeline.
 
 Two measurement systems are modeled.  Smart-meter (AMI) buses report net
-active/reactive injection and voltage magnitude; the state is recovered by a
-damped Gauss-Newton descent on a weighted least-squares cost with a quadratic
-regularizer.  Only the metered buses and their neighbors enter the
-measurements; every other coordinate is set by the regularizer alone, in
-closed form, and decays toward 0 from the flat start.  What depends only on
-the graph and the meters is built once per series by `ami_setup`;
-`measure_ami(setup, v, sigma, rng)` takes that record for one hour, and
-`estimate_ami(setup, z)` for a whole series of hours, z [T, 3m] -> [T, n].
-Each hour is estimated on its own, but blocks of hours share every numpy
-call of an iteration, with each hour's result bit for bit that of a
-single-hour run.  Every hour starts from the flat profile, so the first
-step's h, Jacobian and normal matrix are built once per series and shared
-by every hour; each hour still solves for its own step.  Phasor-unit (PMU)
-buses report complex current injections and voltages; the state follows in
-closed form from a shift-regularized pseudoinverse.  Both estimators return the full bus-ordered phasor vector.
+active/reactive injection and voltage magnitude.  The state is a weighted
+least-squares fit over every bus, with the slack held at 1∠0: the rows are
+P and Q at every other bus and |v| at every metered one.  An unmetered bus's
+P and Q are pseudo-injections of low weight, its planning load's share of
+what the meters measure in total (load allocation, Baran & Kelley 1994).
+The fit runs at a fixed gain (Monticelli 1999): the Jacobian at the flat
+profile is formed and factored once per series by `ami_setup`, and every
+hour iterates from the flat profile with it.  `measure_ami(setup, v, sigma,
+rng)` measures a series, [T, n] -> [T, 3m], and `estimate_ami(setup, z)`
+estimates one, [T, 3m] -> [T, n].  Phasor-unit (PMU) buses report complex
+current injections and voltages; the state follows in closed form from a
+shift-regularized pseudoinverse.  Both estimators return the full
+bus-ordered phasor vector.
 """
 
 from __future__ import annotations
@@ -29,8 +27,9 @@ from .grid import DISTRIBUTION, GridGraph, build_admittance, build_gso
 
 GN_MAX_ITER = 50
 GN_STEP_TOL = 1e-9
-GN_LAMBDA = 1e-3
-AMI_BLOCK = 6            # hours per stacked Gauss-Newton: faster when larger, but more memory
+AMI_BLOCK = 48           # hours iterated together: faster when larger, but more memory
+PSEUDO_WEIGHT = 0.3      # WLS weight of a pseudo-injection; a metered reading has 1
+Q_PER_P = 0.48           # reactive over active load where none is given: ~0.9 power factor
 DEFAULT_MU1 = 1e-3
 FDI_SENSOR_COUNTS = {30: 15, 39: 20, 57: 25}
 
@@ -82,67 +81,80 @@ def fdi_sensor_placement(graph: GridGraph, seed: int) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# AMI scenario: nonlinear WLS via damped Gauss-Newton
+# AMI scenario: fixed-gain weighted least squares with pseudo-injections
+
+
+def planning_loads(graph: GridGraph,
+                   base_loads: dict[int, complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Each bus's planning load P + jQ in bus order, and a mask of the buses
+    `base_loads` lacks (those an op added).  They get the median of the
+    positive P loads, 0.01 if there are none, and Q_PER_P of it as Q."""
+    known_p = [abs(load.real) for load in base_loads.values() if load.real > 0]
+    fill = float(np.median(known_p)) if known_p else 0.01
+    added = np.array([b not in base_loads for b in graph.bus_ids])
+    loads = np.array([base_loads.get(b, complex(fill, Q_PER_P * fill)) for b in graph.bus_ids],
+                     dtype=np.complex128)
+    return loads, added
 
 
 @dataclass(frozen=True, eq=False)
 class AmiSetup:
-    """What the AMI estimator needs of one series' graph and meters, built once per series.
+    """What the AMI estimator needs of one series' graph, meters and planning loads.
 
-    `idx` holds the metered bus positions and `vis` the visible ones (the
-    metered buses and their neighbors), `loc` the metered buses' places in
-    `vis` and `yc_a` their conjugated admittance rows over `vis`.  `free`
-    selects the columns of [e_vis, f_vis] that Gauss-Newton moves: all but
-    the slack's imaginary part, the gauge, when the slack is visible.
-    `gauge` is the slack's place in `vis`, or len(vis) when it is unseen.
-    `cols` are the state coordinates of `free` in [e, f], and `hidden` the
-    coordinates outside `cols` and the gauge.  The metered rows `f_rows`
-    (all but a metered slack) have their d|v|/df entry at column `f_cols` of
-    the free Jacobian.  All arrays but the caller's `y` are read-only.
+    `idx` holds the metered bus positions, `free` every position but the
+    slack's, and `vm` the positions of the metered buses other than the
+    slack.  The estimator's rows are P and Q at every bus of `free`, then |v|
+    at `vm`: an hour's target over them is its measurements `@ spread`, and
+    its step is the residual `@ gain`, over [e, f] at `free`.  All arrays but
+    the caller's `y` are read-only.
     """
 
-    n: int
     y: np.ndarray
     idx: np.ndarray
-    vis: np.ndarray
-    loc: np.ndarray
-    yc_a: np.ndarray
     free: np.ndarray
-    gauge: int
-    cols: np.ndarray
-    hidden: np.ndarray
-    f_rows: np.ndarray
-    f_cols: np.ndarray
+    vm: np.ndarray
+    spread: np.ndarray
+    gain: np.ndarray
 
 
-def ami_setup(graph: GridGraph, ami_buses: tuple[int, ...],
+def ami_setup(graph: GridGraph, ami_buses: tuple[int, ...], base_loads: dict[int, complex],
               y: np.ndarray | None = None) -> AmiSetup:
-    """The per-series record that `measure_ami` and `estimate_ami` take."""
+    """The per-series record that `measure_ami` and `estimate_ami` take.
+
+    A metered bus's P, Q and |v| are rows of weight 1; an unmetered bus's P
+    and Q are pseudo-injections of weight PSEUDO_WEIGHT: its planning load's
+    share of the metered buses' planning loads, times their measured sum.
+    The slack is held at 1∠0, so its own readings are not used.  The gain
+    K^T = W J0 (J0^T W J0)^-1 comes from the Jacobian J0 at the flat profile.
+    """
     y = build_admittance(graph) if y is None else y
-    n = graph.n
-    idx = np.array([graph.pos(b) for b in ami_buses])
-    seen = np.any(y[idx] != 0, axis=0)
-    seen[idx] = True
-    vis = np.flatnonzero(seen)
-    k = len(vis)
-    # Injections and magnitudes cannot see a global rotation; pin the angle
-    # reference by freezing the slack bus imaginary part at zero, seen or not.
     slack = graph.pos(graph.slack_bus())
-    gauge = int(np.searchsorted(vis, slack)) if seen[slack] else k
-    free = np.delete(np.arange(2 * k), k + gauge) if seen[slack] else np.arange(2 * k)
-    cols = np.concatenate([vis, n + vis])[free]
-    hidden = np.ones(2 * n, dtype=bool)
-    hidden[cols] = False
-    hidden[n + slack] = False
-    loc = np.searchsorted(vis, idx)
-    f_rows = np.flatnonzero(loc != gauge)
-    setup = AmiSetup(n=n, y=y, idx=idx, vis=vis, loc=loc,
-                     yc_a=np.conj(y[np.ix_(idx, vis)]), free=free, gauge=gauge, cols=cols,
-                     hidden=np.flatnonzero(hidden), f_rows=f_rows,
-                     f_cols=k + loc[f_rows] - (loc[f_rows] > gauge))
+    idx = np.array([graph.pos(b) for b in ami_buses])
+    free = np.delete(np.arange(graph.n), slack)
+    k = len(free)
+    cols = np.flatnonzero(idx != slack)          # the metered readings used, in z's P block
+    at = np.searchsorted(free, idx[cols])        # their buses' places in free
+    pseudo = np.ones(k, dtype=bool)
+    pseudo[at] = False
+    m = len(idx)
+    load = planning_loads(graph, base_loads)[0][free]
+    spread = np.zeros((3 * m, 2 * k + len(at)))
+    spread[cols, at] = spread[m + cols, k + at] = spread[2 * m + cols, 2 * k + np.arange(len(at))] = 1
+    spread[np.ix_(cols, np.flatnonzero(pseudo))] = load.real[pseudo] / load.real[at].sum()
+    spread[np.ix_(m + cols, k + np.flatnonzero(pseudo))] = load.imag[pseudo] / load.imag[at].sum()
+
+    # dS/de = diag(conj i) + diag(v) conj(Y) and dS/df = j diag(conj i) - j diag(v) conj(Y),
+    # at v = 1 with i = Y 1; d|v|/de = 1 and d|v|/df = 0.
+    yc = np.conj(y[np.ix_(free, free)])
+    ic = np.diag(np.conj(y[free].sum(axis=1)))
+    ds = np.hstack([ic + yc, 1j * (ic - yc)])
+    jac = np.vstack([ds.real, ds.imag, np.eye(2 * k)[at]])
+    jtw = jac.T * np.where(np.concatenate([pseudo, pseudo, np.zeros(len(at), bool)]),
+                           PSEUDO_WEIGHT, 1.0)
+    setup = AmiSetup(y=y, idx=idx, free=free, vm=free[at], spread=spread,
+                     gain=np.linalg.solve(jtw @ jac, jtw).T)
     # Every hour of the series reads these; none may write them.
-    for a in (setup.idx, setup.vis, setup.loc, setup.yc_a, setup.free, setup.cols, setup.hidden,
-              setup.f_rows, setup.f_cols):
+    for a in (setup.idx, setup.free, setup.vm, setup.spread, setup.gain):
         a.flags.writeable = False
     return setup
 
@@ -153,10 +165,12 @@ def measure_ami(
     sigma: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Stacked [P_a, Q_a, |v|_a] at the metered buses, with optional Gaussian noise."""
+    """Stacked [P_a, Q_a, |v|_a] at the metered buses for states v [..., n],
+    [T, n] -> [T, 3m] in one product, with optional Gaussian noise."""
     idx = setup.idx
-    s = v * np.conj(setup.y @ v)
-    z = np.concatenate([s[idx].real, s[idx].imag, np.abs(v[idx])])
+    v_a = v[..., idx]
+    s = v_a * np.conj(v @ setup.y[idx].T)
+    z = np.concatenate([s.real, s.imag, np.abs(v_a)], axis=-1)
     if sigma > 0:
         if rng is None:
             raise ConfigError("rng required when sigma > 0")
@@ -164,159 +178,48 @@ def measure_ami(
     return z
 
 
-def _ami_h(yc_a: np.ndarray, v: np.ndarray, loc: np.ndarray) -> np.ndarray:
-    """Stacked [P_a, Q_a, |v|_a] the states v [..., k] imply at the metered buses.
+def estimate_ami(setup: AmiSetup, z: np.ndarray) -> np.ndarray:
+    """Per hour of z [T, 3m], the fixed-gain WLS estimate [T, n] from the flat profile.
 
-    yc_a holds the conjugated admittance rows of the metered buses over v's
-    buses, and loc the metered buses' own positions in v.  The currents are
-    one matrix-vector product per state, as for a single state.
+    Every hour iterates x <- x + (target - h(x)) K^T over the [e, f] of the
+    non-slack buses, with the target and K^T of `ami_setup`, and stops when
+    its step norm is below GN_STEP_TOL.  No hour depends on another, so the
+    unfinished hours of a block of AMI_BLOCK run together: h takes one
+    [b, n] @ [n, n] product, and the step one [b, rows] @ [rows, 2n - 2].
+    The slack stays exactly 1+0j.  An hour whose step is not finite, or
+    still above GN_STEP_TOL after GN_MAX_ITER iterations, raises
+    NoConvergence for the earliest such hour, after the other hours of its
+    block are finished.
     """
-    v_a = v[..., loc]
-    s = v_a * (yc_a @ np.conj(v)[..., None])[..., 0]
-    return np.concatenate([s.real, s.imag, np.abs(v_a)], axis=-1)
-
-
-def _ami_cost(setup: AmiSetup, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The objective of `estimate_ami` at states v [..., n] against measurements z [..., 3m]."""
-    split = np.concatenate([v.real, v.imag], axis=-1)
-    h = _ami_h(setup.yc_a, v[..., setup.vis], setup.loc)
-    return ((z - h) ** 2).sum(axis=-1) + GN_LAMBDA * (split ** 2).sum(axis=-1)
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Each row's 2-norm as `np.linalg.norm` takes a vector's: the root of one BLAS dot."""
-    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
-def _ami_h_and_jac(setup: AmiSetup, v: np.ndarray):
-    """h and its Jacobian on the free columns at states v [b, k] of the visible buses.
-
-    The Jacobian [b, 3m, len(setup.free)] is a view of its transpose, which
-    is C-ordered: each hour's Jacobian is column-major, so J^T J and J^T r
-    take the BLAS calls, and round as, a single hour's column-major Jacobian
-    does.  Its blocks are written in place; no full-width Jacobian is formed.
-    dS_a/de = diag(conj i_a) + v_a conj(Y_a) and dS_a/df = j diag(conj i_a)
-    - j v_a conj(Y_a); the diagonal terms sit at (row r, column loc[r]).
-    """
-    yc_a, loc, g = setup.yc_a, setup.loc, setup.gauge
-    m, k = yc_a.shape
-    v_a = v[:, loc]
-    i_conj = (yc_a @ np.conj(v)[:, :, None])[:, :, 0]
-    s = v_a * i_conj
-    vmag = np.abs(v_a)
-    h = np.concatenate([s.real, s.imag, vmag], axis=1)
-
-    rows = np.arange(m)
-    ds = v_a[:, :, None] * yc_a
-    ds_df = -1j * ds
-    ds_df[:, rows, loc] += 1j * i_conj
-    ds[:, rows, loc] += i_conj              # now dS_a/de
-    jac = np.zeros((len(v), len(setup.free), 3 * m)).transpose(0, 2, 1)
-    jac[:, :m, :k] = ds.real
-    jac[:, m:2 * m, :k] = ds.imag
-    # The f columns skip the gauge, vis position g (g = k when the slack is unseen).
-    jac[:, :m, k:k + g] = ds_df.real[:, :, :g]
-    jac[:, :m, k + g:] = ds_df.real[:, :, g + 1:]
-    jac[:, m:2 * m, k:k + g] = ds_df.imag[:, :, :g]
-    jac[:, m:2 * m, k + g:] = ds_df.imag[:, :, g + 1:]
-    safe = np.where(vmag > 1e-12, vmag, 1.0)
-    jac[:, rows + 2 * m, loc] = v_a.real / safe
-    jac[:, setup.f_rows + 2 * m, setup.f_cols] = (v_a.imag / safe)[:, setup.f_rows]
-    return h, jac
-
-
-def _ami_normal(setup: AmiSetup, v: np.ndarray):
-    """h, J^T and J^T J + GN_LAMBDA I at states v [b, k] of the visible buses:
-    the normal equations of the stacked system [J; sqrt(GN_LAMBDA) I] on the
-    free visible columns."""
-    h, jac = _ami_h_and_jac(setup, v)
-    jt = jac.transpose(0, 2, 1)
-    normal = jt @ jac
-    normal.reshape(len(v), -1)[:, ::len(setup.free) + 1] += GN_LAMBDA   # the diagonals
-    return h, jt, normal
-
-
-def estimate_ami(setup: AmiSetup, z: np.ndarray, info: bool = False):
-    """Per hour of z [T, 3m], minimize ||z_t - h(v)||^2 + GN_LAMBDA * ||[e; f]||^2 from a flat start.
-
-    h sees only the visible buses: the metered ones and their neighbors.  The
-    Gauss-Newton normal equations are solved on their columns alone.  Every
-    other coordinate sees only GN_LAMBDA * x^2, so its step is exactly -x; it
-    is set in closed form.  Steps halve on cost increase, up to 12 times;
-    iteration stops when the step norm drops below GN_STEP_TOL or the budget
-    runs out, returning the last iterate.  No hour depends on another, so they run
-    AMI_BLOCK at a time: each iteration stacks the block's unfinished hours
-    into one Jacobian, one normal-equation product and one solve, and costs
-    every halving of the rejected steps at once (step * 0.5**k is exactly k
-    halvings).  Every hour's first iteration is at the flat start, all ones,
-    so its h, Jacobian and normal matrix are built once per series, before
-    the first block, and broadcast over each block's hours; each hour's step
-    is still its own solve.  An hour leaves the stack when its step norm is
-    below GN_STEP_TOL.  Every hour's estimate is bit for bit that of a loop
-    over hours.  A non-finite step or cost raises NoConvergence for the
-    earliest such hour, after the other hours of its block are finished.
-    Returns [T, n]; with `info`, the per-hour iteration counts, and residual
-    norms and objectives at the returned states, come along as arrays.
-    """
-    n, vis, cols, hidden = setup.n, setup.vis, setup.cols, setup.hidden
+    free, vm, gain = setup.free, setup.vm, setup.gain
+    k = len(free)
     m = len(setup.idx)
     if z.ndim != 2 or z.shape[1] != 3 * m:
         raise DimensionMismatch(f"expected [T, {3 * m}] measurements, got {z.shape}")
-    t_total = len(z)
-    states = np.ones((t_total, n), dtype=np.complex128)
-    iterations = np.zeros(t_total, dtype=np.int64)
-    halve = 0.5 ** np.arange(1, 13)
-    # the first iteration's terms at the flat start, shared by every hour
-    flat = _ami_normal(setup, np.ones((1, len(vis)), dtype=np.complex128))
-    for t0 in range(0, t_total, AMI_BLOCK):
+    states = np.ones((len(z), len(setup.y)), dtype=np.complex128)
+    yt = setup.y.T
+    for t0 in range(0, len(z), AMI_BLOCK):
         v = states[t0:t0 + AMI_BLOCK]               # the block's rows, updated in place
-        zb = z[t0:t0 + AMI_BLOCK]
-        current = _ami_cost(setup, zb, v)
+        target = z[t0:t0 + AMI_BLOCK] @ setup.spread
         active = np.arange(len(v))
-        failed = np.zeros(len(v), dtype=np.int64)     # the iteration an hour failed at
+        failed = {}                                 # hour in block: (iterations, step norm)
         for it in range(1, GN_MAX_ITER + 1):
+            va = v[active]
+            s = va[:, free] * np.conj(va @ yt)[:, free]
+            r = target[active] - np.concatenate([s.real, s.imag, np.abs(va[:, vm])], axis=1)
+            step = r @ gain
+            va[:, free] += step[:, :k] + 1j * step[:, k:]
+            v[active] = va
+            norm = np.linalg.norm(step, axis=1)
+            failed.update((h, (it, float("inf"))) for h in active[~np.isfinite(norm)])
+            moving = np.isfinite(norm) & (norm >= GN_STEP_TOL)
+            active, norm = active[moving], norm[moving]
             if not len(active):
                 break
-            iterations[t0 + active] = it
-            va, za = v[active], zb[active]
-            h, jt, normal = flat if it == 1 else _ami_normal(setup, va[:, vis])
-            split = np.concatenate([va.real, va.imag], axis=1)
-            rhs = (jt @ (za - h)[:, :, None])[:, :, 0] - GN_LAMBDA * split[:, cols]
-            reduced = np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
-            del jt, normal, rhs       # not held through the halvings below
-            step = np.zeros((len(active), 2 * n))
-            step[:, hidden] = -split[:, hidden]
-            step[:, cols] = reduced
-            trial = va + step[:, :n] + 1j * step[:, n:]
-            trial_cost = _ami_cost(setup, za, trial)
-            up = np.flatnonzero(trial_cost > current[active])
-            if len(up):
-                # Every halving of every rejected step; the first that does not
-                # raise the cost is taken, the 12th if all do.
-                tries = step[up, None, :] * halve[:, None]
-                moves = va[up, None] + tries[:, :, :n] + 1j * tries[:, :, n:]
-                costs = _ami_cost(setup, za[up, None], moves)
-                stop = ~(costs > current[active[up], None])
-                stop[:, -1] = True
-                pick = stop.argmax(axis=1)
-                step[up] = tries[np.arange(len(up)), pick]
-                trial[up] = moves[np.arange(len(up)), pick]
-                trial_cost[up] = costs[np.arange(len(up)), pick]
-                del tries, moves, costs
-            bad = ~np.isfinite(reduced).all(axis=1) | ~np.isfinite(trial_cost)
-            failed[active[bad]] = it
-            take = ~bad & (trial_cost <= current[active])
-            v[active[take]] = trial[take]
-            current[active[take]] = trial_cost[take]
-            active = active[~bad & ~(_row_norms(step) < GN_STEP_TOL)]
-        if failed.any():
-            raise NoConvergence(int(failed[failed > 0][0]), float("inf"))
-    if info:
-        r = z - _ami_h(np.conj(setup.y[setup.idx]), states, setup.idx)
-        split = np.concatenate([states.real, states.imag], axis=1)
-        objective = (r ** 2).sum(axis=1) + GN_LAMBDA * (split ** 2).sum(axis=1)
-        return states, {"iterations": iterations, "residual": _row_norms(r),
-                        "cost": objective}
+        failed.update((h, (GN_MAX_ITER, float(d))) for h, d in zip(active, norm))
+        if failed:
+            hour = min(failed)
+            raise NoConvergence(*failed[hour], f"AMI estimate of hour {t0 + hour}")
     return states
 
 

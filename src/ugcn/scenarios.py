@@ -24,12 +24,14 @@ from .errors import (
 )
 from .estimation import (
     DEFAULT_MU1,
+    Q_PER_P,
     PmuOperator,
     ami_placement,
     ami_setup,
     estimate_ami,
     fdi_sensor_placement,
     measure_ami,
+    planning_loads,
     pmu_placement,
 )
 from .grid import DISTRIBUTION, GridGraph, build_admittance
@@ -104,7 +106,7 @@ def synth_profiles(
         base_p = rng.uniform(0.005, 0.03, size=n_buses)
     base_p = np.asarray(base_p, dtype=float)
     if base_q is None:
-        base_q = base_p * 0.48  # ~0.9 power factor
+        base_q = base_p * Q_PER_P
     base_q = np.asarray(base_q, dtype=float)
     bus_ids = tuple(range(1, n_buses + 1)) if bus_ids is None else tuple(bus_ids)
 
@@ -201,24 +203,18 @@ class ScenarioConfig:
 
 def _series_profiles(graph: GridGraph, cfg: ScenarioConfig, index: int,
                      base_loads: dict[int, complex], scale: float) -> ProfileSet:
-    known_p = np.array([abs(base_loads[b].real) for b in base_loads if base_loads[b].real > 0])
-    fill = float(np.median(known_p)) if len(known_p) else 0.01
+    """The planning loads times `scale`; a bus an op added draws 0.5-1.5 times its fill."""
+    loads, added = planning_loads(graph, base_loads)
+    base_p, base_q = loads.real * scale, loads.imag * scale
     rng = np.random.default_rng([cfg.seed, index, 17])
-    base_p, base_q = [], []
-    for b in graph.bus_ids:
-        if b in base_loads:
-            base_p.append(base_loads[b].real * scale)
-            base_q.append(base_loads[b].imag * scale)
-        else:
-            p = fill * rng.uniform(0.5, 1.5) * scale
-            base_p.append(p)
-            base_q.append(0.48 * p)
+    base_p[added] = loads.real[added] * rng.uniform(0.5, 1.5, size=int(added.sum())) * scale
+    base_q[added] = Q_PER_P * base_p[added]
     return synth_profiles(
         graph.n,
         cfg.t_total,
         seed=[cfg.seed, index, 19],
-        base_p=np.array(base_p),
-        base_q=np.array(base_q),
+        base_p=base_p,
+        base_q=base_q,
         bus_ids=graph.bus_ids,
         pv_fraction=PV_FRACTION if graph.kind == DISTRIBUTION else 0.0,
     )
@@ -266,9 +262,11 @@ def build_scenario(
 ) -> ScenarioSet:
     """Profiles -> power flow -> measurements -> estimates for one system.
 
-    Measurements are taken hour by hour.  PMU estimates follow per hour; the
-    AMI series goes to `estimate_ami` in one call, looked up in this module
-    so that the name can be wrapped for timing.
+    PMU measurements and estimates are taken hour by hour.  The AMI series
+    is measured in one `measure_ami` call and estimated in one `estimate_ami`
+    call, whose set-up takes `base_loads` as the planning loads of its
+    pseudo-injections; both names are looked up in this module so that they
+    can be wrapped for timing.
     """
     y = build_admittance(graph)
     scale = cfg.demand_scale
@@ -308,11 +306,9 @@ def build_scenario(
             estimates[t] = op.estimate(z)
     else:
         ami_buses = ami_placement(graph)
-        setup = ami_setup(graph, ami_buses, y)
-        z = np.empty((cfg.t_total, 3 * len(ami_buses)))
-        for t in range(cfg.t_total):
-            z[t] = measure_ami(setup, states[t], sigma=cfg.noise_sigma, rng=noise_rng)
-        estimates = estimate_ami(setup, z)
+        setup = ami_setup(graph, ami_buses, base_loads, y)
+        estimates = estimate_ami(
+            setup, measure_ami(setup, states, sigma=cfg.noise_sigma, rng=noise_rng))
 
     attacks: tuple = ()
     if task == "fdi":

@@ -213,7 +213,8 @@ def test_benchmark_system_check_passes_on_generated_systems(tmp_path, monkeypatc
 
 def test_ami_series_estimate_stays_within_its_memory_bound():
     """One 240-hour ieee69 `estimate_ami` call, the result included, peaks at
-    1.0 MB of traced allocations: the blocks of hours stay small."""
+    1.0 MB of traced allocations: the blocks of hours stay small.  Measured
+    with numpy 2.4: 0.80 MB, of which the [240, 69] result is 0.26 MB."""
     import tracemalloc
 
     import numpy as np
@@ -225,7 +226,7 @@ def test_ami_series_estimate_stays_within_its_memory_bound():
     graph = to_grid_graph(load_case("ieee69"))
     states = build_scenario(graph, ScenarioConfig(t_total=240, seed=0), 0,
                             load_case("ieee69").loads_pu()).true_states
-    setup = ami_setup(graph, ami_placement(graph))
+    setup = ami_setup(graph, ami_placement(graph), load_case("ieee69").loads_pu())
     rng = np.random.default_rng(0)
     z = np.stack([measure_ami(setup, v, sigma=0.002, rng=rng) for v in states])
     tracemalloc.start()
@@ -268,8 +269,8 @@ def test_feeder_series_power_flow_stays_within_its_memory_bound():
 
 def test_benchmark_spans_count_one_ami_estimate_per_system(monkeypatch):
     """The benchmark times AMI estimation through `ugcn.scenarios.estimate_ami`:
-    one call per system, next to one `measure_ami` call per hour.  A call that
-    bypassed that name would leave the span empty."""
+    one call per system, next to one `measure_ami` call for the whole series.
+    A call that bypassed that name would leave the span empty."""
     import importlib
     import pathlib
     import sys
@@ -290,4 +291,4 @@ def test_benchmark_spans_count_one_ami_estimate_per_system(monkeypatch):
         hooks.remove()
     assert scenario.scenario == "ami" and scenario.estimates.shape == (24, 33)
     assert hooks.tracer.calls["estimation.ami_estimate"] == 1
-    assert hooks.tracer.calls["estimation.measure"] == 24
+    assert hooks.tracer.calls["estimation.measure"] == 1
