@@ -12,8 +12,9 @@ hour iterates from the flat profile with it.  `measure_ami(setup, v, sigma,
 rng)` measures a series, [T, n] -> [T, 3m], and `estimate_ami(setup, z)`
 estimates one, [T, 3m] -> [T, n].  Phasor-unit (PMU) buses report complex
 current injections and voltages; the state follows in closed form from a
-shift-regularized pseudoinverse.  Both estimators return the full
-bus-ordered phasor vector.
+shift-regularized pseudoinverse, and `PmuOperator.measure` and `estimate`
+take a series in one product each, [T, n] -> [T, 2|A|] -> [T, n].  Both
+estimators return the full bus-ordered phasor vector.
 """
 
 from __future__ import annotations
@@ -267,22 +268,29 @@ class PmuOperator:
         sigma: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        """[current injections at A; voltages at A] with complex Gaussian noise."""
-        z = self.h @ v[self.perm]
+        """[current injections at A; voltages at A] per hour of states v, [T, n]
+        -> [T, 2|A|] in one product, or of one hour, with complex Gaussian noise.
+
+        Each hour draws the real parts of its noise, then the imaginary parts,
+        so a series draws what its hours draw one by one.
+        """
+        if v.shape[-1] != self.graph.n:
+            raise DimensionMismatch(f"expected {self.graph.n} bus states, got {v.shape}")
+        z = v[..., self.perm] @ self.h.T
         if sigma > 0:
             if rng is None:
                 raise ConfigError("rng required when sigma > 0")
-            noise = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-            z = z + sigma * noise
+            noise = rng.standard_normal(z.shape[:-1] + (2, z.shape[-1]))
+            z = z + sigma * (noise[..., 0, :] + 1j * noise[..., 1, :])
         return z
 
     def estimate(self, z: np.ndarray) -> np.ndarray:
-        """State estimate in bus order."""
-        if z.shape != (self.h.shape[0],):
-            raise DimensionMismatch(f"expected {self.h.shape[0]} measurements, got {z.shape}")
-        x_perm = self.solve @ z
-        out = np.empty(self.graph.n, dtype=np.complex128)
-        out[self.perm] = x_perm
+        """State estimate in bus order per hour of z, [T, 2|A|] -> [T, n], or of one hour."""
+        rows = self.h.shape[0]
+        if z.ndim not in (1, 2) or z.shape[-1] != rows:
+            raise DimensionMismatch(f"expected [T, {rows}] or {rows} measurements, got {z.shape}")
+        out = np.empty(z.shape[:-1] + (self.graph.n,), dtype=np.complex128)
+        out[..., self.perm] = z @ self.solve.T
         return out
 
     def estimate_shift(self, delta_v: np.ndarray) -> np.ndarray:

@@ -8,10 +8,14 @@ Both solvers start from a given state, or from the flat profile 1+0j; a start
 that fails is retried once from the flat profile.  What Newton needs of the
 graph alone (free buses, conjugated admittance block, Jacobian diagonals) is
 built once per series by `newton_setup` and passed as `setup=`; the sweep's
-path matrices are cached on the graph.  The sweep runs on a [T, n] block of
-hours (`sweep_hours`), one product over the block per sweep; a single hour is
-the block of one, so a series can be swept at once and each hour then
-certified by `solve_powerflow` from the block's state in one sweep.
+path matrices are cached on the graph.  A series of hours can be solved as
+one [T, n] block, and each hour then certified by `solve_powerflow` from the
+block's state.  On a feeder the block
+is swept from the flat profile (`sweep_hours`), one product over the block
+per sweep; a single hour is the block of one.  On a meshed grid the block is
+stepped from one solved hour's state with that hour's Jacobian, inverted
+once (`chord_hours`, the chord method of fast decoupled load flow; Stott &
+Alsac, IEEE Trans. PAS, 1974).
 """
 
 from __future__ import annotations
@@ -176,6 +180,79 @@ def newton_setup(graph: GridGraph, y: np.ndarray) -> NewtonSetup:
     return setup
 
 
+def _fill_jacobian(jac: np.ndarray, setup: NewtonSetup, v_free: np.ndarray, c: np.ndarray) -> None:
+    """Write the Jacobian at free-bus voltages v_free and conjugated currents c into jac."""
+    m = len(v_free)
+    flat = jac.reshape(-1)
+    diag_ee, diag_ef, diag_fe, diag_ff = setup.diags
+    vy = v_free[:, None] * setup.y_free
+    jac[:m, :m] = vy.real
+    jac[:m, m:] = vy.imag
+    jac[m:, :m] = vy.imag
+    np.negative(vy.real, out=jac[m:, m:])
+    flat[diag_ee] += c.real
+    flat[diag_ef] -= c.imag
+    flat[diag_fe] += c.imag
+    flat[diag_ff] += c.real
+
+
+def chord_hours(y: np.ndarray, s: np.ndarray, v: np.ndarray,
+                setup: NewtonSetup) -> tuple[np.ndarray, np.ndarray]:
+    """Chord Newton over a [T, n] block of hours from one solved state v.
+
+    The Jacobian at v, as `_newton` forms it, is inverted once; every hour
+    starts from v and steps by -[Re, Im] mismatch @ J^-T.  The live hours
+    iterate together: one [live, m] @ [m, m] product for the free-bus
+    currents, where m = n - 1, and one [live, 2m] @ [2m, 2m] step per
+    iteration, for at most NEWTON_MAX_ITER steps.  An hour settles once its
+    worst free-bus mismatch is below MISMATCH_TOL.  It drops out unsettled
+    once that mismatch is not finite or a voltage magnitude exceeds
+    VOLTAGE_DIVERGED, and so does every hour still live after the budget,
+    or every hour if the Jacobian is singular.  No hour raises.
+
+    Returns the voltages [T, n], a settled hour's final state and v at the
+    others, and the mask of settled hours.
+    """
+    free = setup.free
+    m = len(free)
+    states = np.repeat(v[None], len(s), axis=0)
+    settled = np.zeros(len(s), dtype=bool)
+    if not len(s):
+        return states, settled
+    jac = np.empty((2 * m, 2 * m))
+    _fill_jacobian(jac, setup, v[free], np.conj((y @ v)[free]))
+    try:
+        gain = -np.linalg.inv(jac).T
+    except np.linalg.LinAlgError:
+        return states, settled
+    # In the order of a complex array's float view, re and im of each bus
+    # side by side, the step is one product and one complex addition.
+    order = np.arange(2 * m).reshape(2, m).T.ravel()
+    gain = gain[np.ix_(order, order)]
+    y_t = y[np.ix_(free, free)].T
+    from_slack = y[free, setup.slack] * v[setup.slack]
+    done_v = states[:, free]                     # settled hours' free-bus states
+    live = np.arange(len(s))
+    vf = done_v.copy()
+    sf = s[:, free]
+    for it in range(NEWTON_MAX_ITER + 1):
+        mism = vf * np.conj(vf @ y_t + from_slack) - sf
+        worst = np.abs(mism).max(axis=1)
+        done = worst < MISMATCH_TOL
+        keep = ~done & np.isfinite(worst) & (np.abs(vf).max(axis=1) <= VOLTAGE_DIVERGED)
+        if not keep.all():
+            done_v[live[done]] = vf[done]
+            settled[live[done]] = True
+            live, vf, sf, mism = live[keep], vf[keep], sf[keep], mism[keep]
+            if not len(live):
+                break
+        if it == NEWTON_MAX_ITER:
+            break
+        vf += (mism.view(np.float64) @ gain).view(np.complex128)
+    states[:, free] = done_v
+    return states, settled
+
+
 def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
             v0: np.ndarray | None = None, setup: NewtonSetup | None = None) -> np.ndarray:
     """Newton-Raphson in rectangular coordinates with a backtracking line search.
@@ -190,12 +267,10 @@ def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
     over to the next iteration.
     """
     setup = newton_setup(graph, y) if setup is None else setup
-    free, y_free = setup.free, setup.y_free
-    diag_ee, diag_ef, diag_fe, diag_ff = setup.diags
+    free = setup.free
     m = len(free)
     s_free = s_inj[free]
     jac = np.empty((2 * m, 2 * m))
-    flat = jac.reshape(-1)
     rhs = np.empty(2 * m)
     v = np.ones(graph.n, dtype=np.complex128) if v0 is None else v0
     v_free = v[free]
@@ -207,15 +282,7 @@ def _newton(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
             raise NoConvergence(it, float("inf"))
         if worst < tol:
             return v
-        vy = v_free[:, None] * y_free
-        jac[:m, :m] = vy.real
-        jac[:m, m:] = vy.imag
-        jac[m:, :m] = vy.imag
-        np.negative(vy.real, out=jac[m:, m:])
-        flat[diag_ee] += c.real
-        flat[diag_ef] -= c.imag
-        flat[diag_fe] += c.imag
-        flat[diag_ff] += c.real
+        _fill_jacobian(jac, setup, v_free, c)
         np.negative(mism.real, out=rhs[:m])
         np.negative(mism.imag, out=rhs[m:])
         try:

@@ -83,13 +83,15 @@ class AugmentConfig:
     q_count: int
     seed: int = 0
     ops_range: tuple[int, int] = (1, 4)
-    node_bounds: tuple[int, int] = (1, 10_000)
+    node_bounds: tuple[int, int] = (2, 10_000)   # a 1-bus system is its slack alone
 
     def __post_init__(self):
         if self.q_count < 1:
             raise ConfigError(f"q_count must be at least 1, got {self.q_count}")
         if self.ops_range[0] > self.ops_range[1] or self.ops_range[0] < 0:
             raise ConfigError(f"bad ops_range {self.ops_range}: need 0 <= ops_min <= ops_max")
+        if self.node_bounds[0] < 2:
+            raise ConfigError(f"node_min must be at least 2, got {self.node_bounds[0]}")
         if self.node_bounds[0] > self.node_bounds[1]:
             raise ConfigError(f"bad node_bounds {self.node_bounds}: need node_min <= node_max")
 

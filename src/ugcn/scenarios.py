@@ -35,7 +35,7 @@ from .estimation import (
     pmu_placement,
 )
 from .grid import DISTRIBUTION, GridGraph, build_admittance
-from .powerflow import SWEEP_STEP_TOL, newton_setup, solve_powerflow, sweep_hours
+from .powerflow import SWEEP_STEP_TOL, chord_hours, newton_setup, solve_powerflow, sweep_hours
 
 WINDOW = 10              # historical hours per feature window (m0 channels)
 SANITY_BAND = (0.5, 1.5)  # acceptable |v| range for true states, p.u.
@@ -224,30 +224,24 @@ def _solve_series(graph: GridGraph, y: np.ndarray, s_inj: np.ndarray) -> np.ndar
     """One `solve_powerflow` per hour of the [T, N] injections, each from a start.
 
     A radial feeder's hours are swept together from the flat profile by
-    `sweep_hours`, in the array that then receives the states.  Each settled
-    hour starts its own solve there, which takes one sweep and the mismatch
-    check; an hour that diverged or did not settle starts from the flat
-    profile.  A meshed grid's hour 0 starts from the flat profile and hour t
-    from the previous solution plus z conj(dS / v), the first-order change of
-    the bus currents, where z is the inverse of Y restricted to the free
-    (non-slack) buses; its Newton set-up is built once for the series.
+    `sweep_hours`.  A meshed grid's hour 0 is solved from the flat profile,
+    and its other hours are stepped together from hour 0's state by
+    `chord_hours`, with hour 0's Newton set-up.  Each hour that settled
+    there starts its own solve from its state, which then balances without
+    a step; an hour that did not settle starts from the flat profile.
     """
     setup = None
+    first = 0
     if graph.kind == DISTRIBUTION:
         states, _, step = sweep_hours(graph, s_inj)
+        settled = step < SWEEP_STEP_TOL
     else:
-        states = np.empty_like(s_inj)
         setup = newton_setup(graph, y)
-        free = setup.free
-        z = np.linalg.inv(y[np.ix_(free, free)])
-    v0 = None
-    for t in range(len(s_inj)):
-        if setup is None:
-            v0 = states[t] if step[t] < SWEEP_STEP_TOL else None
-        elif t:
-            prev = states[t - 1]
-            v0 = prev.copy()
-            v0[free] += z @ np.conj((s_inj[t, free] - s_inj[t - 1, free]) / prev[free])
+        hour0 = solve_powerflow(graph, s_inj[0], y, v0=None, setup=setup)
+        states, settled = chord_hours(y, s_inj, hour0, setup)
+        states[0], first = hour0, 1
+    for t in range(first, len(s_inj)):
+        v0 = states[t] if settled[t] else None
         states[t] = solve_powerflow(graph, s_inj[t], y, v0=v0, setup=setup)
     return states
 
@@ -262,11 +256,12 @@ def build_scenario(
 ) -> ScenarioSet:
     """Profiles -> power flow -> measurements -> estimates for one system.
 
-    PMU measurements and estimates are taken hour by hour.  The AMI series
-    is measured in one `measure_ami` call and estimated in one `estimate_ami`
-    call, whose set-up takes `base_loads` as the planning loads of its
-    pseudo-injections; both names are looked up in this module so that they
-    can be wrapped for timing.
+    A PMU series is measured in one `PmuOperator.measure` call and estimated
+    in one `PmuOperator.estimate` call.  The AMI series is measured in one
+    `measure_ami` call and estimated in one `estimate_ami` call, whose set-up
+    takes `base_loads` as the planning loads of its pseudo-injections; both
+    names are looked up in this module so that they can be wrapped for
+    timing.
     """
     y = build_admittance(graph)
     scale = cfg.demand_scale
@@ -300,10 +295,7 @@ def build_scenario(
         pmu_buses = pmu_placement(graph, cfg.pmu_fraction, seed=cfg.seed)
     if pmu_buses:
         op = PmuOperator.build(graph, pmu_buses, y=y)
-        estimates = np.empty_like(states)
-        for t in range(cfg.t_total):
-            z = op.measure(states[t], sigma=cfg.noise_sigma, rng=noise_rng)
-            estimates[t] = op.estimate(z)
+        estimates = op.estimate(op.measure(states, sigma=cfg.noise_sigma, rng=noise_rng))
     else:
         ami_buses = ami_placement(graph)
         setup = ami_setup(graph, ami_buses, base_loads, y)

@@ -548,6 +548,7 @@ def checkpoint(dataset, tmp_path_factory):
      "bad node_bounds (200, 38): need node_min <= node_max"),
     ("gen", ["--set", "ops_min=5", "--set", "ops_max=2"],
      "bad ops_range (5, 2): need 0 <= ops_min <= ops_max"),
+    ("gen", ["--set", "node_min=1"], "node_min must be at least 2, got 1"),
 ])
 def test_out_of_range_numbers_exit_2(dataset, checkpoint, tmp_path, capsys,
                                      command, override, message):

@@ -7,6 +7,7 @@ import pytest
 
 from ugcn.caseio import load_case, to_grid_graph
 from ugcn.errors import (
+    ConfigError,
     CycleCreated,
     Disconnected,
     UnknownElement,
@@ -119,6 +120,15 @@ class TestAugment:
             assert g.kind == "distribution"
             assert g.root == 1
             assert len(g.in_service()) == g.n - 1   # tree: validated on build too
+
+    def test_slack_only_systems_are_refused(self, ieee33):
+        """A 1-bus system is its slack alone, with nothing to meter or solve."""
+        assert AugmentConfig(q_count=1).node_bounds == (2, 10_000)
+        with pytest.raises(ConfigError, match="node_min must be at least 2, got 1"):
+            AugmentConfig(q_count=4, seed=3, ops_range=(1, 4), node_bounds=(1, 38))
+        family = augment(ieee33, AugmentConfig(q_count=4, seed=3, ops_range=(1, 4),
+                                               node_bounds=(2, 38)))
+        assert min(member.graph.n for member in family) >= 2
 
     def test_deterministic_in_seed(self, ieee33):
         cfg = AugmentConfig(q_count=6, seed=11, ops_range=(1, 4), node_bounds=(22, 38))
