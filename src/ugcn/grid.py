@@ -175,16 +175,20 @@ class GridGraph:
         return BfsTree(np.array(order), parent, depth, parent_branch)
 
     @cached_property
-    def path_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The radial sweep's read-only (sub, drop), built once per graph (Teng, IEEE TPWRD 2003).
+    def path_matrices(self) -> np.ndarray:
+        """The radial sweep's read-only [n, n] path matrix, built once per graph.
 
-        sub[p, q] = 1 when q lies in the subtree of p, so the backward sweep's branch
-        currents are sub @ i_bus and the forward sweep's drops are drop @ i_branch with
-        drop = sub^T diag(z_to_parent).  The graph is immutable, so the pair never goes stale.
+        Entry [q, p] is the summed impedance of the branches that the root paths
+        of buses p and q share.  It is Teng's direct-load-flow matrix
+        DLF = BCBV BIBC (IEEE TPWRD 2003), transposed so that hours stay rows:
+        a row of conjugated bus currents i drops the voltages by i @ M.  With
+        `anc`, whose row p marks p and its ancestors, M = anc diag(z) anc^T,
+        where z is each bus's impedance to its parent.  The slack's row and
+        column are zero.  The graph is immutable, so the matrix never goes stale.
         """
         tree = self.bfs()
         z_to_parent = np.zeros(self.n, dtype=np.complex128)
-        # Row p of `anc` marks p and its ancestors; parents precede children in BFS order.
+        # Parents precede children in BFS order.
         anc = np.zeros((self.n, self.n), dtype=np.complex128)
         for p in tree.order:
             par = tree.parent[p]
@@ -192,10 +196,9 @@ class GridGraph:
                 z_to_parent[p] = self.branches[tree.parent_branch[p]].impedance
                 anc[p] = anc[par]
             anc[p, p] = 1.0
-        drop = anc * z_to_parent
-        anc.flags.writeable = False
-        drop.flags.writeable = False
-        return anc.T, drop
+        dlf = anc @ (anc * z_to_parent).T
+        dlf.flags.writeable = False
+        return dlf
 
 
 def build_admittance(graph: GridGraph) -> np.ndarray:

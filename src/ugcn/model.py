@@ -216,7 +216,9 @@ def _conv_layer_back(s_mat: np.ndarray, stack_conj: np.ndarray, g_pre: np.ndarra
     g_H = win^H [U_0 .. U_K] and g_win = [U_0 .. U_K] H^H are one GEMM each;
     g_win then scatters back to the lags it was read from.  The conjugated
     lag windows are formed again from `stack_conj`, the conjugate of the
-    layer's input stack, so that win^H is a transposed view.
+    layer's input stack, so that win^H is a transposed view.  With one output
+    lag, the stack is dead once g_taps has read it, and g_win is written into
+    its buffer.
     """
     k1, t1, f_in, f_out = taps.shape
     n, b, r, _ = g_pre.shape
@@ -229,11 +231,12 @@ def _conv_layer_back(s_mat: np.ndarray, stack_conj: np.ndarray, g_pre: np.ndarra
         u[:, :, k] = cur
     u = u.reshape(n * b * r, k1 * f_out)
     g_taps = (_lag_windows(stack_conj, t1).T @ u).reshape(t1, f_in, k1, f_out).transpose(2, 0, 1, 3)
-    g_win = (u @ taps.transpose(1, 2, 0, 3).reshape(t1 * f_in, k1 * f_out).conj().T).reshape(
-        n, b, r, t1, f_in)
+    taps_h = taps.transpose(1, 2, 0, 3).reshape(t1 * f_in, k1 * f_out).conj().T
     if r == 1:
         # one output lag: each lag of the stack feeds exactly one column of win
+        g_win = np.matmul(u, taps_h, out=stack_conj.reshape(n * b, t1 * f_in))
         return g_taps, g_win.reshape(n, b, t1, f_in)
+    g_win = (u @ taps_h).reshape(n, b, r, t1, f_in)
     g_stack = np.zeros((n, b, r + t1 - 1, f_in), dtype=np.complex128)
     for tau in range(t1):
         g_stack[:, :, tau:tau + r] += g_win[:, :, :, tau]

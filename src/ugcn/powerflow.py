@@ -5,17 +5,18 @@ The slack bus (root for distribution, first bus otherwise) holds 1+0j and
 absorbs the balance.  Solutions satisfy the nodal power balance
 S_n = v_n * conj((Y v)_n) at every non-slack bus to the stated tolerance.
 Both solvers start from a given state, or from the flat profile 1+0j; a start
-that fails is retried once from the flat profile.  What Newton needs of the
-graph alone (free buses, conjugated admittance block, Jacobian diagonals) is
-built once per series by `newton_setup` and passed as `setup=`; the sweep's
-path matrices are cached on the graph.  A series of hours can be solved as
-one [T, n] block, and each hour then certified by `solve_powerflow` from the
-block's state.  On a feeder the block
-is swept from the flat profile (`sweep_hours`), one product over the block
-per sweep; a single hour is the block of one.  On a meshed grid the block is
-stepped from one solved hour's state with that hour's Jacobian, inverted
-once (`chord_hours`, the chord method of fast decoupled load flow; Stott &
-Alsac, IEEE Trans. PAS, 1974).
+that already balances is returned as it is, and a start that fails is retried
+once from the flat profile.  What Newton needs of the graph alone (free buses,
+conjugated admittance block, Jacobian diagonals) is built once per series by
+`newton_setup` and passed as `setup=`; the sweep's path matrix (Teng's
+direct-load-flow matrix) is cached on the graph.  A series of hours can be
+solved as one [T, n] block, and each hour then certified by `solve_powerflow`
+from the block's state, which costs one mismatch for an hour that settled.
+On a feeder the block is swept from the flat profile (`sweep_hours`), one
+[T, n] @ [n, n] product per sweep; a single hour is the block of one.  On a
+meshed grid the block is stepped from one solved hour's state with that
+hour's Jacobian, inverted once (`chord_hours`, the chord method of fast
+decoupled load flow; Stott & Alsac, IEEE Trans. PAS, 1974).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence
+from .errors import ConfigError, DimensionMismatch, NoConvergence
 from .grid import DISTRIBUTION, GridGraph, build_admittance
 
 MISMATCH_TOL = 1e-10
@@ -51,17 +52,31 @@ def solve_powerflow(
 ) -> np.ndarray:
     """Bus voltage phasors for the given net injections (slack entry ignored).
 
-    The solver starts from v0, whose slack entry must be 1+0j, or from the
-    flat profile without v0; it does not write into v0.  If the start from v0
-    does not converge, the solve is retried from the flat profile, whose
-    failure is the one raised.  Newton takes its set-up from `setup`, a
-    `newton_setup(graph, y)` record, or builds it once for both starts; the
-    sweep needs none.
+    The solver starts from v0, n voltages whose slack entry must be exactly
+    1+0j, or from the flat profile without v0; it does not write into v0.  A
+    v0 of another shape is a DimensionMismatch, and one with another slack
+    entry a ConfigError.  A v0 whose worst non-slack mismatch is already below
+    `tol` is returned as it is, by either solver; a NaN start is not.  If the
+    start from any other v0 does not converge, the solve is retried from the
+    flat profile, whose failure is the one raised.  Newton takes its set-up
+    from `setup`, a `newton_setup(graph, y)` record, or builds it once for
+    both starts; the sweep needs none.
     """
     s_inj = np.asarray(s_inj, dtype=np.complex128)
     if s_inj.shape != (graph.n,):
         raise DimensionMismatch(f"expected {graph.n} injections, got {s_inj.shape}")
     y = build_admittance(graph) if y is None else y
+    if v0 is not None:
+        slack = graph.pos(graph.slack_bus())
+        v0 = np.asarray(v0, dtype=np.complex128)
+        if v0.shape != (graph.n,):
+            raise DimensionMismatch(f"expected a start of {graph.n} voltages, got {v0.shape}")
+        if v0[slack] != 1.0:
+            raise ConfigError(f"the start's slack voltage must be 1+0j, got {v0[slack]}")
+        mism = nodal_mismatch(y, v0, s_inj)
+        mism[slack] = 0.0
+        if np.abs(mism).max() < tol:
+            return v0
     if graph.kind == DISTRIBUTION:
         solve = _sweep
     else:
@@ -76,7 +91,10 @@ def solve_powerflow(
 
 def _sweep(graph: GridGraph, s_inj: np.ndarray, y: np.ndarray, tol: float,
            v0: np.ndarray | None = None) -> np.ndarray:
-    """One hour: the T = 1 case of `sweep_hours`, then the hour's mismatch check."""
+    """One hour: the T = 1 case of `sweep_hours`, then the hour's mismatch check.
+
+    It sweeps from any start, even one that already balances.
+    """
     v, sweeps, step = sweep_hours(graph, s_inj[None], None if v0 is None else v0[None])
     if step[0] == np.inf:
         raise NoConvergence(int(sweeps[0]), float("inf"))
@@ -93,12 +111,13 @@ def sweep_hours(graph: GridGraph, s: np.ndarray, v0: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward/forward sweeps over a [T, n] block of hours, one row per hour.
 
-    Each sweep is one `drop @ (sub @ conj(S / V))` over the whole block with the
-    graph's path matrices (see GridGraph.path_matrices), taken as its transpose
-    `conj(S / V) @ sub.T @ drop.T` so that hours stay rows.  The slack's column
-    of S is ignored, since the slack has no branch to drop a voltage over.  A
-    sweep runs in three complex and one real [T, n] buffers allocated once.
-    The block starts from v0, which is not written, or from the flat profile.
+    Each sweep is one product `1 + conj(S / V) @ M` over the whole block with
+    the graph's path matrix M (see GridGraph.path_matrices), Teng's
+    direct-load-flow matrix taken as its transpose so that hours stay rows.
+    The slack's row of M is zero, so the slack's column of S is ignored and
+    the slack stays 1+0j.  A sweep runs in three complex and one real [T, n]
+    buffers allocated once.  The block starts from v0, which is not written,
+    or from the flat profile.
     Sweeping stops once no voltage of a live hour moved by SWEEP_STEP_TOL, or
     after SWEEP_MAX_ITER sweeps.  An hour diverges when one of its voltages
     leaves [1e-6, VOLTAGE_DIVERGED] or is not finite: it is reset to the flat
@@ -109,8 +128,7 @@ def sweep_hours(graph: GridGraph, s: np.ndarray, v0: np.ndarray | None = None
     diverged in) and the last sweep's largest change, infinite for an hour
     that diverged.
     """
-    sub, drop = graph.path_matrices
-    sub_t, drop_t = sub.T, drop.T
+    dlf = graph.path_matrices
     v = np.ones(s.shape, dtype=np.complex128) if v0 is None else np.array(v0, dtype=np.complex128)
     cur = np.empty_like(v)
     nxt = np.empty_like(v)
@@ -123,8 +141,8 @@ def sweep_hours(graph: GridGraph, s: np.ndarray, v0: np.ndarray | None = None
         np.conjugate(cur, out=cur)
         if lost:
             cur[diverged] = 0.0
-        np.matmul(cur, sub_t, out=nxt)
-        np.matmul(nxt, drop_t, out=cur)
+        np.matmul(cur, dlf, out=nxt)
+        cur, nxt = nxt, cur
         cur += 1.0
         # One pass over |v| serves all three tests: a NaN part makes its
         # magnitude NaN, which fails both comparisons, and an infinite part

@@ -227,8 +227,10 @@ def _solve_series(graph: GridGraph, y: np.ndarray, s_inj: np.ndarray) -> np.ndar
     `sweep_hours`.  A meshed grid's hour 0 is solved from the flat profile,
     and its other hours are stepped together from hour 0's state by
     `chord_hours`, with hour 0's Newton set-up.  Each hour that settled
-    there starts its own solve from its state, which then balances without
-    a step; an hour that did not settle starts from the flat profile.
+    there starts its own solve from its state; a state that balances within
+    the solve's tolerance is returned as it is, at the cost of one mismatch,
+    with no sweep or Newton step.  An hour that did not settle starts from
+    the flat profile.
     """
     setup = None
     first = 0

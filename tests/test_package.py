@@ -243,8 +243,9 @@ def test_ami_series_estimate_stays_within_its_memory_bound():
 def test_feeder_series_power_flow_stays_within_its_memory_bound():
     """One 240-hour ieee69 `_solve_series` call, the states included, peaks at
     1.1 MB of traced allocations: the block sweep runs in buffers allocated
-    once, and the states are swept in place.  Measured with numpy 2.4: 0.93 MB,
-    the states and the sweep's two complex and one real [240, 69] buffers."""
+    once, and the states are swept in place.  Measured with numpy 2.4: 1.01 MB,
+    the sweep's three complex and one real [240, 69] buffers, one of them the
+    states, and the graph's [69, 69] path matrix."""
     import tracemalloc
 
     from ugcn.caseio import load_case, to_grid_graph

@@ -108,8 +108,8 @@ def loop_sweep(graph, s_inj):
 
 
 def naive_sweep(graph, s_inj, y, tol, v0=None):
-    """The path-matrix sweep with the tree and both path matrices rebuilt on every
-    call; it starts from v0, or from the flat profile without it."""
+    """The path-matrix sweep with the tree and the one path matrix rebuilt on
+    every call; it starts from v0, or from the flat profile without it."""
     tree = graph.bfs()
     slack = graph.pos(graph.slack_bus())
     n = graph.n
@@ -121,11 +121,10 @@ def naive_sweep(graph, s_inj, y, tol, v0=None):
             z_to_parent[p] = graph.branches[tree.parent_branch[p]].impedance
             anc[p] = anc[par]
         anc[p, p] = 1.0
-    sub = anc.T
-    drop = anc * z_to_parent
+    dlf = anc @ (anc * z_to_parent).T
     v = np.ones(n, dtype=np.complex128) if v0 is None else v0
     for it in range(SWEEP_MAX_ITER):
-        v_new = 1.0 + drop @ (sub @ np.conj(s_inj / v))
+        v_new = 1.0 + np.conj(s_inj / v) @ dlf
         step = float(np.max(np.abs(v_new - v)))
         v = v_new
         if not np.all(np.isfinite(v.view(np.float64))) or np.max(np.abs(v)) > VOLTAGE_DIVERGED \
@@ -383,11 +382,74 @@ class TestPowerFlow:
         assert outcomes[3:] == [(1, np.inf)] * 3
 
     def test_path_matrices_built_once_and_read_only(self, ieee33):
-        sub, drop = ieee33.path_matrices
-        assert ieee33.path_matrices[0] is sub and ieee33.path_matrices[1] is drop
-        for matrix in (sub, drop):
-            with pytest.raises(ValueError, match="read-only"):
-                matrix[1, 0] = 2.0
+        dlf = ieee33.path_matrices
+        assert ieee33.path_matrices is dlf
+        assert dlf.shape == (33, 33)
+        with pytest.raises(ValueError, match="read-only"):
+            dlf[1, 0] = 2.0
+
+    @pytest.mark.parametrize("name,seed,ops", [("ieee33", 0, 0), ("ieee69", 4, 2)])
+    def test_path_matrix_sums_the_impedance_of_the_common_root_path(self, name, seed, ops):
+        """Entry [q, p] is the summed impedance of the branches on both root
+        paths, walked up from each bus; the slack's row and column are zero."""
+        g = reconfigured(name, seed, ops) if ops else to_grid_graph(load_case(name))
+        tree = g.bfs()
+
+        def root_path(p):
+            branches = set()
+            while tree.parent[p] >= 0:
+                branches.add(int(tree.parent_branch[p]))
+                p = tree.parent[p]
+            return branches
+
+        paths = [root_path(p) for p in range(g.n)]
+        dlf = g.path_matrices
+        for q in range(g.n):
+            for p in range(g.n):
+                want = sum((g.branches[b].impedance for b in sorted(paths[q] & paths[p])), 0j)
+                assert abs(dlf[q, p] - want) <= 1e-15 * max(1.0, abs(want))
+        slack = g.pos(g.slack_bus())
+        assert not dlf[slack].any() and not dlf[:, slack].any()
+
+    @pytest.mark.parametrize("name,scale", [("ieee30", 0.55), ("ieee33", 1.0)])
+    def test_malformed_start_is_refused(self, name, scale, request):
+        """A start of the wrong length or shape is a DimensionMismatch, one
+        whose slack entry is not 1+0j a ConfigError, each one line."""
+        g = request.getfixturevalue(name)
+        s = case_injections(name, g) * scale
+        y = build_admittance(g)
+        v = solve_powerflow(g, s, y)
+        slack = g.pos(g.slack_bus())
+        bad_slack = []
+        for entry in (1.05, 1j, np.nan):
+            start = v.copy()
+            start[slack] = entry
+            bad_slack.append(start)
+        cases = [(DimensionMismatch, v[:-1]), (DimensionMismatch, np.append(v, 1.0)),
+                 (DimensionMismatch, v[None]), (DimensionMismatch, v[0])]
+        cases += [(ConfigError, start) for start in bad_slack]
+        for error, start in cases:
+            with pytest.raises(error) as exc:
+                solve_powerflow(g, s, y, v0=start)
+            assert "\n" not in str(exc.value)
+        with pytest.raises(ConfigError, match=r"slack voltage must be 1\+0j, got \(1\.05\+0j\)"):
+            solve_powerflow(g, s, y, v0=bad_slack[0])
+
+    @pytest.mark.parametrize("name,scale", [("ieee30", 0.55), ("ieee33", 1.0)])
+    def test_balanced_start_is_returned_and_a_nan_start_solved_from_flat(self, name, scale,
+                                                                         request):
+        """Either solver returns a start that already balances as it is, and
+        solves a start with a NaN voltage from the flat profile."""
+        g = request.getfixturevalue(name)
+        s = case_injections(name, g) * scale
+        y = build_admittance(g)
+        flat = solve_powerflow(g, s, y)
+        assert solve_powerflow(g, s, y, v0=flat) is flat
+        start = flat.copy()
+        start[g.pos(slack_neighbor(g, y))] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = solve_powerflow(g, s, y, v0=start)
+        assert np.array_equal(got.view(np.float64), flat.view(np.float64))
 
     def test_sweep_failure_reports_the_sweeps_run(self, ieee33):
         with pytest.raises(NoConvergence) as exc:
@@ -619,8 +681,8 @@ class TestSeriesSweep:
                                                             monkeypatch):
         """240 hours: each balances within MISMATCH_TOL and lies within the
         warm-start bound of its flat-start hourly solve.  Each certifying solve
-        starts from the block's state and takes one sweep, whose result is the
-        hour's state."""
+        starts from the block's state, which already balances, so the hour's
+        state is its block state, bit for bit."""
         import ugcn.scenarios
         from ugcn.scenarios import _solve_series
 
@@ -642,9 +704,56 @@ class TestSeriesSweep:
             assert np.max(np.abs(mism)) < MISMATCH_TOL
             flat = solve_powerflow(graph, s_inj[t], y)
             assert np.max(np.abs(states[t] - flat)) <= TestWarmStart.BOUND["distribution"]
-            v, sweeps, step = sweep_hours(graph, s_inj[t][None], start[None])
-            assert sweeps[0] == 1 and step[0] < SWEEP_STEP_TOL
-            assert np.array_equal(v[0].view(np.float64), states[t].view(np.float64))
+            assert np.array_equal(start.view(np.float64), states[t].view(np.float64))
+
+    def test_settled_hours_certify_without_a_sweep(self, monkeypatch):
+        """ieee69, 240 hours: `sweep_hours` runs once, for the block, and each
+        certifying solve returns its start as it is.  A start perturbed out of
+        tolerance still sweeps and gives the per-call oracle's result from it.
+        A start whose slack is not 1+0j is refused; `_sweep` still sweeps from
+        it to the oracle's result."""
+        import ugcn.powerflow
+        import ugcn.scenarios
+        from ugcn.scenarios import _solve_series
+
+        graph, y, s_inj = generated_series("ieee69", 5, 1, t_total=240, task="forecast")
+        sweeps = []
+        for module in (ugcn.scenarios, ugcn.powerflow):
+            def counted(*args, _real=module.sweep_hours, _name=module.__name__):
+                sweeps.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(module, "sweep_hours", counted)
+        returned = []
+
+        def certify(graph, s_t, y, v0, setup):
+            v = solve_powerflow(graph, s_t, y, v0=v0, setup=setup)
+            returned.append(v is v0)
+            return v
+
+        monkeypatch.setattr(ugcn.scenarios, "solve_powerflow", certify)
+        states = _solve_series(graph, y, s_inj)
+        assert sweeps == ["ugcn.scenarios"]
+        assert returned == [True] * 240
+
+        slack = graph.pos(graph.slack_bus())
+        s_t = s_inj[100]
+        perturbed = states[100].copy()
+        perturbed[graph.n // 2] *= 1 + 1e-6
+        off_slack = states[100].copy()
+        off_slack[slack] = 1.05
+        sweeps.clear()
+        got = solve_powerflow(graph, s_t, y, v0=perturbed)
+        assert sweeps == ["ugcn.powerflow"]
+        want = naive_sweep(graph, s_t, y, MISMATCH_TOL, perturbed)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert np.max(np.abs(got - states[100])) <= TestWarmStart.BOUND["distribution"]
+        with pytest.raises(ConfigError, match="slack voltage"):
+            solve_powerflow(graph, s_t, y, v0=off_slack)
+        got = _sweep(graph, s_t, y, MISMATCH_TOL, off_slack)
+        assert sweeps == ["ugcn.powerflow"] * 2
+        want = naive_sweep(graph, s_t, y, MISMATCH_TOL, off_slack)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert got[slack] == 1.0
 
     # ieee33 at 4 times its case loads runs out of sweeps from the flat
     # profile, at 5 and 30 times it diverges.
